@@ -8,13 +8,14 @@ not a name imported from it), so that the tracer in ``layers.py`` sees it.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from lmtool import drivers, equivalence, generators, lmu, ppn, reduction, syntax
 from lmtool import typing as ty
 from lmtool.reduction import RuleTag
-from lmtool.syntax import Abs
+from lmtool.syntax import Abs, ERepl, ESub, Mu
 
 # A generator that cannot fill a stratum within this many draws is broken.
 MAX_DRAWS = 20000
@@ -186,70 +187,109 @@ NETS_PAIRS_PER_AXIOM = 20
 NET_AXIOMS = equivalence.AXIOMS + (equivalence.REN_AXIOM,)
 
 ERASURE_FAULT = (
-    "simulation_check: erasing S step that drops the last occurrence of a"
-    " lambda-bound variable from inside an argument box"
+    "simulation_check: erasing S or R step whose erased part holds an occurrence"
+    " of a variable or name bound by a binder that survives the step"
 )
 
-# Fixed instances of that fault (source, path of its S redex, environments).
-# The first is the smallest; the others are steps 270 and 532 of
-# drivers.typed_step_cases(seed=99, count=1000).
+# Fixed instances of that fault: (tag, source, child indices of the redex,
+# environments).  The first three are S steps that drop the last occurrence
+# of a lambda-bound variable: the smallest case, then steps 270 and 532 of
+# drivers.typed_step_cases(seed=99, count=1000).  The other four are step k
+# of typed_step_cases(seed, k + 1): S steps that drop one of several
+# occurrences of a lambda-bound variable (seed 38, k 21) and the only
+# occurrence of a mu-bound name (seed 252367528, k 126); R steps whose
+# dropped stack or replacement name holds a lambda-bound variable (seed 30,
+# k 313) or a mu-bound name (seed 1574527462, k 185).
 KNOWN_FAULT_STEPS = (
-    (r"\y:iB. f z[x\y]", (0, 1), {"f": "iA->iA", "z": "iA"}, {}),
+    (RuleTag.S, r"\y:iB. f z[x\y]", (0, 1), {"f": "iA->iA", "z": "iA"}, {}),
     (
+        RuleTag.S,
         r"\x1:iB. z2 (\x3:iB. z4 (z5 (\x6:iA. z5[x7\x1] z9[x8\x6])))",
         (0, 1, 0, 1, 1, 0, 0),
         {"z2": "(iB->iB)->iA", "z4": "iB->iB", "z5": "(iA->iB)->iB", "z9": "iA->iB"},
         {},
     ),
     (
+        RuleTag.S,
         r"mu 'm1:iB. ['f2](\x3:iB. z4 z6[x5\x3] (mu 'm7:iA->iA. ['f8]z9)"
         r" (mu 'm10:iA->iA. ['f8]z11))",
         (0, 0, 0, 0, 0, 1),
         {"z4": "(iA->iB)->(iA->iA)->(iA->iA)->iA", "z6": "iA->iB", "z9": "iA", "z11": "iA"},
         {"'f2": "iB->iA", "'f8": "iA"},
     ),
+    (
+        RuleTag.S,
+        r"['f1](\x2:iA. ((mu 'm5:iB->iA. ['m5]z6)[x4\x2] z8[x7\x2])"
+        r"[x3\(mu 'm9:iA->iB. ['f10]z8) x2[x11\z12]])",
+        (0, 0, 0, 1),
+        {"z6": "iB->iA", "z8": "iB", "z12": "iA"},
+        {"'f1": "iA->iA", "'f10": "iB"},
+    ),
+    (
+        RuleTag.S,
+        r"\x1:iA->iB. mu 'm2:iA. ['f3](z5 z6 z8[x7\z10[x9\mu 'm11:iA. ['m2]z12]])[x4\z13]",
+        (0, 0, 0, 0, 1, 1),
+        {"z5": "iA->iB->iB", "z6": "iA", "z8": "iB", "z10": "iB->iA", "z12": "iA", "z13": "iB->iB"},
+        {"'f3": "iB"},
+    ),
+    (
+        RuleTag.R,
+        r"\x1:iB->iB. \x2:iA. z3 (mu 'm4:iB. (['f6]z7)['m4/'r5:(iB->iB)->(iA->iB)->iB\x1 . z8 . #])",
+        (0, 0, 1, 0),
+        {"z3": "iB->iA", "z7": "iB->iA", "z8": "iA->iB"},
+        {"'f6": "iB->iA"},
+    ),
+    (
+        RuleTag.R,
+        r"\x1:iB->iB. mu 'm2:iB. ['f3]z4 (mu 'm5:iA. (['f7](mu 'm8:iA. ['f3]z9))['m2/'r6:iB\#])",
+        (0, 0, 0, 1, 0),
+        {"z4": "iA->iA", "z9": "iA"},
+        {"'f3": "iA", "'f7": "iA"},
+    ),
 )
 
 
-def _lambda_vars(o) -> tuple[set[str], set[str]]:
-    """Variables bound by an abstraction in o, and those of them that occur."""
-    bound, used = set(), set()
+def _binder_uses(o) -> Counter:
+    """Free occurrences in its scope of each identifier bound in o, summed
+    over the binders of that identifier."""
+    uses: Counter = Counter()
     for _, sub in syntax.positions(o):
-        if isinstance(sub, Abs):
-            bound.add(sub.var)
-            if syntax.count_free_var(sub.var, sub.body):
-                used.add(sub.var)
-    return bound, used
+        match sub:
+            case Abs(x, _, body) | ESub(body, x, _):
+                uses[x] += syntax.count_free_var(x, body)
+            case Mu(a, _, body) | ERepl(body, _, a, _, _):
+                uses[a] += syntax.count_free_name(a, body)
+    return uses
 
 
-def drops_lambda_var(tag: RuleTag, o, o2) -> bool:
-    """True for an S step after which a surviving abstraction no longer uses
-    its variable: the class of steps ERASURE_FAULT lives in."""
-    if tag is not RuleTag.S:
-        return False
-    _, used = _lambda_vars(o)
-    bound2, used2 = _lambda_vars(o2)
-    return bool((used & bound2) - used2)
+def drops_bound_occurrence(o, o2) -> bool:
+    """True for a step after which an identifier still bound has fewer
+    occurrences: an erasing step whose erased part held one of them, the
+    class of steps ERASURE_FAULT lives in."""
+    before, after = _binder_uses(o), _binder_uses(o2)
+    return any(x in before and n < before[x] for x, n in after.items())
 
 
 def known_fault_steps() -> list[Item]:
     items = []
-    for k, (text, idxs, gamma, delta) in enumerate(KNOWN_FAULT_STEPS):
+    for k, (tag, text, idxs, gamma, delta) in enumerate(KNOWN_FAULT_STEPS):
         o = syntax.parse(text, freshen=False)
-        o2 = reduction.lm_step(o, RuleTag.S, syntax.make_path(o, idxs))
+        o2 = reduction.lm_step(o, tag, syntax.make_path(o, idxs))
         g = {x: syntax.parse_type(t) for x, t in gamma.items()}
         d = {a: syntax.parse_type(t) for a, t in delta.items()}
-        items.append(Item(f"fault#{k}", ("step", RuleTag.S, o, o2, g, d), ERASURE_FAULT))
+        items.append(Item(f"fault#{k}:{tag.value}", ("step", tag, o, o2, g, d), ERASURE_FAULT))
     return items
 
 
 def build_nets(
     seed: int, steps: int = NETS_STEPS, pairs_per_axiom: int = NETS_PAIRS_PER_AXIOM
 ) -> list[Item]:
-    count = steps + steps // 10
+    # about one step in twenty is of the fault's class; a fifth more steps
+    # than needed nearly always leaves enough
+    count = steps + steps // 5
     while True:
         cases = drivers.typed_step_cases(seed, count)
-        kept = [c for c in cases if not drops_lambda_var(c[0], c[1], c[2])]
+        kept = [c for c in cases if not drops_bound_occurrence(c[1], c[2])]
         if len(kept) >= steps:
             break
         count *= 2

@@ -55,17 +55,27 @@ def test_bisim_pair_with_an_unrelated_right_side_fails():
 
 def test_known_net_fault_is_failed_but_expected():
     faults = corpora.known_fault_steps()
-    assert all(corpora.drops_lambda_var(*i.data[1:4]) for i in faults)
+    assert all(corpora.drops_bound_occurrence(*i.data[2:4]) for i in faults)
     attempted, failed, unexpected, expected = run_items(corpora.NETS, faults)
-    assert (attempted, failed) == (6, 6)
-    assert not unexpected and len(expected) == 3
+    assert (attempted, failed) == (14, 14)
+    assert not unexpected and len(expected) == 7
 
 
 def test_seeded_net_steps_avoid_the_fault_class():
     items = corpora.build_nets(7, steps=60, pairs_per_axiom=1)
     steps = [i for i in items if i.data[0] == "step" and not i.known_fault]
     assert len(steps) == 60
-    assert not any(corpora.drops_lambda_var(*i.data[1:4]) for i in steps)
+    assert not any(corpora.drops_bound_occurrence(*i.data[2:4]) for i in steps)
+
+
+def test_seeded_net_steps_pass_on_a_seed_that_hit_an_erasing_r_step():
+    # seed 2093155974 draws an erasing R step that drops a lambda-bound
+    # variable; the fault's class must keep it out of the seeded steps
+    items = corpora.build_nets(2093155974, pairs_per_axiom=0)
+    seeded = [i for i in items if not i.known_fault]
+    assert len(seeded) == corpora.NETS_STEPS
+    _, failed, unexpected, _ = run_items(corpora.NETS, seeded)
+    assert failed == 0 and not unexpected
 
 
 COUNT_SCRIPT = """
