@@ -122,7 +122,7 @@ def cmd_equiv(args) -> int:
         print(res.certificate.render())
         print("EQUIVALENT")
         return 0
-    print("NOT-WITHIN-BOUNDS")
+    print(f"NOT-WITHIN-BOUNDS ({res.reason})")
     return 1
 
 
@@ -322,6 +322,9 @@ def main(argv=None) -> int:
         return 2
     except reduction.NotCanonicalError as e:
         print(f"error: not canonical: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too deep", file=sys.stderr)
         return 2
 
 

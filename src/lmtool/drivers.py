@@ -84,13 +84,6 @@ def bisim_driver(
                 if res.equivalent:
                     found = True
                     break
-            if not found:
-                # one slower retry with the full neighbor enumeration
-                for _, _, b2 in bs:
-                    res = equiv(a2, b2, max_states=4 * max_states, max_depth=max_depth + 2)
-                    if res.equivalent:
-                        found = True
-                        break
             report.checked += 1
             if not found:
                 report.ok = False

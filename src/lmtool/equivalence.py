@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Optional
 
 from .meta import apply_stack, rename, stack_of
-from .reduction import canon, is_canonical
+from .reduction import canon, canonical_after_rewrite, is_canonical
 from .syntax import (
     Abs,
     App,
@@ -20,9 +20,9 @@ from .syntax import (
     Named,
     NameSupply,
     Object,
+    Path,
     Var,
     alpha_eq,
-    binders_along,
     canonical_key,
     count_free_name,
     count_free_var,
@@ -39,7 +39,6 @@ from .syntax import (
     subobject_at,
     supply_for,
 )
-from .reduction import is_linear_indices
 
 AXIOMS = ("exs", "exr", "lin", "pp", "rho", "theta")
 REN_AXIOM = "ren"
@@ -76,6 +75,9 @@ class EquivOutcome:
     status: str  # "equivalent" | "not-within-bounds"
     certificate: Optional[Certificate] = None
     states: int = 0
+    # why the search stopped: "found", "sorts differ", "free identifiers
+    # differ", "depth bound", "state bound" or "empty frontier"
+    reason: str = ""
 
     @property
     def equivalent(self) -> bool:
@@ -90,10 +92,28 @@ class NotCanonical(Exception):
 # Rewrites of a subobject by one axiom
 
 
+# The constructors a linear context passes through, always by child 0.
+_SPINE = (App, Abs, Mu, ESub, Named, ERepl)
+
+
 def _linear_positions(o: Object, want_sort: str):
-    for idxs, sub in positions(o):
-        if idxs and sort_of(sub) == want_sort and is_linear_indices(o, idxs):
-            yield idxs, sub
+    """Yield (path, subobject, bound variables, bound names) for every
+    linear position of sort want_sort strictly below o, in pre-order.  A
+    linear context only descends into child 0, so these positions lie on
+    one spine; the binder sets are those crossed from o to the position."""
+    steps: tuple[tuple[str, int], ...] = ()
+    vs: frozenset[str] = frozenset()
+    ns: frozenset[str] = frozenset()
+    while isinstance(o, _SPINE):
+        match o:
+            case Abs(x, _, _) | ESub(_, x, _):
+                vs = vs | {x}
+            case Mu(a, _, _) | ERepl(_, _, a, _, _):
+                ns = ns | {a}
+        steps += ((type(o).__name__, 0),)
+        o = o.fun if isinstance(o, App) else o.body
+        if sort_of(o) == want_sort:
+            yield Path(steps, want_sort), o, vs, ns
 
 
 def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
@@ -104,53 +124,45 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
     match sub:
         case ESub(t, x, u):
             # exs LR: (LTT<v>)[x\u] -> LTT<v[x\u]>
-            for idxs, v in _linear_positions(t, "term"):
-                vs, ns = binders_along(t, make_path(t, idxs))
-                if x in vs:
+            n_x = count_free_var(x, t)
+            for p, v, vs, _ in _linear_positions(t, "term"):
+                if x in vs or count_free_var(x, v) != n_x:
                     continue
-                if count_free_var(x, t) != count_free_var(x, v):
-                    continue
-                res = rewrite_at(t, make_path(t, idxs), ESub(v, x, u), supply)
-                out.append(("exs", "LR", res))
+                out.append(("exs", "LR", rewrite_at(t, p, ESub(v, x, u), supply)))
         case ERepl(c, nn, on, ann, s):
             # exr LR: (LCC<c0>)[a'/a\s] -> LCC<c0[a'/a\s]>
-            for idxs, c0 in _linear_positions(c, "command"):
-                vs, ns = binders_along(c, make_path(c, idxs))
-                if on in ns:
+            n_on = count_free_name(on, c)
+            for p, c0, _, ns in _linear_positions(c, "command"):
+                if on in ns or count_free_name(on, c0) != n_on:
                     continue
-                if count_free_name(on, c) != count_free_name(on, c0):
-                    continue
-                res = rewrite_at(c, make_path(c, idxs), ERepl(c0, nn, on, ann, s), supply)
-                out.append(("exr", "LR", res))
+                out.append(("exr", "LR", rewrite_at(c, p, ERepl(c0, nn, on, ann, s), supply)))
 
     if sort_of(sub) == "term":
         # exs RL: LTT<v[x\u]> -> (LTT<v>)[x\u]
-        for idxs, node in _linear_positions(sub, "term"):
+        for p, node, vs, ns in _linear_positions(sub, "term"):
             if not isinstance(node, ESub):
                 continue
             t2, x, u = node.body, node.var, node.arg
-            vs, ns = binders_along(sub, make_path(sub, idxs))
             if (free_vars(u) & vs) or (free_names(u) & ns):
                 continue  # the substitution body cannot move out
             if count_free_var(x, sub) > 0:
                 x2 = supply.fresh(x)
                 t2, x = rename_free_var(t2, x, x2), x2
-            res = ESub(rewrite_at(sub, make_path(sub, idxs), t2, supply), x, u)
+            res = ESub(rewrite_at(sub, p, t2, supply), x, u)
             out.append(("exs", "RL", res))
 
     if sort_of(sub) == "command":
         # exr RL: LCC<c0[a'/a\s]> -> (LCC<c0>)[a'/a\s]
-        for idxs, node in _linear_positions(sub, "command"):
+        for p, node, vs, ns in _linear_positions(sub, "command"):
             if not isinstance(node, ERepl):
                 continue
             c0, nn, on, ann, s = node.body, node.new, node.old, node.ann, node.stack
-            vs, ns = binders_along(sub, make_path(sub, idxs))
             if (free_vars(s) & vs) or (free_names(s) & ns) or nn in ns:
                 continue
             if count_free_name(on, sub) > 0:
                 on2 = supply.fresh(on)
                 c0, on = rename_free_name_var(c0, on, on2), on2
-            res = ERepl(rewrite_at(sub, make_path(sub, idxs), c0, supply), nn, on, ann, s)
+            res = ERepl(rewrite_at(sub, p, c0, supply), nn, on, ann, s)
             out.append(("exr", "RL", res))
 
     match sub:
@@ -329,7 +341,7 @@ def axiom_instances(
         for name, orient, new_sub in _subtree_rewrites(sub, supply, include_ren,
                                                        expansive):
             res = rewrite_at(o, p, new_sub, supply)
-            if require_canonical and not is_canonical(res):
+            if require_canonical and not canonical_after_rewrite(res, idxs):
                 continue
             out.append((Axiom(name, orient, idxs, canonical_key(res)), res))
     return out
@@ -376,10 +388,14 @@ def equiv(
         if not is_canonical(q):
             raise NotCanonical(print_object(q))
     if sort_of(o) != sort_of(p):
-        return EquivOutcome("not-within-bounds")
+        return EquivOutcome("not-within-bounds", reason="sorts differ")
+    # every base-axiom rewrite keeps the free variables and names; ren LR
+    # can drop a free name, so with ren the sets may differ
+    if not include_ren and (free_vars(o) != free_vars(p) or free_names(o) != free_names(p)):
+        return EquivOutcome("not-within-bounds", reason="free identifiers differ")
     ko, kp = canonical_key(o), canonical_key(p)
     if ko == kp:
-        return EquivOutcome("equivalent", Certificate([]))
+        return EquivOutcome("equivalent", Certificate([]), reason="found")
 
     # visited maps: key -> (object, steps from the origin)
     fwd = {ko: (o, [])}
@@ -400,8 +416,10 @@ def equiv(
         return Certificate(steps)
 
     while frontier_f or frontier_b:
-        if depth_f + depth_b >= max_depth or states >= max_states:
-            return EquivOutcome("not-within-bounds", states=states)
+        if depth_f + depth_b >= max_depth:
+            return EquivOutcome("not-within-bounds", states=states, reason="depth bound")
+        if states >= max_states:
+            return EquivOutcome("not-within-bounds", states=states, reason="state bound")
         # expand the smaller frontier
         expand_fwd = (len(frontier_f) <= len(frontier_b) and frontier_f) or not frontier_b
         frontier = frontier_f if expand_fwd else frontier_b
@@ -411,7 +429,7 @@ def equiv(
         for key in frontier:
             obj, steps = visited[key]
             for ax, res in axiom_instances(obj, include_ren, expansive=expansive):
-                rk = canonical_key(res)
+                rk = ax.result_key
                 if rk in visited:
                     continue
                 if expand_fwd:
@@ -421,9 +439,9 @@ def equiv(
                 states += 1
                 new_frontier.append(rk)
                 if rk in other:
-                    return EquivOutcome("equivalent", splice(rk), states)
+                    return EquivOutcome("equivalent", splice(rk), states, reason="found")
                 if states >= max_states:
-                    return EquivOutcome("not-within-bounds", states=states)
+                    return EquivOutcome("not-within-bounds", states=states, reason="state bound")
         if expand_fwd:
             frontier_f = new_frontier
             depth_f += 1
@@ -432,7 +450,7 @@ def equiv(
             depth_b += 1
         if not frontier_f and not frontier_b:
             break
-    return EquivOutcome("not-within-bounds", states=states)
+    return EquivOutcome("not-within-bounds", states=states, reason="empty frontier")
 
 
 def check_certificate(o: Object, cert: Certificate, p: Object) -> tuple[bool, str]:

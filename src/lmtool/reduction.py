@@ -30,6 +30,7 @@ from .syntax import (
     Push,
     Var,
     canonical_key,
+    children,
     count_free_name,
     empty_stack,
     make_path,
@@ -101,14 +102,8 @@ def is_linear_indices(root: Object, idxs: tuple[int, ...]) -> bool:
     for i in idxs:
         if (type(o), i) not in _LINEAR_STEPS:
             return False
-        o = list(_children(o))[i]
+        o = children(o)[i]
     return True
-
-
-def _children(o: Object):
-    from .syntax import children
-
-    return children(o)
 
 
 def is_linear_path(root: Object, frm: Path, to: Path) -> bool:
@@ -230,6 +225,10 @@ def classify_R_info(o: Object, p: Path) -> RInfo:
     sub = subobject_at(o, p)
     if not isinstance(sub, ERepl):
         raise ValueError("classification expects an explicit replacement")
+    return _classify_erepl(sub)
+
+
+def _classify_erepl(sub: ERepl) -> RInfo:
     c, alpha, s = sub.body, sub.old, sub.stack
     if isinstance(s, EmptyStack):
         return RInfo(RuleTag.R_EMPTY)
@@ -345,20 +344,28 @@ def _stack_len(s: Object) -> int:
 # Canonical forms: exhaustive B, M, and linear C, W (leftmost-outermost)
 
 
+def _canon_tag(o: Object) -> Optional[tuple[RuleTag, RInfo | None]]:
+    """The B, M, C or W redex rooted at o itself, if o is one.  This depends
+    on o's own subtree only."""
+    match o:
+        case App(f, _):
+            _, core = _strip_subs(f)
+            if isinstance(core, Abs):
+                return RuleTag.B, None
+            if isinstance(core, Mu):
+                return RuleTag.M, None
+        case ERepl():
+            info = _classify_erepl(o)
+            if info.tag in CANON_R:
+                return info.tag, info
+    return None
+
+
 def _canon_redex(o: Object) -> Optional[tuple[RuleTag, Path, RInfo | None]]:
     for idxs, sub in positions(o):
-        match sub:
-            case App(f, _):
-                _, core = _strip_subs(f)
-                if isinstance(core, Abs):
-                    return (RuleTag.B, make_path(o, idxs), None)
-                if isinstance(core, Mu):
-                    return (RuleTag.M, make_path(o, idxs), None)
-            case ERepl(_, _, _, _, _):
-                p = make_path(o, idxs)
-                info = classify_R_info(o, p)
-                if info.tag in CANON_R:
-                    return (info.tag, p, info)
+        found = _canon_tag(sub)
+        if found is not None:
+            return found[0], make_path(o, idxs), found[1]
     return None
 
 
@@ -387,6 +394,18 @@ def is_canonical(o: Object) -> bool:
     return _canon_redex(o) is None
 
 
+def canonical_after_rewrite(res: Object, idxs: tuple[int, ...]) -> bool:
+    """is_canonical(res) for res = rewrite_at(o, p, q) with o canonical and
+    idxs the indices of p.  Outside the path and q, rewrite_at only
+    alpha-renames binders on the path, which keeps every node's redex
+    status; so only the nodes on the path and the new subtree need a look."""
+    for i in idxs:
+        if _canon_tag(res) is not None:
+            return False
+        res = children(res)[i]
+    return _canon_redex(res) is None
+
+
 def canon_random(o: Object, rng, supply: NameSupply | None = None) -> Object:
     """Canonicalization firing redexes in random order (strategy
     independence oracle)."""
@@ -395,18 +414,9 @@ def canon_random(o: Object, rng, supply: NameSupply | None = None) -> Object:
     while True:
         found = []
         for idxs, sub in positions(o):
-            match sub:
-                case App(f, _):
-                    _, core = _strip_subs(f)
-                    if isinstance(core, Abs):
-                        found.append((RuleTag.B, make_path(o, idxs), None))
-                    elif isinstance(core, Mu):
-                        found.append((RuleTag.M, make_path(o, idxs), None))
-                case ERepl(_, _, _, _, _):
-                    p = make_path(o, idxs)
-                    info = classify_R_info(o, p)
-                    if info.tag in CANON_R:
-                        found.append((info.tag, p, info))
+            hit = _canon_tag(sub)
+            if hit is not None:
+                found.append((hit[0], make_path(o, idxs), hit[1]))
         if not found:
             return o
         tag, p, info = found[rng.randrange(len(found))]

@@ -296,17 +296,7 @@ def rewrite_at(root: Object, p: Path, q: Object, supply: "NameSupply | None" = N
     old = subobject_at(root, p)
     fresh_v = free_vars(q) - free_vars(old)
     fresh_n = free_names(q) - free_names(old)
-    if not fresh_v and not fresh_n:
-        def put(o: Object, steps) -> Object:
-            if not steps:
-                return q
-            (_, i), rest = steps[0], steps[1:]
-            cs = list(children(o))
-            cs[i] = put(cs[i], rest)
-            return with_children(o, tuple(cs))
-
-        return put(root, p.steps)
-    vs, ns = binders_along(root, p)
+    vs, ns = binders_along(root, p) if fresh_v or fresh_n else (set(), set())
     if not (vs & fresh_v) and not (ns & fresh_n):
         def put(o: Object, steps) -> Object:
             if not steps:

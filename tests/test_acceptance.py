@@ -9,6 +9,7 @@ reduction-compatible statement is asserted separately and holds."""
 
 import random
 import time
+import zlib
 
 import pytest
 
@@ -313,7 +314,7 @@ def test_criterion_8_ppn_soundness():
     start = time.time()
     failures = []
     for ax in AXIOMS + ("ren",):
-        pairs = TypedPairs(seed=abs(hash(ax)) % 10**6)
+        pairs = TypedPairs(seed=zlib.crc32(ax.encode()) % 10**6)
         for _ in range(10):
             lhs, rhs, g, d = pairs.build(ax)
             if not soundness_check(lhs, rhs, g, d):

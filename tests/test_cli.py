@@ -82,3 +82,22 @@ def test_property_drivers_pass(capsys):
     assert code == 0 and out.strip().endswith("PASS")
     code, out = run(capsys, "simcheck", "--cases", "10", "--seed", "1")
     assert code == 0 and out.strip().endswith("PASS")
+
+
+def test_equiv_prints_stop_reason(capsys):
+    code, out = run(capsys, "equiv", "x", "y")
+    assert code == 1 and out.strip() == "NOT-WITHIN-BOUNDS (free identifiers differ)"
+    code, out = run(capsys, "equiv", "x", "y", "--ren", "--max-states", "40", "--max-depth", "3")
+    assert code == 1 and out.strip() == "NOT-WITHIN-BOUNDS (depth bound)"
+
+
+def test_deep_parentheses_exit_cleanly(capsys):
+    code = main(["parse", "(" * 1200 + "x" + ")" * 1200])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.strip() == "error: input too deep"
+
+
+def test_long_application_spine_exits_cleanly(capsys):
+    code = main(["canon", "f " + " ".join(f"a{i}" for i in range(3000))])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.strip() == "error: input too deep"

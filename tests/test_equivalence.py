@@ -247,3 +247,118 @@ def test_type_preservation_under_axioms():
             assert d2.judgment.gamma == d.judgment.gamma
             assert d2.judgment.delta == d.judgment.delta
             done += 1
+
+
+# --- fast paths against the reference walks they replace ----------------------
+
+
+def _reference_linear_positions(o, want_sort):
+    """Every position, filtered by is_linear_indices, with its binders read
+    off by binders_along: the walk that _linear_positions replaces."""
+    from lmtool.reduction import is_linear_indices
+    from lmtool.syntax import binders_along, make_path, positions, sort_of
+
+    for idxs, sub in positions(o):
+        if idxs and sort_of(sub) == want_sort and is_linear_indices(o, idxs):
+            p = make_path(o, idxs)
+            vs, ns = binders_along(o, p)
+            yield p, sub, vs, ns
+
+
+@pytest.fixture(scope="module")
+def seeded_objects():
+    """Canonical objects of one-axiom pairs, their meaningful reducts, and
+    the canonical sides of sigma pairs."""
+    from lmtool.drivers import sigma_pair
+    from lmtool.equivalence import AXIOMS
+    from lmtool.generators import gen_equiv_pair
+    from lmtool.lmu import SIGMA_AXIOMS
+    from lmtool.reduction import meaningful_reducts
+
+    objs = []
+    for i, ax in enumerate(AXIOMS):
+        for s in range(3):
+            o, p, _ = gen_equiv_pair(seed=100 * i + s, axiom=ax, size=8)
+            for side in (o, p):
+                objs.append(side)
+                objs += [r for _, _, r in meaningful_reducts(side)]
+    for i, ax in enumerate(SIGMA_AXIOMS):
+        for s in range(2):
+            lhs, rhs = sigma_pair(seed=10 * i + s, axiom=ax, size=3)
+            objs += [canon(lhs), canon(rhs)]
+    return objs
+
+
+def test_spine_walk_matches_reference_walk(seeded_objects):
+    from lmtool.equivalence import _linear_positions
+    from lmtool.syntax import positions
+
+    compared = 0
+    for o in seeded_objects:
+        for _, sub in positions(o):
+            for sort in ("term", "command"):
+                fast = list(_linear_positions(sub, sort))
+                ref = list(_reference_linear_positions(sub, sort))
+                assert fast == ref, print_object(sub)
+                compared += len(ref)
+    assert compared > 1000
+
+
+def test_incremental_canonicity_matches_full_check(seeded_objects):
+    from lmtool.equivalence import _subtree_rewrites
+    from lmtool.reduction import canonical_after_rewrite
+    from lmtool.syntax import make_path, positions, rewrite_at, supply_for
+
+    seen = set()
+    for o in seeded_objects:
+        supply = supply_for(o)
+        for idxs, sub in positions(o):
+            p = make_path(o, idxs)
+            for _, _, new_sub in _subtree_rewrites(sub, supply, include_ren=True):
+                res = rewrite_at(o, p, new_sub, supply)
+                full = is_canonical(res)
+                assert canonical_after_rewrite(res, idxs) == full, print_object(res)
+                seen.add(full)
+    assert seen == {True, False}
+
+
+def test_result_keys_and_free_identifiers_of_instances(seeded_objects):
+    from lmtool.syntax import canonical_key, free_names, free_vars
+
+    for o in seeded_objects:
+        fv, fn = free_vars(o), free_names(o)
+        for ax, res in axiom_instances(o, include_ren=True):
+            assert ax.result_key == canonical_key(res)
+            if ax.name != "ren":
+                # what makes the free-identifier prefilter of equiv sound
+                assert (free_vars(res), free_names(res)) == (fv, fn), ax.render()
+
+
+def test_ren_can_drop_a_free_name():
+    # ren LR: c[a/b\#] -> c{b:=a}; with b absent from c the name a is gone,
+    # so the free-identifier prefilter must stay off for ren searches
+    from lmtool.syntax import free_names
+
+    lhs = c("(['c]x)['a/'b\\#]")
+    rhs = c("['c]x")
+    assert free_names(lhs) == {"'a", "'c"} and free_names(rhs) == {"'c"}
+    assert any(
+        ax.name == "ren" and ax.orientation == "LR" and alpha_eq(r, rhs)
+        for ax, r in axiom_instances(lhs, include_ren=True)
+    )
+    res = equiv(lhs, rhs, include_ren=True)
+    assert res.equivalent and res.reason == "found"
+    assert check_certificate(lhs, res.certificate, rhs)[0]
+    res = equiv(lhs, rhs)
+    assert not res.equivalent
+    assert res.reason == "free identifiers differ" and res.states == 0
+
+
+def test_equiv_stop_reasons():
+    assert equiv(t("x y"), t("x y")).reason == "found"
+    assert equiv(t("x"), c("['a]x")).reason == "sorts differ"
+    assert equiv(t("x"), t("y")).reason == "free identifiers differ"
+    bounded = dict(max_states=40, include_ren=True)
+    assert equiv(t("x"), t("y"), max_depth=3, **bounded).reason == "depth bound"
+    assert equiv(t("x"), t("y"), max_depth=12, **bounded).reason == "state bound"
+    assert equiv(t("x y"), t("y x"), expansive=False).reason == "empty frontier"

@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -261,7 +262,7 @@ def test_net_equiv_distinguishes():
 
 @pytest.mark.parametrize("axiom", ["exs", "exr", "lin", "pp", "rho", "theta", "ren"])
 def test_axiom_soundness(axiom):
-    pairs = TypedPairs(seed=hash(axiom) % 10**6)
+    pairs = TypedPairs(seed=zlib.crc32(axiom.encode()) % 10**6)
     for _ in range(3):
         lhs, rhs, g, d = pairs.build(axiom)
         assert soundness_check(lhs, rhs, g, d)
