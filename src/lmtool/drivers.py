@@ -68,10 +68,11 @@ def bisim_driver(
         bs = None
         for tag, path, a2 in meaningful_reducts(a):
             if bs is None:
-                bs = meaningful_reducts(b)
+                bs = [(b2, canonical_key(b2)) for _, _, b2 in meaningful_reducts(b)]
+            ka = canonical_key(a2)
             found = False
-            for _, _, b2 in bs:
-                if canonical_key(a2) == canonical_key(b2):
+            for b2, kb in bs:
+                if ka == kb:
                     found = True
                     break
                 res = equiv(

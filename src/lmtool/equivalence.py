@@ -24,6 +24,7 @@ from .syntax import (
     Var,
     alpha_eq,
     canonical_key,
+    children,
     count_free_name,
     count_free_var,
     empty_stack,
@@ -38,6 +39,7 @@ from .syntax import (
     sort_of,
     subobject_at,
     supply_for,
+    with_children,
 )
 
 AXIOMS = ("exs", "exr", "lin", "pp", "rho", "theta")
@@ -286,8 +288,6 @@ def _name_occurrences(o: Object, alpha: str) -> list[tuple[int, ...]]:
             case Mu(a, _, b):
                 go(b, idxs + (0,), shadowed or a == alpha)
             case _:
-                from .syntax import children
-
                 for i, ch in enumerate(children(o)):
                     go(ch, idxs + (i,), shadowed)
 
@@ -305,8 +305,6 @@ def _rename_occurrences(o: Object, frm: str, to: str, chosen: set[tuple[int, ...
                 nn2 = to if (idxs in chosen and nn == frm) else nn
                 return ERepl(go(b, idxs + (0,)), nn2, on, ann, go(s, idxs + (1,)))
             case _:
-                from .syntax import children, with_children
-
                 cs = children(o)
                 if not cs:
                     return o

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from .meta import apply_stack, replace, substitute
 from .syntax import (
+    COMMAND,
+    TERM,
     Abs,
     App,
     EmptyStack,
@@ -25,6 +27,7 @@ from .syntax import (
     not_at_all,
     positions,
     rewrite_at,
+    sort_of,
     subobject_at,
     supply_for,
 )
@@ -256,7 +259,7 @@ def _sigma_rewrites(sub: Object, supply: NameSupply) -> list[tuple[str, str, Obj
             out.append(("sigma7", "LR", rename(c, a, b)))
     # sigma7 RL: c = rename(c0, a, b) for a fresh b and some subset of the
     # free a-occurrences; enumerating the literal inverse (all occurrences)
-    if sort_is_command(sub):
+    if sort_of(sub) == COMMAND:
         for a in sorted(free_names(sub)):
             b = supply.fresh("'b")
             out.append(("sigma7", "RL", Named(a, Mu(b, None, rename(sub, b, a)))))
@@ -264,18 +267,10 @@ def _sigma_rewrites(sub: Object, supply: NameSupply) -> list[tuple[str, str, Obj
         # sigma8: mu a.[a]v = v,  a # v
         case Mu(a, _, Named(a2, v)) if a == a2 and naa(a, v):
             out.append(("sigma8", "LR", v))
-    if sort_is_term(sub):
+    if sort_of(sub) == TERM:
         a = supply.fresh("'a")
         out.append(("sigma8", "RL", Mu(a, None, Named(a, sub))))
     return out
-
-
-def sort_is_command(o: Object) -> bool:
-    return isinstance(o, (Named, ERepl))
-
-
-def sort_is_term(o: Object) -> bool:
-    return isinstance(o, (Var, App, Abs, Mu, ESub))
 
 
 def sigma_instances(o: Object) -> list[tuple[str, str, Path, Object]]:

@@ -21,13 +21,12 @@ from .syntax import (
     Push,
     Var,
     alpha_eq,
-    count_free_var,
-    count_free_name,
     empty_stack,
     free_names,
     free_vars,
     refresh,
     rename_free_name_var,
+    rename_free_var,
     supply_for,
 )
 from .typing_util import split_arrow_opt
@@ -98,12 +97,12 @@ def substitute(o: Object, x: str, u: Object, supply: NameSupply | None = None) -
             case Abs(y, ann, b):
                 if y == x:
                     return o
-                if y in fv_u and count_free_var(x, b) > 0:
+                if y in fv_u and x in free_vars(b):
                     y2 = supply.fresh(y)
-                    return Abs(y2, ann, go(rename_free_var_local(b, y, y2)))
+                    return Abs(y2, ann, go(rename_free_var(b, y, y2)))
                 return Abs(y, ann, go(b))
             case Mu(a, ann, b):
-                if a in fn_u and count_free_var(x, b) > 0:
+                if a in fn_u and x in free_vars(b):
                     a2 = supply.fresh(a)
                     return Mu(a2, ann, go(rename_free_name_var(b, a, a2)))
                 return Mu(a, ann, go(b))
@@ -111,15 +110,15 @@ def substitute(o: Object, x: str, u: Object, supply: NameSupply | None = None) -
                 arg2 = go(arg)
                 if y == x:
                     return ESub(b, y, arg2)
-                if y in fv_u and count_free_var(x, b) > 0:
+                if y in fv_u and x in free_vars(b):
                     y2 = supply.fresh(y)
-                    return ESub(go(rename_free_var_local(b, y, y2)), y2, arg2)
+                    return ESub(go(rename_free_var(b, y, y2)), y2, arg2)
                 return ESub(go(b), y, arg2)
             case Named(a, b):
                 return Named(a, go(b))
             case ERepl(b, nn, on, ann, s):
                 s2 = go(s)
-                if on in fn_u and count_free_var(x, b) > 0:
+                if on in fn_u and x in free_vars(b):
                     on2 = supply.fresh(on)
                     return ERepl(go(rename_free_name_var(b, on, on2)), nn, on2, ann, s2)
                 return ERepl(go(b), nn, on, ann, s2)
@@ -130,12 +129,6 @@ def substitute(o: Object, x: str, u: Object, supply: NameSupply | None = None) -
         raise TypeError(o)
 
     return go(o)
-
-
-def rename_free_var_local(o: Object, old: str, new: str) -> Object:
-    from .syntax import rename_free_var
-
-    return rename_free_var(o, old, new)
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +167,22 @@ def replace(
             case App(f, a):
                 return App(go(f), go(a))
             case Abs(x, ann, b):
-                if x in fv_s and count_free_name(old, b) > 0:
+                if x in fv_s and old in free_names(b):
                     x2 = supply.fresh(x)
-                    return Abs(x2, ann, go(rename_free_var_local(b, x, x2)))
+                    return Abs(x2, ann, go(rename_free_var(b, x, x2)))
                 return Abs(x, ann, go(b))
             case Mu(a, ann, b):
                 if a == old:
                     return o
-                if a in (fn_s | {new}) and count_free_name(old, b) > 0:
+                if (a in fn_s or a == new) and old in free_names(b):
                     a2 = supply.fresh(a)
                     return Mu(a2, ann, go(rename_free_name_var(b, a, a2)))
                 return Mu(a, ann, go(b))
             case ESub(b, x, arg):
                 arg2 = go(arg)
-                if x in fv_s and count_free_name(old, b) > 0:
+                if x in fv_s and old in free_names(b):
                     x2 = supply.fresh(x)
-                    return ESub(go(rename_free_var_local(b, x, x2)), x2, arg2)
+                    return ESub(go(rename_free_var(b, x, x2)), x2, arg2)
                 return ESub(go(b), x, arg2)
             case Named(a, b):
                 if a == old:
@@ -199,7 +192,7 @@ def replace(
                 if on == old:
                     # old is shadowed inside b; nn != old since nn != on
                     return ERepl(b, nn, on, ann, go(s1))
-                old_in_b = count_free_name(old, b) > 0
+                old_in_b = old in free_names(b)
                 old_in_s1 = old in free_names(s1)
                 collides = (on == new and (old_in_b or old_in_s1)) or (
                     on in fn_s and (old_in_b or old_in_s1 or nn == old)
@@ -298,16 +291,3 @@ def commutation_repl_repl(
     else:
         rhs = replace(replace(o, b, a, s), b, a2, stack_concat(replace(s2, b, a, s), s))
     return alpha_eq(lhs, rhs)
-
-
-def commutation_suite(o: Object, *, u: Object, v: Object, s: Object, s2: Object) -> bool:
-    """All five commutation identities on one set of pieces, with fresh
-    binder/name choices that satisfy every side condition."""
-    checks = [
-        commutation_subs_subs(o, "cy", v, "cx", u),
-        commutation_subs_repl(o, "'cb", "'ca", s, "cx", u),
-        commutation_repl_subs(o, "'cb", "'ca", s, "cx", u),
-        commutation_repl_repl(o, "'cb", "'ca", s, "'cd", "'cc", s2),
-        commutation_repl_repl(o, "'cb", "'ca", s, "'ca", "'cc", s2),
-    ]
-    return all(checks)

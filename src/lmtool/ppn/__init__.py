@@ -1,4 +1,4 @@
-from .canonical import net_equiv, net_signature, struct_canon
+from .canonical import net_equiv, struct_canon
 from .formulas import dual, neg_o, neg_q, trans_stacktype, trans_type
 from .net import Net
 from .rewrite import NetBudgetExhausted, exp_step, full_nf, mult_nf
@@ -15,7 +15,6 @@ __all__ = [
     "neg_o",
     "neg_q",
     "net_equiv",
-    "net_signature",
     "nets_of",
     "simulation_check",
     "soundness_check",

@@ -267,16 +267,6 @@ def _refine(nodes: dict, edges: list, rounds: int = 4) -> dict:
     return colors
 
 
-def net_signature(net: Net) -> tuple:
-    """A stable invariant of the canonicalized net (not a complete
-    canonical form; used for quick inequality checks and hashing)."""
-    sc = struct_canon(net)
-    nodes, edges = _flatten(sc)
-    colors = _refine(nodes, edges)
-    hist = sorted((nodes[g][0:2], colors[g]) for g in nodes)
-    return tuple(hist)
-
-
 def _isomorphic(nodes1, edges1, nodes2, edges2) -> bool:
     if len(nodes1) != len(nodes2) or len(edges1) != len(edges2):
         return False

@@ -112,10 +112,6 @@ def is_negative(f: Formula) -> bool:
     return isinstance(f, (OIota, OPar, NWhy))
 
 
-def is_positive(f: Formula) -> bool:
-    return isinstance(f, (QIota, QTen, PBang))
-
-
 def trans_type(a: Type) -> OFormula:
     """Girard's translation of simple types to output formulas."""
     match a:

@@ -276,8 +276,6 @@ def _unique_occurrence(c: Object, alpha: str):
             case Var(_) | EmptyStack():
                 return None
             case _:
-                from .syntax import children
-
                 for i, ch in enumerate(children(o)):
                     r = go(ch, idxs + (i,), False)
                     if r is not None:
@@ -534,31 +532,36 @@ def reduce_to_nf(o: Object, budget: int = 1000, mode: str = "plain") -> tuple[Ob
 
 
 def plain_reducts(o: Object, supply: NameSupply | None = None) -> list[tuple[RuleTag, Path, Object]]:
-    """All one-step plain reducts (used by confluence checks)."""
+    """All one-step plain reducts (used by confluence checks).  Without a
+    supply, one supply_for(o) serves every redex."""
+    if supply is None:
+        supply = supply_for(o)
     return [(tag, p, lm_step(o, tag, p, supply)) for tag, p in lm_redexes(o)]
 
 
 def reduction_graph(o: Object, max_states: int = 10000) -> tuple[dict, list[Object]]:
     """Exhaustive exploration of the plain reduction graph up to alpha;
-    returns the successor map keyed by canonical keys and the normal forms."""
+    returns the successor map keyed by canonical keys and the normal forms.
+
+    One name supply serves the whole graph: every identifier of a state is
+    one of o's or was issued by that supply, so it never issues one that a
+    state already holds."""
+    supply = supply_for(o)
     start = canonical_key(o)
-    seen = {start: o}
     edges: dict = {start: []}
-    queue = [o]
+    queue = [(o, start)]
     nfs = []
     while queue:
-        cur = queue.pop()
-        ck = canonical_key(cur)
-        succs = plain_reducts(cur)
+        cur, ck = queue.pop()
+        succs = plain_reducts(cur, supply)
         if not succs:
             nfs.append(cur)
         for _, _, nxt in succs:
             nk = canonical_key(nxt)
-            edges[ck].append(nk)
-            if nk not in seen:
-                if len(seen) >= max_states:
+            if nk not in edges:
+                if len(edges) >= max_states:
                     raise BudgetExhausted(Trace(o, []))
-                seen[nk] = nxt
                 edges[nk] = []
-                queue.append(nxt)
+                queue.append((nxt, nk))
+            edges[ck].append(nk)
     return edges, nfs

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Types (annotations on binders; the full typing rules live in typing.py)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Base:
     ident: str
 
@@ -23,7 +24,7 @@ class Base:
         return "i" + self.ident
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
     left: "Type"
     right: "Type"
@@ -39,48 +40,57 @@ Type = Union[Base, Arrow]
 
 # ---------------------------------------------------------------------------
 # Objects
+#
+# Nodes are immutable and slotted.  Inner nodes carry two cache slots for
+# their free variables and free names, filled on the first ask by
+# free_vars/free_names; equality, hashing and __match_args__ use the
+# fields only.  Leaves keep no cache: theirs are cheap to build.
 
 
-@dataclass(frozen=True)
+class _Cached:
+    __slots__ = ("_fv", "_fn")
+
+
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, slots=True)
+class App(_Cached):
     fun: "Object"
     arg: "Object"
 
 
-@dataclass(frozen=True)
-class Abs:
+@dataclass(frozen=True, slots=True)
+class Abs(_Cached):
     var: str
     ann: Optional[Type]
     body: "Object"
 
 
-@dataclass(frozen=True)
-class Mu:
+@dataclass(frozen=True, slots=True)
+class Mu(_Cached):
     name: str
     ann: Optional[Type]
     body: "Object"  # a command
 
 
-@dataclass(frozen=True)
-class ESub:
+@dataclass(frozen=True, slots=True)
+class ESub(_Cached):
     body: "Object"  # t in t[x\u]
     var: str
     arg: "Object"  # u
 
 
-@dataclass(frozen=True)
-class Named:
+@dataclass(frozen=True, slots=True)
+class Named(_Cached):
     name: str
     body: "Object"  # [a]t
 
 
-@dataclass(frozen=True)
-class ERepl:
+@dataclass(frozen=True, slots=True)
+class ERepl(_Cached):
     body: "Object"  # c in c['b/'a \ s]; 'a is bound in c, 'b occurs free
     new: str
     old: str
@@ -88,13 +98,13 @@ class ERepl:
     stack: "Object"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmptyStack:
     pass
 
 
-@dataclass(frozen=True)
-class Push:
+@dataclass(frozen=True, slots=True)
+class Push(_Cached):
     head: "Object"
     tail: "Object"
 
@@ -174,20 +184,23 @@ def check_sorts(o: Object) -> None:
 # ---------------------------------------------------------------------------
 # Children and paths
 
-_CHILDREN = {
-    App: ("fun", "arg"),
-    Abs: ("body",),
-    Mu: ("body",),
-    ESub: ("body", "arg"),
-    Named: ("body",),
-    ERepl: ("body", "stack"),
-    Push: ("head", "tail"),
+def _no_children(o: Object) -> tuple[Object, ...]:
+    return ()
+
+
+_CHILD_TUPLE = {
+    App: attrgetter("fun", "arg"),
+    Abs: lambda o: (o.body,),
+    Mu: lambda o: (o.body,),
+    ESub: attrgetter("body", "arg"),
+    Named: lambda o: (o.body,),
+    ERepl: attrgetter("body", "stack"),
+    Push: attrgetter("head", "tail"),
 }
 
 
 def children(o: Object) -> tuple[Object, ...]:
-    fields = _CHILDREN.get(type(o), ())
-    return tuple(getattr(o, f) for f in fields)
+    return _CHILD_TUPLE.get(type(o), _no_children)(o)
 
 
 def with_children(o: Object, new: tuple[Object, ...]) -> Object:
@@ -347,54 +360,85 @@ def positions(o: Object) -> Iterator[tuple[tuple[int, ...], Object]]:
             stack.append((idxs + (i,), cs[i]))
 
 
-def preorder_positions(o: Object) -> list[tuple[tuple[int, ...], Object]]:
-    return list(positions(o))
-
-
 # ---------------------------------------------------------------------------
 # Free variables / names and occurrence counting
 
 
-def free_vars(o: Object) -> set[str]:
+_NO_IDENTS: frozenset[str] = frozenset()
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """a | b, reusing a or b when one contains the other."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _minus(a: frozenset[str], x: str) -> frozenset[str]:
+    return (a - {x}) or _NO_IDENTS if x in a else a
+
+
+def _plus(a: frozenset[str], x: str) -> frozenset[str]:
+    return a if x in a else a | {x}
+
+
+def free_vars(o: Object) -> frozenset[str]:
+    """The free variables of o; computed once per inner node and cached."""
+    out = getattr(o, "_fv", None)
+    if out is not None:
+        return out
     match o:
         case Var(x):
-            return {x}
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
-        case Abs(x, _, b):
-            return free_vars(b) - {x}
-        case Mu(_, _, b) | Named(_, b):
-            return free_vars(b)
-        case ESub(b, x, u):
-            return (free_vars(b) - {x}) | free_vars(u)
-        case ERepl(b, _, _, _, s):
-            return free_vars(b) | free_vars(s)
+            return frozenset((x,))
         case EmptyStack():
-            return set()
+            return _NO_IDENTS
+        case App(f, a):
+            out = _union(free_vars(f), free_vars(a))
+        case Abs(x, _, b):
+            out = _minus(free_vars(b), x)
+        case Mu(_, _, b) | Named(_, b):
+            out = free_vars(b)
+        case ESub(b, x, u):
+            out = _union(_minus(free_vars(b), x), free_vars(u))
+        case ERepl(b, _, _, _, s):
+            out = _union(free_vars(b), free_vars(s))
         case Push(h, t):
-            return free_vars(h) | free_vars(t)
-    raise TypeError(o)
+            out = _union(free_vars(h), free_vars(t))
+        case _:
+            raise TypeError(o)
+    object.__setattr__(o, "_fv", out)
+    return out
 
 
-def free_names(o: Object) -> set[str]:
+def free_names(o: Object) -> frozenset[str]:
+    """The free continuation names of o; computed once per inner node and
+    cached."""
+    out = getattr(o, "_fn", None)
+    if out is not None:
+        return out
     match o:
         case Var(_) | EmptyStack():
-            return set()
+            return _NO_IDENTS
         case App(f, a):
-            return free_names(f) | free_names(a)
+            out = _union(free_names(f), free_names(a))
         case Abs(_, _, b):
-            return free_names(b)
+            out = free_names(b)
         case Mu(a, _, b):
-            return free_names(b) - {a}
+            out = _minus(free_names(b), a)
         case ESub(b, _, u):
-            return free_names(b) | free_names(u)
+            out = _union(free_names(b), free_names(u))
         case Named(a, b):
-            return free_names(b) | {a}
+            out = _plus(free_names(b), a)
         case ERepl(b, new, old, _, s):
-            return (free_names(b) - {old}) | {new} | free_names(s)
+            out = _union(_plus(_minus(free_names(b), old), new), free_names(s))
         case Push(h, t):
-            return free_names(h) | free_names(t)
-    raise TypeError(o)
+            out = _union(free_names(h), free_names(t))
+        case _:
+            raise TypeError(o)
+    object.__setattr__(o, "_fn", out)
+    return out
 
 
 def count_free_name(alpha: str, o: Object) -> int:
@@ -403,15 +447,14 @@ def count_free_name(alpha: str, o: Object) -> int:
     Occurrences are the name of a Named node, the replacement-name of an
     ERepl node, and occurrences inside subobjects, minus shadowed ones.
     """
+    if isinstance(o, (Var, EmptyStack)) or alpha not in free_names(o):
+        return 0
     match o:
-        case Var(_) | EmptyStack():
-            return 0
         case App(f, a):
             return count_free_name(alpha, f) + count_free_name(alpha, a)
-        case Abs(_, _, b):
+        case Abs(_, _, b) | Mu(_, _, b):
+            # alpha is free here, so a mu does not bind it
             return count_free_name(alpha, b)
-        case Mu(a, _, b):
-            return 0 if a == alpha else count_free_name(alpha, b)
         case Named(a, b):
             return (1 if a == alpha else 0) + count_free_name(alpha, b)
         case ESub(b, _, u):
@@ -430,19 +473,20 @@ def count_free_var(x: str, o: Object) -> int:
     match o:
         case Var(y):
             return 1 if y == x else 0
+        case EmptyStack():
+            return 0
+    if x not in free_vars(o):
+        return 0
+    match o:
         case App(f, a):
             return count_free_var(x, f) + count_free_var(x, a)
-        case Abs(y, _, b):
-            return 0 if y == x else count_free_var(x, b)
-        case Mu(_, _, b) | Named(_, b):
+        case Abs(_, _, b) | Mu(_, _, b) | Named(_, b):
             return count_free_var(x, b)
         case ESub(b, y, u):
             n = 0 if y == x else count_free_var(x, b)
             return n + count_free_var(x, u)
         case ERepl(b, _, _, _, s):
             return count_free_var(x, b) + count_free_var(x, s)
-        case EmptyStack():
-            return 0
         case Push(h, t):
             return count_free_var(x, h) + count_free_var(x, t)
     raise TypeError(o)
@@ -680,13 +724,6 @@ def print_type(t: Type) -> str:
     return str(t)
 
 
-def print_stack_type(ts: tuple[Type, ...]) -> str:
-    out = "eps"
-    for t in reversed(ts):
-        out = f"{t},{out}"
-    return out
-
-
 def print_object(o: Object) -> str:
     """Deterministic printing; parse(print_object(o)) is alpha_eq to o."""
 
@@ -824,21 +861,6 @@ def parse_type(text: str) -> Type:
         t = ts.peek()
         raise ParseError(f"trailing input {t[1]!r}", t[2], text)
     return ty
-
-
-def parse_stack_type(text: str) -> tuple[Type, ...]:
-    ts = _Tokens(text)
-    out: list[Type] = []
-    while True:
-        if ts.at("eps"):
-            ts.next()
-            break
-        out.append(_parse_type(ts))
-        ts.expect(",")
-    if ts.peek() is not None:
-        t = ts.peek()
-        raise ParseError(f"trailing input {t[1]!r}", t[2], text)
-    return tuple(out)
 
 
 _KEYWORDS = {"mu"}

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+
+import lmtool
 from lmtool.cli import main
 
 
@@ -101,3 +106,25 @@ def test_long_application_spine_exits_cleanly(capsys):
     code = main(["canon", "f " + " ".join(f"a{i}" for i in range(3000))])
     captured = capsys.readouterr()
     assert code == 2 and captured.err.strip() == "error: input too deep"
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # free-identifier sets are frozensets, whose iteration order follows the
+    # hash seed; every walk over them must be sorted for runs to repeat
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lmtool.__file__)))
+    commands = [
+        ["confluence-check", "--cases", "12", "--seed", "3"],
+        ["bisim-check", "--cases", "12", "--seed", "3"],
+        ["sigma", "['c](mu 'a. ['b](x (mu 'd. ['a]y)))"],
+    ]
+    for argv in commands:
+        outs = set()
+        for hashseed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "lmtool.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1, argv

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lmtool.gen_random import random_object, random_pure_term
+from lmtool.generators import gen_typed
 from lmtool.lmu import is_pure, project
 from lmtool.reduction import (
     BudgetExhausted,
@@ -17,15 +18,18 @@ from lmtool.reduction import (
     lm_step,
     meaningful_redexes,
     meaningful_step,
+    plain_reducts,
     reduce_to_nf,
     reduction_graph,
 )
 from lmtool.syntax import (
     alpha_eq,
+    canonical_key,
     is_barendregt,
     make_path,
     parse,
     print_object,
+    supply_for,
 )
 
 
@@ -331,3 +335,59 @@ def test_local_confluence_random_graphs():
             assert all(alpha_eq(first, other) for other in nfs[1:]), keys
             done += 1
     assert done > 50
+
+
+def reference_graph(o, max_states):
+    """reduction_graph as it was before the shared name supply: a fresh
+    supply_for(state) for every step and keys recomputed when popped."""
+    start = canonical_key(o)
+    seen = {start}
+    edges = {start: []}
+    queue = [o]
+    nfs = []
+    while queue:
+        cur = queue.pop()
+        ck = canonical_key(cur)
+        succs = [lm_step(cur, tag, p, supply_for(cur)) for tag, p in lm_redexes(cur)]
+        if not succs:
+            nfs.append(cur)
+        for nxt in succs:
+            nk = canonical_key(nxt)
+            edges[ck].append(nk)
+            if nk not in seen:
+                if len(seen) >= max_states:
+                    raise BudgetExhausted(None)
+                seen.add(nk)
+                edges[nk] = []
+                queue.append(nxt)
+    return edges, nfs
+
+
+def test_reduction_graph_with_one_supply_matches_fresh_supplies():
+    # free identifiers shaped like the ones a name supply issues, which a
+    # supply that did not reserve them would capture
+    crafted = [t(r"(\x. \x1. x x1) x1 x2"), t("(mu 'a. ['a1](mu 'b. ['a]x)) y")]
+    explored = 0
+    for o in crafted + [gen_typed(seed, size=12)[0] for seed in range(40)]:
+        try:
+            want = reference_graph(o, max_states=2000)
+        except BudgetExhausted:
+            with pytest.raises(BudgetExhausted):
+                reduction_graph(o, max_states=2000)
+            continue
+        edges, nfs = reduction_graph(o, max_states=2000)
+        assert edges == want[0]
+        assert [canonical_key(nf) for nf in nfs] == [canonical_key(nf) for nf in want[1]]
+        explored += len(edges) > 1
+    assert explored >= 20
+
+
+def test_plain_reducts_with_one_supply_match_fresh_supplies():
+    for seed in range(40):
+        o, _, _ = gen_typed(seed, size=12)
+        got = plain_reducts(o)
+        want = [(tag, p, lm_step(o, tag, p)) for tag, p in lm_redexes(o)]
+        assert [(tag, p.steps) for tag, p, _ in got] == [(tag, p.steps) for tag, p, _ in want]
+        for (_, _, r), (_, _, r2) in zip(got, want):
+            assert canonical_key(r) == canonical_key(r2)
+            assert is_barendregt(r) == is_barendregt(r2)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -8,21 +9,26 @@ from lmtool.syntax import (
     App,
     EmptyStack,
     ERepl,
+    ESub,
     Mu,
     Named,
     ParseError,
+    Push,
     SortError,
     Var,
     alpha_eq,
     all_idents,
     barendregt,
+    bound_idents,
     canonical_key,
+    children,
     count_free_name,
     count_free_var,
     free_for,
     free_names,
     free_vars,
     is_barendregt,
+    is_name,
     make_path,
     parse,
     positions,
@@ -32,6 +38,7 @@ from lmtool.syntax import (
     sort_of,
     subobject_at,
     supply_for,
+    with_children,
 )
 
 
@@ -204,3 +211,157 @@ def test_all_idents_covers_binders():
     o = t(r"\x. mu 'a. ['b]x[y\z]")
     ids = all_idents(o)
     assert {"x", "'a", "y", "'b", "z"} <= ids
+
+
+# --- cached free identifiers against an uncached reference walk ----------------
+
+
+def ref_free_vars(o):
+    match o:
+        case Var(x):
+            return {x}
+        case App(f, a):
+            return ref_free_vars(f) | ref_free_vars(a)
+        case Abs(x, _, b):
+            return ref_free_vars(b) - {x}
+        case Mu(_, _, b) | Named(_, b):
+            return ref_free_vars(b)
+        case ESub(b, x, u):
+            return (ref_free_vars(b) - {x}) | ref_free_vars(u)
+        case ERepl(b, _, _, _, s):
+            return ref_free_vars(b) | ref_free_vars(s)
+        case EmptyStack():
+            return set()
+        case Push(h, tl):
+            return ref_free_vars(h) | ref_free_vars(tl)
+    raise TypeError(o)
+
+
+def ref_free_names(o):
+    match o:
+        case Var(_) | EmptyStack():
+            return set()
+        case App(f, a):
+            return ref_free_names(f) | ref_free_names(a)
+        case Abs(_, _, b):
+            return ref_free_names(b)
+        case Mu(a, _, b):
+            return ref_free_names(b) - {a}
+        case ESub(b, _, u):
+            return ref_free_names(b) | ref_free_names(u)
+        case Named(a, b):
+            return ref_free_names(b) | {a}
+        case ERepl(b, new, old, _, s):
+            return (ref_free_names(b) - {old}) | {new} | ref_free_names(s)
+        case Push(h, tl):
+            return ref_free_names(h) | ref_free_names(tl)
+    raise TypeError(o)
+
+
+def ref_count_free_var(x, o):
+    match o:
+        case Var(y):
+            return 1 if y == x else 0
+        case Abs(y, _, b):
+            return 0 if y == x else ref_count_free_var(x, b)
+        case ESub(b, y, u):
+            n = 0 if y == x else ref_count_free_var(x, b)
+            return n + ref_count_free_var(x, u)
+    return sum(ref_count_free_var(x, ch) for ch in children(o))
+
+
+def ref_count_free_name(alpha, o):
+    match o:
+        case Mu(a, _, b):
+            return 0 if a == alpha else ref_count_free_name(alpha, b)
+        case Named(a, b):
+            return (a == alpha) + ref_count_free_name(alpha, b)
+        case ERepl(b, new, old, _, s):
+            n = (new == alpha) + ref_count_free_name(alpha, s)
+            return n if old == alpha else n + ref_count_free_name(alpha, b)
+    return sum(ref_count_free_name(alpha, ch) for ch in children(o))
+
+
+def rebuild(o):
+    """A structurally equal copy made of new nodes, so no cache is filled."""
+    cs = children(o)
+    return with_children(o, tuple(rebuild(ch) for ch in cs)) if cs else o
+
+
+def kernel_corpus():
+    """Seeded objects of every generator the checks use, with their plain
+    and meaningful reducts."""
+    from lmtool.drivers import sigma_pair
+    from lmtool.generators import gen_equiv_pair, gen_typed
+    from lmtool.reduction import canon, meaningful_reducts, plain_reducts
+
+    out = []
+    for seed in range(12):
+        o, _, _ = gen_typed(seed, size=12)
+        out += [o] + [r for _, _, r in plain_reducts(o)]
+        k = canon(o)
+        out += [k] + [r for _, _, r in meaningful_reducts(k)]
+    for seed, ax in enumerate(("exs", "exr", "lin", "pp", "rho", "theta") * 2):
+        o, p, _ = gen_equiv_pair(seed, axiom=ax)
+        out += [o, p] + [r for _, _, r in meaningful_reducts(o)]
+    for seed, ax in enumerate(f"sigma{i}" for i in range(1, 9)):
+        out += list(sigma_pair(seed, ax))
+    return out
+
+
+def probe_idents(o):
+    fv, fn = ref_free_vars(o), ref_free_names(o)
+    return sorted(fv | fn | bound_idents(o) | {"x_absent", "'a_absent"})
+
+
+def test_cached_free_identifiers_match_the_reference_walk():
+    for o in kernel_corpus():
+        for fresh in (rebuild(o), rebuild(o)):
+            # first ask the counts (they fill the caches), then the sets, then
+            # everything again with the caches full
+            for _ in range(2):
+                for ident in probe_idents(o):
+                    if is_name(ident):
+                        assert count_free_name(ident, fresh) == ref_count_free_name(ident, o)
+                    else:
+                        assert count_free_var(ident, fresh) == ref_count_free_var(ident, o)
+                assert free_vars(fresh) == ref_free_vars(o)
+                assert free_names(fresh) == ref_free_names(o)
+            # every subobject's cache agrees too
+            for _, sub in positions(fresh):
+                assert free_vars(sub) == ref_free_vars(sub)
+                assert free_names(sub) == ref_free_names(sub)
+        # the shared original, whose caches other calls may have filled
+        assert (free_vars(o), free_names(o)) == (ref_free_vars(o), ref_free_names(o))
+
+
+def test_free_identifier_sets_are_frozen_and_shared():
+    f = t("f x y")
+    o = App(f, Var("x"))
+    assert isinstance(free_vars(o), frozenset) and isinstance(free_names(o), frozenset)
+    # a node whose set equals a child's reuses the child's set object
+    assert free_vars(o) is free_vars(f)
+    body = c("['a]x")
+    assert free_names(Abs("y", None, Mu("'b", None, body))) is free_names(body)
+
+
+def test_equality_and_hash_ignore_the_caches():
+    for o in kernel_corpus()[::7]:
+        filled, empty = rebuild(o), rebuild(o)
+        free_vars(filled), free_names(filled)
+        assert filled == empty and hash(filled) == hash(empty)
+        assert repr(filled) == repr(empty)
+        assert {filled: 1}[empty] == 1
+
+
+def test_nodes_are_slotted_with_field_only_matching():
+    samples = [
+        Var("x"), App(Var("f"), Var("x")), Abs("x", None, Var("x")),
+        Mu("'a", None, c("['a]x")), ESub(Var("x"), "x", Var("y")), c("['a]x"),
+        c("(['b]x)['a/'b\\#]"), EmptyStack(), Push(Var("x"), EmptyStack()),
+    ]
+    for o in samples:
+        assert not hasattr(o, "__dict__")
+        names = tuple(f.name for f in fields(o))
+        assert type(o).__match_args__ == names
+        assert "_fv" not in names and "_fn" not in names
