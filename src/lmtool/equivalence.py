@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Optional
 
 from .meta import apply_stack, rename, stack_of
-from .reduction import canon, canonical_after_rewrite, is_canonical
+from .reduction import canon, is_canonical
 from .syntax import (
     Abs,
     App,
@@ -296,7 +296,14 @@ def _name_occurrences(o: Object, alpha: str) -> list[tuple[int, ...]]:
 
 
 def _rename_occurrences(o: Object, frm: str, to: str, chosen: set[tuple[int, ...]]) -> Object:
+    """Rename the occurrences of frm at the chosen index paths to to.  A
+    subtree that holds no chosen occurrence is returned as it is, so it
+    keeps its caches."""
+    on_path = {c[:k] for c in chosen for k in range(len(c) + 1)}
+
     def go(o: Object, idxs):
+        if idxs not in on_path:
+            return o
         match o:
             case Named(a, b):
                 a2 = to if (idxs in chosen and a == frm) else a
@@ -305,11 +312,8 @@ def _rename_occurrences(o: Object, frm: str, to: str, chosen: set[tuple[int, ...
                 nn2 = to if (idxs in chosen and nn == frm) else nn
                 return ERepl(go(b, idxs + (0,)), nn2, on, ann, go(s, idxs + (1,)))
             case _:
-                cs = children(o)
-                if not cs:
-                    return o
                 return with_children(
-                    o, tuple(go(ch, idxs + (i,)) for i, ch in enumerate(cs))
+                    o, tuple(go(ch, idxs + (i,)) for i, ch in enumerate(children(o)))
                 )
 
     return go(o, ())
@@ -335,11 +339,13 @@ def axiom_instances(
     supply = supply_for(o)
     out = []
     for idxs, sub in positions(o):
+        rewrites = _subtree_rewrites(sub, supply, include_ren, expansive)
+        if not rewrites:
+            continue
         p = make_path(o, idxs)
-        for name, orient, new_sub in _subtree_rewrites(sub, supply, include_ren,
-                                                       expansive):
+        for name, orient, new_sub in rewrites:
             res = rewrite_at(o, p, new_sub, supply)
-            if require_canonical and not canonical_after_rewrite(res, idxs):
+            if require_canonical and not is_canonical(res):
                 continue
             out.append((Axiom(name, orient, idxs, canonical_key(res)), res))
     return out

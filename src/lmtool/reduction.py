@@ -389,19 +389,21 @@ def canon(o: Object, supply: NameSupply | None = None, trace: Trace | None = Non
 
 
 def is_canonical(o: Object) -> bool:
-    return _canon_redex(o) is None
+    """o has no B, M, C or W redex; the answer is cached on inner nodes."""
+    return _canonical(o)
 
 
-def canonical_after_rewrite(res: Object, idxs: tuple[int, ...]) -> bool:
-    """is_canonical(res) for res = rewrite_at(o, p, q) with o canonical and
-    idxs the indices of p.  Outside the path and q, rewrite_at only
-    alpha-renames binders on the path, which keeps every node's redex
-    status; so only the nodes on the path and the new subtree need a look."""
-    for i in idxs:
-        if _canon_tag(res) is not None:
-            return False
-        res = children(res)[i]
-    return _canon_redex(res) is None
+def _canonical(o: Object) -> bool:
+    # a node is canonical iff it is no redex itself and its children are
+    # canonical; both depend on its own subtree only, so the answer is
+    # kept in the node's cache slot
+    if isinstance(o, (Var, EmptyStack)):
+        return True
+    out = getattr(o, "_cn", None)
+    if out is None:
+        out = _canon_tag(o) is None and all(map(_canonical, children(o)))
+        object.__setattr__(o, "_cn", out)
+    return out
 
 
 def canon_random(o: Object, rng, supply: NameSupply | None = None) -> Object:
@@ -463,7 +465,11 @@ def meaningful_step(
 
 
 def meaningful_reducts(o: Object) -> list[tuple[RuleTag, Path, Object]]:
-    return [(tag, p, meaningful_step(o, tag, p)) for tag, p in meaningful_redexes(o)]
+    """All meaningful reducts of a canonical object; one supply_for(o)
+    serves every redex."""
+    redexes = meaningful_redexes(o)
+    supply = supply_for(o) if redexes else None
+    return [(tag, p, meaningful_step(o, tag, p, supply)) for tag, p in redexes]
 
 
 # ---------------------------------------------------------------------------

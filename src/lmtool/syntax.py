@@ -41,14 +41,17 @@ Type = Union[Base, Arrow]
 # ---------------------------------------------------------------------------
 # Objects
 #
-# Nodes are immutable and slotted.  Inner nodes carry two cache slots for
+# Nodes are immutable and slotted.  Inner nodes carry three cache slots:
 # their free variables and free names, filled on the first ask by
-# free_vars/free_names; equality, hashing and __match_args__ use the
-# fields only.  Leaves keep no cache: theirs are cheap to build.
+# free_vars/free_names, and whether they are canonical, filled by
+# reduction.is_canonical.  Each depends on the node's own subtree only, so
+# a node shared between objects answers for all of them.  Equality,
+# hashing and __match_args__ use the fields only.  Leaves keep no cache:
+# theirs are cheap to build.
 
 
 class _Cached:
-    __slots__ = ("_fv", "_fn")
+    __slots__ = ("_fv", "_fn", "_cn")
 
 
 @dataclass(frozen=True, slots=True)
@@ -661,48 +664,73 @@ def is_barendregt(o: Object) -> bool:
 
 
 def canonical_key(o: Object, with_types: bool = False) -> tuple:
-    """A tree that is identical for alpha-equivalent objects: binders are
-    numbered in traversal order, free identifiers kept verbatim."""
+    """A key that is equal exactly for alpha-equivalent objects.
 
-    def ann_key(ann):
-        return str(ann) if (with_types and ann is not None) else None
-
-    counter = [0]
-
-    def bind(env: dict[str, str], ident: str) -> tuple[dict[str, str], str]:
-        counter[0] += 1
-        tag = f"%{counter[0]}"
-        return {**env, ident: tag}, tag
-
-    def go(o: Object, env: dict[str, str]) -> tuple:
-        match o:
-            case Var(x):
-                return ("v", env.get(x, x))
-            case App(f, a):
-                return ("a", go(f, env), go(a, env))
-            case Abs(x, ann, b):
-                env2, tag = bind(env, x)
-                return ("l", tag, ann_key(ann), go(b, env2))
-            case Mu(a, ann, b):
-                env2, tag = bind(env, a)
-                return ("m", tag, ann_key(ann), go(b, env2))
-            case ESub(b, x, u):
-                u_k = go(u, env)
-                env2, tag = bind(env, x)
-                return ("s", go(b, env2), tag, u_k)
-            case Named(a, b):
-                return ("n", env.get(a, a), go(b, env))
-            case ERepl(b, nn, on, ann, s):
-                s_k = go(s, env)
-                env2, tag = bind(env, on)
-                return ("r", go(b, env2), env.get(nn, nn), tag, ann_key(ann), s_k)
-            case EmptyStack():
-                return ("e",)
-            case Push(h, t):
-                return ("p", go(h, env), go(t, env))
-        raise TypeError(o)
-
-    return go(o, {})
+    The key is the pre-order token sequence of o: a constructor tag, then
+    its free-standing identifiers, then (with_types) its annotation, then
+    its children.  Binders are numbered 1, 2, ... in the order their tags
+    appear; a bound occurrence becomes the int number of its binder and a
+    free identifier stays its str.  Every constructor has a fixed arity, so
+    the sequence parses back in one way.  Keys are only hashed and
+    compared."""
+    out: list = []
+    emit = out.append
+    env: dict[str, int] = {}  # bound identifier -> its binder's number
+    n = 0
+    # objects still to visit, and (ident, outer number) markers that end a
+    # binder's scope: what the stack holds above a marker is that scope
+    todo: list = [o]
+    pop, push = todo.pop, todo.append
+    while todo:
+        o = pop()
+        t = type(o)
+        if t is Var:
+            emit("v")
+            emit(env.get(o.name, o.name))
+        elif t is App:
+            emit("a")
+            push(o.arg)
+            push(o.fun)
+        elif t is Named:
+            emit("n")
+            emit(env.get(o.name, o.name))
+            push(o.body)
+        elif t is Push:
+            emit("p")
+            push(o.tail)
+            push(o.head)
+        elif t is EmptyStack:
+            emit("e")
+        elif t is tuple:
+            x, outer = o
+            if outer is None:
+                del env[x]
+            else:
+                env[x] = outer
+        else:
+            # a binder: emit its tokens, push what lies outside its scope,
+            # then bind and push its body
+            if t is Abs or t is Mu:
+                emit("l" if t is Abs else "m")
+                x = o.var if t is Abs else o.name
+            elif t is ERepl:
+                emit("r")
+                emit(env.get(o.new, o.new))
+                push(o.stack)
+                x = o.old
+            elif t is ESub:
+                emit("s")
+                push(o.arg)
+                x = o.var
+            else:
+                raise TypeError(o)
+            if with_types and t is not ESub:
+                emit(None if o.ann is None else str(o.ann))
+            n += 1
+            push((x, env.get(x)))
+            env[x] = n
+            push(o.body)
+    return tuple(out)
 
 
 def alpha_eq(o: Object, p: Object, with_types: bool = False) -> bool:

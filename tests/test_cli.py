@@ -110,12 +110,19 @@ def test_long_application_spine_exits_cleanly(capsys):
 
 def test_output_does_not_depend_on_the_hash_seed():
     # free-identifier sets are frozensets, whose iteration order follows the
-    # hash seed; every walk over them must be sorted for runs to repeat
+    # hash seed; every walk over them must be sorted for runs to repeat.  The
+    # ren search enumerates subsets of free-name occurrences and keys its
+    # states by canonical keys that mix int and str tokens.
+    from lmtool.drivers import sigma_pair
+    from lmtool.syntax import print_object
+
     src = os.path.dirname(os.path.dirname(os.path.abspath(lmtool.__file__)))
+    lhs, rhs = sigma_pair(0, "sigma4", size=3)
     commands = [
         ["confluence-check", "--cases", "12", "--seed", "3"],
         ["bisim-check", "--cases", "12", "--seed", "3"],
         ["sigma", "['c](mu 'a. ['b](x (mu 'd. ['a]y)))"],
+        ["equiv", "--ren", print_object(lhs), print_object(rhs)],
     ]
     for argv in commands:
         outs = set()

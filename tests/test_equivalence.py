@@ -14,7 +14,7 @@ from lmtool.equivalence import (
 )
 from lmtool.gen_random import random_object
 from lmtool.reduction import canon, is_canonical
-from lmtool.syntax import alpha_eq, parse, print_object
+from lmtool.syntax import ERepl, Named, alpha_eq, make_path, parse, print_object
 from lmtool.typing import check_object
 from lmtool.generators import gen_typed
 
@@ -304,22 +304,74 @@ def test_spine_walk_matches_reference_walk(seeded_objects):
     assert compared > 1000
 
 
-def test_incremental_canonicity_matches_full_check(seeded_objects):
-    from lmtool.equivalence import _subtree_rewrites
-    from lmtool.reduction import canonical_after_rewrite
-    from lmtool.syntax import make_path, positions, rewrite_at, supply_for
+def test_cached_canonicity_of_instances_matches_reference_walk(seeded_objects):
+    # every rewrite at every position, canonical or not, and every subobject
+    # of it; the instances share untouched subtrees with their source, whose
+    # caches are full after the first round
+    from lmtool.reduction import _canon_tag
+    from lmtool.syntax import positions
+
+    def reference(o):
+        return all(_canon_tag(sub) is None for _, sub in positions(o))
 
     seen = set()
-    for o in seeded_objects:
-        supply = supply_for(o)
-        for idxs, sub in positions(o):
-            p = make_path(o, idxs)
-            for _, _, new_sub in _subtree_rewrites(sub, supply, include_ren=True):
-                res = rewrite_at(o, p, new_sub, supply)
-                full = is_canonical(res)
-                assert canonical_after_rewrite(res, idxs) == full, print_object(res)
+    for _ in range(2):
+        for o in seeded_objects:
+            for _, res in axiom_instances(o, include_ren=True, require_canonical=False):
+                full = reference(res)
+                assert is_canonical(res) == full, print_object(res)
                 seen.add(full)
+                for _, sub in positions(res):
+                    assert is_canonical(sub) == reference(sub)
     assert seen == {True, False}
+
+
+def _rebuilt_renaming(o, frm, to, chosen):
+    """_rename_occurrences as a full rebuild of every node."""
+    from lmtool.syntax import children, with_children
+
+    def go(o, idxs):
+        match o:
+            case Named(a, b):
+                a2 = to if (idxs in chosen and a == frm) else a
+                return Named(a2, go(b, idxs + (0,)))
+            case ERepl(b, nn, on, ann, s):
+                nn2 = to if (idxs in chosen and nn == frm) else nn
+                return ERepl(go(b, idxs + (0,)), nn2, on, ann, go(s, idxs + (1,)))
+            case _:
+                cs = children(o)
+                if not cs:
+                    return o
+                return with_children(o, tuple(go(ch, idxs + (i,)) for i, ch in enumerate(cs)))
+
+    return go(o, ())
+
+
+def test_rename_occurrences_shares_untouched_subtrees(seeded_objects):
+    from itertools import combinations
+
+    from lmtool.equivalence import _name_occurrences, _rename_occurrences
+    from lmtool.syntax import free_names, positions, sort_of, subobject_at
+
+    shared = 0
+    for o in seeded_objects:
+        for _, sub in positions(o):
+            if sort_of(sub) != "command":
+                continue
+            for a in sorted(free_names(sub)):
+                occs = _name_occurrences(sub, a)[:4]
+                for r in range(len(occs) + 1):
+                    for chosen in map(set, combinations(occs, r)):
+                        got = _rename_occurrences(sub, a, "'fresh", chosen)
+                        assert got == _rebuilt_renaming(sub, a, "'fresh", chosen)
+                        for idxs, old in positions(sub):
+                            if any(ch[: len(idxs)] == idxs for ch in chosen):
+                                continue
+                            # no chosen occurrence at or below: kept as is
+                            new = subobject_at(got, make_path(got, idxs))
+                            assert new is old
+                            shared += 1
+    assert shared > 1000
 
 
 def test_result_keys_and_free_identifiers_of_instances(seeded_objects):

@@ -9,6 +9,7 @@ from lmtool.reduction import (
     BudgetExhausted,
     NotCanonicalError,
     RuleTag,
+    _canon_tag,
     canon,
     classify_R,
     is_canonical,
@@ -17,6 +18,7 @@ from lmtool.reduction import (
     lm_redexes,
     lm_step,
     meaningful_redexes,
+    meaningful_reducts,
     meaningful_step,
     plain_reducts,
     reduce_to_nf,
@@ -28,7 +30,9 @@ from lmtool.syntax import (
     is_barendregt,
     make_path,
     parse,
+    positions,
     print_object,
+    refresh,
     supply_for,
 )
 
@@ -391,3 +395,51 @@ def test_plain_reducts_with_one_supply_match_fresh_supplies():
         for (_, _, r), (_, _, r2) in zip(got, want):
             assert canonical_key(r) == canonical_key(r2)
             assert is_barendregt(r) == is_barendregt(r2)
+
+
+def test_meaningful_reducts_with_one_supply_match_fresh_supplies():
+    from lmtool.equivalence import AXIOMS
+    from lmtool.generators import gen_equiv_pair
+
+    compared = 0
+    for seed in range(24):
+        for side in gen_equiv_pair(seed, axiom=AXIOMS[seed % len(AXIOMS)])[:2]:
+            got = meaningful_reducts(side)
+            want = [(tag, p, meaningful_step(side, tag, p)) for tag, p in meaningful_redexes(side)]
+            assert [(tag, p.steps) for tag, p, _ in got] == [(tag, p.steps) for tag, p, _ in want]
+            for (_, _, r), (_, _, r2) in zip(got, want):
+                assert alpha_eq(r, r2), print_object(side)
+                assert is_barendregt(r) == is_barendregt(r2)
+            compared += len(got)
+    assert compared > 50
+
+
+def reference_is_canonical(o):
+    """The uncached walk: no node of o is a B, M, C or W redex."""
+    return all(_canon_tag(sub) is None for _, sub in positions(o))
+
+
+def test_cached_canonicity_matches_the_reference_walk():
+    rng = random.Random(11)
+    objs = []
+    for seed in range(30):
+        o = gen_typed(seed, size=12)[0]
+        k = canon(o)
+        objs += [o, k] + [r for _, _, r in plain_reducts(o)]
+        objs += [r for _, _, r in meaningful_reducts(k)]
+        objs.append(random_object(rng, 8))
+    seen = set()
+    for o in objs:
+        subs = [sub for _, sub in positions(o)]
+        want = [reference_is_canonical(sub) for sub in subs]
+        seen.update(want)
+        # refresh builds every node anew, so no cache is filled: ask
+        # top-down on one copy, bottom-up on another, then again with every
+        # cache full
+        top = [sub for _, sub in positions(refresh(o, supply_for(o)))]
+        bottom = [sub for _, sub in positions(refresh(o, supply_for(o)))]
+        assert [is_canonical(sub) for sub in top] == want, print_object(o)
+        assert [is_canonical(sub) for sub in reversed(bottom)] == want[::-1]
+        assert [is_canonical(sub) for sub in top] == want
+        assert [is_canonical(sub) for sub in bottom] == want
+    assert seen == {True, False}

@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -364,4 +364,88 @@ def test_nodes_are_slotted_with_field_only_matching():
         assert not hasattr(o, "__dict__")
         names = tuple(f.name for f in fields(o))
         assert type(o).__match_args__ == names
-        assert "_fv" not in names and "_fn" not in names
+        assert not {"_fv", "_fn", "_cn"} & set(names)
+
+
+def nested_key(o, with_types=False):
+    """The nested-tuple alpha key that the flat canonical_key replaced:
+    binders numbered in traversal order, an environment copied per binder."""
+
+    def ann_key(ann):
+        return str(ann) if (with_types and ann is not None) else None
+
+    counter = [0]
+
+    def bind(env, ident):
+        counter[0] += 1
+        tag = f"%{counter[0]}"
+        return {**env, ident: tag}, tag
+
+    def go(o, env):
+        match o:
+            case Var(x):
+                return ("v", env.get(x, x))
+            case App(f, a):
+                return ("a", go(f, env), go(a, env))
+            case Abs(x, ann, b):
+                env2, tag = bind(env, x)
+                return ("l", tag, ann_key(ann), go(b, env2))
+            case Mu(a, ann, b):
+                env2, tag = bind(env, a)
+                return ("m", tag, ann_key(ann), go(b, env2))
+            case ESub(b, x, u):
+                u_k = go(u, env)
+                env2, tag = bind(env, x)
+                return ("s", go(b, env2), tag, u_k)
+            case Named(a, b):
+                return ("n", env.get(a, a), go(b, env))
+            case ERepl(b, nn, on, ann, s):
+                s_k = go(s, env)
+                env2, tag = bind(env, on)
+                return ("r", go(b, env2), env.get(nn, nn), tag, ann_key(ann), s_k)
+            case EmptyStack():
+                return ("e",)
+            case Push(h, t):
+                return ("p", go(h, env), go(t, env))
+        raise TypeError(o)
+
+    return go(o, {})
+
+
+def erase_types(o):
+    """o with every binder annotation dropped."""
+    cs = children(o)
+    if cs:
+        o = with_children(o, tuple(erase_types(ch) for ch in cs))
+    if isinstance(o, (Abs, Mu, ERepl)) and o.ann is not None:
+        o = replace(o, ann=None)
+    return o
+
+
+def test_flat_key_splits_like_the_nested_key():
+    objs = []
+    for o in kernel_corpus():
+        p = refresh(o, supply_for(o))
+        objs += [o, p, barendregt(o), erase_types(o), erase_types(p)]
+    # shadowing: a binder's scope ends where its subtree does
+    objs += [
+        t(r"\x. (\x. x) x"), t(r"\x. (\y. y) x"), t(r"\x. (\y. x) x"),
+        t(r"(\x. x) x"), t(r"(\y. y) y"),
+        t(r"x[x\x]"), t(r"y[x\x]"), t(r"x[y\x]"), t(r"y[y\y]"),
+        c(r"(['a]x)['a/'b\#]"), c(r"(['b]x)['a/'b\#]"), c(r"(['a]x)['c/'a\#]"),
+    ]
+    for with_types in (False, True):
+        flat = [canonical_key(o, with_types) for o in objs]
+        ref = [nested_key(o, with_types) for o in objs]
+        assert not any(isinstance(tok, tuple) for k in flat for tok in k)
+        # the same equality classes: each key determines the other
+        assert len(set(flat)) == len(set(ref)) == len(set(zip(flat, ref)))
+    assert len({canonical_key(o, True) for o in objs}) > len({canonical_key(o) for o in objs})
+
+
+def test_flat_key_tokens():
+    # bound occurrences are their binder's number, free identifiers stay
+    assert canonical_key(t(r"\x. x y")) == ("l", "a", "v", 1, "v", "y")
+    assert canonical_key(t(r"y[x\x]")) == ("s", "v", "y", "v", "x")
+    assert canonical_key(c(r"(['a]x)['c/'a\#]")) == ("r", "'c", "n", 1, "v", "x", "e")
+    assert canonical_key(t(r"\x:iA. x"), with_types=True) == ("l", "iA", "v", 1)
