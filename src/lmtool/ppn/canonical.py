@@ -10,7 +10,7 @@ boxes."""
 
 from __future__ import annotations
 
-from itertools import count
+from collections import Counter
 from typing import Optional
 
 from .net import Net
@@ -181,57 +181,47 @@ def _flatten(net: Net):
     that the through-the-membrane pairing is part of the graph."""
     nodes: dict[str, tuple] = {}
     edges: list[tuple[str, str, tuple]] = []
-    ctr = count()
 
-    def visit(level: Net, depth: int, prefix: str):
-        gid = {}
-        doors = {}
+    def visit(level: Net, depth: int, prefix: str) -> None:
         for nid, n in level.nodes.items():
             g = f"{prefix}n{nid}"
-            gid[nid] = g
             nodes[g] = ("node", n.kind, depth, len(n.ups))
             if n.kind == "box":
                 for i in range(len(n.downs)):
-                    dg = f"{prefix}n{nid}door{i}"
-                    doors[(nid, i)] = dg
+                    dg = f"{g}door{i}"
                     nodes[dg] = ("door", i == 0, depth)
                     edges.append((dg, g, ("door-of", i == 0)))
-                inner_gid = visit(n.contents, depth + 1, f"{prefix}n{nid}b")
-                for i, (iw, _) in enumerate(n.contents.conclusions):
-                    ip, iport = n.contents.producer_of(iw)
-                    src = _port_src(n.contents, ip, iport, inner_gid, prefix=f"{prefix}n{nid}b")
-                    edges.append(
-                        (src, doors[(nid, i)], _edge_label(n.contents, ip, iport, iw, "in"))
-                    )
-        # wires at this level
+                inner = n.contents
+                visit(inner, depth + 1, f"{g}b")
+                inner_producer = {
+                    w: (m.nid, i) for m in inner.nodes.values() for i, w in enumerate(m.downs)
+                }
+                for i, (iw, _) in enumerate(inner.conclusions):
+                    ip, iport = inner_producer[iw]
+                    src = _port_src(inner, ip, iport, f"{g}b")
+                    edges.append((src, f"{g}door{i}", _edge_label(inner, ip, iport, iw)))
+        # wires at this level; inner conclusions are box doors, already wired
+        consumer = {w: (m.nid, i) for m in level.nodes.values() for i, w in enumerate(m.ups)}
+        anchor = dict(level.conclusions) if depth == 0 else {}
         for nid, n in level.nodes.items():
             for pidx, w in enumerate(n.downs):
-                src = _port_src(level, nid, pidx, gid, prefix)
-                cons = level.consumer_of(w)
-                label = _edge_label(level, nid, pidx, w, "mid")
-                if cons is not None:
-                    cn, cport = cons
-                    dst = gid[cn]
+                src = _port_src(level, nid, pidx, prefix)
+                label = _edge_label(level, nid, pidx, w)
+                if w in consumer:
+                    cn, cport = consumer[w]
                     tag = _up_tag(level.nodes[cn], cport)
-                    edges.append((src, dst, label + (tag,)))
-                else:
-                    anchor = level.conclusion_anchor(w)
-                    if anchor is None or depth > 0:
-                        # inner conclusions are box doors, already wired
-                        continue
+                    edges.append((src, f"{prefix}n{cn}", label + (tag,)))
+                elif w in anchor:
                     cg = f"{prefix}conc{w}"
-                    nodes[cg] = ("conc", anchor, depth)
+                    nodes[cg] = ("conc", anchor[w], depth)
                     edges.append((src, cg, label + ("conc",)))
-        # redirect box-produced wires to their door nodes
-        return gid
 
-    def _port_src(level: Net, nid: int, pidx: int, gid, prefix: str) -> str:
-        n = level.nodes[nid]
-        if n.kind == "box":
+    def _port_src(level: Net, nid: int, pidx: int, prefix: str) -> str:
+        if level.nodes[nid].kind == "box":
             return f"{prefix}n{nid}door{pidx}"
-        return gid[nid]
+        return f"{prefix}n{nid}"
 
-    def _edge_label(level: Net, nid: int, pidx: int, w: int, where: str) -> tuple:
+    def _edge_label(level: Net, nid: int, pidx: int, w: int) -> tuple:
         n = level.nodes[nid]
         if n.kind in _ORDERED_PORTS or n.kind == "ax":
             down_tag = (n.kind, pidx)
@@ -250,65 +240,61 @@ def _flatten(net: Net):
     return nodes, edges
 
 
-def _refine(nodes: dict, edges: list, rounds: int = 4) -> dict:
-    colors = {g: hash(c) for g, c in nodes.items()}
+def _adjacency(nodes: dict, edges: list, labels: dict) -> dict[str, list[tuple[int, str]]]:
+    """Each node's incident edges as (label, other end); an edge label and
+    its direction are interned to one small int in labels, which the two
+    graphs compared share."""
     adj: dict[str, list] = {g: [] for g in nodes}
     for a, b, lbl in edges:
-        adj[a].append(("out", lbl, b))
-        adj[b].append(("inc", lbl, a))
+        adj[a].append((labels.setdefault(("out", lbl), len(labels)), b))
+        adj[b].append((labels.setdefault(("inc", lbl), len(labels)), a))
+    return adj
+
+
+def _refine(nodes: dict, adj: dict, rounds: int = 4) -> dict:
+    colors = {g: hash(c) for g, c in nodes.items()}
     for _ in range(rounds):
-        new = {}
-        for g in nodes:
-            sig = sorted((d, lbl, colors[o]) for d, lbl, o in adj[g])
-            new[g] = hash((colors[g], tuple(sig)))
-        if new == colors:
-            break
-        colors = new
+        colors = {
+            g: hash((colors[g], tuple(sorted((lbl, colors[o]) for lbl, o in adj[g]))))
+            for g in nodes
+        }
     return colors
 
 
 def _isomorphic(nodes1, edges1, nodes2, edges2) -> bool:
     if len(nodes1) != len(nodes2) or len(edges1) != len(edges2):
         return False
-    c1 = _refine(nodes1, edges1)
-    c2 = _refine(nodes2, edges2)
-    from collections import Counter
-
-    if Counter(c1.values()) != Counter(c2.values()):
+    labels: dict = {}
+    adj1 = _adjacency(nodes1, edges1, labels)
+    adj2 = _adjacency(nodes2, edges2, labels)
+    c1 = _refine(nodes1, adj1)
+    c2 = _refine(nodes2, adj2)
+    sizes = Counter(c1.values())
+    if sizes != Counter(c2.values()):
         return False
     if Counter(nodes1.values()) != Counter(nodes2.values()):
         return False
 
-    adj1: dict[str, list] = {g: [] for g in nodes1}
-    for a, b, lbl in edges1:
-        adj1[a].append(("out", lbl, b))
-        adj1[b].append(("inc", lbl, a))
-    adj2: dict[str, list] = {g: [] for g in nodes2}
-    for a, b, lbl in edges2:
-        adj2[a].append(("out", lbl, b))
-        adj2[b].append(("inc", lbl, a))
-
-    order = sorted(nodes1, key=lambda g: (sum(1 for h in nodes1 if c1[h] == c1[g]), g))
+    # the candidates for g1 are the nodes of its colour class, in nodes2 order
+    class2: dict[int, list[str]] = {}
+    for g in nodes2:
+        class2.setdefault(c2[g], []).append(g)
+    order = sorted(nodes1, key=lambda g: (sizes[c1[g]], g))
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
     def feasible(g1: str, g2: str) -> bool:
-        if c1[g1] != c2[g2] or nodes1[g1] != nodes2[g2]:
+        if nodes1[g1] != nodes2[g2]:
             return False
-        want = sorted(
-            (d, lbl, mapping[o]) for d, lbl, o in adj1[g1] if o in mapping
-        )
-        have_all = adj2[g2]
-        have = sorted(
-            (d, lbl, o) for d, lbl, o in have_all if o in used
-        )
+        want = sorted((lbl, mapping[o]) for lbl, o in adj1[g1] if o in mapping)
+        have = sorted((lbl, o) for lbl, o in adj2[g2] if o in used)
         return want == have
 
     def solve(i: int) -> bool:
         if i == len(order):
             return True
         g1 = order[i]
-        for g2 in nodes2:
+        for g2 in class2[c1[g1]]:
             if g2 in used:
                 continue
             if feasible(g1, g2):

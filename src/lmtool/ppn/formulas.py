@@ -8,6 +8,7 @@ Q or !O.  Negation is involutive by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Union
 
 from ..syntax import Arrow, Base, Type
@@ -77,6 +78,7 @@ QFormula = Union[QIota, QTen]
 Formula = Union[OIota, OPar, QIota, QTen, NWhy, PBang]
 
 
+@cache
 def neg_o(o: OFormula) -> QFormula:
     match o:
         case OIota(n):
@@ -86,6 +88,7 @@ def neg_o(o: OFormula) -> QFormula:
     raise TypeError(o)
 
 
+@cache
 def neg_q(q: QFormula) -> OFormula:
     match q:
         case QIota(n):
@@ -112,6 +115,7 @@ def is_negative(f: Formula) -> bool:
     return isinstance(f, (OIota, OPar, NWhy))
 
 
+@cache
 def trans_type(a: Type) -> OFormula:
     """Girard's translation of simple types to output formulas."""
     match a:

@@ -124,11 +124,10 @@ class Net:
             ]
         self.drop_wire(old)
 
-    def absorb(self, other: "Net") -> tuple[dict[int, int], dict[int, int]]:
-        """Copy the contents of another net into this one; returns the node
-        and wire id maps."""
+    def absorb(self, other: "Net") -> dict[int, int]:
+        """Copy the contents of another net into this one; returns the wire
+        id map."""
         wmap: dict[int, int] = {}
-        nmap: dict[int, int] = {}
         for w, f in other.wires.items():
             wmap[w] = self.new_wire(f)
         for n in other.nodes.values():
@@ -140,13 +139,19 @@ class Net:
                 n.contents.copy() if n.contents is not None else None,
             )
             self.nodes[n2.nid] = n2
-            nmap[n.nid] = n2.nid
-        return nmap, wmap
+        return wmap
 
     def copy(self) -> "Net":
+        """A deep copy with the same node and wire ids."""
         out = Net()
-        nmap, wmap = out.absorb(self)
-        out.conclusions = [(wmap[w], a) for w, a in self.conclusions]
+        out.nodes = {
+            nid: Node(nid, n.kind, list(n.ups), list(n.downs),
+                      n.contents.copy() if n.contents is not None else None)
+            for nid, n in self.nodes.items()
+        }
+        out.wires = dict(self.wires)
+        out.conclusions = list(self.conclusions)
+        out._next = self._next
         return out
 
     # --- checks ---------------------------------------------------------------

@@ -9,7 +9,7 @@ stack and behaves like a box)."""
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Iterator, Optional
 
 from .net import Net, Node
 
@@ -55,30 +55,14 @@ def _cut_rule(net: Net, cut: Node) -> Optional[tuple[str, int]]:
     return None
 
 
-def find_redex(net: Net, skip: int = 0) -> Optional[tuple[Net, Node, str, int]]:
-    """The first (or skip-th) cut with an applicable rule, searching this
-    net and box contents."""
-    found = 0
+def _redexes(net: Net, rules=None) -> Iterator[tuple[Net, Node, str, int]]:
+    """The cuts with an applicable rule (one of rules, if given) in cut id
+    order, this net before its box contents."""
     for level in net.all_nets():
         for cut in sorted(level.cuts(), key=lambda n: n.nid):
             r = _cut_rule(level, cut)
-            if r is not None:
-                if found == skip:
-                    return level, cut, r[0], r[1]
-                found += 1
-    return None
-
-
-def find_mult_redex(net: Net, skip: int = 0) -> Optional[tuple[Net, Node, str, int]]:
-    found = 0
-    for level in net.all_nets():
-        for cut in sorted(level.cuts(), key=lambda n: n.nid):
-            r = _cut_rule(level, cut)
-            if r is not None and r[0] in MULT:
-                if found == skip:
-                    return level, cut, r[0], r[1]
-                found += 1
-    return None
+            if r is not None and (rules is None or r[0] in rules):
+                yield level, cut, r[0], r[1]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +121,7 @@ def _copy_tree(net: Net, nodes: list[int], interface: list[int]) -> tuple[int, d
             n.contents.copy() if n.contents is not None else None,
         )
         piece.nodes[n2.nid] = n2
-    _, wmap2 = net.absorb(piece)
+    wmap2 = net.absorb(piece)
     return wmap2, idmap
 
 
@@ -214,7 +198,7 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
             box = level.nodes[bnid]
             if box.kind != "box" or port != 0:
                 raise NoRuleError("dereliction cut against a non-box")
-            _, wmap = level.absorb(box.contents)
+            wmap = level.absorb(box.contents)
             inner = box.contents
             level.drop_node(cut.nid)
             level.drop_node(dnode.nid)
@@ -282,7 +266,7 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
                     n.contents,
                 )
                 piece.nodes[n2.nid] = n2
-            _, wmap = inner.absorb(piece)
+            wmap = inner.absorb(piece)
             # the cut moves inside: door wire w_this pairs conclusions[port]
             iw = inner.conclusions[port][0]
             inner.add("cut", [iw, wmap[idmap[w_other]]], [])
@@ -313,41 +297,18 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
 def mult_nf(net: Net, budget: int = 20000, rng: Optional[random.Random] = None) -> Net:
     """Fixpoint of the axiom and par/tensor cut rules (confluent and
     terminating); the input net is not modified."""
-    out = net.copy()
-    for _ in range(budget):
-        n_red = _count_mult(out)
-        if n_red == 0:
-            return out
-        skip = rng.randrange(n_red) if rng is not None else 0
-        level, cut, rule, side = find_mult_redex(out, skip)
-        fire(out, level, cut, rule, side)
-    raise NetBudgetExhausted("multiplicative normalization budget exhausted")
-
-
-def _count_mult(net: Net) -> int:
-    n = 0
-    for level in net.all_nets():
-        for cut in level.cuts():
-            r = _cut_rule(level, cut)
-            if r is not None and r[0] in MULT:
-                n += 1
-    return n
+    return _normalize(net, budget, rng, MULT, "multiplicative normalization budget exhausted")
 
 
 def exp_step(net: Net, cut_id: int) -> Net:
     """Fire the (unique) rule of the given cut; returns a new net."""
     out = net.copy()
-    # cut ids are not stable across copy; locate by position instead
-    ids = [c.nid for level in net.all_nets() for c in sorted(level.cuts(), key=lambda n: n.nid)]
-    if cut_id not in ids:
+    for level in out.all_nets():
+        cut = level.nodes.get(cut_id)
+        if cut is not None and cut.kind == "cut":
+            break
+    else:
         raise NoRuleError(f"no cut {cut_id}")
-    index = ids.index(cut_id)
-    cuts = [
-        (level, c)
-        for level in out.all_nets()
-        for c in sorted(level.cuts(), key=lambda n: n.nid)
-    ]
-    level, cut = cuts[index]
     r = _cut_rule(level, cut)
     if r is None:
         raise NoRuleError("cut does not match any rule")
@@ -358,22 +319,19 @@ def exp_step(net: Net, cut_id: int) -> Net:
 def full_nf(net: Net, budget: int = 20000, rng: Optional[random.Random] = None) -> Net:
     """Normal form under all cut-elimination rules (confluent and strongly
     normalizing on translated nets)."""
+    return _normalize(net, budget, rng, None, "cut elimination budget exhausted")
+
+
+def _normalize(net: Net, budget: int, rng: Optional[random.Random], rules, exhausted: str) -> Net:
+    # without rng the first redex fires, with rng one drawn uniformly
     out = net.copy()
     for _ in range(budget):
-        total = _count_all(out)
-        if total == 0:
+        if rng is None:
+            found = next(_redexes(out, rules), None)
+        else:
+            all_found = list(_redexes(out, rules))
+            found = all_found[rng.randrange(len(all_found))] if all_found else None
+        if found is None:
             return out
-        skip = rng.randrange(total) if rng is not None else 0
-        found = find_redex(out, skip)
-        level, cut, rule, side = found
-        fire(out, level, cut, rule, side)
-    raise NetBudgetExhausted("cut elimination budget exhausted")
-
-
-def _count_all(net: Net) -> int:
-    n = 0
-    for level in net.all_nets():
-        for cut in level.cuts():
-            if _cut_rule(level, cut) is not None:
-                n += 1
-    return n
+        fire(out, *found)
+    raise NetBudgetExhausted(exhausted)

@@ -56,17 +56,6 @@ class Piece:
         return self.net
 
 
-def _absorb_piece(net: Net, piece: Piece) -> Piece:
-    _, wmap = net.absorb(piece.net)
-    return Piece(
-        net,
-        {x: wmap[w] for x, w in piece.var_wires.items()},
-        {a: wmap[w] for a, w in piece.name_wires.items()},
-        wmap[piece.dist] if piece.dist is not None else None,
-        wmap[piece.result] if piece.result is not None else None,
-    )
-
-
 def _boxed(net: Net, piece: Piece) -> tuple[int, Piece]:
     """Wrap a term piece into a box inside net; returns the principal wire
     and a piece holding the outer door wires for the piece's interface."""
@@ -112,18 +101,19 @@ def _merge_shared(net: Net, a: Piece, b: Piece) -> Piece:
 def translate_derivation(d: Derivation) -> Net:
     """The proof structure of a typing derivation, with conclusions labeled
     by the free variables and names of its subject."""
-    return _go(d).seal()
+    return _go(d, Net()).seal()
 
 
 def translate_stack_derivation(d: Derivation, result_type) -> Net:
-    return _go(d, result_type).seal()
+    return _go(d, Net(), result_type).seal()
 
 
-def _go(d: Derivation, result_type=None) -> Piece:
+def _go(d: Derivation, net: Net, result_type=None) -> Piece:
+    """Build the clause of d into net; a boxed subterm is built into a net
+    of its own, which becomes the box contents."""
     o = d.judgment.subject
     match o:
         case Var(x):
-            net = Net()
             a = d.judgment.type
             ax = net.add("ax", [], [neg_o(trans_type(a)), trans_type(a)])
             dn = net.add("d", [ax.downs[0]], [input_of(a)])
@@ -131,10 +121,8 @@ def _go(d: Derivation, result_type=None) -> Piece:
 
         case App(_, _):
             df, du = d.children
-            net = Net()
-            pf = _absorb_piece(net, _go(df))
-            pu = _go(du)
-            principal, doors = _boxed(net, pu)
+            pf = _go(df, net)
+            principal, doors = _boxed(net, _go(du, Net()))
             bty = d.judgment.type
             ax = net.add("ax", [], [neg_o(trans_type(bty)), trans_type(bty)])
             ten = net.add(
@@ -149,8 +137,7 @@ def _go(d: Derivation, result_type=None) -> Piece:
 
         case Abs(x, ann, _):
             (db,) = d.children
-            net = Net()
-            pb = _absorb_piece(net, _go(db))
+            pb = _go(db, net)
             if x in pb.var_wires:
                 xw = pb.var_wires.pop(x)
             else:
@@ -161,8 +148,7 @@ def _go(d: Derivation, result_type=None) -> Piece:
 
         case Mu(a, ann, _):
             (db,) = d.children
-            net = Net()
-            pb = _absorb_piece(net, _go(db))
+            pb = _go(db, net)
             if a in pb.name_wires:
                 pb.dist = pb.name_wires.pop(a)
             else:
@@ -171,8 +157,7 @@ def _go(d: Derivation, result_type=None) -> Piece:
 
         case Named(a, _):
             (db,) = d.children
-            net = Net()
-            pb = _absorb_piece(net, _go(db))
+            pb = _go(db, net)
             if a in pb.name_wires:
                 c = net.add("c", [pb.dist, pb.name_wires[a]], [net.wires[pb.dist]])
                 pb.name_wires[a] = c.downs[0]
@@ -183,10 +168,8 @@ def _go(d: Derivation, result_type=None) -> Piece:
 
         case ESub(_, x, _):
             db, du = d.children
-            net = Net()
-            pb = _absorb_piece(net, _go(db))
-            pu = _go(du)
-            principal, doors = _boxed(net, pu)
+            pb = _go(db, net)
+            principal, doors = _boxed(net, _go(du, Net()))
             uty = du.judgment.type
             if x in pb.var_wires:
                 xw = pb.var_wires.pop(x)
@@ -199,11 +182,10 @@ def _go(d: Derivation, result_type=None) -> Piece:
 
         case ERepl(_, nn, on, ann, s):
             db, ds = d.children
-            net = Net()
-            pc = _absorb_piece(net, _go(db))
+            pc = _go(db, net)
             n_args = _stack_len(s)
             sty, bty = split_arrow(ann, n_args)
-            ps = _absorb_piece(net, _go(ds, result_type=bty))
+            ps = _go(ds, net, bty)
             merged = _merge_shared(
                 net,
                 Piece(net, pc.var_wires, pc.name_wires),
@@ -224,17 +206,14 @@ def _go(d: Derivation, result_type=None) -> Piece:
             return merged
 
         case EmptyStack():
-            net = Net()
             of = trans_type(result_type)
             ax = net.add("ax", [], [neg_o(of), of])
             return Piece(net, {}, {}, ax.downs[0], ax.downs[1])
 
         case Push(_, _):
             dh, dt = d.children
-            net = Net()
-            ph = _go(dh)
-            principal, doors = _boxed(net, ph)
-            pt = _absorb_piece(net, _go(dt, result_type=result_type))
+            principal, doors = _boxed(net, _go(dh, Net()))
+            pt = _go(dt, net, result_type)
             sty = d.judgment.type
             root_f = neg_o(trans_stacktype(sty, result_type))
             ten = net.add("tensor", [principal, pt.dist], [root_f])

@@ -112,7 +112,9 @@ def test_output_does_not_depend_on_the_hash_seed():
     # free-identifier sets are frozensets, whose iteration order follows the
     # hash seed; every walk over them must be sorted for runs to repeat.  The
     # ren search enumerates subsets of free-name occurrences and keys its
-    # states by canonical keys that mix int and str tokens.
+    # states by canonical keys that mix int and str tokens.  Net isomorphism
+    # colours nodes by hash() of tuples holding strings, and the DOT output
+    # of a normalized net with nested boxes follows its node and wire ids.
     from lmtool.drivers import sigma_pair
     from lmtool.syntax import print_object
 
@@ -123,6 +125,8 @@ def test_output_does_not_depend_on_the_hash_seed():
         ["bisim-check", "--cases", "12", "--seed", "3"],
         ["sigma", "['c](mu 'a. ['b](x (mu 'd. ['a]y)))"],
         ["equiv", "--ren", print_object(lhs), print_object(rhs)],
+        ["simcheck", "--seed", "99", "--cases", "60"],
+        ["ppn", "--nf", "full", "--env", "f:iA->iA->iB,g:iC->iA,y:iC", r"(\x:iA. f x x) (g y)"],
     ]
     for argv in commands:
         outs = set()

@@ -1,11 +1,13 @@
 import random
 import zlib
+from collections import Counter
 
 import pytest
 
 from lmtool.drivers import TypedPairs, typed_step_cases
 from lmtool.generators import gen_typed
 from lmtool.ppn import (
+    canonical,
     dual,
     full_nf,
     mult_nf,
@@ -16,11 +18,17 @@ from lmtool.ppn import (
     trans_stacktype,
     trans_type,
     translate_derivation,
+    translate_stack_derivation,
 )
-from lmtool.ppn.formulas import OIota, OPar, QIota, QTen, neg_o
+from lmtool.ppn.formulas import OIota, OPar, QIota, QTen, input_of, neg_o
 from lmtool.ppn.net import Net
-from lmtool.syntax import Arrow, Base, parse, parse_type
+from lmtool.ppn.rewrite import MULT, _cut_rule, fire
+from lmtool.ppn.translate import Piece, _boxed, _merge_shared, _stack_len
+from lmtool.syntax import (
+    Abs, App, Arrow, Base, EmptyStack, ERepl, ESub, Mu, Named, Push, Var, parse, parse_type,
+)
 from lmtool.typing import check_object
+from lmtool.typing_util import split_arrow
 
 
 def t(text):
@@ -79,8 +87,6 @@ def test_variable_net_shape():
 
 
 def test_empty_stack_is_axiom():
-    from lmtool.ppn.translate import translate_stack_derivation
-
     d = check_object(parse("#", sort="stack"))
     n = translate_stack_derivation(d, Base("C"))
     n.validate()
@@ -320,3 +326,412 @@ def test_dot_export_deterministic():
     n = translate_derivation(check_object(o, g, d))
     assert n.to_dot() == n.to_dot()
     assert "digraph" in n.to_dot()
+
+
+# --- differential checks against the copy-and-rescan references ------------------
+#
+# The references below are the earlier, simpler forms of code that now avoids
+# copies and rescans: translation that builds every clause into a fresh net
+# and copies it into its parent, the count-then-find normalization loop, and
+# the isomorphism test on string labels with linear lookups.
+
+
+def _ref_absorb(net, piece):
+    wmap = net.absorb(piece.net)
+    return Piece(
+        net,
+        {x: wmap[w] for x, w in piece.var_wires.items()},
+        {a: wmap[w] for a, w in piece.name_wires.items()},
+        wmap.get(piece.dist),
+        wmap.get(piece.result),
+    )
+
+
+def _ref_go(d, result_type=None):
+    o = d.judgment.subject
+    net = Net()
+    match o:
+        case Var(x):
+            a = d.judgment.type
+            ax = net.add("ax", [], [neg_o(trans_type(a)), trans_type(a)])
+            dn = net.add("d", [ax.downs[0]], [input_of(a)])
+            return Piece(net, {x: dn.downs[0]}, {}, ax.downs[1], None)
+        case App(_, _):
+            df, du = d.children
+            pf = _ref_absorb(net, _ref_go(df))
+            principal, doors = _boxed(net, _ref_go(du))
+            bty = d.judgment.type
+            ax = net.add("ax", [], [neg_o(trans_type(bty)), trans_type(bty)])
+            ten = net.add("tensor", [principal, ax.downs[0]], [dual(net.wires[pf.dist])])
+            net.add("cut", [pf.dist, ten.downs[0]], [])
+            merged = _merge_shared(net, Piece(net, pf.var_wires, pf.name_wires), doors)
+            merged.dist = ax.downs[1]
+            return merged
+        case Abs(x, ann, _):
+            pb = _ref_absorb(net, _ref_go(d.children[0]))
+            if x in pb.var_wires:
+                xw = pb.var_wires.pop(x)
+            else:
+                xw = net.add("w", [], [input_of(ann)]).downs[0]
+            pb.dist = net.add("par", [xw, pb.dist], [trans_type(d.judgment.type)]).downs[0]
+            return pb
+        case Mu(a, ann, _):
+            pb = _ref_absorb(net, _ref_go(d.children[0]))
+            if a in pb.name_wires:
+                pb.dist = pb.name_wires.pop(a)
+            else:
+                pb.dist = net.add("w", [], [trans_type(ann)]).downs[0]
+            return pb
+        case Named(a, _):
+            pb = _ref_absorb(net, _ref_go(d.children[0]))
+            if a in pb.name_wires:
+                c = net.add("c", [pb.dist, pb.name_wires[a]], [net.wires[pb.dist]])
+                pb.name_wires[a] = c.downs[0]
+            else:
+                pb.name_wires[a] = pb.dist
+            pb.dist = None
+            return pb
+        case ESub(_, x, _):
+            db, du = d.children
+            pb = _ref_absorb(net, _ref_go(db))
+            principal, doors = _boxed(net, _ref_go(du))
+            if x in pb.var_wires:
+                xw = pb.var_wires.pop(x)
+            else:
+                xw = net.add("w", [], [input_of(du.judgment.type)]).downs[0]
+            net.add("cut", [xw, principal], [])
+            merged = _merge_shared(net, Piece(net, pb.var_wires, pb.name_wires), doors)
+            merged.dist = pb.dist
+            return merged
+        case ERepl(_, nn, on, ann, s):
+            db, ds = d.children
+            pc = _ref_absorb(net, _ref_go(db))
+            _, bty = split_arrow(ann, _stack_len(s))
+            ps = _ref_absorb(net, _ref_go(ds, bty))
+            merged = _merge_shared(
+                net,
+                Piece(net, pc.var_wires, pc.name_wires),
+                Piece(net, ps.var_wires, ps.name_wires),
+            )
+            if on in merged.name_wires:
+                ow = merged.name_wires.pop(on)
+            else:
+                ow = net.add("w", [], [trans_type(ann)]).downs[0]
+            net.add("cut", [ow, ps.dist], [])
+            res = ps.result
+            if nn in merged.name_wires:
+                res = net.add("c", [res, merged.name_wires[nn]], [net.wires[res]]).downs[0]
+            merged.name_wires[nn] = res
+            merged.dist = merged.result = None
+            return merged
+        case EmptyStack():
+            of = trans_type(result_type)
+            ax = net.add("ax", [], [neg_o(of), of])
+            return Piece(net, {}, {}, ax.downs[0], ax.downs[1])
+        case Push(_, _):
+            dh, dt = d.children
+            principal, doors = _boxed(net, _ref_go(dh))
+            pt = _ref_absorb(net, _ref_go(dt, result_type))
+            root_f = neg_o(trans_stacktype(d.judgment.type, result_type))
+            ten = net.add("tensor", [principal, pt.dist], [root_f])
+            merged = _merge_shared(net, doors, Piece(net, pt.var_wires, pt.name_wires))
+            merged.dist = ten.downs[0]
+            merged.result = pt.result
+            return merged
+    raise TypeError(o)
+
+
+def _shape(net):
+    """The net up to wire renaming: nodes in id order with their kinds,
+    formulas and box contents, wires numbered by their producer."""
+    order = [net.nodes[nid] for nid in sorted(net.nodes)]
+    num = {w: len(order) + i for i, w in enumerate(w for n in order for w in n.downs)}
+    nodes = [
+        (
+            n.kind,
+            [num[w] for w in n.ups],
+            [(num[w], net.wires[w]) for w in n.downs],
+            _shape(n.contents) if n.contents is not None else None,
+        )
+        for n in order
+    ]
+    return nodes, [(num[w], a) for w, a in net.conclusions]
+
+
+def _dump(net):
+    """The net with its ids, recursively."""
+    return (
+        {
+            nid: (n.kind, list(n.ups), list(n.downs),
+                  _dump(n.contents) if n.contents is not None else None)
+            for nid, n in net.nodes.items()
+        },
+        dict(net.wires),
+        list(net.conclusions),
+        net._next,
+    )
+
+
+def _derivations(d, result_type=None):
+    """Every sub-derivation of d, stacks with their result types."""
+    yield d, result_type
+    o = d.judgment.subject
+    if isinstance(o, ERepl):
+        db, ds = d.children
+        yield from _derivations(db)
+        yield from _derivations(ds, split_arrow(o.ann, _stack_len(o.stack))[1])
+    elif isinstance(o, Push):
+        dh, dt = d.children
+        yield from _derivations(dh)
+        yield from _derivations(dt, result_type)
+    else:
+        for ch in d.children:
+            yield from _derivations(ch)
+
+
+def _seeded_objects():
+    """(object, gamma, delta): typed step sources and reducts, and both
+    sides of typed axiom pairs."""
+    out = []
+    for _, o, o2, g, d in typed_step_cases(seed=404, count=40):
+        out += [(o, g, d), (o2, g, d)]
+    for j, axiom in enumerate(["exs", "exr", "lin", "pp", "rho", "theta", "ren"]):
+        pairs = TypedPairs(seed=900 + j)
+        for _ in range(3):
+            lhs, rhs, g, d = pairs.build(axiom)
+            out += [(lhs, g, d), (rhs, g, d)]
+    return out
+
+
+def test_in_place_translation_matches_copying_translation():
+    stacks = 0
+    for o, g, d in _seeded_objects():
+        for sub, rt in _derivations(check_object(o, g, d)):
+            if rt is None:
+                got = translate_derivation(sub)
+            else:
+                got = translate_stack_derivation(sub, rt)
+                stacks += 1
+            got.validate()
+            want = _ref_go(sub, rt).seal()
+            assert _shape(got) == _shape(want), sub.judgment.render()
+    assert stacks > 20
+
+
+def _ref_nf(net, mult_only, rng=None):
+    """Count the redexes, stop at none, else fire the first (or a drawn) one."""
+    def applicable(level, cut):
+        r = _cut_rule(level, cut)
+        return r is not None and (not mult_only or r[0] in MULT)
+
+    out = net.copy()
+    while True:
+        total = sum(applicable(lv, c) for lv in out.all_nets() for c in lv.cuts())
+        if total == 0:
+            return out
+        skip = rng.randrange(total) if rng is not None else 0
+        found = [
+            (lv, c, *_cut_rule(lv, c))
+            for lv in out.all_nets()
+            for c in sorted(lv.cuts(), key=lambda n: n.nid)
+            if applicable(lv, c)
+        ]
+        fire(out, *found[skip])
+
+
+def test_single_scan_normalization_matches_count_then_find():
+    for o, g, d in _seeded_objects()[::2]:
+        n = translate_derivation(check_object(o, g, d))
+        before = _dump(n)
+        assert _dump(full_nf(n)) == _dump(_ref_nf(n, False))
+        assert _dump(mult_nf(n)) == _dump(_ref_nf(n, True))
+        assert _dump(full_nf(n, rng=random.Random(8))) == _dump(
+            _ref_nf(n, False, random.Random(8))
+        )
+        assert _dump(n) == before
+
+
+def test_copy_is_deep_and_keeps_ids():
+    o = t(r"(\x:iA. f x x) (g y)")
+    env = {"f": parse_type("iA->iA->iB"), "g": parse_type("iC->iA"), "y": Base("C")}
+    n = translate_derivation(check_object(o, env))
+    before = _dump(n)
+    c = n.copy()
+    assert _dump(c) == before
+    c.validate()
+    box = c.boxes()[-1]  # the box of g y, which holds the box of y
+    inner = box.contents
+    assert inner.boxes()
+    for node in list(c.all_nets()):
+        for m in node.nodes.values():
+            m.ups.append(-1)
+            m.downs.append(-2)
+    inner.nodes.pop(next(iter(inner.nodes)))
+    inner.conclusions.append((-3, ("dist",)))
+    c.wires[next(iter(c.wires))] = OIota("Z")
+    c.conclusions.pop()
+    c.nodes.pop(box.nid)
+    c.new_wire(OIota("Z"))
+    assert _dump(n) == before
+    n.validate()
+
+
+def _ref_flatten(net):
+    nodes, edges = {}, []
+
+    def label(level, nid, pidx, w):
+        n = level.nodes[nid]
+        if n.kind in ("tensor", "par", "d", "ax"):
+            return (str(level.wires[w]), (n.kind, pidx))
+        return (str(level.wires[w]), ("boxd",) if n.kind == "box" else (n.kind + "d",))
+
+    def src(level, nid, pidx, prefix):
+        if level.nodes[nid].kind == "box":
+            return f"{prefix}n{nid}door{pidx}"
+        return f"{prefix}n{nid}"
+
+    def visit(level, depth, prefix):
+        for nid, n in level.nodes.items():
+            nodes[f"{prefix}n{nid}"] = ("node", n.kind, depth, len(n.ups))
+            if n.kind == "box":
+                for i in range(len(n.downs)):
+                    nodes[f"{prefix}n{nid}door{i}"] = ("door", i == 0, depth)
+                    edges.append((f"{prefix}n{nid}door{i}", f"{prefix}n{nid}", ("door-of", i == 0)))
+                visit(n.contents, depth + 1, f"{prefix}n{nid}b")
+                for i, (iw, _) in enumerate(n.contents.conclusions):
+                    ip, iport = n.contents.producer_of(iw)
+                    edges.append((
+                        src(n.contents, ip, iport, f"{prefix}n{nid}b"),
+                        f"{prefix}n{nid}door{i}",
+                        label(n.contents, ip, iport, iw),
+                    ))
+        for nid, n in level.nodes.items():
+            for pidx, w in enumerate(n.downs):
+                cons = level.consumer_of(w)
+                if cons is not None:
+                    cn, cport = cons
+                    kind = level.nodes[cn].kind
+                    tag = (kind + "u", cport) if kind in ("tensor", "par", "d") else (kind + "u",)
+                    edges.append((src(level, nid, pidx, prefix), f"{prefix}n{cn}",
+                                  label(level, nid, pidx, w) + (tag,)))
+                elif depth == 0 and level.conclusion_anchor(w) is not None:
+                    nodes[f"{prefix}conc{w}"] = ("conc", level.conclusion_anchor(w), depth)
+                    edges.append((src(level, nid, pidx, prefix), f"{prefix}conc{w}",
+                                  label(level, nid, pidx, w) + ("conc",)))
+
+    visit(net, 0, "")
+    return nodes, edges
+
+
+def _ref_refine(nodes, edges, rounds=4):
+    colors = {g: hash(c) for g, c in nodes.items()}
+    adj = {g: [] for g in nodes}
+    for a, b, lbl in edges:
+        adj[a].append(("out", lbl, b))
+        adj[b].append(("inc", lbl, a))
+    for _ in range(rounds):
+        colors = {
+            g: hash((colors[g], tuple(sorted((dr, lbl, colors[o]) for dr, lbl, o in adj[g]))))
+            for g in nodes
+        }
+    return colors
+
+
+def _ref_isomorphic(nodes1, edges1, nodes2, edges2):
+    if len(nodes1) != len(nodes2) or len(edges1) != len(edges2):
+        return False
+    c1, c2 = _ref_refine(nodes1, edges1), _ref_refine(nodes2, edges2)
+    if Counter(c1.values()) != Counter(c2.values()):
+        return False
+    if Counter(nodes1.values()) != Counter(nodes2.values()):
+        return False
+    adj1 = {g: [] for g in nodes1}
+    for a, b, lbl in edges1:
+        adj1[a].append(("out", lbl, b))
+        adj1[b].append(("inc", lbl, a))
+    adj2 = {g: [] for g in nodes2}
+    for a, b, lbl in edges2:
+        adj2[a].append(("out", lbl, b))
+        adj2[b].append(("inc", lbl, a))
+    order = sorted(nodes1, key=lambda g: (sum(1 for h in nodes1 if c1[h] == c1[g]), g))
+    mapping, used = {}, set()
+
+    def solve(i):
+        if i == len(order):
+            return True
+        g1 = order[i]
+        for g2 in nodes2:
+            if g2 in used or c1[g1] != c2[g2] or nodes1[g1] != nodes2[g2]:
+                continue
+            want = sorted((dr, lbl, mapping[o]) for dr, lbl, o in adj1[g1] if o in mapping)
+            have = sorted((dr, lbl, o) for dr, lbl, o in adj2[g2] if o in used)
+            if want == have:
+                mapping[g1] = g2
+                used.add(g2)
+                if solve(i + 1):
+                    return True
+                del mapping[g1]
+                used.remove(g2)
+        return False
+
+    return solve(0)
+
+
+def _swap_var_anchors(net):
+    """The net with the anchors of two same-formula variable conclusions
+    exchanged, or None when it has no such pair."""
+    by_formula = {}
+    for i, (w, a) in enumerate(net.conclusions):
+        if a[0] == "var":
+            by_formula.setdefault(net.wires[w], []).append(i)
+    for idx in by_formula.values():
+        if len(idx) >= 2:
+            out = net.copy()
+            (w0, a0), (w1, a1) = out.conclusions[idx[0]], out.conclusions[idx[1]]
+            out.conclusions[idx[0]], out.conclusions[idx[1]] = (w0, a1), (w1, a0)
+            return out
+    return None
+
+
+def _classes(colors):
+    groups = {}
+    for g, c in colors.items():
+        groups.setdefault(c, set()).add(g)
+    return sorted(sorted(s) for s in groups.values())
+
+
+def test_isomorphism_matches_the_string_label_reference():
+    by_type = {}
+    pairs = []
+    for o, g, d in _seeded_objects():
+        der = check_object(o, g, d)
+        n = struct_canon(mult_nf(translate_derivation(der)))
+        by_type.setdefault(str(der.judgment.type), []).append(n)
+        pairs.append((n, n.copy()))
+        swapped = _swap_var_anchors(n)
+        if swapped is not None:
+            pairs.append((n, swapped))
+    for o, o2, g, d in [(c[1], c[2], c[3], c[4]) for c in typed_step_cases(seed=405, count=30)]:
+        n1 = struct_canon(full_nf(translate_derivation(check_object(o, g, d))))
+        n2 = struct_canon(full_nf(translate_derivation(check_object(o2, g, d))))
+        pairs.append((n1, n2))
+    for nets in by_type.values():
+        pairs += list(zip(nets, nets[1:]))
+    verdicts = Counter()
+    for n1, n2 in pairs:
+        f1, f2 = canonical._flatten(n1), canonical._flatten(n2)
+        assert f1 == _ref_flatten(n1) and f2 == _ref_flatten(n2)
+        (nodes1, edges1), (nodes2, edges2) = f1, f2
+        labels = {}
+        c1 = canonical._refine(nodes1, canonical._adjacency(nodes1, edges1, labels))
+        c2 = canonical._refine(nodes2, canonical._adjacency(nodes2, edges2, labels))
+        # one int for each edge label and direction, shared by both graphs
+        assert len(labels) == 2 * len({lbl for _, _, lbl in edges1 + edges2})
+        both = {("1", g): c for g, c in c1.items()} | {("2", g): c for g, c in c2.items()}
+        ref1, ref2 = _ref_refine(nodes1, edges1), _ref_refine(nodes2, edges2)
+        ref = {("1", g): c for g, c in ref1.items()} | {("2", g): c for g, c in ref2.items()}
+        assert _classes(both) == _classes(ref)
+        got = canonical._isomorphic(nodes1, edges1, nodes2, edges2)
+        assert got == _ref_isomorphic(nodes1, edges1, nodes2, edges2)
+        verdicts[got] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 20, verdicts
