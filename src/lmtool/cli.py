@@ -10,6 +10,7 @@ from . import drivers, equivalence, generators, lmu, reduction, typing as ty
 from .reduction import BudgetExhausted, RuleTag, Trace
 from .syntax import (
     ParseError,
+    PathError,
     SortError,
     make_path,
     parse,
@@ -37,7 +38,10 @@ def _parse_env(spec: str | None):
 
 
 def _path_arg(o, spec: str):
-    idxs = tuple(int(x) for x in spec.split(".") if x != "")
+    try:
+        idxs = tuple(int(x) for x in spec.split(".") if x != "")
+    except ValueError:
+        raise PathError(f"not a dotted list of child indices: {spec!r}") from None
     return make_path(o, idxs)
 
 
@@ -72,7 +76,12 @@ def cmd_step(args) -> int:
     else:
         print("no redex at that path", file=sys.stderr)
         return 1
-    print(print_object(reduction.lm_step(o, tag, p)))
+    try:
+        out = reduction.lm_step(o, tag, p)
+    except ValueError as e:  # the tag names no redex at that path
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    print(print_object(out))
     return 0
 
 
@@ -83,6 +92,9 @@ def cmd_reduce(args) -> int:
     except BudgetExhausted:
         print("BUDGET-EXHAUSTED")
         return 1
+    except ValueError as e:  # a budget below one
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(print_object(nf))
     if args.trace:
         print(trace.render())
@@ -317,7 +329,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, SortError) as e:
+    except (ParseError, SortError, PathError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except reduction.NotCanonicalError as e:

@@ -21,12 +21,14 @@ from .syntax import (
     NameSupply,
     Object,
     Path,
+    PathError,
     Var,
     alpha_eq,
     canonical_key,
     children,
     count_free_name,
     count_free_var,
+    descend,
     empty_stack,
     free_names,
     free_vars,
@@ -37,6 +39,7 @@ from .syntax import (
     rename_free_var,
     rewrite_at,
     sort_of,
+    splice,
     subobject_at,
     supply_for,
     with_children,
@@ -103,7 +106,7 @@ def _linear_positions(o: Object, want_sort: str):
     linear position of sort want_sort strictly below o, in pre-order.  A
     linear context only descends into child 0, so these positions lie on
     one spine; the binder sets are those crossed from o to the position."""
-    steps: tuple[tuple[str, int], ...] = ()
+    steps: tuple[int, ...] = ()
     vs: frozenset[str] = frozenset()
     ns: frozenset[str] = frozenset()
     while isinstance(o, _SPINE):
@@ -112,7 +115,7 @@ def _linear_positions(o: Object, want_sort: str):
                 vs = vs | {x}
             case Mu(a, _, _) | ERepl(_, _, a, _, _):
                 ns = ns | {a}
-        steps += ((type(o).__name__, 0),)
+        steps += (0,)
         o = o.fun if isinstance(o, App) else o.body
         if sort_of(o) == want_sort:
             yield Path(steps, want_sort), o, vs, ns
@@ -342,9 +345,10 @@ def axiom_instances(
         rewrites = _subtree_rewrites(sub, supply, include_ren, expansive)
         if not rewrites:
             continue
-        p = make_path(o, idxs)
+        nodes = descend(o, idxs)
         for name, orient, new_sub in rewrites:
-            res = rewrite_at(o, p, new_sub, supply)
+            # no axiom yields a free identifier that sub lacks: nothing captures
+            res = splice(nodes, idxs, new_sub)
             if require_canonical and not is_canonical(res):
                 continue
             out.append((Axiom(name, orient, idxs, canonical_key(res)), res))
@@ -353,18 +357,17 @@ def axiom_instances(
 
 def apply_axiom(o: Object, ax: Axiom, include_ren: bool = True) -> Object:
     """Replay one axiom step; raises ValueError if no matching instance."""
-    from .syntax import PathError
-
     try:
-        sub = subobject_at(o, make_path(o, ax.path))
+        p = make_path(o, ax.path)
     except PathError as e:
         raise ValueError(str(e)) from None
+    sub = subobject_at(o, p)
     supply = supply_for(o)
     matches = []
     for name, orient, new_sub in _subtree_rewrites(sub, supply, include_ren):
         if name != ax.name or orient != ax.orientation:
             continue
-        res = rewrite_at(o, make_path(o, ax.path), new_sub, supply)
+        res = rewrite_at(o, p, new_sub, supply)
         if ax.result_key is None or canonical_key(res) == ax.result_key:
             matches.append(res)
     if not matches:

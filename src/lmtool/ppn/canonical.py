@@ -251,13 +251,21 @@ def _adjacency(nodes: dict, edges: list, labels: dict) -> dict[str, list[tuple[i
     return adj
 
 
-def _refine(nodes: dict, adj: dict, rounds: int = 4) -> dict:
-    colors = {g: hash(c) for g, c in nodes.items()}
+def _refine(*graphs: tuple[dict, dict], rounds: int = 4) -> list[dict]:
+    """Colour refinement of the (nodes, adjacency) graphs together, so that
+    colours compare across them.  It stops after the first round that
+    splits no class of their joint partition: each round refines the last,
+    so every later round would give the same classes."""
+    colors = [{g: hash(c) for g, c in nodes.items()} for nodes, _ in graphs]
+    count = len(set().union(*(c.values() for c in colors)))
     for _ in range(rounds):
-        colors = {
-            g: hash((colors[g], tuple(sorted((lbl, colors[o]) for lbl, o in adj[g]))))
-            for g in nodes
-        }
+        colors = [
+            {g: hash((col[g], tuple(sorted((lbl, col[o]) for lbl, o in adj[g])))) for g in nodes}
+            for (nodes, adj), col in zip(graphs, colors)
+        ]
+        before, count = count, len(set().union(*(c.values() for c in colors)))
+        if count == before:
+            break
     return colors
 
 
@@ -267,8 +275,7 @@ def _isomorphic(nodes1, edges1, nodes2, edges2) -> bool:
     labels: dict = {}
     adj1 = _adjacency(nodes1, edges1, labels)
     adj2 = _adjacency(nodes2, edges2, labels)
-    c1 = _refine(nodes1, adj1)
-    c2 = _refine(nodes2, adj2)
+    c1, c2 = _refine((nodes1, adj1), (nodes2, adj2))
     sizes = Counter(c1.values())
     if sizes != Counter(c2.values()):
         return False

@@ -17,6 +17,8 @@ from .meta import (
     substitute,
 )
 from .syntax import (
+    COMMAND,
+    TERM,
     Abs,
     App,
     EmptyStack,
@@ -32,12 +34,13 @@ from .syntax import (
     canonical_key,
     children,
     count_free_name,
+    descend,
     empty_stack,
-    make_path,
     positions,
     print_object,
     rewrite_at,
     sort_of,
+    splice,
     subobject_at,
     supply_for,
 )
@@ -147,13 +150,13 @@ def lm_redexes(o: Object) -> list[tuple[RuleTag, Path]]:
             case App(f, _):
                 _, core = _strip_subs(f)
                 if isinstance(core, Abs):
-                    out.append((RuleTag.B, make_path(o, idxs)))
+                    out.append((RuleTag.B, Path(idxs, TERM)))
                 elif isinstance(core, Mu):
-                    out.append((RuleTag.M, make_path(o, idxs)))
+                    out.append((RuleTag.M, Path(idxs, TERM)))
             case ESub(_, _, _):
-                out.append((RuleTag.S, make_path(o, idxs)))
+                out.append((RuleTag.S, Path(idxs, TERM)))
             case ERepl(_, _, _, _, _):
-                out.append((RuleTag.R, make_path(o, idxs)))
+                out.append((RuleTag.R, Path(idxs, COMMAND)))
     return out
 
 
@@ -167,7 +170,8 @@ def lm_step(o: Object, tag: RuleTag, p: Path, supply: NameSupply | None = None) 
     """Fire one of the plain rules B, S, M, R at p."""
     if supply is None:
         supply = supply_for(o)
-    sub = subobject_at(o, p)
+    nodes = descend(o, p.steps)
+    sub = nodes[-1]
     match tag:
         case RuleTag.B:
             if not isinstance(sub, App):
@@ -202,8 +206,9 @@ def lm_step(o: Object, tag: RuleTag, p: Path, supply: NameSupply | None = None) 
             e = prepare_erepl(sub, supply)
             red = replace(e.body, e.new, e.old, e.stack, supply)
         case _:
-            raise ValueError(f"lm_step does not fire {tag}")
-    return rewrite_at(o, p, red, supply)
+            raise ValueError(f"lm_step does not fire {RuleTag(tag).value}")
+    # a reduct has no free identifier its redex lacks: nothing above p captures
+    return splice(nodes, p.steps, red)
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +295,20 @@ def _unique_occurrence(c: Object, alpha: str):
 
 
 def _fire_refined(o: Object, p: Path, info: RInfo, supply: NameSupply) -> Object:
-    sub: ERepl = subobject_at(o, p)  # type: ignore[assignment]
+    nodes = descend(o, p.steps)
+    sub: ERepl = nodes[-1]  # type: ignore[assignment]
     c, new, alpha, ann, s = sub.body, sub.new, sub.old, sub.ann, sub.stack
     match info.tag:
         case RuleTag.R_EMPTY | RuleTag.R_NEQ1:
             e = prepare_erepl(sub, supply)
             red = replace(e.body, e.new, e.old, e.stack, supply)
         case RuleTag.N_LIN | RuleTag.N_NONLIN:
-            occ_p = make_path(c, info.occ_idxs)
+            occ_p = Path(info.occ_idxs, COMMAND)
             node: Named = subobject_at(c, occ_p)  # type: ignore[assignment]
             repl = Named(new, apply_stack(node.body, s))
             red = rewrite_at(c, occ_p, repl, supply)
         case RuleTag.W | RuleTag.W_NONLIN:
-            occ_p = make_path(c, info.occ_idxs)
+            occ_p = Path(info.occ_idxs, COMMAND)
             inner: ERepl = subobject_at(c, occ_p)  # type: ignore[assignment]
             n = _stack_len(s)
             ann2 = None
@@ -319,7 +325,7 @@ def _fire_refined(o: Object, p: Path, info: RInfo, supply: NameSupply) -> Object
             )
             red = rewrite_at(c, occ_p, repl, supply)
         case RuleTag.C | RuleTag.C_NONLIN:
-            occ_p = make_path(c, info.occ_idxs)
+            occ_p = Path(info.occ_idxs, COMMAND)
             inner = subobject_at(c, occ_p)
             repl = ERepl(
                 inner.body, new, inner.old, inner.ann, stack_concat(inner.stack, s)
@@ -327,7 +333,8 @@ def _fire_refined(o: Object, p: Path, info: RInfo, supply: NameSupply) -> Object
             red = rewrite_at(c, occ_p, repl, supply)
         case _:
             raise ValueError(info.tag)
-    return rewrite_at(o, p, red, supply)
+    # unlike s in the inner write, red has no free identifier that sub lacks
+    return splice(nodes, p.steps, red)
 
 
 def _stack_len(s: Object) -> int:
@@ -363,7 +370,7 @@ def _canon_redex(o: Object) -> Optional[tuple[RuleTag, Path, RInfo | None]]:
     for idxs, sub in positions(o):
         found = _canon_tag(sub)
         if found is not None:
-            return found[0], make_path(o, idxs), found[1]
+            return found[0], Path(idxs, sort_of(sub)), found[1]
     return None
 
 
@@ -416,7 +423,7 @@ def canon_random(o: Object, rng, supply: NameSupply | None = None) -> Object:
         for idxs, sub in positions(o):
             hit = _canon_tag(sub)
             if hit is not None:
-                found.append((hit[0], make_path(o, idxs), hit[1]))
+                found.append((hit[0], Path(idxs, sort_of(sub)), hit[1]))
         if not found:
             return o
         tag, p, info = found[rng.randrange(len(found))]
@@ -439,12 +446,11 @@ def meaningful_redexes(o: Object) -> list[tuple[RuleTag, Path]]:
     for idxs, sub in positions(o):
         match sub:
             case ESub(_, _, _):
-                out.append((RuleTag.S, make_path(o, idxs)))
+                out.append((RuleTag.S, Path(idxs, TERM)))
             case ERepl(_, _, _, _, _):
-                p = make_path(o, idxs)
-                tag = classify_R(o, p)
+                tag = _classify_erepl(sub).tag
                 if tag in MEANINGFUL_R:
-                    out.append((tag, p))
+                    out.append((tag, Path(idxs, COMMAND)))
     return out
 
 
@@ -493,16 +499,15 @@ def _refined_redex(o: Object) -> Optional[tuple[RuleTag, Path, RInfo | None]]:
             case App(f, _):
                 _, core = _strip_subs(f)
                 if isinstance(core, Abs):
-                    return (RuleTag.B, make_path(o, idxs), None)
+                    return (RuleTag.B, Path(idxs, TERM), None)
                 if isinstance(core, Mu):
-                    return (RuleTag.M, make_path(o, idxs), None)
+                    return (RuleTag.M, Path(idxs, TERM), None)
             case ESub(_, _, _):
-                return (RuleTag.S, make_path(o, idxs), None)
+                return (RuleTag.S, Path(idxs, TERM), None)
             case ERepl(_, _, _, _, _):
-                p = make_path(o, idxs)
-                info = classify_R_info(o, p)
+                info = _classify_erepl(sub)
                 if info.tag is not RuleTag.R_EMPTY and info.tag is not RuleTag.N_LIN:
-                    return (info.tag, p, info)
+                    return (info.tag, Path(idxs, COMMAND), info)
     return None
 
 

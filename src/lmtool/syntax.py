@@ -227,13 +227,13 @@ def with_children(o: Object, new: tuple[Object, ...]) -> Object:
 
 @dataclass(frozen=True)
 class Path:
-    """An address of a subobject: a sequence of (constructor-tag, child index)."""
+    """An address of a subobject: its child indices from the root, and its sort."""
 
-    steps: tuple[tuple[str, int], ...]
+    steps: tuple[int, ...]
     target_sort: str
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for _, i in self.steps)
+        return self.steps
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -243,49 +243,70 @@ class PathError(Exception):
     pass
 
 
-def make_path(root: Object, indices: tuple[int, ...]) -> Path:
-    steps = []
+def descend(root: Object, idxs: tuple[int, ...]) -> list[Object]:
+    """The nodes from root down to the subobject at idxs, both included."""
+    nodes = [root]
     o = root
-    for i in indices:
+    for i in idxs:
         cs = children(o)
-        if i >= len(cs):
+        if not 0 <= i < len(cs):
             raise PathError(f"child index {i} out of range at {type(o).__name__}")
-        steps.append((type(o).__name__, i))
         o = cs[i]
-    return Path(tuple(steps), sort_of(o))
+        nodes.append(o)
+    return nodes
+
+
+# per class, "replace child i" for each child index i
+_WITH_CHILD = {
+    App: (lambda o, c: App(c, o.arg), lambda o, c: App(o.fun, c)),
+    Abs: (lambda o, c: Abs(o.var, o.ann, c),),
+    Mu: (lambda o, c: Mu(o.name, o.ann, c),),
+    ESub: (lambda o, c: ESub(c, o.var, o.arg), lambda o, c: ESub(o.body, o.var, c)),
+    Named: (lambda o, c: Named(o.name, c),),
+    ERepl: (lambda o, c: ERepl(c, o.new, o.old, o.ann, o.stack),
+            lambda o, c: ERepl(o.body, o.new, o.old, o.ann, c)),
+    Push: (lambda o, c: Push(c, o.tail), lambda o, c: Push(o.head, c)),
+}
+
+
+def splice(nodes: list[Object], idxs: tuple[int, ...], q: Object) -> Object:
+    """Put q in place of the last of the nodes descend(root, idxs) returned
+    and rebuild the ones above it, bottom-up.  No binder on the way is
+    checked for capture: where q may have a free identifier that the
+    subobject it replaces lacks, use rewrite_at."""
+    for k in range(len(idxs) - 1, -1, -1):
+        o = nodes[k]
+        q = _WITH_CHILD[type(o)][idxs[k]](o, q)
+    return q
+
+
+def make_path(root: Object, indices: tuple[int, ...]) -> Path:
+    return Path(tuple(indices), sort_of(descend(root, indices)[-1]))
 
 
 def subobject_at(root: Object, p: Path) -> Object:
-    o = root
-    for tag, i in p.steps:
-        if type(o).__name__ != tag:
-            raise PathError(f"path expects {tag}, found {type(o).__name__}")
-        cs = children(o)
-        if i >= len(cs):
-            raise PathError(f"child index {i} out of range at {tag}")
-        o = cs[i]
-    return o
+    return descend(root, p.steps)[-1]
 
 
-def binders_along(root: Object, p: Path) -> tuple[set[str], set[str]]:
-    """Variables and names bound on the spine from the root to the hole at p."""
+def _binders(nodes: list[Object], idxs: tuple[int, ...]) -> tuple[set[str], set[str]]:
     vs: set[str] = set()
     ns: set[str] = set()
-    o = root
-    for tag, i in p.steps:
+    for o, i in zip(nodes, idxs):
         match o:
             case Abs(x, _, _):
                 vs.add(x)
             case Mu(a, _, _):
                 ns.add(a)
-            case ESub(_, x, _):
-                if i == 0:
-                    vs.add(x)
-            case ERepl(_, _, old, _, _):
-                if i == 0:
-                    ns.add(old)
-        o = children(o)[i]
+            case ESub(_, x, _) if i == 0:
+                vs.add(x)
+            case ERepl(_, _, old, _, _) if i == 0:
+                ns.add(old)
     return vs, ns
+
+
+def binders_along(root: Object, p: Path) -> tuple[set[str], set[str]]:
+    """Variables and names bound on the spine from the root to the hole at p."""
+    return _binders(descend(root, p.steps), p.steps)
 
 
 def free_for(q: Object, root: Object, p: Path) -> bool:
@@ -309,47 +330,35 @@ def rewrite_at(root: Object, p: Path, q: Object, supply: "NameSupply | None" = N
     """Replace the subobject at p by q, protecting only identifiers that are
     newly free in q: ones already free in the old subobject keep referring to
     their existing binders on the spine."""
-    old = subobject_at(root, p)
-    fresh_v = free_vars(q) - free_vars(old)
-    fresh_n = free_names(q) - free_names(old)
-    vs, ns = binders_along(root, p) if fresh_v or fresh_n else (set(), set())
-    if not (vs & fresh_v) and not (ns & fresh_n):
-        def put(o: Object, steps) -> Object:
-            if not steps:
-                return q
-            (_, i), rest = steps[0], steps[1:]
-            cs = list(children(o))
-            cs[i] = put(cs[i], rest)
-            return with_children(o, tuple(cs))
-
-        return put(root, p.steps)
-    # a spine binder would capture a genuinely new identifier; rename the
-    # binder (this cannot disturb q's pre-existing free identifiers)
-    if supply is None:
-        supply = NameSupply(reserved=all_idents(root) | free_vars(q) | free_names(q))
-
-    def go(o: Object, steps) -> Object:
-        if not steps:
-            return q
-        (tag, i), rest = steps[0], steps[1:]
-        match o:
-            case Abs(x, ann, b) if x in fresh_v:
-                x2 = supply.fresh(x)
-                o = Abs(x2, ann, rename_free_var(b, x, x2))
-            case Mu(a, ann, b) if a in fresh_n:
-                a2 = supply.fresh(a)
-                o = Mu(a2, ann, rename_free_name_var(b, a, a2))
-            case ESub(b, x, u) if i == 0 and x in fresh_v:
-                x2 = supply.fresh(x)
-                o = ESub(rename_free_var(b, x, x2), x2, u)
-            case ERepl(b, nn, on, ann, s) if i == 0 and on in fresh_n:
-                on2 = supply.fresh(on)
-                o = ERepl(rename_free_name_var(b, on, on2), nn, on2, ann, s)
-        cs = list(children(o))
-        cs[i] = go(cs[i], rest)
-        return with_children(o, tuple(cs))
-
-    return go(root, p.steps)
+    idxs = p.steps
+    nodes = descend(root, idxs)
+    fresh_v = free_vars(q) - free_vars(nodes[-1])
+    fresh_n = free_names(q) - free_names(nodes[-1])
+    vs, ns = _binders(nodes, idxs) if fresh_v or fresh_n else (set(), set())
+    if (vs & fresh_v) or (ns & fresh_n):
+        # a spine binder would capture a genuinely new identifier; rename the
+        # binder (this cannot disturb q's pre-existing free identifiers) and
+        # read the nodes below it from the renamed one
+        if supply is None:
+            supply = NameSupply(reserved=all_idents(root) | free_vars(q) | free_names(q))
+        o = root
+        for k, i in enumerate(idxs):
+            match o:
+                case Abs(x, ann, b) if x in fresh_v:
+                    x2 = supply.fresh(x)
+                    o = Abs(x2, ann, rename_free_var(b, x, x2))
+                case Mu(a, ann, b) if a in fresh_n:
+                    a2 = supply.fresh(a)
+                    o = Mu(a2, ann, rename_free_name_var(b, a, a2))
+                case ESub(b, x, u) if i == 0 and x in fresh_v:
+                    x2 = supply.fresh(x)
+                    o = ESub(rename_free_var(b, x, x2), x2, u)
+                case ERepl(b, nn, on, ann, s) if i == 0 and on in fresh_n:
+                    on2 = supply.fresh(on)
+                    o = ERepl(rename_free_name_var(b, on, on2), nn, on2, ann, s)
+            nodes[k] = o
+            o = children(o)[i]
+    return splice(nodes, idxs, q)
 
 
 def positions(o: Object) -> Iterator[tuple[tuple[int, ...], Object]]:

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import lmtool
 from lmtool.cli import main
 
@@ -94,6 +96,24 @@ def test_equiv_prints_stop_reason(capsys):
     assert code == 1 and out.strip() == "NOT-WITHIN-BOUNDS (free identifiers differ)"
     code, out = run(capsys, "equiv", "x", "y", "--ren", "--max-states", "40", "--max-depth", "3")
     assert code == 1 and out.strip() == "NOT-WITHIN-BOUNDS (depth bound)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["step", "x", "--path", "0"], "error: child index 0 out of range at Var"),
+        (["step", "f a b", "--path", "-1"], "error: child index -1 out of range at App"),
+        (["step", "x", "--path", "abc"], "error: not a dotted list of child indices: 'abc'"),
+        (["step", r"(\x.x) y", "--path", "1", "--tag", "B"], "error: B expects an application"),
+        (["step", r"(\x.x) y", "--path", "", "--tag", "Nlin"], "error: lm_step does not fire Nlin"),
+        (["reduce", "x", "--budget", "0"], "error: budget must be positive"),
+    ],
+)
+def test_bad_step_and_reduce_input_exits_cleanly(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(message)
 
 
 def test_deep_parentheses_exit_cleanly(capsys):

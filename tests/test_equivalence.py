@@ -30,6 +30,17 @@ def c(text):
 # --- instances ---------------------------------------------------------------
 
 
+def test_certificate_step_at_a_negative_index_is_rejected():
+    o = canon(t("mu 'b. (['a]x)['b/'a \\ y . #]"))
+    p = canon(t("mu 'b. ['b]x y"))
+    (step,) = equiv(o, p).certificate.steps
+    assert step.path == (0,) and check_certificate(o, Certificate([step]), p)[0]
+    # (-1,) would name the same child through Python's negative indexing
+    neg = Axiom(step.name, step.orientation, (-1,), step.result_key)
+    ok, diag = check_certificate(o, Certificate([neg]), p)
+    assert not ok and "out of range" in diag
+
+
 def test_lin_instance():
     o = c("(['a]x)['b/'a\\y . #]")
     insts = axiom_instances(o)

@@ -723,8 +723,9 @@ def test_isomorphism_matches_the_string_label_reference():
         assert f1 == _ref_flatten(n1) and f2 == _ref_flatten(n2)
         (nodes1, edges1), (nodes2, edges2) = f1, f2
         labels = {}
-        c1 = canonical._refine(nodes1, canonical._adjacency(nodes1, edges1, labels))
-        c2 = canonical._refine(nodes2, canonical._adjacency(nodes2, edges2, labels))
+        adj1 = canonical._adjacency(nodes1, edges1, labels)
+        adj2 = canonical._adjacency(nodes2, edges2, labels)
+        c1, c2 = canonical._refine((nodes1, adj1), (nodes2, adj2))
         # one int for each edge label and direction, shared by both graphs
         assert len(labels) == 2 * len({lbl for _, _, lbl in edges1 + edges2})
         both = {("1", g): c for g, c in c1.items()} | {("2", g): c for g, c in c2.items()}
@@ -735,3 +736,20 @@ def test_isomorphism_matches_the_string_label_reference():
         assert got == _ref_isomorphic(nodes1, edges1, nodes2, edges2)
         verdicts[got] += 1
     assert verdicts[True] > 50 and verdicts[False] > 20, verdicts
+
+
+def test_refinement_stops_only_when_the_joint_partition_is_stable():
+    # round 1 splits the class {a1, a2} that the two graphs share, while
+    # neither graph gains a class; c1 and c2 split only in round 2
+    nodes1 = {"a": "p", "b": "q", "c": "s"}
+    nodes2 = {"a": "p", "b": "r", "c": "s"}
+    edges = [("a", "b", "e"), ("c", "a", "e")]
+    labels = {}
+    adj1 = canonical._adjacency(nodes1, edges, labels)
+    adj2 = canonical._adjacency(nodes2, edges, labels)
+    c1, c2 = canonical._refine((nodes1, adj1), (nodes2, adj2))
+    both = {("1", g): c for g, c in c1.items()} | {("2", g): c for g, c in c2.items()}
+    ref1, ref2 = _ref_refine(nodes1, edges), _ref_refine(nodes2, edges)
+    ref = {("1", g): c for g, c in ref1.items()} | {("2", g): c for g, c in ref2.items()}
+    assert _classes(both) == _classes(ref)
+    assert c1["c"] != c2["c"]

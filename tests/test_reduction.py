@@ -443,3 +443,180 @@ def test_cached_canonicity_matches_the_reference_walk():
         assert [is_canonical(sub) for sub in top] == want
         assert [is_canonical(sub) for sub in bottom] == want
     assert seen == {True, False}
+
+
+# --- one-descent rewriting against the recursive writer it replaced ---------------
+
+
+@pytest.fixture(scope="module")
+def rewrite_corpus():
+    """Seeded typed terms, the two sides of one-axiom pairs and of sigma
+    pairs."""
+    from lmtool.drivers import sigma_pair
+    from lmtool.equivalence import AXIOMS
+    from lmtool.generators import gen_equiv_pair
+    from lmtool.lmu import SIGMA_AXIOMS
+
+    objs = [gen_typed(seed, size=12)[0] for seed in range(16)]
+    for i, ax in enumerate(AXIOMS):
+        for s in range(4):
+            objs += gen_equiv_pair(seed=10 * i + s, axiom=ax, size=8)[:2]
+    for i, ax in enumerate(SIGMA_AXIOMS):
+        objs += sigma_pair(seed=i, axiom=ax, size=3)
+    return objs
+
+
+def _reference_rewrite_at(root, p, q, supply=None):
+    """rewrite_at as a recursive rebuild of the spine through children and
+    with_children, renaming a capturing binder on the way down."""
+    from lmtool.syntax import (
+        Abs, ERepl, ESub, Mu, NameSupply, all_idents, binders_along, children, free_names,
+        free_vars, rename_free_name_var, rename_free_var, subobject_at, with_children,
+    )
+
+    old = subobject_at(root, p)
+    fresh_v = free_vars(q) - free_vars(old)
+    fresh_n = free_names(q) - free_names(old)
+    vs, ns = binders_along(root, p) if fresh_v or fresh_n else (set(), set())
+    if not (vs & fresh_v) and not (ns & fresh_n):
+        def put(o, steps):
+            if not steps:
+                return q
+            cs = list(children(o))
+            cs[steps[0]] = put(cs[steps[0]], steps[1:])
+            return with_children(o, tuple(cs))
+
+        return put(root, p.steps)
+    if supply is None:
+        supply = NameSupply(reserved=all_idents(root) | free_vars(q) | free_names(q))
+
+    def go(o, steps):
+        if not steps:
+            return q
+        i = steps[0]
+        match o:
+            case Abs(x, ann, b) if x in fresh_v:
+                x2 = supply.fresh(x)
+                o = Abs(x2, ann, rename_free_var(b, x, x2))
+            case Mu(a, ann, b) if a in fresh_n:
+                a2 = supply.fresh(a)
+                o = Mu(a2, ann, rename_free_name_var(b, a, a2))
+            case ESub(b, x, u) if i == 0 and x in fresh_v:
+                x2 = supply.fresh(x)
+                o = ESub(rename_free_var(b, x, x2), x2, u)
+            case ERepl(b, nn, on, ann, s) if i == 0 and on in fresh_n:
+                on2 = supply.fresh(on)
+                o = ERepl(rename_free_name_var(b, on, on2), nn, on2, ann, s)
+        cs = list(children(o))
+        cs[i] = go(cs[i], steps[1:])
+        return with_children(o, tuple(cs))
+
+    return go(root, p.steps)
+
+
+def _probe(sort, sub, x, a):
+    """An object of the given sort, built around sub, with x and a free."""
+    from lmtool.syntax import App, Mu, Named, Push, Var
+
+    if sort == "term":
+        return Mu("'probe", None, Named(a, App(sub, Var(x))))
+    if sort == "command":
+        return Named(a, App(Var(x), Mu("'probe", None, sub)))
+    return Push(Mu("'probe", None, Named(a, Var(x))), sub)
+
+
+def test_splice_matches_the_recursive_writer(rewrite_corpus):
+    from lmtool.syntax import binders_along, free_names, free_vars, rewrite_at, sort_of
+
+    captures = 0
+    for o in rewrite_corpus:
+        for idxs, sub in positions(o):
+            p = make_path(o, idxs)
+            vs, ns = binders_along(o, p)
+            s = sort_of(sub)
+            # the subobject itself, a probe no binder captures, and probes
+            # that each spine binder captures unless its identifier is
+            # already free at p
+            qs = [sub, _probe(s, sub, "zfree", "'zfree")]
+            qs += [_probe(s, sub, x, "'zfree") for x in sorted(vs)]
+            qs += [_probe(s, sub, "zfree", a) for a in sorted(ns)]
+            for q in qs:
+                got = rewrite_at(o, p, q, supply_for(o, q))
+                assert got == _reference_rewrite_at(o, p, q, supply_for(o, q))
+                assert rewrite_at(o, p, q) == _reference_rewrite_at(o, p, q)
+            captures += len(vs - free_vars(sub)) + len(ns - free_names(sub))
+    assert captures > 500
+
+
+def test_writes_that_skip_the_capture_check_bring_no_new_free_identifier(
+    rewrite_corpus, monkeypatch
+):
+    # lm_step, the outer write of _fire_refined and axiom_instances call
+    # splice without rewrite_at's check; every such write is checked here
+    import sys
+    from collections import Counter
+
+    from lmtool import equivalence, reduction, syntax
+    from lmtool.syntax import free_names, free_vars
+
+    writes = Counter()
+
+    def checked_splice(nodes, idxs, q):
+        old = nodes[-1]
+        assert free_vars(q) <= free_vars(old), (print_object(old), print_object(q))
+        assert free_names(q) <= free_names(old), (print_object(old), print_object(q))
+        writes[sys._getframe(1).f_code.co_name] += 1
+        return syntax.splice(nodes, idxs, q)
+
+    monkeypatch.setattr(reduction, "splice", checked_splice)
+    monkeypatch.setattr(equivalence, "splice", checked_splice)
+    for o in rewrite_corpus:
+        for _, _, r in plain_reducts(o):
+            plain_reducts(r)
+            canon(r)
+        try:
+            reduce_to_nf(o, budget=200, mode="refined")
+        except BudgetExhausted:
+            pass
+        co = canon(o)
+        equivalence.axiom_instances(co, include_ren=True, expansive=True)
+        for _, _, r in meaningful_reducts(co):
+            equivalence.axiom_instances(r, include_ren=True, expansive=True)
+            meaningful_reducts(r)
+    assert set(writes) == {"lm_step", "_fire_refined", "axiom_instances"}
+    assert min(writes.values()) > 50, writes
+
+
+def test_scanned_paths_equal_make_path(rewrite_corpus, monkeypatch):
+    from lmtool import reduction
+    from lmtool.reduction import _canon_redex, _refined_redex, canon_random
+
+    fired = []
+    step, fire = reduction.lm_step, reduction._fire_refined
+
+    def spy_step(o, tag, p, supply=None):
+        fired.append((o, p))
+        return step(o, tag, p, supply)
+
+    def spy_fire(o, p, info, supply):
+        fired.append((o, p))
+        return fire(o, p, info, supply)
+
+    monkeypatch.setattr(reduction, "lm_step", spy_step)
+    monkeypatch.setattr(reduction, "_fire_refined", spy_fire)
+    scanned = []
+    rng = random.Random(3)
+    for o in rewrite_corpus:
+        scanned += [(o, p) for _, p in lm_redexes(o)]
+        scanned += [(o, found[1]) for found in (_canon_redex(o), _refined_redex(o)) if found]
+        cos = [canon_random(r, rng) for r in [o] + [r for _, _, r in plain_reducts(o)]]
+        scanned += [(co, p) for co in cos for _, p in meaningful_redexes(co)]
+        try:
+            _, trace = reduce_to_nf(o, budget=200, mode="refined")
+        except BudgetExhausted as e:
+            trace = e.trace
+        before = [trace.start] + [r for _, _, r in trace.steps]
+        scanned += [(b, p) for b, (_, p, _) in zip(before, trace.steps)]
+    for o, p in scanned + fired:
+        assert p == make_path(o, p.indices()), print_object(o)
+    assert len(scanned) > 400 and len(fired) > 200, (len(scanned), len(fired))

@@ -13,6 +13,8 @@ from lmtool.syntax import (
     Mu,
     Named,
     ParseError,
+    Path,
+    PathError,
     Push,
     SortError,
     Var,
@@ -35,6 +37,7 @@ from lmtool.syntax import (
     print_object,
     refresh,
     replace_at,
+    rewrite_at,
     sort_of,
     subobject_at,
     supply_for,
@@ -197,6 +200,32 @@ def test_replace_at_avoids_capture():
     # the binder was renamed away from the free x of the payload
     assert isinstance(got, Abs) and got.var != "x"
     assert free_vars(got) == {"x", "y"}
+
+
+def test_negative_child_indices_are_rejected():
+    o = t("f a b")
+    with pytest.raises(PathError):
+        make_path(o, (-1,))
+    with pytest.raises(PathError):
+        subobject_at(o, Path((-1,), "term"))
+    with pytest.raises(PathError):
+        rewrite_at(o, Path((0, -2), "term"), Var("z"))
+
+
+def test_paths_thousands_deep_need_no_recursion():
+    # a left-nested application spine and a chain of abstractions; the
+    # written variable is free, so the binder walk runs but renames nothing
+    spine, chain = Var("f"), Var("f")
+    for i in range(3000):
+        spine, chain = App(spine, Var(f"a{i}")), Abs(f"x{i}", None, chain)
+    for o, idxs in ((spine, (0,) * 3000), (chain, (0,) * 3000)):
+        p = make_path(o, idxs)
+        assert p.target_sort == "term" and subobject_at(o, p) == Var("f")
+        got = rewrite_at(o, p, Var("g"))
+        for _ in idxs:
+            assert type(got) is type(o)
+            got = got.fun if isinstance(got, App) else got.body
+        assert got == Var("g")
 
 
 def test_free_for():
