@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, SortError, PathError) as e:
+    except (ParseError, SortError, PathError, lmu.NotPureError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except reduction.NotCanonicalError as e:

@@ -17,6 +17,7 @@ from .reduction import (
     RuleTag,
     canon,
     classify_R_info,
+    fire,
     is_canonical,
     lm_redexes,
     lm_step,
@@ -24,6 +25,7 @@ from .reduction import (
     reduction_graph,
 )
 from .syntax import (
+    COMMAND,
     Abs,
     App,
     Arrow,
@@ -32,6 +34,7 @@ from .syntax import (
     Mu,
     Named,
     Object,
+    Path,
     Type,
     Var,
     alpha_eq,
@@ -334,14 +337,12 @@ class TypedPairs:
                 fold_stack_type(outer_tys, bty),
                 self._stack(outer_tys),
             )
-            from .syntax import make_path, supply_for
-            from .reduction import _fire_refined
-
-            info = classify_R_info(lhs, make_path(lhs, ()))
+            root = Path((), COMMAND)
+            info = classify_R_info(lhs, root)
             want = RuleTag.W if which == "W" else RuleTag.C
             if info.tag != want:
                 continue
-            rhs = _fire_refined(lhs, make_path(lhs, ()), info, supply_for(lhs))
+            rhs = fire(lhs, want, root, info=info)
             g, d = self.envs()
             d[alpha2] = bty
             return lhs, rhs, want, g, d
@@ -493,13 +494,7 @@ def build_duplicating_step(pairs: TypedPairs):
     lhs = ERepl(
         Named(alpha, App(Var(x), inner)), alpha2, alpha, tann, pairs._stack(stys)
     )
-    from .syntax import make_path, supply_for
-
-    info = classify_R_info(lhs, make_path(lhs, ()))
-    assert info.tag == RuleTag.R_NEQ1
-    from .reduction import _fire_refined
-
-    rhs = canon(_fire_refined(lhs, make_path(lhs, ()), info, supply_for(lhs)))
+    rhs = canon(fire(lhs, RuleTag.R_NEQ1, Path((), COMMAND)))
     genv, denv = pairs.envs()
     denv[alpha2] = bty
     return RuleTag.R_NEQ1, lhs, rhs, genv, denv

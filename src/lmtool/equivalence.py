@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Optional
 
 from .meta import apply_stack, rename, stack_of
-from .reduction import canon, is_canonical
+from .reduction import LINEAR_SPINE, canon, is_canonical
 from .syntax import (
     Abs,
     App,
@@ -28,18 +28,16 @@ from .syntax import (
     children,
     count_free_name,
     count_free_var,
-    descend,
     empty_stack,
     free_names,
     free_vars,
     make_path,
-    positions,
     print_object,
     rename_free_name_var,
     rename_free_var,
     rewrite_at,
+    rewrite_everywhere,
     sort_of,
-    splice,
     subobject_at,
     supply_for,
     with_children,
@@ -97,10 +95,6 @@ class NotCanonical(Exception):
 # Rewrites of a subobject by one axiom
 
 
-# The constructors a linear context passes through, always by child 0.
-_SPINE = (App, Abs, Mu, ESub, Named, ERepl)
-
-
 def _linear_positions(o: Object, want_sort: str):
     """Yield (path, subobject, bound variables, bound names) for every
     linear position of sort want_sort strictly below o, in pre-order.  A
@@ -109,7 +103,7 @@ def _linear_positions(o: Object, want_sort: str):
     steps: tuple[int, ...] = ()
     vs: frozenset[str] = frozenset()
     ns: frozenset[str] = frozenset()
-    while isinstance(o, _SPINE):
+    while isinstance(o, LINEAR_SPINE):
         match o:
             case Abs(x, _, _) | ESub(_, x, _):
                 vs = vs | {x}
@@ -341,17 +335,13 @@ def axiom_instances(
         raise NotCanonical(print_object(o))
     supply = supply_for(o)
     out = []
-    for idxs, sub in positions(o):
-        rewrites = _subtree_rewrites(sub, supply, include_ren, expansive)
-        if not rewrites:
+    # no axiom yields a free identifier that its subobject lacks
+    for idxs, (name, orient, _), res in rewrite_everywhere(
+        o, lambda sub: _subtree_rewrites(sub, supply, include_ren, expansive)
+    ):
+        if require_canonical and not is_canonical(res):
             continue
-        nodes = descend(o, idxs)
-        for name, orient, new_sub in rewrites:
-            # no axiom yields a free identifier that sub lacks: nothing captures
-            res = splice(nodes, idxs, new_sub)
-            if require_canonical and not is_canonical(res):
-                continue
-            out.append((Axiom(name, orient, idxs, canonical_key(res)), res))
+        out.append((Axiom(name, orient, idxs, canonical_key(res)), res))
     return out
 
 

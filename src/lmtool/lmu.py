@@ -23,15 +23,16 @@ from .syntax import (
     count_free_name,
     empty_stack,
     free_names,
-    make_path,
     not_at_all,
     positions,
     rewrite_at,
+    rewrite_everywhere,
     sort_of,
     subobject_at,
     supply_for,
 )
 from .meta import rename
+from .reduction import unique_occurrence
 
 
 class NotPureError(Exception):
@@ -58,9 +59,9 @@ def lmu_redexes(o: Object) -> list[tuple[str, Path]]:
     for idxs, sub in positions(o):
         if isinstance(sub, App):
             if isinstance(sub.fun, Abs):
-                out.append(("beta", make_path(o, idxs)))
+                out.append(("beta", Path(idxs, TERM)))
             elif isinstance(sub.fun, Mu):
-                out.append(("mu", make_path(o, idxs)))
+                out.append(("mu", Path(idxs, TERM)))
     return out
 
 
@@ -96,13 +97,9 @@ def is_linear_mu_redex(o: Object, p: Path) -> bool:
     c = mu.body
     if count_free_name(a, c) != 1:
         return False
-    # locate the unique [a]u occurrence
-    occ = None
-    for idxs, node in positions(c):
-        if isinstance(node, Named) and node.name == a:
-            occ = (idxs, node)
-            break
-    if occ is None:
+    # locate the unique free [a]u occurrence
+    occ = unique_occurrence(c, a)
+    if occ is None or not isinstance(occ[1], Named):
         return False
     idxs, node = occ
     if a in free_names(node.body):
@@ -279,10 +276,11 @@ def sigma_instances(o: Object) -> list[tuple[str, str, Path, Object]]:
     require_pure(o)
     supply = supply_for(o)
     out = []
-    for idxs, sub in positions(o):
-        p = make_path(o, idxs)
-        for axiom, orient, res in _sigma_rewrites(sub, supply):
-            out.append((axiom, orient, p, rewrite_at(o, p, res, supply)))
+    # no sigma orientation yields a free identifier that its subobject lacks
+    for idxs, (axiom, orient, new), res in rewrite_everywhere(
+        o, lambda sub: _sigma_rewrites(sub, supply)
+    ):
+        out.append((axiom, orient, Path(idxs, sort_of(new)), res))
     return out
 
 

@@ -29,7 +29,7 @@ from .syntax import (
     rename_free_var,
     supply_for,
 )
-from .typing_util import split_arrow_opt
+from .typing_util import codomain
 
 # ---------------------------------------------------------------------------
 # Stacks
@@ -207,10 +207,11 @@ def replace(
                     if isinstance(s, EmptyStack):
                         # renaming meets renaming: just rename the target
                         return ERepl(go(b), new, on, ann, empty_stack())
-                    # a blocking renaming: introduce a fresh intermediate name
+                    # a blocking renaming: introduce a fresh intermediate
+                    # name, typed by what is left after the stack s
                     beta = supply.fresh(old)
                     inner = ERepl(go(b), beta, on, ann, payload())
-                    return ERepl(inner, new, beta, _blocked_ann(ann, s), empty_stack())
+                    return ERepl(inner, new, beta, codomain(ann, stack_len(s)), empty_stack())
                 # a blocking stack replacement accumulates the new arguments
                 return ERepl(go(b), new, on, ann, stack_concat(go(s1), payload()))
             case Push(h, tl):
@@ -218,15 +219,6 @@ def replace(
         raise TypeError(o)
 
     return go(o)
-
-
-def _blocked_ann(ann, s: Object):
-    # type of the fresh name created by the renaming-blocked clause: the
-    # codomain left after the inner replacement consumed the stack
-    if ann is None:
-        return None
-    split = split_arrow_opt(ann, stack_len(s))
-    return split[1] if split is not None else None
 
 
 def rename(o: Object, new: str, old: str) -> Object:

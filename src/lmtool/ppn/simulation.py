@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..reduction import CANON_R, RuleTag
+from ..reduction import CANON, RuleTag
 from ..syntax import Object, Type
 from ..typing import check_object
 from .canonical import net_equiv
@@ -28,7 +28,7 @@ def simulation_check(
     n2 = nets_of(o2, gamma, delta)
     if not net_equiv(full_nf(n1), full_nf(n2)):
         return False, "full normal forms differ"
-    if tag in (RuleTag.B, RuleTag.M) or tag in CANON_R:
+    if tag in CANON:
         if not net_equiv(mult_nf(n1), mult_nf(n2)):
             return False, "multiplicative normal forms differ on a canonical step"
     return True, "ok"

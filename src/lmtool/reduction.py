@@ -14,6 +14,7 @@ from .meta import (
     prepare_erepl,
     replace,
     stack_concat,
+    stack_len,
     substitute,
 )
 from .syntax import (
@@ -44,7 +45,7 @@ from .syntax import (
     subobject_at,
     supply_for,
 )
-from .typing_util import split_arrow_opt
+from .typing_util import codomain
 
 
 class RuleTag(str, Enum):
@@ -63,8 +64,16 @@ class RuleTag(str, Enum):
     C_NONLIN = "C!lin"
 
 
-MEANINGFUL_R = {RuleTag.R_NEQ1, RuleTag.N_NONLIN, RuleTag.W_NONLIN, RuleTag.C_NONLIN}
-CANON_R = {RuleTag.W, RuleTag.C}
+# The tag set of each mode.  lm_step fires the plain rules; canonical
+# forms are the CANON normal forms; meaningful reduction fires MEANINGFUL
+# redexes of canonical forms; refined reduction fires both, leaving the
+# renaming replacements (R#) and the linear named redexes (Nlin) pending.
+PLAIN = frozenset({RuleTag.B, RuleTag.S, RuleTag.M, RuleTag.R})
+MEANINGFUL_R = frozenset({RuleTag.R_NEQ1, RuleTag.N_NONLIN, RuleTag.W_NONLIN, RuleTag.C_NONLIN})
+CANON_R = frozenset({RuleTag.W, RuleTag.C})
+CANON = frozenset({RuleTag.B, RuleTag.M}) | CANON_R
+MEANINGFUL = frozenset({RuleTag.S}) | MEANINGFUL_R
+REFINED = CANON | MEANINGFUL
 
 
 @dataclass
@@ -85,27 +94,20 @@ class NotCanonicalError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Linear contexts.  A path is linear iff every step goes through the
-# function position of an application, the body of an abstraction or a mu,
-# the subject of a substitution or a named term, or the command of an
-# explicit replacement.
+# Linear contexts.  A path is linear iff every step goes through child 0 of
+# one of these constructors: the function position of an application, the
+# body of an abstraction or a mu, the subject of a substitution or a named
+# term, or the command of an explicit replacement.
 
-_LINEAR_STEPS = {
-    (App, 0),
-    (Abs, 0),
-    (Mu, 0),
-    (ESub, 0),
-    (Named, 0),
-    (ERepl, 0),
-}
+LINEAR_SPINE = (App, Abs, Mu, ESub, Named, ERepl)
 
 
 def is_linear_indices(root: Object, idxs: tuple[int, ...]) -> bool:
     o = root
     for i in idxs:
-        if (type(o), i) not in _LINEAR_STEPS:
+        if i != 0 or not isinstance(o, LINEAR_SPINE):
             return False
-        o = children(o)[i]
+        o = children(o)[0]
     return True
 
 
@@ -130,7 +132,7 @@ def linear_sort_pair(root: Object, frm: Path, to: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Redex search
+# Plain steps
 
 
 def _strip_subs(t: Object) -> tuple[list[ESub], Object]:
@@ -140,24 +142,6 @@ def _strip_subs(t: Object) -> tuple[list[ESub], Object]:
         frames.append(t)
         t = t.body
     return frames, t
-
-
-def lm_redexes(o: Object) -> list[tuple[RuleTag, Path]]:
-    """All B, S, M, R redex positions."""
-    out = []
-    for idxs, sub in positions(o):
-        match sub:
-            case App(f, _):
-                _, core = _strip_subs(f)
-                if isinstance(core, Abs):
-                    out.append((RuleTag.B, Path(idxs, TERM)))
-                elif isinstance(core, Mu):
-                    out.append((RuleTag.M, Path(idxs, TERM)))
-            case ESub(_, _, _):
-                out.append((RuleTag.S, Path(idxs, TERM)))
-            case ERepl(_, _, _, _, _):
-                out.append((RuleTag.R, Path(idxs, COMMAND)))
-    return out
 
 
 def _rebuild_subs(frames: list[ESub], core: Object) -> Object:
@@ -187,15 +171,8 @@ def lm_step(o: Object, tag: RuleTag, p: Path, supply: NameSupply | None = None) 
             if not isinstance(core, Mu):
                 raise ValueError("M expects a mu under substitutions")
             a2 = supply.fresh(core.name)
-            ann2 = None
-            if core.ann is not None:
-                split = split_arrow_opt(core.ann, 1)
-                ann2 = split[1] if split else None
-            red = _rebuild_subs(
-                frames,
-                Mu(a2, ann2, ERepl(core.body, a2, core.name, core.ann,
-                                   Push(sub.arg, empty_stack()))),
-            )
+            body = ERepl(core.body, a2, core.name, core.ann, Push(sub.arg, empty_stack()))
+            red = _rebuild_subs(frames, Mu(a2, codomain(core.ann, 1), body))
         case RuleTag.S:
             if not isinstance(sub, ESub):
                 raise ValueError("S expects an explicit substitution")
@@ -239,7 +216,7 @@ def _classify_erepl(sub: ERepl) -> RInfo:
         return RInfo(RuleTag.R_EMPTY)
     if count_free_name(alpha, c) != 1:
         return RInfo(RuleTag.R_NEQ1)
-    occ = _unique_occurrence(c, alpha)
+    occ = unique_occurrence(c, alpha)
     if occ is None:
         # the occurrence sits under a shadowing binder only when inputs break
         # the naming discipline; treat as non-linear work
@@ -257,142 +234,165 @@ def _classify_erepl(sub: ERepl) -> RInfo:
     return RInfo(tag, idxs)
 
 
-def _unique_occurrence(c: Object, alpha: str):
-    """Position of the single free occurrence of alpha in c: either the name
-    of a Named node or the replacement name of an ERepl node."""
-
-    def go(o: Object, idxs: tuple[int, ...], shadowed: bool):
-        if shadowed:
-            return None
-        match o:
-            case Named(a, b):
-                if a == alpha:
-                    return (idxs, o)
-                return go(b, idxs + (0,), False)
-            case ERepl(b, nn, on, _, s1):
-                if nn == alpha:
-                    return (idxs, o)
-                r = go(b, idxs + (0,), on == alpha)
-                if r is not None:
-                    return r
-                return go(s1, idxs + (1,), False)
-            case Mu(a, _, b):
-                return go(b, idxs + (0,), a == alpha)
-            case Var(_) | EmptyStack():
-                return None
-            case _:
-                for i, ch in enumerate(children(o)):
-                    r = go(ch, idxs + (i,), False)
-                    if r is not None:
-                        return r
-                return None
-
-    return go(c, (), False)
+def unique_occurrence(c: Object, alpha: str):
+    """(index path, node) of the first free occurrence of alpha in c, in
+    pre-order: the name of a Named node or the replacement name of an ERepl
+    node; None if alpha is not free in c."""
+    stack = [((), c)]
+    while stack:
+        idxs, o = stack.pop()
+        t = type(o)
+        if (t is Named and o.name == alpha) or (t is ERepl and o.new == alpha):
+            return idxs, o
+        if t is Mu and o.name == alpha:
+            continue
+        # an ERepl binds its old name in its command, child 0
+        first = 1 if t is ERepl and o.old == alpha else 0
+        cs = children(o)
+        for i in range(len(cs) - 1, first - 1, -1):
+            stack.append((idxs + (i,), cs[i]))
+    return None
 
 
 # ---------------------------------------------------------------------------
-# Firing the refined replacement rules
+# The redex engine.  A classifier names the redex rooted at a node itself,
+# as (tag, info) or None; one scan lists the redexes a classifier finds,
+# fire contracts any of them, and one loop normalizes under a choice of
+# the next redex.
+
+_B = (RuleTag.B, None)
+_M = (RuleTag.M, None)
+_S = (RuleTag.S, None)
+_R = (RuleTag.R, None)
 
 
-def _fire_refined(o: Object, p: Path, info: RInfo, supply: NameSupply) -> Object:
+def _app_tag(o: App) -> Optional[tuple[RuleTag, None]]:
+    f = o.fun
+    while type(f) is ESub:
+        f = f.body
+    if type(f) is Abs:
+        return _B
+    if type(f) is Mu:
+        return _M
+    return None
+
+
+def _plain_tag(o: Object) -> Optional[tuple[RuleTag, None]]:
+    """The B, M, S or R redex rooted at o."""
+    t = type(o)
+    if t is App:
+        return _app_tag(o)
+    if t is ESub:
+        return _S
+    if t is ERepl:
+        return _R
+    return None
+
+
+def _refined_tag(o: Object) -> Optional[tuple[RuleTag, RInfo | None]]:
+    """As _plain_tag, with an explicit replacement classified."""
+    if type(o) is ERepl:
+        info = _classify_erepl(o)
+        return info.tag, info
+    return _plain_tag(o)
+
+
+def _canon_tag(o: Object) -> Optional[tuple[RuleTag, RInfo | None]]:
+    """The B, M, C or W redex rooted at o.  This depends on o's own subtree
+    only."""
+    t = type(o)
+    if t is App:
+        return _app_tag(o)
+    if t is ERepl:
+        info = _classify_erepl(o)
+        if info.tag in CANON_R:
+            return info.tag, info
+    return None
+
+
+def _redexes(o: Object, tag_of, tags=None):
+    """Yield (tag, path, info) for each redex tag_of finds in o, in
+    pre-order; with tags, only those whose tag is in it."""
+    for idxs, sub in positions(o):
+        found = tag_of(sub)
+        if found is not None and (tags is None or found[0] in tags):
+            yield found[0], Path(idxs, COMMAND if type(sub) is ERepl else TERM), found[1]
+
+
+def fire(
+    o: Object, tag: RuleTag, p: Path, supply: NameSupply | None = None,
+    info: RInfo | None = None,
+) -> Object:
+    """Fire the redex at p.  A plain tag goes to lm_step.  A refined
+    replacement rule needs the classification of the replacement at p:
+    without info it is computed here and must give tag."""
+    if tag in PLAIN:
+        return lm_step(o, tag, p, supply)
     nodes = descend(o, p.steps)
     sub: ERepl = nodes[-1]  # type: ignore[assignment]
-    c, new, alpha, ann, s = sub.body, sub.new, sub.old, sub.ann, sub.stack
-    match info.tag:
-        case RuleTag.R_EMPTY | RuleTag.R_NEQ1:
-            e = prepare_erepl(sub, supply)
-            red = replace(e.body, e.new, e.old, e.stack, supply)
-        case RuleTag.N_LIN | RuleTag.N_NONLIN:
-            occ_p = Path(info.occ_idxs, COMMAND)
-            node: Named = subobject_at(c, occ_p)  # type: ignore[assignment]
+    if info is None:
+        if type(sub) is not ERepl:
+            raise ValueError("classification expects an explicit replacement")
+        info = _classify_erepl(sub)
+        if info.tag != tag:
+            raise ValueError(
+                f"redex at path classifies as {info.tag.value}, not {RuleTag(tag).value}"
+            )
+    if supply is None:
+        supply = supply_for(o)
+    c, new, alpha, s = sub.body, sub.new, sub.old, sub.stack
+    if info.occ_idxs is None:  # R# and R!=1: replace every occurrence
+        e = prepare_erepl(sub, supply)
+        red = replace(e.body, e.new, e.old, e.stack, supply)
+    else:
+        occ_p = Path(info.occ_idxs, COMMAND)
+        node = subobject_at(c, occ_p)
+        if type(node) is Named:  # N: the one named occurrence takes the stack
             repl = Named(new, apply_stack(node.body, s))
-            red = rewrite_at(c, occ_p, repl, supply)
-        case RuleTag.W | RuleTag.W_NONLIN:
-            occ_p = Path(info.occ_idxs, COMMAND)
-            inner: ERepl = subobject_at(c, occ_p)  # type: ignore[assignment]
-            n = _stack_len(s)
-            ann2 = None
-            base = inner.ann if inner.ann is not None else ann
-            if base is not None:
-                split = split_arrow_opt(base, n)
-                ann2 = split[1] if split else None
-            repl = ERepl(
-                ERepl(inner.body, alpha, inner.old, inner.ann, s),
-                new,
-                alpha,
-                ann2,
-                empty_stack(),
-            )
-            red = rewrite_at(c, occ_p, repl, supply)
-        case RuleTag.C | RuleTag.C_NONLIN:
-            occ_p = Path(info.occ_idxs, COMMAND)
-            inner = subobject_at(c, occ_p)
-            repl = ERepl(
-                inner.body, new, inner.old, inner.ann, stack_concat(inner.stack, s)
-            )
-            red = rewrite_at(c, occ_p, repl, supply)
-        case _:
-            raise ValueError(info.tag)
+        elif type(node.stack) is EmptyStack:  # W: swap with the inner renaming
+            base = node.ann if node.ann is not None else sub.ann
+            repl = ERepl(ERepl(node.body, alpha, node.old, node.ann, s), new, alpha,
+                         codomain(base, stack_len(s)), empty_stack())
+        else:  # C: compose with the inner stack
+            repl = ERepl(node.body, new, node.old, node.ann, stack_concat(node.stack, s))
+        red = rewrite_at(c, occ_p, repl, supply)
     # unlike s in the inner write, red has no free identifier that sub lacks
     return splice(nodes, p.steps, red)
 
 
-def _stack_len(s: Object) -> int:
-    n = 0
-    while isinstance(s, Push):
-        n += 1
-        s = s.tail
-    return n
+def _normalize(o: Object, choose, supply: NameSupply, trace: Trace | None,
+               limit: int) -> Optional[Object]:
+    """Fire the redex choose(o) gives, as (tag, path, info), until it gives
+    None; return that normal form, or None when limit steps reach none."""
+    for _ in range(limit):
+        found = choose(o)
+        if found is None:
+            return o
+        tag, p, info = found
+        o = fire(o, tag, p, supply, info)
+        if trace is not None:
+            trace.steps.append((tag, p, o))
+    return None
+
+
+def lm_redexes(o: Object) -> list[tuple[RuleTag, Path]]:
+    """All B, S, M, R redex positions."""
+    return [(tag, p) for tag, p, _ in _redexes(o, _plain_tag)]
 
 
 # ---------------------------------------------------------------------------
 # Canonical forms: exhaustive B, M, and linear C, W (leftmost-outermost)
 
-
-def _canon_tag(o: Object) -> Optional[tuple[RuleTag, RInfo | None]]:
-    """The B, M, C or W redex rooted at o itself, if o is one.  This depends
-    on o's own subtree only."""
-    match o:
-        case App(f, _):
-            _, core = _strip_subs(f)
-            if isinstance(core, Abs):
-                return RuleTag.B, None
-            if isinstance(core, Mu):
-                return RuleTag.M, None
-        case ERepl():
-            info = _classify_erepl(o)
-            if info.tag in CANON_R:
-                return info.tag, info
-    return None
-
-
-def _canon_redex(o: Object) -> Optional[tuple[RuleTag, Path, RInfo | None]]:
-    for idxs, sub in positions(o):
-        found = _canon_tag(sub)
-        if found is not None:
-            return found[0], Path(idxs, sort_of(sub)), found[1]
-    return None
+_CANON_LIMIT = 100_001  # a canonicalization longer than 100,000 steps fails
 
 
 def canon(o: Object, supply: NameSupply | None = None, trace: Trace | None = None) -> Object:
     """The canonical form: the unique B, M, C, W normal form."""
-    if supply is None:
-        supply = supply_for(o)
-    guard = 0
-    while True:
-        found = _canon_redex(o)
-        if found is None:
-            return o
-        tag, p, info = found
-        if tag in (RuleTag.B, RuleTag.M):
-            o = lm_step(o, tag, p, supply)
-        else:
-            o = _fire_refined(o, p, info, supply)
-        if trace is not None:
-            trace.steps.append((tag, p, o))
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("canonicalization did not terminate")
+    out = _normalize(o, lambda o: next(_redexes(o, _canon_tag), None),
+                     supply or supply_for(o), trace, _CANON_LIMIT)
+    if out is None:
+        raise RuntimeError("canonicalization did not terminate")
+    return out
 
 
 def is_canonical(o: Object) -> bool:
@@ -416,21 +416,15 @@ def _canonical(o: Object) -> bool:
 def canon_random(o: Object, rng, supply: NameSupply | None = None) -> Object:
     """Canonicalization firing redexes in random order (strategy
     independence oracle)."""
-    if supply is None:
-        supply = supply_for(o)
-    while True:
-        found = []
-        for idxs, sub in positions(o):
-            hit = _canon_tag(sub)
-            if hit is not None:
-                found.append((hit[0], Path(idxs, sort_of(sub)), hit[1]))
-        if not found:
-            return o
-        tag, p, info = found[rng.randrange(len(found))]
-        if tag in (RuleTag.B, RuleTag.M):
-            o = lm_step(o, tag, p, supply)
-        else:
-            o = _fire_refined(o, p, info, supply)
+
+    def pick(o: Object):
+        found = list(_redexes(o, _canon_tag))
+        return found[rng.randrange(len(found))] if found else None
+
+    out = _normalize(o, pick, supply or supply_for(o), None, _CANON_LIMIT)
+    if out is None:
+        raise RuntimeError("canonicalization did not terminate")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -442,32 +436,18 @@ def meaningful_redexes(o: Object) -> list[tuple[RuleTag, Path]]:
     object."""
     if not is_canonical(o):
         raise NotCanonicalError("meaningful reduction lives on canonical forms")
-    out = []
-    for idxs, sub in positions(o):
-        match sub:
-            case ESub(_, _, _):
-                out.append((RuleTag.S, Path(idxs, TERM)))
-            case ERepl(_, _, _, _, _):
-                tag = _classify_erepl(sub).tag
-                if tag in MEANINGFUL_R:
-                    out.append((tag, Path(idxs, COMMAND)))
-    return out
+    return [(tag, p) for tag, p, _ in _redexes(o, _refined_tag, MEANINGFUL)]
 
 
 def meaningful_step(
     o: Object, tag: RuleTag, p: Path, supply: NameSupply | None = None
 ) -> Object:
     """Fire an S or meaningful-replacement redex, then canonicalize."""
+    if tag not in MEANINGFUL:
+        raise ValueError(f"{RuleTag(tag).value} is not a meaningful rule")
     if supply is None:
         supply = supply_for(o)
-    if tag == RuleTag.S:
-        u = lm_step(o, RuleTag.S, p, supply)
-    else:
-        info = classify_R_info(o, p)
-        if info.tag != tag or tag not in MEANINGFUL_R:
-            raise ValueError(f"redex at path classifies as {info.tag}, not {tag}")
-        u = _fire_refined(o, p, info, supply)
-    return canon(u, supply)
+    return canon(fire(o, tag, p, supply), supply)
 
 
 def meaningful_reducts(o: Object) -> list[tuple[RuleTag, Path, Object]]:
@@ -488,27 +468,13 @@ class BudgetExhausted(Exception):
         self.trace = trace
 
 
-def _plain_redex(o: Object) -> Optional[tuple[RuleTag, Path]]:
+def _first_plain(o: Object):
     rs = lm_redexes(o)
-    return rs[0] if rs else None
+    return (*rs[0], None) if rs else None
 
 
-def _refined_redex(o: Object) -> Optional[tuple[RuleTag, Path, RInfo | None]]:
-    for idxs, sub in positions(o):
-        match sub:
-            case App(f, _):
-                _, core = _strip_subs(f)
-                if isinstance(core, Abs):
-                    return (RuleTag.B, Path(idxs, TERM), None)
-                if isinstance(core, Mu):
-                    return (RuleTag.M, Path(idxs, TERM), None)
-            case ESub(_, _, _):
-                return (RuleTag.S, Path(idxs, TERM), None)
-            case ERepl(_, _, _, _, _):
-                info = _classify_erepl(sub)
-                if info.tag is not RuleTag.R_EMPTY and info.tag is not RuleTag.N_LIN:
-                    return (info.tag, Path(idxs, COMMAND), info)
-    return None
+def _first_refined(o: Object):
+    return next(_redexes(o, _refined_tag, REFINED), None)
 
 
 def reduce_to_nf(o: Object, budget: int = 1000, mode: str = "plain") -> tuple[Object, Trace]:
@@ -520,26 +486,12 @@ def reduce_to_nf(o: Object, budget: int = 1000, mode: str = "plain") -> tuple[Ob
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    supply = supply_for(o)
     trace = Trace(o, [])
-    for _ in range(budget):
-        if mode == "plain":
-            found = _plain_redex(o)
-            if found is None:
-                return o, trace
-            tag, p = found
-            o = lm_step(o, tag, p, supply)
-        else:
-            found = _refined_redex(o)
-            if found is None:
-                return o, trace
-            tag, p, info = found
-            if info is None:
-                o = lm_step(o, tag, p, supply)
-            else:
-                o = _fire_refined(o, p, info, supply)
-        trace.steps.append((tag, p, o))
-    raise BudgetExhausted(trace)
+    choose = _first_plain if mode == "plain" else _first_refined
+    nf = _normalize(o, choose, supply_for(o), trace, budget)
+    if nf is None:
+        raise BudgetExhausted(trace)
+    return nf, trace
 
 
 def plain_reducts(o: Object, supply: NameSupply | None = None) -> list[tuple[RuleTag, Path, Object]]:

@@ -372,6 +372,20 @@ def positions(o: Object) -> Iterator[tuple[tuple[int, ...], Object]]:
             stack.append((idxs + (i,), cs[i]))
 
 
+def rewrite_everywhere(o: Object, rewrites_of) -> Iterator[tuple[tuple[int, ...], tuple, Object]]:
+    """For each position of o in pre-order and each rewrite that
+    rewrites_of(sub) lists for its subobject, a tuple whose last item is the
+    new subobject: yield (index path, rewrite, o with the new subobject in
+    place).  No binder is checked for capture, so a rewrite must bring no
+    free identifier that its subobject lacks."""
+    for idxs, sub in positions(o):
+        found = rewrites_of(sub)
+        if found:
+            nodes = descend(o, idxs)
+            for rw in found:
+                yield idxs, rw, splice(nodes, idxs, rw[-1])
+
+
 # ---------------------------------------------------------------------------
 # Free variables / names and occurrence counting
 

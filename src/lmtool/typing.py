@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .meta import stack_items
-from .reduction import RuleTag, lm_step
+from .reduction import CANON, RuleTag, fire
 from .syntax import (
     Abs,
     App,
@@ -259,16 +259,10 @@ def subject_reduction_check(
         d1 = check_object(o, gamma, delta)
     except LMTypeError as e:
         return False, f"source does not type: {e}"
-    from .reduction import CANON_R, classify_R_info, _fire_refined
-    from .syntax import supply_for
-
-    if tag in (RuleTag.B, RuleTag.S, RuleTag.M, RuleTag.R):
-        o2 = lm_step(o, tag, p)
-    else:
-        info = classify_R_info(o, p)
-        if info.tag != tag:
-            return False, f"redex classifies as {info.tag}, not {tag}"
-        o2 = _fire_refined(o, p, info, supply_for(o))
+    try:
+        o2 = fire(o, tag, p)
+    except ValueError as e:  # the tag names no redex at p
+        return False, str(e)
     try:
         d2 = check_object(o2, gamma, delta)
     except LMTypeError as e:
@@ -276,7 +270,7 @@ def subject_reduction_check(
     if d1.judgment.type != d2.judgment.type:
         return False, "type changed"
     if exact is None:
-        exact = tag in (RuleTag.B, RuleTag.M) or tag in CANON_R
+        exact = tag in CANON
     if exact:
         if d1.judgment.gamma != d2.judgment.gamma:
             return False, "gamma changed on a canonical step"

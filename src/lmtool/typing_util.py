@@ -30,8 +30,11 @@ def split_arrow(t: Type, n: int) -> tuple[StackType, Type]:
     return tuple(parts), t
 
 
-def split_arrow_opt(t: Type, n: int) -> Optional[tuple[StackType, Type]]:
-    try:
-        return split_arrow(t, n)
-    except ValueError:
-        return None
+def codomain(t: Optional[Type], n: int) -> Optional[Type]:
+    """What is left of t after n arguments; None when t is None or has
+    fewer than n arrows."""
+    for _ in range(n):
+        if not isinstance(t, Arrow):
+            return None
+        t = t.right
+    return t

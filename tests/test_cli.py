@@ -107,6 +107,7 @@ def test_equiv_prints_stop_reason(capsys):
         (["step", r"(\x.x) y", "--path", "1", "--tag", "B"], "error: B expects an application"),
         (["step", r"(\x.x) y", "--path", "", "--tag", "Nlin"], "error: lm_step does not fire Nlin"),
         (["reduce", "x", "--budget", "0"], "error: budget must be positive"),
+        (["sigma", "x[y\\z]"], "error: object contains explicit operators"),
     ],
 )
 def test_bad_step_and_reduce_input_exits_cleanly(capsys, argv, message):
@@ -135,15 +136,21 @@ def test_output_does_not_depend_on_the_hash_seed():
     # states by canonical keys that mix int and str tokens.  Net isomorphism
     # colours nodes by hash() of tuples holding strings, and the DOT output
     # of a normalized net with nested boxes follows its node and wire ids.
+    # The redex engine keeps a frozenset of tags per mode, but must list and
+    # fire redexes in scan order.
     from lmtool.drivers import sigma_pair
     from lmtool.syntax import print_object
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(lmtool.__file__)))
     lhs, rhs = sigma_pair(0, "sigma4", size=3)
+    # fires B, M, S and non-linear stack replacements (R!=1)
+    callcc = r"(\x. mu 'a. ['a](x (mu 'd. ['a]x))) (\y. y) w"
     commands = [
         ["confluence-check", "--cases", "12", "--seed", "3"],
         ["bisim-check", "--cases", "12", "--seed", "3"],
         ["sigma", "['c](mu 'a. ['b](x (mu 'd. ['a]y)))"],
+        ["reduce", "--mode", "refined", "--trace", callcc],
+        ["meaningful", callcc],
         ["equiv", "--ren", print_object(lhs), print_object(rhs)],
         ["simcheck", "--seed", "99", "--cases", "60"],
         ["ppn", "--nf", "full", "--env", "f:iA->iA->iB,g:iC->iA,y:iC", r"(\x:iA. f x x) (g y)"],

@@ -14,7 +14,7 @@ from lmtool.lmu import (
     sigma_instances,
 )
 from lmtool.reduction import RuleTag, lm_redexes, lm_step, reduce_to_nf
-from lmtool.syntax import alpha_eq, parse
+from lmtool.syntax import TERM, Path, alpha_eq, parse
 
 
 def t(text):
@@ -69,6 +69,14 @@ def test_linear_mu_shapes():
     o3 = t("(mu 'a. ['b](x (mu 'g. ['a]u))) v")
     mu3 = [r for r in lmu_redexes(o3) if r[0] == "mu"]
     assert len(mu3) == 1 and not is_linear_mu_redex(o3, mu3[0][1])
+
+
+def test_linear_mu_redex_ignores_a_shadowed_occurrence():
+    # the first ['a] in pre-order is bound by the inner mu 'a; the free one
+    # sits in an argument, so neither alpha-variant is linear
+    text = "(mu 'a. ['b](mu 'a. ['a]x) (mu 'g. ['a]y)) v"
+    for o in (parse(text, freshen=False), parse(text)):
+        assert not is_linear_mu_redex(o, Path((), TERM))
 
 
 # --- sigma -------------------------------------------------------------------

@@ -4,8 +4,9 @@ import pytest
 
 from lmtool.gen_random import random_object, random_pure_term
 from lmtool.generators import gen_typed
-from lmtool.lmu import is_pure, project
+from lmtool.lmu import expand, is_pure, project
 from lmtool.reduction import (
+    PLAIN,
     BudgetExhausted,
     NotCanonicalError,
     RuleTag,
@@ -551,26 +552,38 @@ def test_splice_matches_the_recursive_writer(rewrite_corpus):
 def test_writes_that_skip_the_capture_check_bring_no_new_free_identifier(
     rewrite_corpus, monkeypatch
 ):
-    # lm_step, the outer write of _fire_refined and axiom_instances call
-    # splice without rewrite_at's check; every such write is checked here
+    # lm_step, the outer write of fire, and rewrite_everywhere for
+    # axiom_instances and sigma_instances call splice without rewrite_at's
+    # check; every such write is checked here
     import sys
     from collections import Counter
 
-    from lmtool import equivalence, reduction, syntax
+    from lmtool import equivalence, lmu, reduction, syntax
     from lmtool.syntax import free_names, free_vars
 
     writes = Counter()
+    splice = syntax.splice
 
     def checked_splice(nodes, idxs, q):
+        caller = sys._getframe(1)
+        name = caller.f_code.co_name
+        if name == "rewrite_at":
+            # its writes may bring new free identifiers: it renames the
+            # binders that would capture them
+            return splice(nodes, idxs, q)
+        if name == "rewrite_everywhere":
+            name = caller.f_back.f_code.co_name
         old = nodes[-1]
         assert free_vars(q) <= free_vars(old), (print_object(old), print_object(q))
         assert free_names(q) <= free_names(old), (print_object(old), print_object(q))
-        writes[sys._getframe(1).f_code.co_name] += 1
-        return syntax.splice(nodes, idxs, q)
+        writes[name] += 1
+        return splice(nodes, idxs, q)
 
     monkeypatch.setattr(reduction, "splice", checked_splice)
-    monkeypatch.setattr(equivalence, "splice", checked_splice)
+    monkeypatch.setattr(syntax, "splice", checked_splice)
     for o in rewrite_corpus:
+        for r in [o] + [r for _, _, r in plain_reducts(o)]:
+            lmu.sigma_instances(project(r))
         for _, _, r in plain_reducts(o):
             plain_reducts(r)
             canon(r)
@@ -583,32 +596,33 @@ def test_writes_that_skip_the_capture_check_bring_no_new_free_identifier(
         for _, _, r in meaningful_reducts(co):
             equivalence.axiom_instances(r, include_ren=True, expansive=True)
             meaningful_reducts(r)
-    assert set(writes) == {"lm_step", "_fire_refined", "axiom_instances"}
+    assert set(writes) == {"lm_step", "fire", "axiom_instances", "sigma_instances"}
     assert min(writes.values()) > 50, writes
 
 
 def test_scanned_paths_equal_make_path(rewrite_corpus, monkeypatch):
     from lmtool import reduction
-    from lmtool.reduction import _canon_redex, _refined_redex, canon_random
+    from lmtool.reduction import REFINED, _canon_tag, _redexes, _refined_tag, canon_random
 
     fired = []
-    step, fire = reduction.lm_step, reduction._fire_refined
+    step, fire = reduction.lm_step, reduction.fire
 
     def spy_step(o, tag, p, supply=None):
         fired.append((o, p))
         return step(o, tag, p, supply)
 
-    def spy_fire(o, p, info, supply):
+    def spy_fire(o, tag, p, supply=None, info=None):
         fired.append((o, p))
-        return fire(o, p, info, supply)
+        return fire(o, tag, p, supply, info)
 
     monkeypatch.setattr(reduction, "lm_step", spy_step)
-    monkeypatch.setattr(reduction, "_fire_refined", spy_fire)
+    monkeypatch.setattr(reduction, "fire", spy_fire)
     scanned = []
     rng = random.Random(3)
     for o in rewrite_corpus:
         scanned += [(o, p) for _, p in lm_redexes(o)]
-        scanned += [(o, found[1]) for found in (_canon_redex(o), _refined_redex(o)) if found]
+        for tag_of, tags in ((_canon_tag, None), (_refined_tag, REFINED)):
+            scanned += [(o, p) for _, p, _ in _redexes(o, tag_of, tags)]
         cos = [canon_random(r, rng) for r in [o] + [r for _, _, r in plain_reducts(o)]]
         scanned += [(co, p) for co in cos for _, p in meaningful_redexes(co)]
         try:
@@ -620,3 +634,224 @@ def test_scanned_paths_equal_make_path(rewrite_corpus, monkeypatch):
     for o, p in scanned + fired:
         assert p == make_path(o, p.indices()), print_object(o)
     assert len(scanned) > 400 and len(fired) > 200, (len(scanned), len(fired))
+
+
+# --- the redex engine against the scans and loops it replaced ----------------
+
+
+def _ref_preorder(o, idxs=()):
+    """(index path, subobject) in pre-order, by recursion."""
+    from lmtool.syntax import children
+
+    yield idxs, o
+    for i, ch in enumerate(children(o)):
+        yield from _ref_preorder(ch, idxs + (i,))
+
+
+def _ref_core(f):
+    from lmtool.syntax import ESub
+
+    while isinstance(f, ESub):
+        f = f.body
+    return f
+
+
+def ref_lm_redexes(o):
+    from lmtool.syntax import COMMAND, TERM, Abs, App, ERepl, ESub, Mu, Path
+
+    out = []
+    for idxs, sub in _ref_preorder(o):
+        match sub:
+            case App(f, _):
+                core = _ref_core(f)
+                if isinstance(core, Abs):
+                    out.append((RuleTag.B, Path(idxs, TERM)))
+                elif isinstance(core, Mu):
+                    out.append((RuleTag.M, Path(idxs, TERM)))
+            case ESub(_, _, _):
+                out.append((RuleTag.S, Path(idxs, TERM)))
+            case ERepl(_, _, _, _, _):
+                out.append((RuleTag.R, Path(idxs, COMMAND)))
+    return out
+
+
+def _ref_canon_tag(o):
+    from lmtool.reduction import CANON_R, _classify_erepl
+    from lmtool.syntax import Abs, App, ERepl, Mu
+
+    match o:
+        case App(f, _):
+            core = _ref_core(f)
+            if isinstance(core, Abs):
+                return RuleTag.B, None
+            if isinstance(core, Mu):
+                return RuleTag.M, None
+        case ERepl():
+            info = _classify_erepl(o)
+            if info.tag in CANON_R:
+                return info.tag, info
+    return None
+
+
+def ref_canon_redexes(o):
+    """Every B, M, C, W redex in pre-order (canon_random's scan); the first
+    is canon's."""
+    from lmtool.syntax import Path, sort_of
+
+    found = []
+    for idxs, sub in _ref_preorder(o):
+        hit = _ref_canon_tag(sub)
+        if hit is not None:
+            found.append((hit[0], Path(idxs, sort_of(sub)), hit[1]))
+    return found
+
+
+def ref_meaningful_redexes(o):
+    from lmtool.reduction import MEANINGFUL_R, _classify_erepl
+    from lmtool.syntax import COMMAND, TERM, ERepl, ESub, Path
+
+    out = []
+    for idxs, sub in _ref_preorder(o):
+        match sub:
+            case ESub(_, _, _):
+                out.append((RuleTag.S, Path(idxs, TERM)))
+            case ERepl(_, _, _, _, _):
+                tag = _classify_erepl(sub).tag
+                if tag in MEANINGFUL_R:
+                    out.append((tag, Path(idxs, COMMAND)))
+    return out
+
+
+def ref_refined_redex(o):
+    from lmtool.reduction import _classify_erepl
+    from lmtool.syntax import COMMAND, TERM, Abs, App, ERepl, ESub, Mu, Path
+
+    for idxs, sub in _ref_preorder(o):
+        match sub:
+            case App(f, _):
+                core = _ref_core(f)
+                if isinstance(core, Abs):
+                    return (RuleTag.B, Path(idxs, TERM), None)
+                if isinstance(core, Mu):
+                    return (RuleTag.M, Path(idxs, TERM), None)
+            case ESub(_, _, _):
+                return (RuleTag.S, Path(idxs, TERM), None)
+            case ERepl(_, _, _, _, _):
+                info = _classify_erepl(sub)
+                if info.tag is not RuleTag.R_EMPTY and info.tag is not RuleTag.N_LIN:
+                    return (info.tag, Path(idxs, COMMAND), info)
+    return None
+
+
+def _ref_fire(o, tag, p, info, supply, fired):
+    """The old dispatch: B, S, M, R by lm_step, a classified replacement by
+    its refined rule."""
+    from lmtool import reduction
+
+    fired.append((tag, p))
+    if info is None:
+        return reduction.lm_step(o, tag, p, supply)
+    return reduction.fire(o, tag, p, supply, info)
+
+
+def ref_canon(o, trace, fired):
+    supply = supply_for(o)
+    while True:
+        found = ref_canon_redexes(o)
+        if not found:
+            return o
+        tag, p, info = found[0]
+        o = _ref_fire(o, tag, p, info, supply, fired)
+        trace.steps.append((tag, p, o))
+
+
+def ref_canon_random(o, rng, fired):
+    supply = supply_for(o)
+    while True:
+        found = ref_canon_redexes(o)
+        if not found:
+            return o
+        tag, p, info = found[rng.randrange(len(found))]
+        o = _ref_fire(o, tag, p, info, supply, fired)
+
+
+def ref_reduce_to_nf(o, budget, mode, fired):
+    from lmtool.reduction import Trace
+
+    supply = supply_for(o)
+    trace = Trace(o, [])
+    for _ in range(budget):
+        if mode == "plain":
+            rs = ref_lm_redexes(o)
+            found = (*rs[0], None) if rs else None
+        else:
+            found = ref_refined_redex(o)
+        if found is None:
+            return o, trace
+        tag, p, info = found
+        o = _ref_fire(o, tag, p, info, supply, fired)
+        trace.steps.append((tag, p, o))
+    raise BudgetExhausted(trace)
+
+
+def test_engine_matches_the_scans_and_loops_it_replaced(rewrite_corpus, monkeypatch):
+    from lmtool import reduction
+    from lmtool.reduction import Trace, canon_random
+
+    engine_fired = []
+    fire = reduction.fire
+
+    def spy_fire(o, tag, p, supply=None, info=None):
+        engine_fired.append((tag, p))
+        return fire(o, tag, p, supply, info)
+
+    def run(f, *args):
+        # the normal form or the trace of an exhausted budget, and the
+        # (tag, path) of every step fired on the way
+        engine_fired.clear()
+        try:
+            out = f(*args)
+        except BudgetExhausted as e:
+            out = e.trace
+        return out, list(engine_fired)
+
+    def shown(out):
+        if isinstance(out, tuple):
+            out = out[1]
+        if isinstance(out, Trace):
+            return out.render(), [(tag, p) for tag, p, _ in out.steps]
+        return print_object(out)
+
+    monkeypatch.setattr(reduction, "fire", spy_fire)
+    # expansion turns explicit operators into B and M redexes
+    objs = []
+    for o in rewrite_corpus + [expand(o) for o in rewrite_corpus]:
+        objs += [o] + [r for _, _, r in plain_reducts(o)]
+    seen = {"steps": 0, "random": 0, "refined": 0, "meaningful": 0}
+    for k, o in enumerate(objs):
+        assert lm_redexes(o) == ref_lm_redexes(o), print_object(o)
+        trace, want_trace = Trace(o, []), Trace(o, [])
+        got, got_fired = run(canon, o, None, trace)
+        want = ref_canon(o, want_trace, [])
+        assert print_object(got) == print_object(want)
+        assert shown(trace) == shown(want_trace)
+        seen["steps"] += len(trace.steps)
+        want_fired = []
+        want = ref_canon_random(o, random.Random(k), want_fired)
+        got, got_fired = run(canon_random, o, random.Random(k))
+        assert (print_object(got), got_fired) == (print_object(want), want_fired)
+        seen["random"] += len(ref_canon_redexes(o)) > 1
+        for mode in ("plain", "refined"):
+            want_fired = []
+            try:
+                want = ref_reduce_to_nf(o, 200, mode, want_fired)
+            except BudgetExhausted as e:
+                want = e.trace
+            got, got_fired = run(reduce_to_nf, o, 200, mode)
+            assert shown(got) == shown(want) and got_fired == want_fired, (mode, print_object(o))
+            seen["refined"] += mode == "refined" and any(tag not in PLAIN for tag, _ in got_fired)
+        co = canon(o)
+        for r in [co] + [r for _, _, r in meaningful_reducts(co)]:
+            assert meaningful_redexes(r) == ref_meaningful_redexes(r), print_object(r)
+            seen["meaningful"] += len(meaningful_redexes(r))
+    assert min(seen.values()) > 40, seen
