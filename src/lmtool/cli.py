@@ -196,7 +196,7 @@ def cmd_bisim_check(args) -> int:
     rng = random.Random(args.seed)
     axioms = ("exs", "exr", "lin", "pp", "rho", "theta")
     per = max(1, args.cases // len(axioms))
-    bad = checked = 0
+    bad = checked = searches = nwb = hits = 0
     for ax in axioms:
         for _ in range(per):
             o, p, axiom = generators.gen_equiv_pair(
@@ -204,11 +204,18 @@ def cmd_bisim_check(args) -> int:
             )
             rep = drivers.bisim_driver(o, p, axiom)
             checked += rep.checked
+            searches += rep.searches
+            nwb += rep.not_within_bounds
+            hits += rep.cache_hits
             if not rep.ok:
                 bad += 1
                 for dd in rep.details[:1]:
                     print(f"violation [{ax}]: {dd}")
-    print(f"{per * len(axioms)} pairs, {checked} redex matches, {bad} violations")
+    print(
+        f"{per * len(axioms)} pairs, {checked} redex matches, {bad} violations,"
+        f" {searches} searches ({nwb} not within bounds),"
+        f" {hits} expansions from cache"
+    )
     print("PASS" if bad == 0 else "FAIL")
     return 0 if bad == 0 else 1
 

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equivalence import Axiom, equiv
+from .equivalence import Axiom, ExpansionCache, equiv
 from .generators import _TypedGen, gen_typed
 from .lmu import lmu_redexes, sigma_instances
 from .meta import apply_stack, rename, stack_of
@@ -54,6 +54,9 @@ class BisimReport:
     axiom: Optional[Axiom]
     checked: int = 0
     details: list[str] = field(default_factory=list)
+    searches: int = 0  # equiv searches run
+    not_within_bounds: int = 0  # searches that ended NOT-WITHIN-BOUNDS
+    cache_hits: int = 0  # expansions served from the shared cache
 
 
 def bisim_driver(
@@ -64,17 +67,23 @@ def bisim_driver(
     max_depth: int = 6,
 ) -> BisimReport:
     """For every meaningful redex of o there must be a meaningful reduct of
-    p equivalent to o's reduct, and symmetrically."""
-    report = BisimReport(True, axiom)
+    p equivalent to o's reduct, and symmetrically.
 
-    def match_side(a: Object, b: Object, side: str) -> None:
-        bs = None
-        for tag, path, a2 in meaningful_reducts(a):
-            if bs is None:
-                bs = [(b2, canonical_key(b2)) for _, _, b2 in meaningful_reducts(b)]
-            ka = canonical_key(a2)
+    Each side is reduced once, and every search of the call shares one
+    expansion cache, so a state that an earlier search expanded is not
+    expanded again; no search outcome changes."""
+    report = BisimReport(True, axiom)
+    cache = ExpansionCache()
+    # each side's meaningful reducts with their keys, used in both directions
+    ro, rp = (
+        [(tag, path, r, canonical_key(r)) for tag, path, r in meaningful_reducts(side)]
+        for side in (o, p)
+    )
+
+    def match_side(a: Object, ra: list, b: Object, rb: list, side: str) -> None:
+        for tag, path, a2, ka in ra:
             found = False
-            for b2, kb in bs:
+            for _, _, b2, kb in rb:
                 if ka == kb:
                     found = True
                     break
@@ -84,10 +93,14 @@ def bisim_driver(
                     max_states=max_states,
                     max_depth=max_depth,
                     expansive=False,
+                    keys=(ka, kb),
+                    cache=cache,
                 )
+                report.searches += 1
                 if res.equivalent:
                     found = True
                     break
+                report.not_within_bounds += 1
             report.checked += 1
             if not found:
                 report.ok = False
@@ -98,8 +111,9 @@ def bisim_driver(
                     f" unmatched by {print_object(b)}"
                 )
 
-    match_side(o, p, "left")
-    match_side(p, o, "right")
+    match_side(o, ro, p, rp, "left")
+    match_side(p, rp, o, ro, "right")
+    report.cache_hits = cache.hits
     return report
 
 

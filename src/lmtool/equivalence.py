@@ -32,6 +32,7 @@ from .syntax import (
     free_names,
     free_vars,
     make_path,
+    name_occurrences,
     print_object,
     rename_free_name_var,
     rename_free_var,
@@ -225,7 +226,7 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
             # ren RL: pick a free name and push a subset of its occurrences
             # under a fresh explicit renaming
             for a in sorted(free_names(sub)):
-                occs = _name_occurrences(sub, a)
+                occs = [idxs for idxs, _ in name_occurrences(sub, a)]
                 if len(occs) > _REN_SUBSET_CAP:
                     occs = occs[:_REN_SUBSET_CAP]
                 b = supply.fresh("'b")
@@ -264,32 +265,6 @@ def _rebuild_spine(head: Object, args: list[Object]) -> Object:
     for a in args:
         head = App(head, a)
     return head
-
-
-def _name_occurrences(o: Object, alpha: str) -> list[tuple[int, ...]]:
-    """Index paths of the free occurrences of alpha (Named nodes and
-    replacement names)."""
-    out = []
-
-    def go(o: Object, idxs, shadowed: bool):
-        match o:
-            case Named(a, b):
-                if a == alpha and not shadowed:
-                    out.append(idxs)
-                go(b, idxs + (0,), shadowed)
-            case ERepl(b, nn, on, _, s):
-                if nn == alpha and not shadowed:
-                    out.append(idxs)
-                go(b, idxs + (0,), shadowed or on == alpha)
-                go(s, idxs + (1,), shadowed)
-            case Mu(a, _, b):
-                go(b, idxs + (0,), shadowed or a == alpha)
-            case _:
-                for i, ch in enumerate(children(o)):
-                    go(ch, idxs + (i,), shadowed)
-
-    go(o, (), False)
-    return out
 
 
 def _rename_occurrences(o: Object, frm: str, to: str, chosen: set[tuple[int, ...]]) -> Object:
@@ -369,6 +344,30 @@ def apply_axiom(o: Object, ax: Axiom, include_ren: bool = True) -> Object:
 # Bounded decision procedure (bidirectional breadth-first search)
 
 
+class ExpansionCache:
+    """The axiom instances of the states that earlier non-expansive
+    searches without ren expanded, for later such searches.
+
+    Entries are keyed by canonical key, but an entry serves only a state
+    equal to the one it was computed for: side conditions such as pp's
+    x != y read binder names, so an alpha-equivalent state with other
+    binder names is expanded afresh (and replaces the entry)."""
+
+    def __init__(self):
+        self.entries: dict[tuple, tuple[Object, list[tuple[Axiom, Object]]]] = {}
+        self.hits = 0
+
+    def instances(self, key: tuple, o: Object) -> list[tuple[Axiom, Object]]:
+        """axiom_instances(o, expansive=False); key is o's canonical key."""
+        hit = self.entries.get(key)
+        if hit is not None and (hit[0] is o or hit[0] == o):
+            self.hits += 1
+            return hit[1]
+        out = axiom_instances(o, expansive=False)
+        self.entries[key] = (o, out)
+        return out
+
+
 def equiv(
     o: Object,
     p: Object,
@@ -376,21 +375,29 @@ def equiv(
     max_depth: int = 12,
     include_ren: bool = False,
     expansive: bool = True,
+    *,
+    keys: Optional[tuple[tuple, tuple]] = None,
+    cache: Optional[ExpansionCache] = None,
 ) -> EquivOutcome:
     """Search for a chain of axiom applications joining o and p.
 
     Both inputs must be canonical.  The outcome is either Equivalent with a
-    replayable certificate or NotWithinBounds, which is inconclusive."""
+    replayable certificate or NotWithinBounds, which is inconclusive.  A
+    caller that already holds canonical_key(o) and canonical_key(p) passes
+    them as keys; searches that pass one cache share their expansions, which
+    changes no outcome."""
     for q in (o, p):
         if not is_canonical(q):
             raise NotCanonical(print_object(q))
+    if cache is not None and (include_ren or expansive):
+        raise ValueError("the expansion cache serves non-expansive searches without ren")
     if sort_of(o) != sort_of(p):
         return EquivOutcome("not-within-bounds", reason="sorts differ")
     # every base-axiom rewrite keeps the free variables and names; ren LR
     # can drop a free name, so with ren the sets may differ
     if not include_ren and (free_vars(o) != free_vars(p) or free_names(o) != free_names(p)):
         return EquivOutcome("not-within-bounds", reason="free identifiers differ")
-    ko, kp = canonical_key(o), canonical_key(p)
+    ko, kp = keys if keys is not None else (canonical_key(o), canonical_key(p))
     if ko == kp:
         return EquivOutcome("equivalent", Certificate([]), reason="found")
 
@@ -425,7 +432,11 @@ def equiv(
         new_frontier = []
         for key in frontier:
             obj, steps = visited[key]
-            for ax, res in axiom_instances(obj, include_ren, expansive=expansive):
+            if cache is None:
+                insts = axiom_instances(obj, include_ren, expansive=expansive)
+            else:
+                insts = cache.instances(key, obj)
+            for ax, res in insts:
                 rk = ax.result_key
                 if rk in visited:
                     continue

@@ -23,6 +23,7 @@ from .syntax import (
     count_free_name,
     empty_stack,
     free_names,
+    name_occurrences,
     not_at_all,
     positions,
     rewrite_at,
@@ -32,7 +33,6 @@ from .syntax import (
     supply_for,
 )
 from .meta import rename
-from .reduction import unique_occurrence
 
 
 class NotPureError(Exception):
@@ -98,7 +98,7 @@ def is_linear_mu_redex(o: Object, p: Path) -> bool:
     if count_free_name(a, c) != 1:
         return False
     # locate the unique free [a]u occurrence
-    occ = unique_occurrence(c, a)
+    occ = next(name_occurrences(c, a), None)
     if occ is None or not isinstance(occ[1], Named):
         return False
     idxs, node = occ

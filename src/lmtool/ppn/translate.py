@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..meta import stack_len
 from ..syntax import Abs, App, ERepl, ESub, EmptyStack, Mu, Named, Push, Var
 from ..typing import Derivation
 from ..typing_util import split_arrow
@@ -183,7 +184,7 @@ def _go(d: Derivation, net: Net, result_type=None) -> Piece:
         case ERepl(_, nn, on, ann, s):
             db, ds = d.children
             pc = _go(db, net)
-            n_args = _stack_len(s)
+            n_args = stack_len(s)
             sty, bty = split_arrow(ann, n_args)
             ps = _go(ds, net, bty)
             merged = _merge_shared(
@@ -223,11 +224,3 @@ def _go(d: Derivation, net: Net, result_type=None) -> Piece:
             return merged
 
     raise TypeError(o)
-
-
-def _stack_len(s) -> int:
-    n = 0
-    while isinstance(s, Push):
-        n += 1
-        s = s.tail
-    return n

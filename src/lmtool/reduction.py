@@ -37,6 +37,7 @@ from .syntax import (
     count_free_name,
     descend,
     empty_stack,
+    name_occurrences,
     positions,
     print_object,
     rewrite_at,
@@ -216,7 +217,7 @@ def _classify_erepl(sub: ERepl) -> RInfo:
         return RInfo(RuleTag.R_EMPTY)
     if count_free_name(alpha, c) != 1:
         return RInfo(RuleTag.R_NEQ1)
-    occ = unique_occurrence(c, alpha)
+    occ = next(name_occurrences(c, alpha), None)
     if occ is None:
         # the occurrence sits under a shadowing binder only when inputs break
         # the naming discipline; treat as non-linear work
@@ -232,26 +233,6 @@ def _classify_erepl(sub: ERepl) -> RInfo:
     else:
         tag = RuleTag.C if linear else RuleTag.C_NONLIN
     return RInfo(tag, idxs)
-
-
-def unique_occurrence(c: Object, alpha: str):
-    """(index path, node) of the first free occurrence of alpha in c, in
-    pre-order: the name of a Named node or the replacement name of an ERepl
-    node; None if alpha is not free in c."""
-    stack = [((), c)]
-    while stack:
-        idxs, o = stack.pop()
-        t = type(o)
-        if (t is Named and o.name == alpha) or (t is ERepl and o.new == alpha):
-            return idxs, o
-        if t is Mu and o.name == alpha:
-            continue
-        # an ERepl binds its old name in its command, child 0
-        first = 1 if t is ERepl and o.old == alpha else 0
-        cs = children(o)
-        for i in range(len(cs) - 1, first - 1, -1):
-            stack.append((idxs + (i,), cs[i]))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +433,13 @@ def meaningful_step(
 
 def meaningful_reducts(o: Object) -> list[tuple[RuleTag, Path, Object]]:
     """All meaningful reducts of a canonical object; one supply_for(o)
-    serves every redex."""
-    redexes = meaningful_redexes(o)
+    serves every redex, and each redex fires with the classification its
+    scan computed."""
+    if not is_canonical(o):
+        raise NotCanonicalError("meaningful reduction lives on canonical forms")
+    redexes = list(_redexes(o, _refined_tag, MEANINGFUL))
     supply = supply_for(o) if redexes else None
-    return [(tag, p, meaningful_step(o, tag, p, supply)) for tag, p in redexes]
+    return [(tag, p, canon(fire(o, tag, p, supply, info), supply)) for tag, p, info in redexes]
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,25 @@ def count_free_name(alpha: str, o: Object) -> int:
     raise TypeError(o)
 
 
+def name_occurrences(o: Object, alpha: str) -> Iterator[tuple[tuple[int, ...], Object]]:
+    """Yield (index path, node) for each free occurrence of the name alpha
+    in o, in pre-order: the name of a Named node or the replacement name of
+    an ERepl node.  A mu named alpha binds it in its body, an ERepl whose
+    old name is alpha binds it in its command (child 0)."""
+    stack = [((), o)]
+    while stack:
+        idxs, o = stack.pop()
+        t = type(o)
+        if (t is Named and o.name == alpha) or (t is ERepl and o.new == alpha):
+            yield idxs, o
+        if t is Mu and o.name == alpha:
+            continue
+        first = 1 if t is ERepl and o.old == alpha else 0
+        cs = children(o)
+        for i in range(len(cs) - 1, first - 1, -1):
+            stack.append((idxs + (i,), cs[i]))
+
+
 def count_free_var(x: str, o: Object) -> int:
     match o:
         case Var(y):

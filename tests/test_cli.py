@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -85,6 +86,15 @@ def test_gen_deterministic(capsys):
 def test_property_drivers_pass(capsys):
     code, out = run(capsys, "bisim-check", "--cases", "6", "--seed", "1")
     assert code == 0 and out.strip().endswith("PASS")
+    summary = out.strip().splitlines()[-2]
+    m = re.fullmatch(
+        r"6 pairs, (\d+) redex matches, 0 violations, (\d+) searches"
+        r" \((\d+) not within bounds\), (\d+) expansions from cache",
+        summary,
+    )
+    assert m, summary
+    matches, searches, failed, hits = map(int, m.groups())
+    assert matches > 0 and 0 < failed < searches and hits > 0
     code, out = run(capsys, "confluence-check", "--cases", "8", "--seed", "1")
     assert code == 0 and out.strip().endswith("PASS")
     code, out = run(capsys, "simcheck", "--cases", "10", "--seed", "1")

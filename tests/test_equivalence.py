@@ -361,8 +361,8 @@ def _rebuilt_renaming(o, frm, to, chosen):
 def test_rename_occurrences_shares_untouched_subtrees(seeded_objects):
     from itertools import combinations
 
-    from lmtool.equivalence import _name_occurrences, _rename_occurrences
-    from lmtool.syntax import free_names, positions, sort_of, subobject_at
+    from lmtool.equivalence import _rename_occurrences
+    from lmtool.syntax import free_names, name_occurrences, positions, sort_of, subobject_at
 
     shared = 0
     for o in seeded_objects:
@@ -370,7 +370,7 @@ def test_rename_occurrences_shares_untouched_subtrees(seeded_objects):
             if sort_of(sub) != "command":
                 continue
             for a in sorted(free_names(sub)):
-                occs = _name_occurrences(sub, a)[:4]
+                occs = [idxs for idxs, _ in name_occurrences(sub, a)][:4]
                 for r in range(len(occs) + 1):
                     for chosen in map(set, combinations(occs, r)):
                         got = _rename_occurrences(sub, a, "'fresh", chosen)

@@ -6,6 +6,7 @@ import pytest
 
 from lmtool.drivers import TypedPairs, typed_step_cases
 from lmtool.generators import gen_typed
+from lmtool.meta import stack_len
 from lmtool.ppn import (
     canonical,
     dual,
@@ -23,7 +24,7 @@ from lmtool.ppn import (
 from lmtool.ppn.formulas import OIota, OPar, QIota, QTen, input_of, neg_o
 from lmtool.ppn.net import Net
 from lmtool.ppn.rewrite import MULT, _cut_rule, fire
-from lmtool.ppn.translate import Piece, _boxed, _merge_shared, _stack_len
+from lmtool.ppn.translate import Piece, _boxed, _merge_shared
 from lmtool.syntax import (
     Abs, App, Arrow, Base, EmptyStack, ERepl, ESub, Mu, Named, Push, Var, parse, parse_type,
 )
@@ -406,7 +407,7 @@ def _ref_go(d, result_type=None):
         case ERepl(_, nn, on, ann, s):
             db, ds = d.children
             pc = _ref_absorb(net, _ref_go(db))
-            _, bty = split_arrow(ann, _stack_len(s))
+            _, bty = split_arrow(ann, stack_len(s))
             ps = _ref_absorb(net, _ref_go(ds, bty))
             merged = _merge_shared(
                 net,
@@ -479,7 +480,7 @@ def _derivations(d, result_type=None):
     if isinstance(o, ERepl):
         db, ds = d.children
         yield from _derivations(db)
-        yield from _derivations(ds, split_arrow(o.ann, _stack_len(o.stack))[1])
+        yield from _derivations(ds, split_arrow(o.ann, stack_len(o.stack))[1])
     elif isinstance(o, Push):
         dh, dt = d.children
         yield from _derivations(dh)

@@ -364,6 +364,85 @@ def test_cached_free_identifiers_match_the_reference_walk():
         assert (free_vars(o), free_names(o)) == (ref_free_vars(o), ref_free_names(o))
 
 
+def ref_name_occurrences(o, alpha):
+    """The recursive walk the occurrence walk replaced: index paths of the
+    free occurrences of alpha, in pre-order."""
+    out = []
+
+    def go(o, idxs, shadowed):
+        match o:
+            case Named(a, b):
+                if a == alpha and not shadowed:
+                    out.append(idxs)
+                go(b, idxs + (0,), shadowed)
+            case ERepl(b, nn, on, _, s):
+                if nn == alpha and not shadowed:
+                    out.append(idxs)
+                go(b, idxs + (0,), shadowed or on == alpha)
+                go(s, idxs + (1,), shadowed)
+            case Mu(a, _, b):
+                go(b, idxs + (0,), shadowed or a == alpha)
+            case _:
+                for i, ch in enumerate(children(o)):
+                    go(ch, idxs + (i,), shadowed)
+
+    go(o, (), False)
+    return out
+
+
+def squash_names(o):
+    """o with every name mapped into two names, so that binders shadow."""
+    pool = ("'a", "'b")
+    sq = lambda n: pool[len(n) % 2]
+    cs = tuple(squash_names(ch) for ch in children(o))
+    match o:
+        case Mu(a, ann, _):
+            return Mu(sq(a), ann, cs[0])
+        case Named(a, _):
+            return Named(sq(a), cs[0])
+        case ERepl(_, nn, on, ann, _):
+            return ERepl(cs[0], sq(nn), sq(on), ann, cs[1])
+    return with_children(o, cs) if cs else o
+
+
+def test_name_occurrences_match_the_recursive_walk():
+    from lmtool.syntax import name_occurrences
+
+    compared = shadowed = 0
+    for o in kernel_corpus():
+        for obj in (o, squash_names(o)):
+            for _, sub in positions(obj):
+                for alpha in sorted(free_names(sub) | bound_idents(sub) | {"'a", "'b"}):
+                    if not is_name(alpha):
+                        continue
+                    got = list(name_occurrences(sub, alpha))
+                    ref = ref_name_occurrences(sub, alpha)
+                    assert [idxs for idxs, _ in got] == ref
+                    assert len(ref) == count_free_name(alpha, sub)
+                    for idxs, node in got:
+                        assert node is subobject_at(sub, make_path(sub, idxs))
+                    compared += 1
+                    # alpha both free and bound in sub: the walk must stop at
+                    # the binder
+                    shadowed += bool(ref) and alpha in bound_idents(sub)
+    assert compared > 5000 and shadowed > 100
+
+
+def test_name_occurrences_thousands_deep_need_no_recursion():
+    from lmtool.syntax import name_occurrences
+
+    # ['a] mu 'b0. ['a] mu 'b1. ... ['a] x, and the same chain with 'a bound
+    # half way down
+    cmd = Named("'a", Var("x"))
+    for i in range(3000):
+        cmd = Named("'a", Mu("'a" if i == 1500 else f"'b{i}", None, cmd))
+    occs = list(name_occurrences(cmd, "'a"))
+    assert len(occs) == 1500
+    assert [len(idxs) for idxs, _ in occs] == list(range(0, 3000, 2))
+    assert next(name_occurrences(cmd, "'a")) == ((), cmd)
+    assert next(name_occurrences(cmd, "'b7"), None) is None
+
+
 def test_free_identifier_sets_are_frozen_and_shared():
     f = t("f x y")
     o = App(f, Var("x"))
