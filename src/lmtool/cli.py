@@ -130,6 +130,8 @@ def cmd_equiv(args) -> int:
         max_depth=args.max_depth,
         include_ren=args.ren,
     )
+    if args.stats:
+        print(f"search: {res.states} states, {res.expanded} expanded, {res.built} rewrites built")
     if res.equivalent:
         print(res.certificate.render())
         print("EQUIVALENT")
@@ -301,6 +303,7 @@ def main(argv=None) -> int:
     p.add_argument("--ren", action="store_true")
     p.add_argument("--max-states", type=int, default=20000)
     p.add_argument("--max-depth", type=int, default=12)
+    p.add_argument("--stats", action="store_true", help="print the search's counts")
 
     p = add("typecheck", cmd_typecheck, help="check a typed object")
     p.add_argument("object")

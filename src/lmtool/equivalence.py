@@ -82,6 +82,8 @@ class EquivOutcome:
     # why the search stopped: "found", "sorts differ", "free identifiers
     # differ", "depth bound", "state bound" or "empty frontier"
     reason: str = ""
+    expanded: int = 0  # states whose rewrites the search enumerated
+    built: int = 0  # rewrites it consumed, canonical or not
 
     @property
     def equivalent(self) -> bool:
@@ -295,6 +297,18 @@ def _rename_occurrences(o: Object, frm: str, to: str, chosen: set[tuple[int, ...
 # Instances on whole objects
 
 
+def _rewrites(o: Object, include_ren: bool, expansive: bool):
+    """Yield (axiom, result) for every single-axiom rewrite of o, at every
+    position in pre-order and in both orientations, canonical or not.  The
+    axiom carries the result's canonical key."""
+    supply = supply_for(o)
+    # no axiom yields a free identifier that its subobject lacks
+    for idxs, (name, orient, _), res in rewrite_everywhere(
+        o, lambda sub: _subtree_rewrites(sub, supply, include_ren, expansive)
+    ):
+        yield Axiom(name, orient, idxs, canonical_key(res)), res
+
+
 def axiom_instances(
     o: Object,
     include_ren: bool = False,
@@ -308,16 +322,10 @@ def axiom_instances(
     those steps from the other frontier."""
     if require_canonical and not is_canonical(o):
         raise NotCanonical(print_object(o))
-    supply = supply_for(o)
-    out = []
-    # no axiom yields a free identifier that its subobject lacks
-    for idxs, (name, orient, _), res in rewrite_everywhere(
-        o, lambda sub: _subtree_rewrites(sub, supply, include_ren, expansive)
-    ):
-        if require_canonical and not is_canonical(res):
-            continue
-        out.append((Axiom(name, orient, idxs, canonical_key(res)), res))
-    return out
+    return [
+        (ax, res) for ax, res in _rewrites(o, include_ren, expansive)
+        if not require_canonical or is_canonical(res)
+    ]
 
 
 def apply_axiom(o: Object, ax: Axiom, include_ren: bool = True) -> Object:
@@ -345,8 +353,8 @@ def apply_axiom(o: Object, ax: Axiom, include_ren: bool = True) -> Object:
 
 
 class ExpansionCache:
-    """The axiom instances of the states that earlier non-expansive
-    searches without ren expanded, for later such searches.
+    """The rewrites of the states that earlier non-expansive searches
+    without ren expanded, for later such searches.
 
     Entries are keyed by canonical key, but an entry serves only a state
     equal to the one it was computed for: side conditions such as pp's
@@ -358,12 +366,13 @@ class ExpansionCache:
         self.hits = 0
 
     def instances(self, key: tuple, o: Object) -> list[tuple[Axiom, Object]]:
-        """axiom_instances(o, expansive=False); key is o's canonical key."""
+        """Every non-expansive rewrite of o without ren, canonical or not;
+        key is o's canonical key."""
         hit = self.entries.get(key)
         if hit is not None and (hit[0] is o or hit[0] == o):
             self.hits += 1
             return hit[1]
-        out = axiom_instances(o, expansive=False)
+        out = list(_rewrites(o, False, False))
         self.entries[key] = (o, out)
         return out
 
@@ -385,7 +394,12 @@ def equiv(
     replayable certificate or NotWithinBounds, which is inconclusive.  A
     caller that already holds canonical_key(o) and canonical_key(p) passes
     them as keys; searches that pass one cache share their expansions, which
-    changes no outcome."""
+    changes no outcome.
+
+    Rewrites are consumed one at a time.  A result whose key is already
+    visited is skipped before its canonicity is tested: every visited state
+    is canonical, and canonicity is invariant under renaming.  Without a
+    cache, no rewrite is built after the search stops."""
     for q in (o, p):
         if not is_canonical(q):
             raise NotCanonical(print_object(q))
@@ -408,6 +422,11 @@ def equiv(
     frontier_b = [kp]
     states = 2
     depth_f = depth_b = 0
+    expanded = built = 0
+
+    def stop(reason: str, cert: Optional[Certificate] = None) -> EquivOutcome:
+        status = "equivalent" if cert is not None else "not-within-bounds"
+        return EquivOutcome(status, cert, states, reason, expanded, built)
 
     def splice(meet_key) -> Certificate:
         steps = list(fwd[meet_key][1])
@@ -421,9 +440,9 @@ def equiv(
 
     while frontier_f or frontier_b:
         if depth_f + depth_b >= max_depth:
-            return EquivOutcome("not-within-bounds", states=states, reason="depth bound")
+            return stop("depth bound")
         if states >= max_states:
-            return EquivOutcome("not-within-bounds", states=states, reason="state bound")
+            return stop("state bound")
         # expand the smaller frontier
         expand_fwd = (len(frontier_f) <= len(frontier_b) and frontier_f) or not frontier_b
         frontier = frontier_f if expand_fwd else frontier_b
@@ -432,13 +451,15 @@ def equiv(
         new_frontier = []
         for key in frontier:
             obj, steps = visited[key]
+            expanded += 1
             if cache is None:
-                insts = axiom_instances(obj, include_ren, expansive=expansive)
+                rewrites = _rewrites(obj, include_ren, expansive)
             else:
-                insts = cache.instances(key, obj)
-            for ax, res in insts:
+                rewrites = cache.instances(key, obj)
+            for ax, res in rewrites:
+                built += 1
                 rk = ax.result_key
-                if rk in visited:
+                if rk in visited or not is_canonical(res):
                     continue
                 if expand_fwd:
                     visited[rk] = (res, steps + [ax])
@@ -447,9 +468,9 @@ def equiv(
                 states += 1
                 new_frontier.append(rk)
                 if rk in other:
-                    return EquivOutcome("equivalent", splice(rk), states, reason="found")
+                    return stop("found", splice(rk))
                 if states >= max_states:
-                    return EquivOutcome("not-within-bounds", states=states, reason="state bound")
+                    return stop("state bound")
         if expand_fwd:
             frontier_f = new_frontier
             depth_f += 1
@@ -458,7 +479,7 @@ def equiv(
             depth_b += 1
         if not frontier_f and not frontier_b:
             break
-    return EquivOutcome("not-within-bounds", states=states, reason="empty frontier")
+    return stop("empty frontier")
 
 
 def check_certificate(o: Object, cert: Certificate, p: Object) -> tuple[bool, str]:

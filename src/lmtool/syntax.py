@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 from typing import Iterator, Optional, Union
 
@@ -537,16 +538,24 @@ def count_free_var(x: str, o: Object) -> int:
     raise TypeError(o)
 
 
+# the identifier that a binder node binds
+_BOUND_BY = {
+    Abs: attrgetter("var"),
+    ESub: attrgetter("var"),
+    Mu: attrgetter("name"),
+    ERepl: attrgetter("old"),
+}
+
+
 def bound_idents(o: Object) -> set[str]:
     out: set[str] = set()
-    for _, sub in positions(o):
-        match sub:
-            case Abs(x, _, _) | ESub(_, x, _):
-                out.add(x)
-            case Mu(a, _, _):
-                out.add(a)
-            case ERepl(_, _, old, _, _):
-                out.add(old)
+    stack = [o]
+    while stack:
+        cur = stack.pop()
+        bound = _BOUND_BY.get(type(cur))
+        if bound is not None:
+            out.add(bound(cur))
+        stack.extend(children(cur))
     return out
 
 
@@ -570,16 +579,23 @@ def not_at_all(ident: str, o: Object) -> bool:
 
 
 class NameSupply:
-    """Issues identifiers never seen before: not reserved, never reissued."""
+    """Issues identifiers never seen before: not reserved, never reissued.
 
-    def __init__(self, reserved: set[str] | None = None):
+    Every identifier of the given objects counts as reserved; they are
+    collected on the first issue, so a supply that issues nothing never
+    walks its objects."""
+
+    def __init__(self, reserved: set[str] | None = None, objects: tuple[Object, ...] = ()):
         self.counter = 0
         self.reserved: set[str] = set(reserved) if reserved else set()
+        self._unwalked = objects
 
     def fresh(self, base: str) -> str:
-        prefix = "'" if base.startswith("'") else ""
-        stem = base.lstrip("'")
-        stem = re.sub(r"\d+$", "", stem) or ("a" if prefix else "x")
+        if self._unwalked:
+            for o in self._unwalked:
+                self.reserved |= all_idents(o)
+            self._unwalked = ()
+        prefix, stem = _prefix_stem(base)
         while True:
             self.counter += 1
             cand = f"{prefix}{stem}{self.counter}"
@@ -591,11 +607,17 @@ class NameSupply:
         self.reserved |= idents
 
 
+@lru_cache(maxsize=1024)
+def _prefix_stem(base: str) -> tuple[str, str]:
+    """The prefix and stem of the identifiers issued for base: its
+    apostrophe, if any, and the rest without trailing digits."""
+    prefix = "'" if base.startswith("'") else ""
+    stem = re.sub(r"\d+$", "", base.lstrip("'")) or ("a" if prefix else "x")
+    return prefix, stem
+
+
 def supply_for(*objects: Object) -> NameSupply:
-    reserved: set[str] = set()
-    for o in objects:
-        reserved |= all_idents(o)
-    return NameSupply(reserved=reserved)
+    return NameSupply(objects=objects)
 
 
 # ---------------------------------------------------------------------------

@@ -68,18 +68,19 @@ def pairs():
 def test_shared_search_matches_the_reference_driver(pairs, monkeypatch):
     searches: list = []
     expansions = [0]
-    real_instances = equivalence.axiom_instances
+    real_rewrites = equivalence._rewrites
 
     def recording_equiv(*args, **kwargs):
         res = equiv(*args, **kwargs)
         searches.append(outcome(res))
         return res
 
-    def counting_instances(*args, **kwargs):
+    def counting_rewrites(*args, **kwargs):
         expansions[0] += 1
-        return real_instances(*args, **kwargs)
+        return real_rewrites(*args, **kwargs)
 
-    monkeypatch.setattr(equivalence, "axiom_instances", counting_instances)
+    # every expansion, cached or not, enumerates the one rewrite generator
+    monkeypatch.setattr(equivalence, "_rewrites", counting_rewrites)
     monkeypatch.setattr(drivers, "equiv", recording_equiv)
     hits = failed = 0
     for o, p, axiom in pairs:

@@ -108,6 +108,27 @@ def test_equiv_prints_stop_reason(capsys):
     assert code == 1 and out.strip() == "NOT-WITHIN-BOUNDS (depth bound)"
 
 
+def test_equiv_stats_line_comes_before_the_unchanged_output(capsys):
+    cases = [
+        ["mu 'b. (['a]x)['b/'a \\ y . #]", "mu 'b. ['b]x y"],
+        ["x", "y", "--ren", "--max-states", "40", "--max-depth", "3"],
+        ["x", "y"],
+    ]
+    stat = re.compile(r"search: (\d+) states, (\d+) expanded, (\d+) rewrites built")
+    counts = []
+    for argv in cases:
+        code, plain = run(capsys, "equiv", *argv)
+        code2, out = run(capsys, "equiv", *argv, "--stats")
+        first, rest = out.split("\n", 1)
+        assert code2 == code and rest == plain
+        states, expanded, built = map(int, stat.fullmatch(first).groups())
+        # every state past the two ends came from one built rewrite
+        assert expanded <= built and max(states - 2, 0) <= built
+        counts.append((states, expanded, built))
+    assert counts[1][1] > 1
+    assert counts[2] == (0, 0, 0)  # free identifiers differ: no search
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

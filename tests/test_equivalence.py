@@ -425,3 +425,128 @@ def test_equiv_stop_reasons():
     assert equiv(t("x"), t("y"), max_depth=3, **bounded).reason == "depth bound"
     assert equiv(t("x"), t("y"), max_depth=12, **bounded).reason == "state bound"
     assert equiv(t("x y"), t("y x"), expansive=False).reason == "empty frontier"
+
+
+# --- the streamed search against the eager loop it replaced -------------------
+
+
+def ref_equiv(o, p, max_states=20000, max_depth=12, include_ren=False, expansive=True):
+    """equiv before its rewrites were streamed: each expansion lists the
+    canonical results of axiom_instances, and only then looks their keys up."""
+    from lmtool.syntax import canonical_key, free_names, free_vars, sort_of
+
+    if sort_of(o) != sort_of(p):
+        return ("not-within-bounds", None, 0, "sorts differ")
+    if not include_ren and (free_vars(o) != free_vars(p) or free_names(o) != free_names(p)):
+        return ("not-within-bounds", None, 0, "free identifiers differ")
+    ko, kp = canonical_key(o), canonical_key(p)
+    if ko == kp:
+        return ("equivalent", Certificate([]), 0, "found")
+    fwd, bwd = {ko: (o, [])}, {kp: (p, [])}
+    frontier_f, frontier_b = [ko], [kp]
+    states, depth_f, depth_b = 2, 0, 0
+
+    def splice(meet_key):
+        steps = list(fwd[meet_key][1])
+        for ax, prev_key in reversed(bwd[meet_key][1]):
+            flipped = "RL" if ax.orientation == "LR" else "LR"
+            steps.append(Axiom(ax.name, flipped, ax.path, prev_key))
+        return Certificate(steps)
+
+    while frontier_f or frontier_b:
+        if depth_f + depth_b >= max_depth:
+            return ("not-within-bounds", None, states, "depth bound")
+        if states >= max_states:
+            return ("not-within-bounds", None, states, "state bound")
+        expand_fwd = (len(frontier_f) <= len(frontier_b) and frontier_f) or not frontier_b
+        frontier = frontier_f if expand_fwd else frontier_b
+        visited, other = (fwd, bwd) if expand_fwd else (bwd, fwd)
+        new_frontier = []
+        for key in frontier:
+            obj, steps = visited[key]
+            for ax, res in axiom_instances(obj, include_ren, expansive=expansive):
+                rk = ax.result_key
+                if rk in visited:
+                    continue
+                visited[rk] = (res, steps + ([ax] if expand_fwd else [(ax, key)]))
+                states += 1
+                new_frontier.append(rk)
+                if rk in other:
+                    return ("equivalent", splice(rk), states, "found")
+                if states >= max_states:
+                    return ("not-within-bounds", None, states, "state bound")
+        if expand_fwd:
+            frontier_f, depth_f = new_frontier, depth_f + 1
+        else:
+            frontier_b, depth_b = new_frontier, depth_b + 1
+    return ("not-within-bounds", None, states, "empty frontier")
+
+
+def _summary(status, cert, states, reason):
+    steps = cert.steps if cert else []
+    return (status, states, reason, cert.render() if cert else None,
+            [(s.name, s.orientation, s.path, s.result_key) for s in steps])
+
+
+def _streamed_matches_reference(o, p, **bounds):
+    res = equiv(o, p, **bounds)
+    want = _summary(*ref_equiv(o, p, **bounds))
+    assert _summary(res.status, res.certificate, res.states, res.reason) == want
+    return res
+
+
+def test_streamed_search_matches_the_eager_loop_on_sigma_pairs():
+    from lmtool.drivers import sigma_pair
+
+    reasons = set()
+    skipped = 0
+    for seed in range(4):
+        for k in range(1, 9):
+            lhs, rhs = sigma_pair(seed, f"sigma{k}", size=3)
+            o, p = canon(lhs), canon(rhs)
+            for bounds in ({"max_states": 300}, {"max_depth": 3}, {}):
+                if not bounds and k in (4, 5):
+                    continue  # full-bound sigma4/5 searches take seconds
+                res = _streamed_matches_reference(o, p, include_ren=True, **bounds)
+                reasons.add(res.reason)
+                # rewrites whose result was seen or not canonical
+                skipped += res.built - (res.states - 2)
+    assert reasons >= {"found", "state bound", "depth bound"} and skipped > 1000
+
+
+def test_streamed_search_matches_the_eager_loop_on_reduct_pairs():
+    from lmtool.generators import gen_equiv_pair
+    from lmtool.reduction import meaningful_reducts
+
+    reasons = set()
+    for seed in range(24):
+        ax = ("exs", "exr", "lin", "pp", "rho", "theta")[seed % 6]
+        o, p, _ = gen_equiv_pair(seed, axiom=ax, size=9)
+        _streamed_matches_reference(o, p, max_states=1500, max_depth=6)
+        # the searches the bisimulation driver runs, found and failed
+        for _, _, a2 in meaningful_reducts(o):
+            for _, _, b2 in meaningful_reducts(p):
+                res = _streamed_matches_reference(
+                    a2, b2, max_states=1500, max_depth=6, expansive=False
+                )
+                reasons.add(res.reason)
+    assert {"found", "empty frontier", "free identifiers differ"} <= reasons
+
+
+def test_non_expansive_instances_that_issue_no_name_do_not_walk_the_object(monkeypatch):
+    from lmtool import syntax
+
+    walks = []
+    all_idents = syntax.all_idents
+
+    def spy(o):
+        walks.append(o)
+        return all_idents(o)
+
+    monkeypatch.setattr(syntax, "all_idents", spy)
+    o = c(r"['e](\x. mu 'a. ['b](\y. mu 'c. ['d]x y))")
+    assert any(ax.name == "pp" for ax, _ in axiom_instances(o, expansive=False))
+    assert walks == []
+    # theta right-to-left issues a fresh name, which walks o once
+    assert any(ax.name == "theta" for ax, _ in axiom_instances(o))
+    assert walks == [o]

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -557,3 +558,89 @@ def test_flat_key_tokens():
     assert canonical_key(t(r"y[x\x]")) == ("s", "v", "y", "v", "x")
     assert canonical_key(c(r"(['a]x)['c/'a\#]")) == ("r", "'c", "n", 1, "v", "x", "e")
     assert canonical_key(t(r"\x:iA. x"), with_types=True) == ("l", "iA", "v", 1)
+
+
+# --- bound identifiers and the lazy name supply against the eager walks ---------
+
+
+def ref_bound_idents(o):
+    out = set()
+    for _, sub in positions(o):
+        match sub:
+            case Abs(x, _, _) | ESub(_, x, _):
+                out.add(x)
+            case Mu(a, _, _):
+                out.add(a)
+            case ERepl(_, _, old, _, _):
+                out.add(old)
+    return out
+
+
+def ref_all_idents(o):
+    return ref_free_vars(o) | ref_free_names(o) | ref_bound_idents(o)
+
+
+class RefNameSupply:
+    """The eager supply: its reserved set is complete when it is made."""
+
+    def __init__(self, reserved=None):
+        self.counter = 0
+        self.reserved = set(reserved) if reserved else set()
+
+    def fresh(self, base):
+        prefix = "'" if base.startswith("'") else ""
+        stem = base.lstrip("'")
+        stem = re.sub(r"\d+$", "", stem) or ("a" if prefix else "x")
+        while True:
+            self.counter += 1
+            cand = f"{prefix}{stem}{self.counter}"
+            if cand not in self.reserved:
+                self.reserved.add(cand)
+                return cand
+
+    def reserve(self, idents):
+        self.reserved |= idents
+
+
+def test_bound_idents_match_the_positions_walk():
+    for o in kernel_corpus():
+        for obj in (o, squash_names(o)):
+            assert bound_idents(obj) == ref_bound_idents(obj)
+
+
+def test_lazy_supply_issues_the_eager_names():
+    corpus = kernel_corpus()
+    compared = needs_second = 0
+    for o, u in zip(corpus, corpus[1:] + corpus[:1]):
+        both = ref_all_idents(o) | ref_all_idents(u)
+        bases = sorted(both | {"", "'", "x", "'a", "'b", "x12", "'a3"})
+        # the second object's identifiers reserved before the first issue,
+        # as meta.replace reserves its two names
+        first_two = RefNameSupply(both)
+        extra = {first_two.fresh("'a"), first_two.fresh("x")}
+        cases = [
+            (supply_for(o), RefNameSupply(ref_all_idents(o))),
+            (supply_for(o, u), RefNameSupply(both)),
+            (supply_for(o, u), RefNameSupply(both | extra)),
+        ]
+        cases[2][0].reserve(extra)
+        for lazy, eager in cases:
+            assert [lazy.fresh(b) for b in bases] == [eager.fresh(b) for b in bases]
+            compared += 1
+        alone = RefNameSupply(ref_all_idents(o))
+        needs_second += [alone.fresh(b) for b in bases] != [
+            RefNameSupply(both).fresh(b) for b in bases
+        ]
+    assert compared > 300 and needs_second > 20
+
+
+def test_canonicity_is_invariant_under_refresh():
+    from lmtool.reduction import is_canonical
+
+    seen = {True: 0, False: 0}
+    for o in kernel_corpus():
+        for obj in (o, squash_names(o)):
+            fresh = refresh(obj, supply_for(obj))
+            assert is_canonical(fresh) == is_canonical(obj)
+            seen[is_canonical(obj)] += 1
+    assert min(seen.values()) > 50
