@@ -12,15 +12,12 @@ from .syntax import (
     ParseError,
     PathError,
     SortError,
+    dotted,
     make_path,
     parse,
     parse_type,
     print_object,
 )
-
-
-def _parse_obj(text: str, sort=None):
-    return parse(text, sort=sort)
 
 
 def _parse_env(spec: str | None):
@@ -46,13 +43,13 @@ def _path_arg(o, spec: str):
 
 
 def cmd_parse(args) -> int:
-    o = _parse_obj(args.object, args.sort)
+    o = parse(args.object, args.sort)
     print(print_object(o))
     return 0
 
 
 def cmd_canon(args) -> int:
-    o = _parse_obj(args.object, args.sort)
+    o = parse(args.object, args.sort)
     trace = Trace(o, []) if args.trace else None
     print(print_object(reduction.canon(o, trace=trace)))
     if trace is not None:
@@ -61,14 +58,14 @@ def cmd_canon(args) -> int:
 
 
 def cmd_step(args) -> int:
-    o = _parse_obj(args.object, args.sort)
+    o = parse(args.object, args.sort)
     redexes = reduction.lm_redexes(o)
     if args.path is None:
         for tag, p in redexes:
-            print(f"{tag.value} @ {'.'.join(map(str, p.indices())) or 'root'}")
+            print(f"{tag.value} @ {dotted(p.steps)}")
         return 0
     p = _path_arg(o, args.path)
-    matching = [tag for tag, q in redexes if q.indices() == p.indices()]
+    matching = [tag for tag, q in redexes if q.steps == p.steps]
     if args.tag:
         tag = RuleTag(args.tag)
     elif matching:
@@ -86,7 +83,7 @@ def cmd_step(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    o = _parse_obj(args.object, args.sort)
+    o = parse(args.object, args.sort)
     try:
         nf, trace = reduction.reduce_to_nf(o, budget=args.budget, mode=args.mode)
     except BudgetExhausted:
@@ -102,27 +99,26 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_meaningful(args) -> int:
-    o = _parse_obj(args.object, args.sort)
+    o = parse(args.object, args.sort)
     co = reduction.canon(o)
     if not args.quiet and print_object(co) != print_object(o):
         print(f"canonicalized to {print_object(co)}")
     for tag, p, res in reduction.meaningful_reducts(co):
-        loc = ".".join(map(str, p.indices())) or "root"
-        print(f"{tag.value} @ {loc} => {print_object(res)}")
+        print(f"{tag.value} @ {dotted(p.steps)} => {print_object(res)}")
     return 0
 
 
 def cmd_sigma(args) -> int:
-    o = _parse_obj(args.object, args.sort)
+    o = parse(args.object, args.sort)
     for axiom, orient, p, res in lmu.sigma_instances(o):
-        loc = ".".join(map(str, p.indices())) or "root"
-        print(f"{axiom}{'+' if orient == 'LR' else '-'} @ {loc} => {print_object(res)}")
+        arrow = "+" if orient == "LR" else "-"
+        print(f"{axiom}{arrow} @ {dotted(p.steps)} => {print_object(res)}")
     return 0
 
 
 def cmd_equiv(args) -> int:
-    o = reduction.canon(_parse_obj(args.left, args.sort))
-    p = reduction.canon(_parse_obj(args.right, args.sort))
+    o = reduction.canon(parse(args.left, args.sort))
+    p = reduction.canon(parse(args.right, args.sort))
     res = equivalence.equiv(
         o,
         p,
@@ -141,7 +137,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_typecheck(args) -> int:
-    o = _parse_obj(args.object, args.sort)
+    o = parse(args.object, args.sort)
     gamma, delta = _parse_env(args.env)
     try:
         d = ty.check_object(o, gamma, delta)
@@ -155,7 +151,7 @@ def cmd_typecheck(args) -> int:
 def cmd_ppn(args) -> int:
     from .ppn import full_nf, mult_nf, translate_derivation
 
-    o = _parse_obj(args.object, args.sort)
+    o = parse(args.object, args.sort)
     gamma, delta = _parse_env(args.env)
     try:
         d = ty.check_object(o, gamma, delta)
@@ -196,7 +192,7 @@ def cmd_bisim_check(args) -> int:
     import random
 
     rng = random.Random(args.seed)
-    axioms = ("exs", "exr", "lin", "pp", "rho", "theta")
+    axioms = equivalence.AXIOMS
     per = max(1, args.cases // len(axioms))
     bad = checked = searches = nwb = hits = 0
     for ax in axioms:

@@ -106,7 +106,7 @@ def bisim_driver(
                 report.ok = False
                 report.details.append(
                     f"{side}: step {tag.value} @"
-                    f" {'.'.join(map(str, path.indices()))} of"
+                    f" {'.'.join(map(str, path.steps))} of"
                     f" {print_object(a)} reaches {print_object(a2)},"
                     f" unmatched by {print_object(b)}"
                 )

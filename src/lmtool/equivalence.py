@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Optional
 
 from .meta import apply_stack, rename, stack_of
-from .reduction import LINEAR_SPINE, canon, is_canonical
+from .reduction import LINEAR_SPINE, NotCanonicalError, canon, is_canonical
 from .syntax import (
     Abs,
     App,
@@ -25,23 +25,21 @@ from .syntax import (
     Var,
     alpha_eq,
     canonical_key,
-    children,
-    count_free_name,
-    count_free_var,
+    count_free,
+    dotted,
     empty_stack,
     free_names,
+    free_occurrences,
     free_vars,
     make_path,
-    name_occurrences,
     print_object,
-    rename_free_name_var,
-    rename_free_var,
+    rename_free,
+    rename_occurrences,
     rewrite_at,
     rewrite_everywhere,
     sort_of,
     subobject_at,
     supply_for,
-    with_children,
 )
 
 AXIOMS = ("exs", "exr", "lin", "pp", "rho", "theta")
@@ -63,7 +61,7 @@ class Axiom:
 
     def render(self) -> str:
         arrow = "+" if self.orientation == "LR" else "-"
-        return f"{self.name}{arrow} @ {'.'.join(map(str, self.path)) or 'root'}"
+        return f"{self.name}{arrow} @ {dotted(self.path)}"
 
 
 @dataclass
@@ -88,10 +86,6 @@ class EquivOutcome:
     @property
     def equivalent(self) -> bool:
         return self.status == "equivalent"
-
-
-class NotCanonical(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +120,16 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
     match sub:
         case ESub(t, x, u):
             # exs LR: (LTT<v>)[x\u] -> LTT<v[x\u]>
-            n_x = count_free_var(x, t)
+            n_x = count_free(x, t)
             for p, v, vs, _ in _linear_positions(t, "term"):
-                if x in vs or count_free_var(x, v) != n_x:
+                if x in vs or count_free(x, v) != n_x:
                     continue
                 out.append(("exs", "LR", rewrite_at(t, p, ESub(v, x, u), supply)))
         case ERepl(c, nn, on, ann, s):
             # exr LR: (LCC<c0>)[a'/a\s] -> LCC<c0[a'/a\s]>
-            n_on = count_free_name(on, c)
+            n_on = count_free(on, c)
             for p, c0, _, ns in _linear_positions(c, "command"):
-                if on in ns or count_free_name(on, c0) != n_on:
+                if on in ns or count_free(on, c0) != n_on:
                     continue
                 out.append(("exr", "LR", rewrite_at(c, p, ERepl(c0, nn, on, ann, s), supply)))
 
@@ -147,9 +141,9 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
             t2, x, u = node.body, node.var, node.arg
             if (free_vars(u) & vs) or (free_names(u) & ns):
                 continue  # the substitution body cannot move out
-            if count_free_var(x, sub) > 0:
+            if count_free(x, sub) > 0:
                 x2 = supply.fresh(x)
-                t2, x = rename_free_var(t2, x, x2), x2
+                t2, x = rename_free(t2, x, x2), x2
             res = ESub(rewrite_at(sub, p, t2, supply), x, u)
             out.append(("exs", "RL", res))
 
@@ -161,9 +155,9 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
             c0, nn, on, ann, s = node.body, node.new, node.old, node.ann, node.stack
             if (free_vars(s) & vs) or (free_names(s) & ns) or nn in ns:
                 continue
-            if count_free_name(on, sub) > 0:
+            if count_free(on, sub) > 0:
                 on2 = supply.fresh(on)
-                c0, on = rename_free_name_var(c0, on, on2), on2
+                c0, on = rename_free(c0, on, on2), on2
             res = ERepl(rewrite_at(sub, p, c0, supply), nn, on, ann, s)
             out.append(("exr", "RL", res))
 
@@ -175,7 +169,7 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
         case ERepl(Named(a, u), nn, on, _, s) if (
             a == on
             and not isinstance(s, EmptyStack)
-            and count_free_name(on, u) == 0
+            and count_free(on, u) == 0
             and _stack_inert(u)
         ):
             out.append(("lin", "LR", Named(nn, canon(apply_stack(u, s), supply))))
@@ -213,7 +207,7 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
             out.append(("rho", "RL", Named(a, Mu(b, annb, cbody))))
     match sub:
         # theta LR: mu a. [a]t -> t, a # t
-        case Mu(a, _, Named(a2, tb)) if a == a2 and count_free_name(a, tb) == 0:
+        case Mu(a, _, Named(a2, tb)) if a == a2 and count_free(a, tb) == 0:
             out.append(("theta", "LR", tb))
     if expansive and sort_of(sub) == "term":
         a = supply.fresh("'a")
@@ -228,13 +222,13 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
             # ren RL: pick a free name and push a subset of its occurrences
             # under a fresh explicit renaming
             for a in sorted(free_names(sub)):
-                occs = [idxs for idxs, _ in name_occurrences(sub, a)]
+                occs = [idxs for idxs, _ in free_occurrences(sub, a)]
                 if len(occs) > _REN_SUBSET_CAP:
                     occs = occs[:_REN_SUBSET_CAP]
                 b = supply.fresh("'b")
                 for r in range(0, len(occs) + 1):
                     for chosen in combinations(occs, r):
-                        body = _rename_occurrences(sub, a, b, set(chosen))
+                        body = rename_occurrences(sub, a, b, set(chosen))
                         out.append(("ren", "RL", ERepl(body, a, b, None, empty_stack())))
     return out
 
@@ -269,63 +263,41 @@ def _rebuild_spine(head: Object, args: list[Object]) -> Object:
     return head
 
 
-def _rename_occurrences(o: Object, frm: str, to: str, chosen: set[tuple[int, ...]]) -> Object:
-    """Rename the occurrences of frm at the chosen index paths to to.  A
-    subtree that holds no chosen occurrence is returned as it is, so it
-    keeps its caches."""
-    on_path = {c[:k] for c in chosen for k in range(len(c) + 1)}
-
-    def go(o: Object, idxs):
-        if idxs not in on_path:
-            return o
-        match o:
-            case Named(a, b):
-                a2 = to if (idxs in chosen and a == frm) else a
-                return Named(a2, go(b, idxs + (0,)))
-            case ERepl(b, nn, on, ann, s):
-                nn2 = to if (idxs in chosen and nn == frm) else nn
-                return ERepl(go(b, idxs + (0,)), nn2, on, ann, go(s, idxs + (1,)))
-            case _:
-                return with_children(
-                    o, tuple(go(ch, idxs + (i,)) for i, ch in enumerate(children(o)))
-                )
-
-    return go(o, ())
-
-
 # ---------------------------------------------------------------------------
 # Instances on whole objects
 
 
 def _rewrites(o: Object, include_ren: bool, expansive: bool):
-    """Yield (axiom, result) for every single-axiom rewrite of o, at every
-    position in pre-order and in both orientations, canonical or not.  The
-    axiom carries the result's canonical key."""
+    """Yield (index path, (axiom, orientation, new subobject), result) for
+    every single-axiom rewrite of o, at every position in pre-order and in
+    both orientations, canonical or not."""
     supply = supply_for(o)
     # no axiom yields a free identifier that its subobject lacks
-    for idxs, (name, orient, _), res in rewrite_everywhere(
+    yield from rewrite_everywhere(
         o, lambda sub: _subtree_rewrites(sub, supply, include_ren, expansive)
-    ):
+    )
+
+
+def _keyed(rewrites):
+    """(axiom, result) for each of the rewrites, the axiom carrying the
+    result's canonical key."""
+    for idxs, (name, orient, _), res in rewrites:
         yield Axiom(name, orient, idxs, canonical_key(res)), res
 
 
 def axiom_instances(
-    o: Object,
-    include_ren: bool = False,
-    require_canonical: bool = True,
-    expansive: bool = True,
+    o: Object, include_ren: bool = False, expansive: bool = True
 ) -> list[tuple[Axiom, Object]]:
     """All single-axiom rewrites of a canonical object, at every position and
     in both orientations, whose results are again canonical.  Non-expansive
     enumeration omits the orientations that synthesize fresh structure
     (theta, lin and ren right-to-left); a bidirectional search recovers
     those steps from the other frontier."""
-    if require_canonical and not is_canonical(o):
-        raise NotCanonical(print_object(o))
-    return [
-        (ax, res) for ax, res in _rewrites(o, include_ren, expansive)
-        if not require_canonical or is_canonical(res)
-    ]
+    if not is_canonical(o):
+        raise NotCanonicalError(print_object(o))
+    return list(_keyed(
+        rw for rw in _rewrites(o, include_ren, expansive) if is_canonical(rw[-1])
+    ))
 
 
 def apply_axiom(o: Object, ax: Axiom, include_ren: bool = True) -> Object:
@@ -372,7 +344,7 @@ class ExpansionCache:
         if hit is not None and (hit[0] is o or hit[0] == o):
             self.hits += 1
             return hit[1]
-        out = list(_rewrites(o, False, False))
+        out = list(_keyed(_rewrites(o, False, False)))
         self.entries[key] = (o, out)
         return out
 
@@ -402,7 +374,7 @@ def equiv(
     cache, no rewrite is built after the search stops."""
     for q in (o, p):
         if not is_canonical(q):
-            raise NotCanonical(print_object(q))
+            raise NotCanonicalError(print_object(q))
     if cache is not None and (include_ren or expansive):
         raise ValueError("the expansion cache serves non-expansive searches without ren")
     if sort_of(o) != sort_of(p):
@@ -453,7 +425,7 @@ def equiv(
             obj, steps = visited[key]
             expanded += 1
             if cache is None:
-                rewrites = _rewrites(obj, include_ren, expansive)
+                rewrites = _keyed(_rewrites(obj, include_ren, expansive))
             else:
                 rewrites = cache.instances(key, obj)
             for ax, res in rewrites:

@@ -20,10 +20,10 @@ from .syntax import (
     Path,
     Push,
     Var,
-    count_free_name,
+    count_free,
     empty_stack,
     free_names,
-    name_occurrences,
+    free_occurrences,
     not_at_all,
     positions,
     rewrite_at,
@@ -95,10 +95,10 @@ def is_linear_mu_redex(o: Object, p: Path) -> bool:
     mu = sub.fun
     a = mu.name
     c = mu.body
-    if count_free_name(a, c) != 1:
+    if count_free(a, c) != 1:
         return False
     # locate the unique free [a]u occurrence
-    occ = next(name_occurrences(c, a), None)
+    occ = next(free_occurrences(c, a), None)
     if occ is None or not isinstance(occ[1], Named):
         return False
     idxs, node = occ

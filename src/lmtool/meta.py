@@ -25,8 +25,7 @@ from .syntax import (
     free_names,
     free_vars,
     refresh,
-    rename_free_name_var,
-    rename_free_var,
+    rename_free,
     supply_for,
 )
 from .typing_util import codomain
@@ -99,12 +98,12 @@ def substitute(o: Object, x: str, u: Object, supply: NameSupply | None = None) -
                     return o
                 if y in fv_u and x in free_vars(b):
                     y2 = supply.fresh(y)
-                    return Abs(y2, ann, go(rename_free_var(b, y, y2)))
+                    return Abs(y2, ann, go(rename_free(b, y, y2)))
                 return Abs(y, ann, go(b))
             case Mu(a, ann, b):
                 if a in fn_u and x in free_vars(b):
                     a2 = supply.fresh(a)
-                    return Mu(a2, ann, go(rename_free_name_var(b, a, a2)))
+                    return Mu(a2, ann, go(rename_free(b, a, a2)))
                 return Mu(a, ann, go(b))
             case ESub(b, y, arg):
                 arg2 = go(arg)
@@ -112,7 +111,7 @@ def substitute(o: Object, x: str, u: Object, supply: NameSupply | None = None) -
                     return ESub(b, y, arg2)
                 if y in fv_u and x in free_vars(b):
                     y2 = supply.fresh(y)
-                    return ESub(go(rename_free_var(b, y, y2)), y2, arg2)
+                    return ESub(go(rename_free(b, y, y2)), y2, arg2)
                 return ESub(go(b), y, arg2)
             case Named(a, b):
                 return Named(a, go(b))
@@ -120,7 +119,7 @@ def substitute(o: Object, x: str, u: Object, supply: NameSupply | None = None) -
                 s2 = go(s)
                 if on in fn_u and x in free_vars(b):
                     on2 = supply.fresh(on)
-                    return ERepl(go(rename_free_name_var(b, on, on2)), nn, on2, ann, s2)
+                    return ERepl(go(rename_free(b, on, on2)), nn, on2, ann, s2)
                 return ERepl(go(b), nn, on, ann, s2)
             case EmptyStack():
                 return o
@@ -169,20 +168,20 @@ def replace(
             case Abs(x, ann, b):
                 if x in fv_s and old in free_names(b):
                     x2 = supply.fresh(x)
-                    return Abs(x2, ann, go(rename_free_var(b, x, x2)))
+                    return Abs(x2, ann, go(rename_free(b, x, x2)))
                 return Abs(x, ann, go(b))
             case Mu(a, ann, b):
                 if a == old:
                     return o
                 if (a in fn_s or a == new) and old in free_names(b):
                     a2 = supply.fresh(a)
-                    return Mu(a2, ann, go(rename_free_name_var(b, a, a2)))
+                    return Mu(a2, ann, go(rename_free(b, a, a2)))
                 return Mu(a, ann, go(b))
             case ESub(b, x, arg):
                 arg2 = go(arg)
                 if x in fv_s and old in free_names(b):
                     x2 = supply.fresh(x)
-                    return ESub(go(rename_free_var(b, x, x2)), x2, arg2)
+                    return ESub(go(rename_free(b, x, x2)), x2, arg2)
                 return ESub(go(b), x, arg2)
             case Named(a, b):
                 if a == old:
@@ -199,7 +198,7 @@ def replace(
                 )
                 if collides:
                     on2 = supply.fresh(on)
-                    return go(ERepl(rename_free_name_var(b, on, on2), nn, on2, ann, s1))
+                    return go(ERepl(rename_free(b, on, on2), nn, on2, ann, s1))
                 if nn != old:
                     return ERepl(go(b), nn, on, ann, go(s1))
                 # the replacement name is the one being replaced
@@ -234,7 +233,7 @@ def prepare_erepl(e: ERepl, supply: NameSupply | None = None) -> ERepl:
     if supply is None:
         supply = supply_for(e)
     old2 = supply.fresh(e.old)
-    return ERepl(rename_free_name_var(e.body, e.old, old2), e.new, old2, e.ann, e.stack)
+    return ERepl(rename_free(e.body, e.old, old2), e.new, old2, e.ann, e.stack)
 
 
 # ---------------------------------------------------------------------------

@@ -93,9 +93,6 @@ class Net:
         for b in self.boxes():
             yield from b.contents.all_nets()
 
-    def count_nodes(self) -> int:
-        return sum(len(net.nodes) for net in self.all_nets())
-
     def count_cuts(self) -> int:
         return sum(len(net.cuts()) for net in self.all_nets())
 

@@ -98,38 +98,21 @@ def tensor_tree(net: Net, root_wire: int) -> Optional[tuple[list[int], list[int]
     return nodes, interface
 
 
-def _copy_tree(net: Net, nodes: list[int], interface: list[int]) -> tuple[int, dict[int, int]]:
-    """Duplicate the tree; returns the new root wire and the map from old
-    interface wires to the copies'."""
-    # build a temporary net holding just the tree, then absorb a copy
-    tree_wires: set[int] = set()
+def add_tree(target: Net, net: Net, nodes: list[int], copy_boxes: bool) -> dict[int, int]:
+    """Add a copy of the tree's wires, in id order, then of its nodes to
+    target; returns the map from the tree's wires to the copies'.  Box
+    contents are copied when copy_boxes, else shared with the originals,
+    which the caller drops."""
+    wmap = {}
+    for w in sorted({w for nid in nodes for w in net.nodes[nid].downs}):
+        wmap[w] = target.new_wire(net.wires[w])
     for nid in nodes:
         n = net.nodes[nid]
-        tree_wires.update(n.downs)
-        tree_wires.update(n.ups)
-    piece = Net()
-    idmap: dict[int, int] = {}
-    for w in sorted(tree_wires):
-        idmap[w] = piece.new_wire(net.wires[w])
-    for nid in nodes:
-        n = net.nodes[nid]
-        n2 = Node(
-            piece._new_id(),
-            n.kind,
-            [idmap[w] for w in n.ups],
-            [idmap[w] for w in n.downs],
-            n.contents.copy() if n.contents is not None else None,
-        )
-        piece.nodes[n2.nid] = n2
-    wmap2 = net.absorb(piece)
-    return wmap2, idmap
-
-
-def duplicate_tree(net: Net, nodes: list[int], interface: list[int], root_wire: int):
-    wmap2, idmap = _copy_tree(net, nodes, interface)
-    new_root = wmap2[idmap[root_wire]]
-    new_interface = [wmap2[idmap[w]] for w in interface]
-    return new_root, new_interface
+        contents = n.contents.copy() if copy_boxes and n.contents is not None else n.contents
+        n2 = Node(target._new_id(), n.kind, [wmap[w] for w in n.ups],
+                  [wmap[w] for w in n.downs], contents)
+        target.nodes[n2.nid] = n2
+    return wmap
 
 
 def delete_tree(net: Net, nodes: list[int]) -> None:
@@ -220,7 +203,8 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
             k = len(cnode.ups)
             copies = [(w_other, interface)]
             for _ in range(k - 1):
-                copies.append(duplicate_tree(level, nodes, interface, w_other))
+                wmap = add_tree(level, level, nodes, copy_boxes=True)
+                copies.append((wmap[w_other], [wmap[w] for w in interface]))
             level.drop_node(cut.nid)
             level.drop_wire(w_this)
             for prem, (root, _) in zip(cnode.ups, copies):
@@ -250,26 +234,10 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
             nodes, interface = tree
             inner = host.contents
             # move the tree inside the host box
-            piece = Net()
-            tree_wires: set[int] = set()
-            for nid in nodes:
-                n = level.nodes[nid]
-                tree_wires.update(n.downs)
-            idmap = {w: piece.new_wire(level.wires[w]) for w in sorted(tree_wires)}
-            for nid in nodes:
-                n = level.nodes[nid]
-                n2 = Node(
-                    piece._new_id(),
-                    n.kind,
-                    [idmap[w] for w in n.ups],
-                    [idmap[w] for w in n.downs],
-                    n.contents,
-                )
-                piece.nodes[n2.nid] = n2
-            wmap = inner.absorb(piece)
+            wmap = add_tree(inner, level, nodes, copy_boxes=False)
             # the cut moves inside: door wire w_this pairs conclusions[port]
             iw = inner.conclusions[port][0]
-            inner.add("cut", [iw, wmap[idmap[w_other]]], [])
+            inner.add("cut", [iw, wmap[w_other]], [])
             inner.conclusions.pop(port)
             level.drop_node(cut.nid)
             host.downs.pop(port)
@@ -279,12 +247,12 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
             anchors = {w: level.conclusion_anchor(w) for w in interface}
             for nid in nodes:
                 level.drop_node(nid)
-            for w in sorted(tree_wires):
+            for w in wmap:
                 if w in interface:
                     continue
                 level.drop_wire(w)
             for w in interface:
-                inner.conclusions.append((wmap[idmap[w]], ("door",)))
+                inner.conclusions.append((wmap[w], ("door",)))
                 host.downs.append(w)
         case _:
             raise NoRuleError(rule)

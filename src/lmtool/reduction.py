@@ -34,10 +34,11 @@ from .syntax import (
     Var,
     canonical_key,
     children,
-    count_free_name,
+    count_free,
     descend,
+    dotted,
     empty_stack,
-    name_occurrences,
+    free_occurrences,
     positions,
     print_object,
     rewrite_at,
@@ -85,8 +86,7 @@ class Trace:
     def render(self) -> str:
         lines = [print_object(self.start)]
         for tag, path, obj in self.steps:
-            loc = ".".join(str(i) for i in path.indices()) or "root"
-            lines.append(f"{tag.value} @ {loc} => {print_object(obj)}")
+            lines.append(f"{tag.value} @ {dotted(path.steps)} => {print_object(obj)}")
         return "\n".join(lines)
 
 
@@ -115,7 +115,7 @@ def is_linear_indices(root: Object, idxs: tuple[int, ...]) -> bool:
 def is_linear_path(root: Object, frm: Path, to: Path) -> bool:
     """True iff the path from frm to to (frm must be a prefix) stays within
     the linear-context grammar."""
-    fi, ti = frm.indices(), to.indices()
+    fi, ti = frm.steps, to.steps
     if ti[: len(fi)] != fi:
         raise ValueError("frm is not a prefix of to")
     start = subobject_at(root, frm)
@@ -215,9 +215,9 @@ def _classify_erepl(sub: ERepl) -> RInfo:
     c, alpha, s = sub.body, sub.old, sub.stack
     if isinstance(s, EmptyStack):
         return RInfo(RuleTag.R_EMPTY)
-    if count_free_name(alpha, c) != 1:
+    if count_free(alpha, c) != 1:
         return RInfo(RuleTag.R_NEQ1)
-    occ = next(name_occurrences(c, alpha), None)
+    occ = next(free_occurrences(c, alpha), None)
     if occ is None:
         # the occurrence sits under a shadowing binder only when inputs break
         # the naming discipline; treat as non-linear work

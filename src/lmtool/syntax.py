@@ -8,7 +8,7 @@ so the two binder namespaces can never collide in the concrete syntax.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterator, Optional, Union
@@ -233,15 +233,17 @@ class Path:
     steps: tuple[int, ...]
     target_sort: str
 
-    def indices(self) -> tuple[int, ...]:
-        return self.steps
-
     def __len__(self) -> int:
         return len(self.steps)
 
 
 class PathError(Exception):
     pass
+
+
+def dotted(steps: tuple[int, ...]) -> str:
+    """An index path as printed: its child indices joined by dots, or root."""
+    return ".".join(map(str, steps)) or "root"
 
 
 def descend(root: Object, idxs: tuple[int, ...]) -> list[Object]:
@@ -289,25 +291,21 @@ def subobject_at(root: Object, p: Path) -> Object:
     return descend(root, p.steps)[-1]
 
 
-def _binders(nodes: list[Object], idxs: tuple[int, ...]) -> tuple[set[str], set[str]]:
-    vs: set[str] = set()
-    ns: set[str] = set()
+def _binders(nodes: list[Object], idxs: tuple[int, ...]) -> set[str]:
+    """The identifiers bound on the spine: a binder binds in its child 0."""
+    out: set[str] = set()
     for o, i in zip(nodes, idxs):
-        match o:
-            case Abs(x, _, _):
-                vs.add(x)
-            case Mu(a, _, _):
-                ns.add(a)
-            case ESub(_, x, _) if i == 0:
-                vs.add(x)
-            case ERepl(_, _, old, _, _) if i == 0:
-                ns.add(old)
-    return vs, ns
+        bound = _BOUND_BY.get(type(o))
+        if bound is not None and i == 0:
+            out.add(bound(o))
+    return out
 
 
 def binders_along(root: Object, p: Path) -> tuple[set[str], set[str]]:
     """Variables and names bound on the spine from the root to the hole at p."""
-    return _binders(descend(root, p.steps), p.steps)
+    bound = _binders(descend(root, p.steps), p.steps)
+    names = {a for a in bound if is_name(a)}
+    return bound - names, names
 
 
 def free_for(q: Object, root: Object, p: Path) -> bool:
@@ -333,10 +331,9 @@ def rewrite_at(root: Object, p: Path, q: Object, supply: "NameSupply | None" = N
     their existing binders on the spine."""
     idxs = p.steps
     nodes = descend(root, idxs)
-    fresh_v = free_vars(q) - free_vars(nodes[-1])
-    fresh_n = free_names(q) - free_names(nodes[-1])
-    vs, ns = _binders(nodes, idxs) if fresh_v or fresh_n else (set(), set())
-    if (vs & fresh_v) or (ns & fresh_n):
+    old = nodes[-1]
+    fresh = (free_vars(q) - free_vars(old)) | (free_names(q) - free_names(old))
+    if fresh and fresh & _binders(nodes, idxs):
         # a spine binder would capture a genuinely new identifier; rename the
         # binder (this cannot disturb q's pre-existing free identifiers) and
         # read the nodes below it from the renamed one
@@ -344,19 +341,11 @@ def rewrite_at(root: Object, p: Path, q: Object, supply: "NameSupply | None" = N
             supply = NameSupply(reserved=all_idents(root) | free_vars(q) | free_names(q))
         o = root
         for k, i in enumerate(idxs):
-            match o:
-                case Abs(x, ann, b) if x in fresh_v:
-                    x2 = supply.fresh(x)
-                    o = Abs(x2, ann, rename_free_var(b, x, x2))
-                case Mu(a, ann, b) if a in fresh_n:
-                    a2 = supply.fresh(a)
-                    o = Mu(a2, ann, rename_free_name_var(b, a, a2))
-                case ESub(b, x, u) if i == 0 and x in fresh_v:
-                    x2 = supply.fresh(x)
-                    o = ESub(rename_free_var(b, x, x2), x2, u)
-                case ERepl(b, nn, on, ann, s) if i == 0 and on in fresh_n:
-                    on2 = supply.fresh(on)
-                    o = ERepl(rename_free_name_var(b, on, on2), nn, on2, ann, s)
+            bound = _BOUND_BY.get(type(o))
+            x = bound(o) if bound is not None and i == 0 else None
+            if x in fresh:
+                x2 = supply.fresh(x)
+                o = _REBIND[type(o)](o, x2, rename_free(o.body, x, x2))
             nodes[k] = o
             o = children(o)[i]
     return splice(nodes, idxs, q)
@@ -468,75 +457,10 @@ def free_names(o: Object) -> frozenset[str]:
     return out
 
 
-def count_free_name(alpha: str, o: Object) -> int:
-    """fnp: number of free occurrences of the name alpha.
-
-    Occurrences are the name of a Named node, the replacement-name of an
-    ERepl node, and occurrences inside subobjects, minus shadowed ones.
-    """
-    if isinstance(o, (Var, EmptyStack)) or alpha not in free_names(o):
-        return 0
-    match o:
-        case App(f, a):
-            return count_free_name(alpha, f) + count_free_name(alpha, a)
-        case Abs(_, _, b) | Mu(_, _, b):
-            # alpha is free here, so a mu does not bind it
-            return count_free_name(alpha, b)
-        case Named(a, b):
-            return (1 if a == alpha else 0) + count_free_name(alpha, b)
-        case ESub(b, _, u):
-            return count_free_name(alpha, b) + count_free_name(alpha, u)
-        case ERepl(b, new, old, _, s):
-            n = 1 if new == alpha else 0
-            if old != alpha:
-                n += count_free_name(alpha, b)
-            return n + count_free_name(alpha, s)
-        case Push(h, t):
-            return count_free_name(alpha, h) + count_free_name(alpha, t)
-    raise TypeError(o)
-
-
-def name_occurrences(o: Object, alpha: str) -> Iterator[tuple[tuple[int, ...], Object]]:
-    """Yield (index path, node) for each free occurrence of the name alpha
-    in o, in pre-order: the name of a Named node or the replacement name of
-    an ERepl node.  A mu named alpha binds it in its body, an ERepl whose
-    old name is alpha binds it in its command (child 0)."""
-    stack = [((), o)]
-    while stack:
-        idxs, o = stack.pop()
-        t = type(o)
-        if (t is Named and o.name == alpha) or (t is ERepl and o.new == alpha):
-            yield idxs, o
-        if t is Mu and o.name == alpha:
-            continue
-        first = 1 if t is ERepl and o.old == alpha else 0
-        cs = children(o)
-        for i in range(len(cs) - 1, first - 1, -1):
-            stack.append((idxs + (i,), cs[i]))
-
-
-def count_free_var(x: str, o: Object) -> int:
-    match o:
-        case Var(y):
-            return 1 if y == x else 0
-        case EmptyStack():
-            return 0
-    if x not in free_vars(o):
-        return 0
-    match o:
-        case App(f, a):
-            return count_free_var(x, f) + count_free_var(x, a)
-        case Abs(_, _, b) | Mu(_, _, b) | Named(_, b):
-            return count_free_var(x, b)
-        case ESub(b, y, u):
-            n = 0 if y == x else count_free_var(x, b)
-            return n + count_free_var(x, u)
-        case ERepl(b, _, _, _, s):
-            return count_free_var(x, b) + count_free_var(x, s)
-        case Push(h, t):
-            return count_free_var(x, h) + count_free_var(x, t)
-    raise TypeError(o)
-
+# The binding structure of both namespaces.  A binder binds one identifier
+# in its child 0 (its body), and an identifier stands free in one field of
+# three node classes.  Variables and names never collide, since names start
+# with an apostrophe, so one walk over these tables serves both.
 
 # the identifier that a binder node binds
 _BOUND_BY = {
@@ -545,6 +469,58 @@ _BOUND_BY = {
     Mu: attrgetter("name"),
     ERepl: attrgetter("old"),
 }
+
+# a binder node rebuilt with another bound identifier and another child 0
+_REBIND = {
+    Abs: lambda o, x, body: Abs(x, o.ann, body),
+    ESub: lambda o, x, body: ESub(body, x, o.arg),
+    Mu: lambda o, a, body: Mu(a, o.ann, body),
+    ERepl: lambda o, a, body: ERepl(body, o.new, a, o.ann, o.stack),
+}
+
+# the field of a node where an identifier stands free, unless a binder
+# above binds it
+_FREE_AT = {Var: "name", Named: "name", ERepl: "new"}
+
+
+def count_free(ident: str, o: Object) -> int:
+    """The number of free occurrences of the variable or name ident in o.
+    A subobject where ident is not free answers 0 from its cache."""
+    t = type(o)
+    if t is Var:
+        return 1 if o.name == ident else 0
+    if t is EmptyStack or ident not in (free_names(o) if is_name(ident) else free_vars(o)):
+        return 0
+    at = _FREE_AT.get(t)
+    n = 1 if at is not None and getattr(o, at) == ident else 0
+    cs = children(o)
+    bound = _BOUND_BY.get(t)
+    for c in cs[1:] if bound is not None and bound(o) == ident else cs:
+        n += count_free(ident, c)
+    return n
+
+
+def free_occurrences(o: Object, ident: str) -> Iterator[tuple[tuple[int, ...], Object]]:
+    """Yield (index path, node) for each free occurrence of the variable or
+    name ident in o, in pre-order, without recursion: a Var, the name of a
+    Named node or the replacement name of an ERepl node.  A subobject whose
+    cached free identifiers lack ident is skipped; no cache is filled."""
+    cache = "_fn" if is_name(ident) else "_fv"
+    stack = [((), o)]
+    while stack:
+        idxs, o = stack.pop()
+        t = type(o)
+        at = _FREE_AT.get(t)
+        if at is not None and getattr(o, at) == ident:
+            yield idxs, o
+        free = getattr(o, cache, None)
+        if free is not None and ident not in free:
+            continue
+        bound = _BOUND_BY.get(t)
+        first = 1 if bound is not None and bound(o) == ident else 0
+        cs = children(o)
+        for i in range(len(cs) - 1, first - 1, -1):
+            stack.append((idxs + (i,), cs[i]))
 
 
 def bound_idents(o: Object) -> set[str]:
@@ -565,13 +541,8 @@ def all_idents(o: Object) -> set[str]:
 
 def not_at_all(ident: str, o: Object) -> bool:
     """ident occurs neither free nor bound in o."""
-    if is_name(ident):
-        if ident in free_names(o):
-            return False
-    else:
-        if ident in free_vars(o):
-            return False
-    return ident not in bound_idents(o)
+    free = free_names(o) if is_name(ident) else free_vars(o)
+    return ident not in free and ident not in bound_idents(o)
 
 
 # ---------------------------------------------------------------------------
@@ -621,47 +592,42 @@ def supply_for(*objects: Object) -> NameSupply:
 
 
 # ---------------------------------------------------------------------------
-# Renaming helpers (free occurrences only; no capture checks, callers ensure
-# the new ident is fresh)
+# Renaming (no capture checks: callers ensure the new identifier is fresh)
 
 
-def rename_free_var(o: Object, old: str, new: str) -> Object:
-    if old == new:
-        return o
-    match o:
-        case Var(x):
-            return Var(new) if x == old else o
-        case Abs(x, ann, b):
-            return o if x == old else Abs(x, ann, rename_free_var(b, old, new))
-        case ESub(b, x, u):
-            nb = b if x == old else rename_free_var(b, old, new)
-            return ESub(nb, x, rename_free_var(u, old, new))
-        case _:
-            cs = children(o)
-            if not cs:
-                return o
-            return with_children(o, tuple(rename_free_var(c, old, new) for c in cs))
+def rename_occurrences(o: Object, old: str, new: str, chosen: set[tuple[int, ...]]) -> Object:
+    """Rename old to new at the chosen index paths, which address nodes
+    where an identifier stands free (free_occurrences lists them).  A
+    subtree that holds no chosen path is returned as it is, so it keeps its
+    caches."""
+    on_path = {c[:k] for c in chosen for k in range(len(c) + 1)}
 
-
-def rename_free_name_var(o: Object, old: str, new: str) -> Object:
-    if old == new:
-        return o
-    match o:
-        case Var(_) | EmptyStack():
+    def go(o: Object, idxs: tuple[int, ...]) -> Object:
+        if idxs not in on_path:
             return o
-        case Mu(a, ann, b):
-            return o if a == old else Mu(a, ann, rename_free_name_var(b, old, new))
-        case Named(a, b):
-            a2 = new if a == old else a
-            return Named(a2, rename_free_name_var(b, old, new))
-        case ERepl(b, nn, on, ann, s):
-            nn2 = new if nn == old else nn
-            nb = b if on == old else rename_free_name_var(b, old, new)
-            return ERepl(nb, nn2, on, ann, rename_free_name_var(s, old, new))
-        case _:
-            return with_children(
-                o, tuple(rename_free_name_var(c, old, new) for c in children(o))
-            )
+        cs = children(o)
+        if cs:
+            o = with_children(o, tuple(go(ch, idxs + (i,)) for i, ch in enumerate(cs)))
+        if idxs in chosen:
+            at = _FREE_AT[type(o)]
+            if getattr(o, at) == old:
+                o = replace(o, **{at: new})
+        return o
+
+    return go(o, ())
+
+
+def rename_free(o: Object, old: str, new: str) -> Object:
+    """Rename the free occurrences of the variable or name old to new; the
+    subtrees that hold none are kept as they are."""
+    if old == new:
+        return o
+    return rename_occurrences(o, old, new, {idxs for idxs, _ in free_occurrences(o, old)})
+
+
+# older names of the unified functions, which the benchmark scripts use
+count_free_var = count_free_name = count_free
+rename_free_var = rename_free
 
 
 def refresh(o: Object, supply: NameSupply) -> Object:
@@ -708,15 +674,9 @@ def is_barendregt(o: Object) -> bool:
     seen: set[str] = set()
     free = free_vars(o) | free_names(o)
     for _, sub in positions(o):
-        b: Optional[str] = None
-        match sub:
-            case Abs(x, _, _) | ESub(_, x, _):
-                b = x
-            case Mu(a, _, _):
-                b = a
-            case ERepl(_, _, old, _, _):
-                b = old
-        if b is not None:
+        bound = _BOUND_BY.get(type(sub))
+        if bound is not None:
+            b = bound(sub)
             if b in seen or b in free:
                 return False
             seen.add(b)

@@ -41,7 +41,7 @@ def ref_bisim_driver(o, p, axiom=None, max_states=1500, max_depth=6, search=equi
                 report.ok = False
                 report.details.append(
                     f"{side}: step {tag.value} @"
-                    f" {'.'.join(map(str, path.indices()))} of"
+                    f" {'.'.join(map(str, path.steps))} of"
                     f" {print_object(a)} reaches {print_object(a2)},"
                     f" unmatched by {print_object(b)}"
                 )

@@ -5,7 +5,6 @@ import pytest
 from lmtool.equivalence import (
     Axiom,
     Certificate,
-    NotCanonical,
     admissible_suite,
     apply_axiom,
     axiom_instances,
@@ -13,7 +12,7 @@ from lmtool.equivalence import (
     equiv,
 )
 from lmtool.gen_random import random_object
-from lmtool.reduction import canon, is_canonical
+from lmtool.reduction import NotCanonicalError, canon, is_canonical
 from lmtool.syntax import ERepl, Named, alpha_eq, make_path, parse, print_object
 from lmtool.typing import check_object
 from lmtool.generators import gen_typed
@@ -106,7 +105,7 @@ def test_instances_stay_canonical():
 
 
 def test_instances_reject_non_canonical_input():
-    with pytest.raises(NotCanonical):
+    with pytest.raises(NotCanonicalError):
         axiom_instances(t(r"(\x. x) y"))
 
 
@@ -319,6 +318,7 @@ def test_cached_canonicity_of_instances_matches_reference_walk(seeded_objects):
     # every rewrite at every position, canonical or not, and every subobject
     # of it; the instances share untouched subtrees with their source, whose
     # caches are full after the first round
+    from lmtool.equivalence import _rewrites
     from lmtool.reduction import _canon_tag
     from lmtool.syntax import positions
 
@@ -328,7 +328,7 @@ def test_cached_canonicity_of_instances_matches_reference_walk(seeded_objects):
     seen = set()
     for _ in range(2):
         for o in seeded_objects:
-            for _, res in axiom_instances(o, include_ren=True, require_canonical=False):
+            for *_, res in _rewrites(o, include_ren=True, expansive=True):
                 full = reference(res)
                 assert is_canonical(res) == full, print_object(res)
                 seen.add(full)
@@ -338,7 +338,7 @@ def test_cached_canonicity_of_instances_matches_reference_walk(seeded_objects):
 
 
 def _rebuilt_renaming(o, frm, to, chosen):
-    """_rename_occurrences as a full rebuild of every node."""
+    """rename_occurrences as a full rebuild of every node."""
     from lmtool.syntax import children, with_children
 
     def go(o, idxs):
@@ -361,8 +361,9 @@ def _rebuilt_renaming(o, frm, to, chosen):
 def test_rename_occurrences_shares_untouched_subtrees(seeded_objects):
     from itertools import combinations
 
-    from lmtool.equivalence import _rename_occurrences
-    from lmtool.syntax import free_names, name_occurrences, positions, sort_of, subobject_at
+    from lmtool.syntax import (
+        free_names, free_occurrences, positions, rename_occurrences, sort_of, subobject_at,
+    )
 
     shared = 0
     for o in seeded_objects:
@@ -370,10 +371,10 @@ def test_rename_occurrences_shares_untouched_subtrees(seeded_objects):
             if sort_of(sub) != "command":
                 continue
             for a in sorted(free_names(sub)):
-                occs = [idxs for idxs, _ in name_occurrences(sub, a)][:4]
+                occs = [idxs for idxs, _ in free_occurrences(sub, a)][:4]
                 for r in range(len(occs) + 1):
                     for chosen in map(set, combinations(occs, r)):
-                        got = _rename_occurrences(sub, a, "'fresh", chosen)
+                        got = rename_occurrences(sub, a, "'fresh", chosen)
                         assert got == _rebuilt_renaming(sub, a, "'fresh", chosen)
                         for idxs, old in positions(sub):
                             if any(ch[: len(idxs)] == idxs for ch in chosen):

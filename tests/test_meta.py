@@ -18,7 +18,7 @@ from lmtool.syntax import (
     Push,
     Var,
     alpha_eq,
-    count_free_name,
+    count_free,
     empty_stack,
     free_names,
     free_vars,
@@ -95,7 +95,7 @@ def test_replace_blocked_renaming_example():
 def test_replace_erases_all_occurrences():
     o = c("['a](mu 'b. ['a]y)")
     got = replace(o, "'g", "'a", s("u . #"))
-    assert count_free_name("'a", got) == 0
+    assert count_free("'a", got) == 0
     assert alpha_eq(got, c("['g](mu 'b. ['g]y u) u"))
 
 
@@ -113,7 +113,7 @@ def test_replace_preserves_sort_and_removes_name():
         o = random_pure_object(rng, 6)
         st = random_pure_stack(rng, 3)
         got = replace(o, "'fresh", "'a", st)
-        assert count_free_name("'a", got) == 0 or "'a" in free_names(st)
+        assert count_free("'a", got) == 0 or "'a" in free_names(st)
 
 
 # --- renaming ---------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_rename_through_renaming_replacement():
     o = c("(['a]x)['a/'g\\#]")
     got = rename(o, "'b", "'a")
     assert alpha_eq(got, c("(['b]x)['b/'g\\#]"))
-    assert count_free_name("'a", got) == 0
+    assert count_free("'a", got) == 0
 
 
 def test_prepare_erepl_repairs_stack_condition():

@@ -22,8 +22,8 @@ from lmtool.ppn import (
     translate_stack_derivation,
 )
 from lmtool.ppn.formulas import OIota, OPar, QIota, QTen, input_of, neg_o
-from lmtool.ppn.net import Net
-from lmtool.ppn.rewrite import MULT, _cut_rule, fire
+from lmtool.ppn.net import Net, Node
+from lmtool.ppn.rewrite import MULT, _cut_rule, _redexes, add_tree, fire, tensor_tree
 from lmtool.ppn.translate import Piece, _boxed, _merge_shared
 from lmtool.syntax import (
     Abs, App, Arrow, Base, EmptyStack, ERepl, ESub, Mu, Named, Push, Var, parse, parse_type,
@@ -550,6 +550,56 @@ def test_single_scan_normalization_matches_count_then_find():
             _ref_nf(n, False, random.Random(8))
         )
         assert _dump(n) == before
+
+
+def _ref_add_tree(target, net, nodes):
+    """The tree copy that add_tree replaced: a throwaway net holding the
+    tree, absorbed into target (absorb copies the box contents)."""
+    tree_wires = set()
+    for nid in nodes:
+        tree_wires.update(net.nodes[nid].ups)
+        tree_wires.update(net.nodes[nid].downs)
+    piece = Net()
+    idmap = {w: piece.new_wire(net.wires[w]) for w in sorted(tree_wires)}
+    for nid in nodes:
+        n = net.nodes[nid]
+        n2 = Node(piece._new_id(), n.kind, [idmap[w] for w in n.ups],
+                  [idmap[w] for w in n.downs], n.contents)
+        piece.nodes[n2.nid] = n2
+    wmap = target.absorb(piece)
+    return {w: wmap[idmap[w]] for w in tree_wires}
+
+
+def test_tree_copy_matches_the_absorbed_piece():
+    # every tensor-tree that a contraction or door cut meets on the way to
+    # the full normal form, copied into its own net and into a new one
+    compared = boxes = 0
+    for o, g, d in _seeded_objects():
+        net = translate_derivation(check_object(o, g, d))
+        while (found := next(_redexes(net), None)) is not None:
+            level, cut, rule, side = found
+            if rule in ("con", "absorb"):
+                k = next(i for i, lv in enumerate(net.all_nets()) if lv is level)
+                nodes, _ = tensor_tree(level, cut.ups[1 - side])
+                for copy_boxes in (True, False):
+                    got, want = net.copy(), net.copy()
+                    got_level, want_level = list(got.all_nets())[k], list(want.all_nets())[k]
+                    for into_level in (True, False):
+                        got_t = got_level if into_level else Net()
+                        want_t = want_level if into_level else Net()
+                        wmap = add_tree(got_t, got_level, nodes, copy_boxes)
+                        assert wmap == _ref_add_tree(want_t, want_level, nodes)
+                        assert _dump(got_t) == _dump(want_t)
+                        # the copies are the last nodes added, in tree order
+                        added = list(got_t.nodes.values())[-len(nodes):]
+                        for nid, new in zip(nodes, added):
+                            old = got_level.nodes[nid]
+                            if old.contents is not None:
+                                assert (new.contents is old.contents) == (not copy_boxes)
+                                boxes += 1
+                compared += 1
+            fire(net, *found)
+    assert compared >= 10 and boxes >= 50
 
 
 def test_copy_is_deep_and_keeps_ids():

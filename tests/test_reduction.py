@@ -472,7 +472,7 @@ def _reference_rewrite_at(root, p, q, supply=None):
     with_children, renaming a capturing binder on the way down."""
     from lmtool.syntax import (
         Abs, ERepl, ESub, Mu, NameSupply, all_idents, binders_along, children, free_names,
-        free_vars, rename_free_name_var, rename_free_var, subobject_at, with_children,
+        free_vars, rename_free, subobject_at, with_children,
     )
 
     old = subobject_at(root, p)
@@ -498,16 +498,16 @@ def _reference_rewrite_at(root, p, q, supply=None):
         match o:
             case Abs(x, ann, b) if x in fresh_v:
                 x2 = supply.fresh(x)
-                o = Abs(x2, ann, rename_free_var(b, x, x2))
+                o = Abs(x2, ann, rename_free(b, x, x2))
             case Mu(a, ann, b) if a in fresh_n:
                 a2 = supply.fresh(a)
-                o = Mu(a2, ann, rename_free_name_var(b, a, a2))
+                o = Mu(a2, ann, rename_free(b, a, a2))
             case ESub(b, x, u) if i == 0 and x in fresh_v:
                 x2 = supply.fresh(x)
-                o = ESub(rename_free_var(b, x, x2), x2, u)
+                o = ESub(rename_free(b, x, x2), x2, u)
             case ERepl(b, nn, on, ann, s) if i == 0 and on in fresh_n:
                 on2 = supply.fresh(on)
-                o = ERepl(rename_free_name_var(b, on, on2), nn, on2, ann, s)
+                o = ERepl(rename_free(b, on, on2), nn, on2, ann, s)
         cs = list(children(o))
         cs[i] = go(cs[i], steps[1:])
         return with_children(o, tuple(cs))
@@ -527,9 +527,11 @@ def _probe(sort, sub, x, a):
 
 
 def test_splice_matches_the_recursive_writer(rewrite_corpus):
-    from lmtool.syntax import binders_along, free_names, free_vars, rewrite_at, sort_of
+    from lmtool.syntax import (
+        ERepl, ESub, binders_along, descend, free_names, free_vars, is_name, rewrite_at, sort_of,
+    )
 
-    captures = 0
+    captures = outside = 0
     for o in rewrite_corpus:
         for idxs, sub in positions(o):
             p = make_path(o, idxs)
@@ -541,12 +543,27 @@ def test_splice_matches_the_recursive_writer(rewrite_corpus):
             qs = [sub, _probe(s, sub, "zfree", "'zfree")]
             qs += [_probe(s, sub, x, "'zfree") for x in sorted(vs)]
             qs += [_probe(s, sub, "zfree", a) for a in sorted(ns)]
+            # and probes that a spine binder captures and that also hold the
+            # identifier of a substitution or replacement on the path whose
+            # scope (child 0) does not hold p: only the first is renamed
+            passed = {
+                n.var if isinstance(n, ESub) else n.old
+                for n, i in zip(descend(o, idxs), idxs)
+                if isinstance(n, (ESub, ERepl)) and i == 1
+            } - vs - ns
+            for y in sorted(passed):
+                if is_name(y):
+                    more = [_probe(s, sub, x, y) for x in sorted(vs)]
+                else:
+                    more = [_probe(s, sub, y, a) for a in sorted(ns)]
+                qs += more
+                outside += len(more)
             for q in qs:
                 got = rewrite_at(o, p, q, supply_for(o, q))
                 assert got == _reference_rewrite_at(o, p, q, supply_for(o, q))
                 assert rewrite_at(o, p, q) == _reference_rewrite_at(o, p, q)
             captures += len(vs - free_vars(sub)) + len(ns - free_names(sub))
-    assert captures > 500
+    assert captures > 500 and outside > 100
 
 
 def test_writes_that_skip_the_capture_check_bring_no_new_free_identifier(
@@ -632,7 +649,7 @@ def test_scanned_paths_equal_make_path(rewrite_corpus, monkeypatch):
         before = [trace.start] + [r for _, _, r in trace.steps]
         scanned += [(b, p) for b, (_, p, _) in zip(before, trace.steps)]
     for o, p in scanned + fired:
-        assert p == make_path(o, p.indices()), print_object(o)
+        assert p == make_path(o, p.steps), print_object(o)
     assert len(scanned) > 400 and len(fired) > 200, (len(scanned), len(fired))
 
 

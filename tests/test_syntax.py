@@ -25,10 +25,10 @@ from lmtool.syntax import (
     bound_idents,
     canonical_key,
     children,
-    count_free_name,
-    count_free_var,
+    count_free,
     free_for,
     free_names,
+    free_occurrences,
     free_vars,
     is_barendregt,
     is_name,
@@ -37,6 +37,7 @@ from lmtool.syntax import (
     positions,
     print_object,
     refresh,
+    rename_free,
     replace_at,
     rewrite_at,
     sort_of,
@@ -159,9 +160,10 @@ def test_fn_examples():
 
 
 def test_counts():
-    assert count_free_name("'a", c("['a]mu 'b. ['a]y")) == 2
-    assert count_free_name("'a", c("(['b]x)['a/'b\\z . #]")) == 1
-    assert count_free_var("x", t(r"\x. x")) == 0
+    assert count_free("'a", c("['a]mu 'b. ['a]y")) == 2
+    assert count_free("'a", c("(['b]x)['a/'b\\z . #]")) == 1
+    assert count_free("x", t(r"\x. x")) == 0
+    assert count_free("x", t(r"x (\y. x y)[y\x]")) == 3
 
 
 def test_count_zero_iff_not_free():
@@ -169,9 +171,9 @@ def test_count_zero_iff_not_free():
     for _ in range(200):
         o = random_object(rng, 8)
         for n in ("'a", "'b"):
-            assert (count_free_name(n, o) == 0) == (n not in free_names(o))
+            assert (count_free(n, o) == 0) == (n not in free_names(o))
         for v in ("x", "y"):
-            assert (count_free_var(v, o) == 0) == (v not in free_vars(o))
+            assert (count_free(v, o) == 0) == (v not in free_vars(o))
 
 
 # --- paths -----------------------------------------------------------------------
@@ -351,10 +353,8 @@ def test_cached_free_identifiers_match_the_reference_walk():
             # everything again with the caches full
             for _ in range(2):
                 for ident in probe_idents(o):
-                    if is_name(ident):
-                        assert count_free_name(ident, fresh) == ref_count_free_name(ident, o)
-                    else:
-                        assert count_free_var(ident, fresh) == ref_count_free_var(ident, o)
+                    ref_count = ref_count_free_name if is_name(ident) else ref_count_free_var
+                    assert count_free(ident, fresh) == ref_count(ident, o)
                 assert free_vars(fresh) == ref_free_vars(o)
                 assert free_names(fresh) == ref_free_names(o)
             # every subobject's cache agrees too
@@ -365,30 +365,76 @@ def test_cached_free_identifiers_match_the_reference_walk():
         assert (free_vars(o), free_names(o)) == (ref_free_vars(o), ref_free_names(o))
 
 
-def ref_name_occurrences(o, alpha):
-    """The recursive walk the occurrence walk replaced: index paths of the
-    free occurrences of alpha, in pre-order."""
+def ref_free_occurrences(o, ident):
+    """The recursive walk the occurrence walk replaced, for both namespaces:
+    index paths of the free occurrences of ident, in pre-order."""
     out = []
 
     def go(o, idxs, shadowed):
         match o:
+            case Var(x):
+                if x == ident and not shadowed:
+                    out.append(idxs)
             case Named(a, b):
-                if a == alpha and not shadowed:
+                if a == ident and not shadowed:
                     out.append(idxs)
                 go(b, idxs + (0,), shadowed)
             case ERepl(b, nn, on, _, s):
-                if nn == alpha and not shadowed:
+                if nn == ident and not shadowed:
                     out.append(idxs)
-                go(b, idxs + (0,), shadowed or on == alpha)
+                go(b, idxs + (0,), shadowed or on == ident)
                 go(s, idxs + (1,), shadowed)
-            case Mu(a, _, b):
-                go(b, idxs + (0,), shadowed or a == alpha)
+            case Abs(x, _, b) | Mu(x, _, b):
+                go(b, idxs + (0,), shadowed or x == ident)
+            case ESub(b, x, u):
+                go(b, idxs + (0,), shadowed or x == ident)
+                go(u, idxs + (1,), shadowed)
             case _:
                 for i, ch in enumerate(children(o)):
                     go(ch, idxs + (i,), shadowed)
 
     go(o, (), False)
     return out
+
+
+def ref_rename_free_var(o, old, new):
+    """The recursive renamers that rename_free replaced: every node rebuilt."""
+    if old == new:
+        return o
+    match o:
+        case Var(x):
+            return Var(new) if x == old else o
+        case Abs(x, ann, b):
+            return o if x == old else Abs(x, ann, ref_rename_free_var(b, old, new))
+        case ESub(b, x, u):
+            nb = b if x == old else ref_rename_free_var(b, old, new)
+            return ESub(nb, x, ref_rename_free_var(u, old, new))
+        case _:
+            cs = children(o)
+            if not cs:
+                return o
+            return with_children(o, tuple(ref_rename_free_var(c, old, new) for c in cs))
+
+
+def ref_rename_free_name(o, old, new):
+    if old == new:
+        return o
+    match o:
+        case Var(_) | EmptyStack():
+            return o
+        case Mu(a, ann, b):
+            return o if a == old else Mu(a, ann, ref_rename_free_name(b, old, new))
+        case Named(a, b):
+            a2 = new if a == old else a
+            return Named(a2, ref_rename_free_name(b, old, new))
+        case ERepl(b, nn, on, ann, s):
+            nn2 = new if nn == old else nn
+            nb = b if on == old else ref_rename_free_name(b, old, new)
+            return ERepl(nb, nn2, on, ann, ref_rename_free_name(s, old, new))
+        case _:
+            return with_children(
+                o, tuple(ref_rename_free_name(c, old, new) for c in children(o))
+            )
 
 
 def squash_names(o):
@@ -406,42 +452,102 @@ def squash_names(o):
     return with_children(o, cs) if cs else o
 
 
-def test_name_occurrences_match_the_recursive_walk():
-    from lmtool.syntax import name_occurrences
+def squash_vars(o):
+    """o with every variable mapped into two variables, so that binders
+    shadow."""
+    pool = ("x", "y")
+    sq = lambda x: pool[len(x) % 2]
+    cs = tuple(squash_vars(ch) for ch in children(o))
+    match o:
+        case Var(x):
+            return Var(sq(x))
+        case Abs(x, ann, _):
+            return Abs(sq(x), ann, cs[0])
+        case ESub(_, x, _):
+            return ESub(cs[0], sq(x), cs[1])
+    return with_children(o, cs) if cs else o
 
-    compared = shadowed = 0
+
+def test_free_occurrences_match_the_recursive_walk():
+    compared = {False: 0, True: 0}
+    shadowed = {False: 0, True: 0}
     for o in kernel_corpus():
-        for obj in (o, squash_names(o)):
+        for obj in (o, squash_vars(squash_names(o))):
+            # the walk skips subobjects by their caches when they are filled:
+            # first on new nodes, whose caches are empty, then on filled ones
+            fresh = rebuild(obj)
+            for ident in probe_idents(obj):
+                got = [idxs for idxs, _ in free_occurrences(fresh, ident)]
+                assert got == ref_free_occurrences(obj, ident)
             for _, sub in positions(obj):
-                for alpha in sorted(free_names(sub) | bound_idents(sub) | {"'a", "'b"}):
-                    if not is_name(alpha):
-                        continue
-                    got = list(name_occurrences(sub, alpha))
-                    ref = ref_name_occurrences(sub, alpha)
+                idents = free_vars(sub) | free_names(sub) | bound_idents(sub)
+                for ident in sorted(idents | {"'a", "'b", "x", "y"}):
+                    got = list(free_occurrences(sub, ident))
+                    ref = ref_free_occurrences(sub, ident)
                     assert [idxs for idxs, _ in got] == ref
-                    assert len(ref) == count_free_name(alpha, sub)
+                    assert len(ref) == count_free(ident, sub)
                     for idxs, node in got:
                         assert node is subobject_at(sub, make_path(sub, idxs))
-                    compared += 1
-                    # alpha both free and bound in sub: the walk must stop at
+                    compared[is_name(ident)] += 1
+                    # ident both free and bound in sub: the walk must stop at
                     # the binder
-                    shadowed += bool(ref) and alpha in bound_idents(sub)
-    assert compared > 5000 and shadowed > 100
+                    shadowed[is_name(ident)] += bool(ref) and ident in bound_idents(sub)
+    assert min(compared.values()) > 5000 and min(shadowed.values()) > 100
 
 
-def test_name_occurrences_thousands_deep_need_no_recursion():
-    from lmtool.syntax import name_occurrences
-
+def test_free_occurrences_thousands_deep_need_no_recursion():
     # ['a] mu 'b0. ['a] mu 'b1. ... ['a] x, and the same chain with 'a bound
     # half way down
     cmd = Named("'a", Var("x"))
     for i in range(3000):
         cmd = Named("'a", Mu("'a" if i == 1500 else f"'b{i}", None, cmd))
-    occs = list(name_occurrences(cmd, "'a"))
+    occs = list(free_occurrences(cmd, "'a"))
     assert len(occs) == 1500
     assert [len(idxs) for idxs, _ in occs] == list(range(0, 3000, 2))
-    assert next(name_occurrences(cmd, "'a")) == ((), cmd)
-    assert next(name_occurrences(cmd, "'b7"), None) is None
+    assert next(free_occurrences(cmd, "'a")) == ((), cmd)
+    assert next(free_occurrences(cmd, "'b7"), None) is None
+    # x (\y2999. x (\y2998. ... x (\x. ... x x))): the same for variables
+    term = Var("x")
+    for i in range(3000):
+        term = App(Var("x"), Abs("x" if i == 1500 else f"y{i}", None, term))
+    occs = list(free_occurrences(term, "x"))
+    assert len(occs) == 1500
+    assert [len(idxs) for idxs, _ in occs] == list(range(1, 3000, 2))
+    assert next(free_occurrences(term, "x")) == ((0,), Var("x"))
+    assert next(free_occurrences(term, "y7"), None) is None
+
+
+def test_rename_free_matches_the_recursive_renamers():
+    renamed = {False: 0, True: 0}
+    for o in kernel_corpus():
+        for obj in (o, squash_vars(squash_names(o))):
+            for _, sub in positions(obj):
+                idents = free_vars(sub) | free_names(sub) | bound_idents(sub)
+                for ident in sorted(idents | {"'a", "x"}):
+                    new = ident + "_new"
+                    ref = ref_rename_free_name if is_name(ident) else ref_rename_free_var
+                    got = rename_free(sub, ident, new)
+                    assert got == ref(sub, ident, new)
+                    renamed[is_name(ident)] += got != sub
+    assert min(renamed.values()) > 1000
+
+
+def test_rename_free_keeps_untouched_subtrees():
+    kept = 0
+    for o in kernel_corpus()[::3]:
+        for obj in (o, squash_vars(squash_names(o))):
+            for ident in sorted(free_vars(obj) | free_names(obj) | {"x", "'a"}):
+                occs = [idxs for idxs, _ in free_occurrences(obj, ident)]
+                got = rename_free(obj, ident, ident + "_new")
+                if not occs:
+                    assert got is obj
+                for idxs, old in positions(obj):
+                    if any(oc[: len(idxs)] == idxs for oc in occs):
+                        continue
+                    # no free occurrence at or below: the same node
+                    assert subobject_at(got, make_path(got, idxs)) is old
+                    kept += 1
+    assert kept > 2000
 
 
 def test_free_identifier_sets_are_frozen_and_shared():
