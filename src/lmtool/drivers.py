@@ -39,6 +39,7 @@ from .syntax import (
     Var,
     alpha_eq,
     canonical_key,
+    dotted,
     empty_stack,
     print_object,
 )
@@ -106,7 +107,7 @@ def bisim_driver(
                 report.ok = False
                 report.details.append(
                     f"{side}: step {tag.value} @"
-                    f" {'.'.join(map(str, path.steps))} of"
+                    f" {dotted(path.steps)} of"
                     f" {print_object(a)} reaches {print_object(a2)},"
                     f" unmatched by {print_object(b)}"
                 )

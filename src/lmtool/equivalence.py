@@ -300,8 +300,9 @@ def axiom_instances(
     ))
 
 
-def apply_axiom(o: Object, ax: Axiom, include_ren: bool = True) -> Object:
-    """Replay one axiom step; raises ValueError if no matching instance."""
+def apply_axiom(o: Object, ax: Axiom) -> Object:
+    """Replay one axiom step, ren included; raises ValueError if no
+    matching instance."""
     try:
         p = make_path(o, ax.path)
     except PathError as e:
@@ -309,7 +310,7 @@ def apply_axiom(o: Object, ax: Axiom, include_ren: bool = True) -> Object:
     sub = subobject_at(o, p)
     supply = supply_for(o)
     matches = []
-    for name, orient, new_sub in _subtree_rewrites(sub, supply, include_ren):
+    for name, orient, new_sub in _subtree_rewrites(sub, supply, True):
         if name != ax.name or orient != ax.orientation:
             continue
         res = rewrite_at(o, p, new_sub, supply)

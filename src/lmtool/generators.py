@@ -154,7 +154,7 @@ def _canonical_piece(rng: random.Random, size: int, sort: str) -> Object:
             return o
 
 
-def _template(rng: random.Random, axiom: str, include_ren: bool) -> Object:
+def _template(rng: random.Random, axiom: str) -> Object:
     i = rng.randrange(10**6)
     v = _canonical_piece(rng, 6, "term")
     u = _canonical_piece(rng, 5, "term")
@@ -221,19 +221,19 @@ def gen_equiv_pair(
     seed: int,
     size: int = 8,
     axiom: Optional[str] = None,
-    include_ren: bool = False,
 ) -> tuple[Object, Object, Axiom]:
-    """A canonical object, a one-axiom rewrite of it, and the axiom used.
-    Retries internally until an instance of the requested axiom exists."""
+    """A canonical object, a one-axiom rewrite of it, and the axiom used;
+    ren is drawn only when asked for.  Retries internally until an
+    instance of the requested axiom exists."""
     rng = random.Random(seed)
     for _ in range(200):
         if axiom is None:
             o = canon(random_object(rng, size))
         else:
-            o = _template(rng, axiom, include_ren)
+            o = _template(rng, axiom)
             if not is_canonical(o):
                 continue
-        insts = axiom_instances(o, include_ren=include_ren or axiom == "ren")
+        insts = axiom_instances(o, include_ren=axiom == "ren")
         if axiom is not None:
             insts = [(ax, r) for ax, r in insts if ax.name == axiom]
             # prefer root instances: those are the templated ones

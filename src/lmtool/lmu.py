@@ -10,7 +10,6 @@ from .syntax import (
     TERM,
     Abs,
     App,
-    EmptyStack,
     ERepl,
     ESub,
     Mu,
@@ -19,7 +18,7 @@ from .syntax import (
     Object,
     Path,
     Push,
-    Var,
+    children,
     count_free,
     empty_stack,
     free_names,
@@ -31,6 +30,7 @@ from .syntax import (
     sort_of,
     subobject_at,
     supply_for,
+    with_children,
 )
 from .meta import rename
 
@@ -292,44 +292,28 @@ def project(o: Object, supply: NameSupply | None = None) -> Object:
     """Execute every explicit substitution and replacement."""
     if supply is None:
         supply = supply_for(o)
-    match o:
-        case Var(_) | EmptyStack():
-            return o
-        case App(f, a):
-            return App(project(f, supply), project(a, supply))
-        case Abs(x, ann, b):
-            return Abs(x, ann, project(b, supply))
-        case Mu(a, ann, b):
-            return Mu(a, ann, project(b, supply))
-        case ESub(b, x, u):
-            return substitute(project(b, supply), x, project(u, supply), supply)
-        case Named(a, b):
-            return Named(a, project(b, supply))
-        case ERepl(b, nn, on, _, s):
-            return replace(project(b, supply), nn, on, project(s, supply), supply)
-        case Push(h, t):
-            return Push(project(h, supply), project(t, supply))
-    raise TypeError(o)
+    cs = children(o)
+    if not cs:
+        return o
+    cs = tuple(project(c, supply) for c in cs)
+    t = type(o)
+    if t is ESub:
+        return substitute(cs[0], o.var, cs[1], supply)
+    if t is ERepl:
+        return replace(cs[0], o.new, o.old, cs[1], supply)
+    return with_children(o, cs)
 
 
 def expand(o: Object) -> Object:
     """Unfold explicit operators into pure syntax:
     t[x\\u] becomes (\\x.t) u and c['b/'a\\s] becomes ['b](mu 'a. c)``s."""
-    match o:
-        case Var(_) | EmptyStack():
-            return o
-        case App(f, a):
-            return App(expand(f), expand(a))
-        case Abs(x, ann, b):
-            return Abs(x, ann, expand(b))
-        case Mu(a, ann, b):
-            return Mu(a, ann, expand(b))
-        case ESub(b, x, u):
-            return App(Abs(x, None, expand(b)), expand(u))
-        case Named(a, b):
-            return Named(a, expand(b))
-        case ERepl(b, nn, on, ann, s):
-            return Named(nn, apply_stack(Mu(on, ann, expand(b)), expand(s)))
-        case Push(h, t):
-            return Push(expand(h), expand(t))
-    raise TypeError(o)
+    cs = children(o)
+    if not cs:
+        return o
+    cs = tuple(map(expand, cs))
+    t = type(o)
+    if t is ESub:
+        return App(Abs(o.var, None, cs[0]), cs[1])
+    if t is ERepl:
+        return Named(o.new, apply_stack(Mu(o.old, o.ann, cs[0]), cs[1]))
+    return with_children(o, cs)

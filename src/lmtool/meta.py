@@ -8,25 +8,29 @@ first (see prepare_erepl).
 
 from __future__ import annotations
 
+from typing import Callable, Iterator
+
 from .syntax import (
-    Abs,
+    _BOUND_BY,
+    _REBIND,
     App,
     EmptyStack,
     ERepl,
-    ESub,
-    Mu,
     Named,
     NameSupply,
     Object,
     Push,
     Var,
     alpha_eq,
+    children,
     empty_stack,
     free_names,
     free_vars,
+    is_name,
     refresh,
     rename_free,
     supply_for,
+    with_children,
 )
 from .typing_util import codomain
 
@@ -68,7 +72,54 @@ def apply_stack(u: Object, s: Object) -> Object:
 
 
 # ---------------------------------------------------------------------------
-# Substitution
+# Substitution and replacement: one capture-avoiding walk
+
+
+def _payloads(u: Object, supply: NameSupply) -> Iterator[Object]:
+    """The copies of u to insert: u itself first, then copies with fresh
+    binders, so the result keeps all binders pairwise distinct when the
+    inputs do."""
+    yield u
+    while True:
+        yield refresh(u, supply)
+
+
+def _graft(
+    o: Object,
+    ident: str,
+    avoid: frozenset[str],
+    supply: NameSupply,
+    at: Callable[[Object, Callable[[Object], Object]], Object | None],
+) -> Object:
+    """Walk o to the free occurrences of the variable or name ident and let
+    at(node, go) rewrite the nodes it answers for (None: walk on).  A
+    subtree where ident is not free is returned as it is.  A binder of
+    ident keeps its body; a binder of an identifier in avoid whose body
+    holds ident is renamed fresh first.  A binder's other children are
+    walked before its body."""
+    free = free_names if is_name(ident) else free_vars
+
+    def go(o: Object) -> Object:
+        if ident not in free(o):
+            return o
+        done = at(o, go)
+        if done is not None:
+            return done
+        t = type(o)
+        cs = children(o)
+        bound = _BOUND_BY.get(t)
+        if bound is None:
+            return with_children(o, tuple(map(go, cs)))
+        rest = tuple(map(go, cs[1:]))
+        x = bound(o)
+        if x == ident:
+            return with_children(o, (o.body, *rest))
+        if x in avoid and ident in free(o.body):
+            x2 = supply.fresh(x)
+            o = _REBIND[t](o, x2, rename_free(o.body, x, x2))
+        return with_children(o, (go(o.body), *rest))
+
+    return go(o)
 
 
 def substitute(o: Object, x: str, u: Object, supply: NameSupply | None = None) -> Object:
@@ -79,59 +130,15 @@ def substitute(o: Object, x: str, u: Object, supply: NameSupply | None = None) -
     """
     if supply is None:
         supply = supply_for(o, u)
-    fv_u = free_vars(u)
-    fn_u = free_names(u)
-    inserted = [0]
-
-    def payload() -> Object:
-        inserted[0] += 1
-        return u if inserted[0] == 1 else refresh(u, supply)
-
-    def go(o: Object) -> Object:
-        match o:
-            case Var(y):
-                return payload() if y == x else o
-            case App(f, a):
-                return App(go(f), go(a))
-            case Abs(y, ann, b):
-                if y == x:
-                    return o
-                if y in fv_u and x in free_vars(b):
-                    y2 = supply.fresh(y)
-                    return Abs(y2, ann, go(rename_free(b, y, y2)))
-                return Abs(y, ann, go(b))
-            case Mu(a, ann, b):
-                if a in fn_u and x in free_vars(b):
-                    a2 = supply.fresh(a)
-                    return Mu(a2, ann, go(rename_free(b, a, a2)))
-                return Mu(a, ann, go(b))
-            case ESub(b, y, arg):
-                arg2 = go(arg)
-                if y == x:
-                    return ESub(b, y, arg2)
-                if y in fv_u and x in free_vars(b):
-                    y2 = supply.fresh(y)
-                    return ESub(go(rename_free(b, y, y2)), y2, arg2)
-                return ESub(go(b), y, arg2)
-            case Named(a, b):
-                return Named(a, go(b))
-            case ERepl(b, nn, on, ann, s):
-                s2 = go(s)
-                if on in fn_u and x in free_vars(b):
-                    on2 = supply.fresh(on)
-                    return ERepl(go(rename_free(b, on, on2)), nn, on2, ann, s2)
-                return ERepl(go(b), nn, on, ann, s2)
-            case EmptyStack():
-                return o
-            case Push(h, t):
-                return Push(go(h), go(t))
-        raise TypeError(o)
-
-    return go(o)
-
-
-# ---------------------------------------------------------------------------
-# Replacement
+    payloads = _payloads(u, supply)
+    # the walk meets only nodes where x is free, so a Var it meets is x
+    return _graft(
+        o,
+        x,
+        free_vars(u) | free_names(u),
+        supply,
+        lambda o, go: next(payloads) if type(o) is Var else None,
+    )
 
 
 def replace(
@@ -151,73 +158,47 @@ def replace(
     if supply is None:
         supply = supply_for(o, s)
         supply.reserve({new, old})
-    fv_s = free_vars(s)
     fn_s = free_names(s)
-    inserted = [0]
+    payloads = _payloads(s, supply)
 
-    def payload() -> Object:
-        inserted[0] += 1
-        return s if inserted[0] == 1 else refresh(s, supply)
+    def at(o: Object, go) -> Object | None:
+        t = type(o)
+        if t is Named:
+            if o.name == old:
+                return Named(new, apply_stack(go(o.body), next(payloads)))
+            return None
+        if t is not ERepl:
+            return None
+        b, nn, on, ann, s1 = o.body, o.new, o.old, o.ann, o.stack
+        if on == old:
+            # old is shadowed inside b; nn != old since nn != on
+            return ERepl(b, nn, on, ann, go(s1))
+        # on is renamed also when old is free only in s1 or as nn, which lie
+        # outside on's scope; the fresh names issued depend on this test
+        old_in_b = old in free_names(b)
+        old_in_s1 = old in free_names(s1)
+        collides = (on == new and (old_in_b or old_in_s1)) or (
+            on in fn_s and (old_in_b or old_in_s1 or nn == old)
+        )
+        if collides:
+            on2 = supply.fresh(on)
+            return go(ERepl(rename_free(b, on, on2), nn, on2, ann, s1))
+        if nn != old:
+            return ERepl(go(b), nn, on, ann, go(s1))
+        # the replacement name is the one being replaced
+        if isinstance(s1, EmptyStack):
+            if isinstance(s, EmptyStack):
+                # renaming meets renaming: just rename the target
+                return ERepl(go(b), new, on, ann, empty_stack())
+            # a blocking renaming: introduce a fresh intermediate
+            # name, typed by what is left after the stack s
+            beta = supply.fresh(old)
+            inner = ERepl(go(b), beta, on, ann, next(payloads))
+            return ERepl(inner, new, beta, codomain(ann, stack_len(s)), empty_stack())
+        # a blocking stack replacement accumulates the new arguments
+        return ERepl(go(b), new, on, ann, stack_concat(go(s1), next(payloads)))
 
-    def go(o: Object) -> Object:
-        match o:
-            case Var(_) | EmptyStack():
-                return o
-            case App(f, a):
-                return App(go(f), go(a))
-            case Abs(x, ann, b):
-                if x in fv_s and old in free_names(b):
-                    x2 = supply.fresh(x)
-                    return Abs(x2, ann, go(rename_free(b, x, x2)))
-                return Abs(x, ann, go(b))
-            case Mu(a, ann, b):
-                if a == old:
-                    return o
-                if (a in fn_s or a == new) and old in free_names(b):
-                    a2 = supply.fresh(a)
-                    return Mu(a2, ann, go(rename_free(b, a, a2)))
-                return Mu(a, ann, go(b))
-            case ESub(b, x, arg):
-                arg2 = go(arg)
-                if x in fv_s and old in free_names(b):
-                    x2 = supply.fresh(x)
-                    return ESub(go(rename_free(b, x, x2)), x2, arg2)
-                return ESub(go(b), x, arg2)
-            case Named(a, b):
-                if a == old:
-                    return Named(new, apply_stack(go(b), payload()))
-                return Named(a, go(b))
-            case ERepl(b, nn, on, ann, s1):
-                if on == old:
-                    # old is shadowed inside b; nn != old since nn != on
-                    return ERepl(b, nn, on, ann, go(s1))
-                old_in_b = old in free_names(b)
-                old_in_s1 = old in free_names(s1)
-                collides = (on == new and (old_in_b or old_in_s1)) or (
-                    on in fn_s and (old_in_b or old_in_s1 or nn == old)
-                )
-                if collides:
-                    on2 = supply.fresh(on)
-                    return go(ERepl(rename_free(b, on, on2), nn, on2, ann, s1))
-                if nn != old:
-                    return ERepl(go(b), nn, on, ann, go(s1))
-                # the replacement name is the one being replaced
-                if isinstance(s1, EmptyStack):
-                    if isinstance(s, EmptyStack):
-                        # renaming meets renaming: just rename the target
-                        return ERepl(go(b), new, on, ann, empty_stack())
-                    # a blocking renaming: introduce a fresh intermediate
-                    # name, typed by what is left after the stack s
-                    beta = supply.fresh(old)
-                    inner = ERepl(go(b), beta, on, ann, payload())
-                    return ERepl(inner, new, beta, codomain(ann, stack_len(s)), empty_stack())
-                # a blocking stack replacement accumulates the new arguments
-                return ERepl(go(b), new, on, ann, stack_concat(go(s1), payload()))
-            case Push(h, tl):
-                return Push(go(h), go(tl))
-        raise TypeError(o)
-
-    return go(o)
+    return _graft(o, old, free_vars(s) | fn_s | {new}, supply, at)
 
 
 def rename(o: Object, new: str, old: str) -> Object:

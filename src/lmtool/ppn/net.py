@@ -121,23 +121,6 @@ class Net:
             ]
         self.drop_wire(old)
 
-    def absorb(self, other: "Net") -> dict[int, int]:
-        """Copy the contents of another net into this one; returns the wire
-        id map."""
-        wmap: dict[int, int] = {}
-        for w, f in other.wires.items():
-            wmap[w] = self.new_wire(f)
-        for n in other.nodes.values():
-            n2 = Node(
-                self._new_id(),
-                n.kind,
-                [wmap[w] for w in n.ups],
-                [wmap[w] for w in n.downs],
-                n.contents.copy() if n.contents is not None else None,
-            )
-            self.nodes[n2.nid] = n2
-        return wmap
-
     def copy(self) -> "Net":
         """A deep copy with the same node and wire ids."""
         out = Net()

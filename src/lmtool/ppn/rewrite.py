@@ -181,8 +181,8 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
             box = level.nodes[bnid]
             if box.kind != "box" or port != 0:
                 raise NoRuleError("dereliction cut against a non-box")
-            wmap = level.absorb(box.contents)
             inner = box.contents
+            wmap = add_tree(level, inner, list(inner.nodes), copy_boxes=False)
             level.drop_node(cut.nid)
             level.drop_node(dnode.nid)
             level.drop_node(box.nid)

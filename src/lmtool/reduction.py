@@ -453,8 +453,7 @@ class BudgetExhausted(Exception):
 
 
 def _first_plain(o: Object):
-    rs = lm_redexes(o)
-    return (*rs[0], None) if rs else None
+    return next(_redexes(o, _plain_tag), None)
 
 
 def _first_refined(o: Object):

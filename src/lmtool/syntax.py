@@ -8,7 +8,7 @@ so the two binder namespaces can never collide in the concrete syntax.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterator, Optional, Union
@@ -126,14 +126,18 @@ def empty_stack() -> EmptyStack:
     return _EMPTY
 
 
+_SORT = {
+    Var: TERM, App: TERM, Abs: TERM, Mu: TERM, ESub: TERM,
+    Named: COMMAND, ERepl: COMMAND,
+    EmptyStack: STACK, Push: STACK,
+}
+
+
 def sort_of(o: Object) -> str:
-    if isinstance(o, (Var, App, Abs, Mu, ESub)):
-        return TERM
-    if isinstance(o, (Named, ERepl)):
-        return COMMAND
-    if isinstance(o, (EmptyStack, Push)):
-        return STACK
-    raise TypeError(f"not an object: {o!r}")
+    try:
+        return _SORT[type(o)]
+    except KeyError:
+        raise TypeError(f"not an object: {o!r}") from None
 
 
 def is_name(ident: str) -> bool:
@@ -144,45 +148,34 @@ class SortError(Exception):
     pass
 
 
+# per class, the sorts its children must have and the error when they do not
+_CHILD_SORTS = {
+    App: ((TERM, TERM), "application of non-terms"),
+    Abs: ((TERM,), "abstraction body must be a term"),
+    Mu: ((COMMAND,), "mu body must be a command"),
+    ESub: ((TERM, TERM), "substitution parts must be terms"),
+    Named: ((TERM,), "named body must be a term"),
+    ERepl: ((COMMAND, STACK), "bad replacement sorts"),
+    Push: ((TERM, STACK), "bad stack sorts"),
+}
+
+
 def check_sorts(o: Object) -> None:
-    """Validate the sort discipline of every node; raise SortError otherwise."""
-    match o:
-        case Var(_) | EmptyStack():
-            pass
-        case App(f, a):
-            if sort_of(f) != TERM or sort_of(a) != TERM:
-                raise SortError(f"application of non-terms: {o}")
-            check_sorts(f)
-            check_sorts(a)
-        case Abs(_, _, b):
-            if sort_of(b) != TERM:
-                raise SortError(f"abstraction body must be a term: {o}")
-            check_sorts(b)
-        case Mu(_, _, b):
-            if sort_of(b) != COMMAND:
-                raise SortError(f"mu body must be a command: {o}")
-            check_sorts(b)
-        case ESub(b, _, a):
-            if sort_of(b) != TERM or sort_of(a) != TERM:
-                raise SortError(f"substitution parts must be terms: {o}")
-            check_sorts(b)
-            check_sorts(a)
-        case Named(_, b):
-            if sort_of(b) != TERM:
-                raise SortError(f"named body must be a term: {o}")
-            check_sorts(b)
-        case ERepl(b, new, old, _, s):
-            if sort_of(b) != COMMAND or sort_of(s) != STACK:
-                raise SortError(f"bad replacement sorts: {o}")
-            if new == old:
-                raise SortError(f"replacement name equals bound name: {o}")
-            check_sorts(b)
-            check_sorts(s)
-        case Push(h, t):
-            if sort_of(h) != TERM or sort_of(t) != STACK:
-                raise SortError(f"bad stack sorts: {o}")
-            check_sorts(h)
-            check_sorts(t)
+    """Validate the sort discipline of every node, in pre-order and without
+    recursion; raise SortError otherwise."""
+    todo = [o]
+    while todo:
+        o = todo.pop()
+        rule = _CHILD_SORTS.get(type(o))
+        if rule is None:
+            continue
+        sorts, msg = rule
+        cs = children(o)
+        if tuple(map(sort_of, cs)) != sorts:
+            raise SortError(f"{msg}: {o}")
+        if type(o) is ERepl and o.new == o.old:
+            raise SortError(f"replacement name equals bound name: {o}")
+        todo.extend(reversed(cs))
 
 
 # ---------------------------------------------------------------------------
@@ -207,23 +200,23 @@ def children(o: Object) -> tuple[Object, ...]:
     return _CHILD_TUPLE.get(type(o), _no_children)(o)
 
 
+# per class, the node rebuilt with other children
+_WITH_CHILDREN = {
+    App: lambda o, c: App(c[0], c[1]),
+    Abs: lambda o, c: Abs(o.var, o.ann, c[0]),
+    Mu: lambda o, c: Mu(o.name, o.ann, c[0]),
+    ESub: lambda o, c: ESub(c[0], o.var, c[1]),
+    Named: lambda o, c: Named(o.name, c[0]),
+    ERepl: lambda o, c: ERepl(c[0], o.new, o.old, o.ann, c[1]),
+    Push: lambda o, c: Push(c[0], c[1]),
+}
+
+
 def with_children(o: Object, new: tuple[Object, ...]) -> Object:
-    match o:
-        case App(_, _):
-            return App(new[0], new[1])
-        case Abs(x, ann, _):
-            return Abs(x, ann, new[0])
-        case Mu(a, ann, _):
-            return Mu(a, ann, new[0])
-        case ESub(_, x, _):
-            return ESub(new[0], x, new[1])
-        case Named(a, _):
-            return Named(a, new[0])
-        case ERepl(_, nn, on, ann, _):
-            return ERepl(new[0], nn, on, ann, new[1])
-        case Push(_, _):
-            return Push(new[0], new[1])
-    raise TypeError(f"no children: {o!r}")
+    rebuild = _WITH_CHILDREN.get(type(o))
+    if rebuild is None:
+        raise TypeError(f"no children: {o!r}")
+    return rebuild(o, new)
 
 
 @dataclass(frozen=True)
@@ -301,30 +294,6 @@ def _binders(nodes: list[Object], idxs: tuple[int, ...]) -> set[str]:
     return out
 
 
-def binders_along(root: Object, p: Path) -> tuple[set[str], set[str]]:
-    """Variables and names bound on the spine from the root to the hole at p."""
-    bound = _binders(descend(root, p.steps), p.steps)
-    names = {a for a in bound if is_name(a)}
-    return bound - names, names
-
-
-def free_for(q: Object, root: Object, p: Path) -> bool:
-    """True iff no binder on the path from the root to p captures a free
-    variable or name of q (so q can be placed into the hole at p)."""
-    vs, ns = binders_along(root, p)
-    return not (vs & free_vars(q)) and not (ns & free_names(q))
-
-
-def replace_at(root: Object, p: Path, q: Object, supply: "NameSupply | None" = None) -> Object:
-    """Write q at position p.  Binders on the spine are renamed when they
-    would capture an identifier of q that was not already free at that
-    position, so writing back the subobject read from p is the identity and
-    foreign objects are placed capture-free."""
-    if p.target_sort != sort_of(q):
-        raise SortError(f"expected {p.target_sort} at path, got {sort_of(q)}")
-    return rewrite_at(root, p, q, supply)
-
-
 def rewrite_at(root: Object, p: Path, q: Object, supply: "NameSupply | None" = None) -> Object:
     """Replace the subobject at p by q, protecting only identifiers that are
     newly free in q: ones already free in the old subobject keep referring to
@@ -400,63 +369,6 @@ def _plus(a: frozenset[str], x: str) -> frozenset[str]:
     return a if x in a else a | {x}
 
 
-def free_vars(o: Object) -> frozenset[str]:
-    """The free variables of o; computed once per inner node and cached."""
-    out = getattr(o, "_fv", None)
-    if out is not None:
-        return out
-    match o:
-        case Var(x):
-            return frozenset((x,))
-        case EmptyStack():
-            return _NO_IDENTS
-        case App(f, a):
-            out = _union(free_vars(f), free_vars(a))
-        case Abs(x, _, b):
-            out = _minus(free_vars(b), x)
-        case Mu(_, _, b) | Named(_, b):
-            out = free_vars(b)
-        case ESub(b, x, u):
-            out = _union(_minus(free_vars(b), x), free_vars(u))
-        case ERepl(b, _, _, _, s):
-            out = _union(free_vars(b), free_vars(s))
-        case Push(h, t):
-            out = _union(free_vars(h), free_vars(t))
-        case _:
-            raise TypeError(o)
-    object.__setattr__(o, "_fv", out)
-    return out
-
-
-def free_names(o: Object) -> frozenset[str]:
-    """The free continuation names of o; computed once per inner node and
-    cached."""
-    out = getattr(o, "_fn", None)
-    if out is not None:
-        return out
-    match o:
-        case Var(_) | EmptyStack():
-            return _NO_IDENTS
-        case App(f, a):
-            out = _union(free_names(f), free_names(a))
-        case Abs(_, _, b):
-            out = free_names(b)
-        case Mu(a, _, b):
-            out = _minus(free_names(b), a)
-        case ESub(b, _, u):
-            out = _union(free_names(b), free_names(u))
-        case Named(a, b):
-            out = _plus(free_names(b), a)
-        case ERepl(b, new, old, _, s):
-            out = _union(_plus(_minus(free_names(b), old), new), free_names(s))
-        case Push(h, t):
-            out = _union(free_names(h), free_names(t))
-        case _:
-            raise TypeError(o)
-    object.__setattr__(o, "_fn", out)
-    return out
-
-
 # The binding structure of both namespaces.  A binder binds one identifier
 # in its child 0 (its body), and an identifier stands free in one field of
 # three node classes.  Variables and names never collide, since names start
@@ -481,6 +393,50 @@ _REBIND = {
 # the field of a node where an identifier stands free, unless a binder
 # above binds it
 _FREE_AT = {Var: "name", Named: "name", ERepl: "new"}
+
+# such a node rebuilt with another identifier in that field
+_RENAME_AT = {
+    Var: lambda o, x: Var(x),
+    Named: lambda o, a: Named(a, o.body),
+    ERepl: lambda o, a: ERepl(o.body, a, o.old, o.ann, o.stack),
+}
+
+
+def _free(o: Object, slot: str, names: bool) -> frozenset[str]:
+    """The free names of o if names, else its free variables; cached in
+    slot on inner nodes.  They are child 0's less the identifier a binder
+    binds, plus the one standing free at the node, plus the other
+    children's."""
+    out = getattr(o, slot, None)
+    if out is not None:
+        return out
+    t = type(o)
+    cs = children(o)
+    out = _NO_IDENTS
+    if cs:
+        out = _free(cs[0], slot, names)
+        bound = _BOUND_BY.get(t)
+        if bound is not None:
+            out = _minus(out, bound(o))
+    at = _FREE_AT.get(t)
+    if at is not None and is_name(getattr(o, at)) == names:
+        out = _plus(out, getattr(o, at))
+    for c in cs[1:]:
+        out = _union(out, _free(c, slot, names))
+    if cs:
+        object.__setattr__(o, slot, out)
+    return out
+
+
+def free_vars(o: Object) -> frozenset[str]:
+    """The free variables of o; computed once per inner node and cached."""
+    return _free(o, "_fv", False)
+
+
+def free_names(o: Object) -> frozenset[str]:
+    """The free continuation names of o; computed once per inner node and
+    cached."""
+    return _free(o, "_fn", True)
 
 
 def count_free(ident: str, o: Object) -> int:
@@ -611,7 +567,7 @@ def rename_occurrences(o: Object, old: str, new: str, chosen: set[tuple[int, ...
         if idxs in chosen:
             at = _FREE_AT[type(o)]
             if getattr(o, at) == old:
-                o = replace(o, **{at: new})
+                o = _RENAME_AT[type(o)](o, new)
         return o
 
     return go(o, ())
@@ -631,35 +587,25 @@ rename_free_var = rename_free
 
 
 def refresh(o: Object, supply: NameSupply) -> Object:
-    """Rename every binder to a fresh identifier (Barendregt discipline)."""
+    """Rename every binder to a fresh identifier (Barendregt discipline).
+    Each binder takes its fresh identifier before its children are walked,
+    in child order."""
 
     def go(o: Object, env: dict[str, str]) -> Object:
-        match o:
-            case Var(x):
-                return Var(env.get(x, x))
-            case App(f, a):
-                return App(go(f, env), go(a, env))
-            case Abs(x, ann, b):
-                x2 = supply.fresh(x)
-                return Abs(x2, ann, go(b, {**env, x: x2}))
-            case Mu(a, ann, b):
-                a2 = supply.fresh(a)
-                return Mu(a2, ann, go(b, {**env, a: a2}))
-            case ESub(b, x, u):
-                x2 = supply.fresh(x)
-                return ESub(go(b, {**env, x: x2}), x2, go(u, env))
-            case Named(a, b):
-                return Named(env.get(a, a), go(b, env))
-            case ERepl(b, nn, on, ann, s):
-                on2 = supply.fresh(on)
-                return ERepl(
-                    go(b, {**env, on: on2}), env.get(nn, nn), on2, ann, go(s, env)
-                )
-            case EmptyStack():
-                return o
-            case Push(h, t):
-                return Push(go(h, env), go(t, env))
-        raise TypeError(o)
+        t = type(o)
+        bound = _BOUND_BY.get(t)
+        inner = env
+        if bound is not None:
+            x = bound(o)
+            inner = {**env, x: supply.fresh(x)}
+            o = _REBIND[t](o, inner[x], o.body)
+        cs = children(o)
+        if cs:
+            o = with_children(o, (go(cs[0], inner), *(go(c, env) for c in cs[1:])))
+        at = _FREE_AT.get(t)
+        if at is not None and getattr(o, at) in env:
+            o = _RENAME_AT[t](o, env[getattr(o, at)])
+        return o
 
     return go(o, {})
 
@@ -687,14 +633,14 @@ def is_barendregt(o: Object) -> bool:
 # Alpha-equivalence via canonical numbering of binders
 
 
-def canonical_key(o: Object, with_types: bool = False) -> tuple:
+def canonical_key(o: Object) -> tuple:
     """A key that is equal exactly for alpha-equivalent objects.
 
     The key is the pre-order token sequence of o: a constructor tag, then
-    its free-standing identifiers, then (with_types) its annotation, then
-    its children.  Binders are numbered 1, 2, ... in the order their tags
-    appear; a bound occurrence becomes the int number of its binder and a
-    free identifier stays its str.  Every constructor has a fixed arity, so
+    its free-standing identifiers, then its children.  Binders are
+    numbered 1, 2, ... in the order their tags appear; a bound occurrence
+    becomes the int number of its binder and a free identifier stays its
+    str.  Annotations are left out.  Every constructor has a fixed arity, so
     the sequence parses back in one way.  Keys are only hashed and
     compared."""
     out: list = []
@@ -748,8 +694,6 @@ def canonical_key(o: Object, with_types: bool = False) -> tuple:
                 x = o.var
             else:
                 raise TypeError(o)
-            if with_types and t is not ESub:
-                emit(None if o.ann is None else str(o.ann))
             n += 1
             push((x, env.get(x)))
             env[x] = n
@@ -757,11 +701,11 @@ def canonical_key(o: Object, with_types: bool = False) -> tuple:
     return tuple(out)
 
 
-def alpha_eq(o: Object, p: Object, with_types: bool = False) -> bool:
+def alpha_eq(o: Object, p: Object) -> bool:
     """Equality up to renaming of bound variables and names."""
     if sort_of(o) != sort_of(p):
         return False
-    return canonical_key(o, with_types) == canonical_key(p, with_types)
+    return canonical_key(o) == canonical_key(p)
 
 
 # ---------------------------------------------------------------------------
@@ -881,10 +825,6 @@ class _Tokens:
     def at(self, value: str) -> bool:
         t = self.peek()
         return t is not None and t[1] == value
-
-    def at_kind(self, kind: str) -> bool:
-        t = self.peek()
-        return t is not None and t[0] == kind
 
 
 def _parse_type(ts: _Tokens) -> Type:

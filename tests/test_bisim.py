@@ -9,7 +9,7 @@ from lmtool.drivers import BisimReport, bisim_driver
 from lmtool.equivalence import AXIOMS, ExpansionCache, axiom_instances, equiv
 from lmtool.generators import gen_equiv_pair
 from lmtool.reduction import meaningful_reducts
-from lmtool.syntax import Abs, Mu, Named, Var, canonical_key, print_object
+from lmtool.syntax import Abs, Mu, Named, Var, canonical_key, dotted, parse, print_object
 
 
 def ref_bisim_driver(o, p, axiom=None, max_states=1500, max_depth=6, search=equiv):
@@ -41,7 +41,7 @@ def ref_bisim_driver(o, p, axiom=None, max_states=1500, max_depth=6, search=equi
                 report.ok = False
                 report.details.append(
                     f"{side}: step {tag.value} @"
-                    f" {'.'.join(map(str, path.steps))} of"
+                    f" {dotted(path.steps)} of"
                     f" {print_object(a)} reaches {print_object(a2)},"
                     f" unmatched by {print_object(b)}"
                 )
@@ -149,3 +149,9 @@ def test_cache_serves_only_non_expansive_searches_without_ren():
     for setting in ({}, {"expansive": False, "include_ren": True}):
         with pytest.raises(ValueError):
             equiv(o, o, cache=ExpansionCache(), **setting)
+
+
+def test_unmatched_root_step_prints_root():
+    rep = bisim_driver(parse(r"x[x\y]"), parse("y"))
+    assert not rep.ok
+    assert rep.details == [r"left: step S @ root of x1[x1\y] reaches y, unmatched by y"]

@@ -262,16 +262,33 @@ def test_type_preservation_under_axioms():
 # --- fast paths against the reference walks they replace ----------------------
 
 
+def _binders_along(root, p):
+    """The variables and names bound on the spine from the root to the hole
+    at p, spelled out per binder class: each binds in its child 0."""
+    from lmtool.syntax import Abs, ERepl, ESub, Mu, children
+
+    vs, ns = set(), set()
+    o = root
+    for i in p.steps:
+        match o:
+            case Abs(x, _, _) | ESub(_, x, _) if i == 0:
+                vs.add(x)
+            case Mu(a, _, _) | ERepl(_, _, a, _, _) if i == 0:
+                ns.add(a)
+        o = children(o)[i]
+    return vs, ns
+
+
 def _reference_linear_positions(o, want_sort):
     """Every position, filtered by is_linear_indices, with its binders read
-    off by binders_along: the walk that _linear_positions replaces."""
+    off by _binders_along: the walk that _linear_positions replaces."""
     from lmtool.reduction import is_linear_indices
-    from lmtool.syntax import binders_along, make_path, positions, sort_of
+    from lmtool.syntax import make_path, positions, sort_of
 
     for idxs, sub in positions(o):
         if idxs and sort_of(sub) == want_sort and is_linear_indices(o, idxs):
             p = make_path(o, idxs)
-            vs, ns = binders_along(o, p)
+            vs, ns = _binders_along(o, p)
             yield p, sub, vs, ns
 
 

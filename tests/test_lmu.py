@@ -151,6 +151,85 @@ def test_expand_examples():
     )
 
 
+def ref_project(o, supply=None):
+    """project as one recursive walk per node class."""
+    from lmtool.meta import replace, substitute
+    from lmtool.syntax import (
+        Abs, App, EmptyStack, ERepl, ESub, Mu, Named, Push, Var, supply_for,
+    )
+
+    if supply is None:
+        supply = supply_for(o)
+    match o:
+        case Var(_) | EmptyStack():
+            return o
+        case App(f, a):
+            return App(ref_project(f, supply), ref_project(a, supply))
+        case Abs(x, ann, b):
+            return Abs(x, ann, ref_project(b, supply))
+        case Mu(a, ann, b):
+            return Mu(a, ann, ref_project(b, supply))
+        case ESub(b, x, u):
+            return substitute(ref_project(b, supply), x, ref_project(u, supply), supply)
+        case Named(a, b):
+            return Named(a, ref_project(b, supply))
+        case ERepl(b, nn, on, _, s):
+            return replace(ref_project(b, supply), nn, on, ref_project(s, supply), supply)
+        case Push(h, tl):
+            return Push(ref_project(h, supply), ref_project(tl, supply))
+    raise TypeError(o)
+
+
+def ref_expand(o):
+    """expand as one recursive walk per node class."""
+    from lmtool.meta import apply_stack
+    from lmtool.syntax import Abs, App, EmptyStack, ERepl, ESub, Mu, Named, Push, Var
+
+    match o:
+        case Var(_) | EmptyStack():
+            return o
+        case App(f, a):
+            return App(ref_expand(f), ref_expand(a))
+        case Abs(x, ann, b):
+            return Abs(x, ann, ref_expand(b))
+        case Mu(a, ann, b):
+            return Mu(a, ann, ref_expand(b))
+        case ESub(b, x, u):
+            return App(Abs(x, None, ref_expand(b)), ref_expand(u))
+        case Named(a, b):
+            return Named(a, ref_expand(b))
+        case ERepl(b, nn, on, ann, s):
+            return Named(nn, apply_stack(Mu(on, ann, ref_expand(b)), ref_expand(s)))
+        case Push(h, tl):
+            return Push(ref_expand(h), ref_expand(tl))
+    raise TypeError(o)
+
+
+def test_project_and_expand_match_the_recursive_walks():
+    from lmtool.gen_random import random_pure_object
+    from lmtool.generators import gen_typed
+    from lmtool.syntax import App, ESub, Var, barendregt, print_object, sort_of
+
+    def twice(x, u):
+        return ESub(App(Var(x), Var(x)), x, u)
+
+    explicit = 0
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        objs = [random_object(rng, rng.randrange(2, 12)) for _ in range(150)]
+        objs += [random_pure_object(rng, rng.randrange(2, 12)) for _ in range(60)]
+        objs += [gen_typed(seed * 1000 + k, size=10)[0] for k in range(40)]
+        # two siblings that each copy their payload: the fresh names of the
+        # copies show the order of the walk
+        terms = [o for o in objs if sort_of(o) == TERM]
+        objs += [barendregt(App(twice("x", u), twice("z", v))) for u, v in zip(terms, terms[1:])]
+        for o in objs:
+            assert print_object(project(o)) == print_object(ref_project(o))
+            assert print_object(expand(o)) == print_object(ref_expand(o))
+            explicit += not is_pure(o)
+    assert explicit > 300
+
+
 def test_project_is_pure_random():
     rng = random.Random(8)
     for _ in range(150):

@@ -214,3 +214,216 @@ def test_commutations_random():
             # replacement name
             assert commutation_repl_repl(o, "'b", "'a", st, "'a", "'c", st2)
             runs[5] += 1
+
+
+# --- the graft walk against the recursive walks it replaces ------------------
+
+
+def ref_substitute(o, x, u, supply=None):
+    """substitute as one recursive walk per node class."""
+    from lmtool.syntax import Abs, App, EmptyStack, ESub, Mu, refresh, rename_free, supply_for
+
+    if supply is None:
+        supply = supply_for(o, u)
+    fv_u = free_vars(u)
+    fn_u = free_names(u)
+    inserted = [0]
+
+    def payload():
+        inserted[0] += 1
+        return u if inserted[0] == 1 else refresh(u, supply)
+
+    def go(o):
+        match o:
+            case Var(y):
+                return payload() if y == x else o
+            case App(f, a):
+                return App(go(f), go(a))
+            case Abs(y, ann, b):
+                if y == x:
+                    return o
+                if y in fv_u and x in free_vars(b):
+                    y2 = supply.fresh(y)
+                    return Abs(y2, ann, go(rename_free(b, y, y2)))
+                return Abs(y, ann, go(b))
+            case Mu(a, ann, b):
+                if a in fn_u and x in free_vars(b):
+                    a2 = supply.fresh(a)
+                    return Mu(a2, ann, go(rename_free(b, a, a2)))
+                return Mu(a, ann, go(b))
+            case ESub(b, y, arg):
+                arg2 = go(arg)
+                if y == x:
+                    return ESub(b, y, arg2)
+                if y in fv_u and x in free_vars(b):
+                    y2 = supply.fresh(y)
+                    return ESub(go(rename_free(b, y, y2)), y2, arg2)
+                return ESub(go(b), y, arg2)
+            case Named(a, b):
+                return Named(a, go(b))
+            case ERepl(b, nn, on, ann, s):
+                s2 = go(s)
+                if on in fn_u and x in free_vars(b):
+                    on2 = supply.fresh(on)
+                    return ERepl(go(rename_free(b, on, on2)), nn, on2, ann, s2)
+                return ERepl(go(b), nn, on, ann, s2)
+            case EmptyStack():
+                return o
+            case Push(h, t):
+                return Push(go(h), go(t))
+        raise TypeError(o)
+
+    return go(o)
+
+
+def ref_replace(o, new, old, s, supply=None):
+    """replace as one recursive walk per node class."""
+    from lmtool.meta import stack_len
+    from lmtool.syntax import (
+        Abs, App, EmptyStack, ESub, Mu, refresh, rename_free, supply_for,
+    )
+    from lmtool.typing_util import codomain
+
+    if supply is None:
+        supply = supply_for(o, s)
+        supply.reserve({new, old})
+    fv_s = free_vars(s)
+    fn_s = free_names(s)
+    inserted = [0]
+
+    def payload():
+        inserted[0] += 1
+        return s if inserted[0] == 1 else refresh(s, supply)
+
+    def go(o):
+        match o:
+            case Var(_) | EmptyStack():
+                return o
+            case App(f, a):
+                return App(go(f), go(a))
+            case Abs(x, ann, b):
+                if x in fv_s and old in free_names(b):
+                    x2 = supply.fresh(x)
+                    return Abs(x2, ann, go(rename_free(b, x, x2)))
+                return Abs(x, ann, go(b))
+            case Mu(a, ann, b):
+                if a == old:
+                    return o
+                if (a in fn_s or a == new) and old in free_names(b):
+                    a2 = supply.fresh(a)
+                    return Mu(a2, ann, go(rename_free(b, a, a2)))
+                return Mu(a, ann, go(b))
+            case ESub(b, x, arg):
+                arg2 = go(arg)
+                if x in fv_s and old in free_names(b):
+                    x2 = supply.fresh(x)
+                    return ESub(go(rename_free(b, x, x2)), x2, arg2)
+                return ESub(go(b), x, arg2)
+            case Named(a, b):
+                if a == old:
+                    return Named(new, apply_stack(go(b), payload()))
+                return Named(a, go(b))
+            case ERepl(b, nn, on, ann, s1):
+                if on == old:
+                    return ERepl(b, nn, on, ann, go(s1))
+                old_in_b = old in free_names(b)
+                old_in_s1 = old in free_names(s1)
+                collides = (on == new and (old_in_b or old_in_s1)) or (
+                    on in fn_s and (old_in_b or old_in_s1 or nn == old)
+                )
+                if collides:
+                    on2 = supply.fresh(on)
+                    return go(ERepl(rename_free(b, on, on2), nn, on2, ann, s1))
+                if nn != old:
+                    return ERepl(go(b), nn, on, ann, go(s1))
+                if isinstance(s1, EmptyStack):
+                    if isinstance(s, EmptyStack):
+                        return ERepl(go(b), new, on, ann, empty_stack())
+                    beta = supply.fresh(old)
+                    inner = ERepl(go(b), beta, on, ann, payload())
+                    return ERepl(inner, new, beta, codomain(ann, stack_len(s)), empty_stack())
+                return ERepl(go(b), new, on, ann, stack_concat(go(s1), payload()))
+            case Push(h, tl):
+                return Push(go(h), go(tl))
+        raise TypeError(o)
+
+    return go(o)
+
+
+def graft_cases(seed, count):
+    """Seeded objects, each with the substitutions and replacements of its
+    free identifiers by payloads that hold the object's own binders, so
+    that binders must be renamed and payloads copied."""
+    from lmtool.gen_random import random_object
+    from lmtool.syntax import App, Mu, bound_idents, is_name
+
+    rng = random.Random(seed)
+    objs = [random_object(rng, rng.randrange(2, 12)) for _ in range(count)]
+    objs += [random_pure_object(rng, rng.randrange(2, 12)) for _ in range(count // 2)]
+    for n, o in enumerate(objs):
+        bv = sorted(i for i in bound_idents(o) if not is_name(i))
+        bn = sorted(i for i in bound_idents(o) if is_name(i))
+        cap = Var(bv[0] if bv else "zz")
+        if bn:
+            cap = App(cap, Mu("'q", None, Named(bn[-1], Var("w"))))
+        other = random_pure_term(rng, 4)
+        subs = [(x, u) for x in sorted(free_vars(o)) for u in (other, cap, App(Var(x), cap))]
+        stacks = [empty_stack(), Push(cap, empty_stack()),
+                  Push(other, Push(Var(bv[-1] if bv else "y"), empty_stack()))]
+        repls = [
+            (new, a, st)
+            for a in sorted(free_names(o))
+            for new in sorted((set(bn) | free_names(o) | {"'fresh"}) - {a})[:3]
+            for st in stacks
+            if a not in free_names(st)
+        ]
+        yield o, subs, repls
+
+
+def test_graft_matches_the_recursive_walks():
+    from lmtool.syntax import print_object, supply_for
+
+    subs = repls = 0
+    for seed in (1, 2, 3):
+        for o, sub_cases, repl_cases in graft_cases(seed, 120):
+            for x, u in sub_cases:
+                got, want = supply_for(o, u), supply_for(o, u)
+                assert print_object(substitute(o, x, u, got)) == print_object(
+                    ref_substitute(o, x, u, want)
+                )
+                assert got.counter == want.counter
+                subs += 1
+            for new, a, st in repl_cases:
+                assert print_object(replace(o, new, a, st)) == print_object(
+                    ref_replace(o, new, a, st)
+                )
+                repls += 1
+    assert subs > 2000 and repls > 2000
+
+
+def test_graft_keeps_subtrees_without_the_target():
+    # a subtree where the identifier is not free, and no binder above it
+    # binds one of its free identifiers, is in the result as it is; stack
+    # spines are left out, since composing stacks rebuilds them
+    from lmtool.syntax import _BOUND_BY, STACK, descend, positions, sort_of
+
+    kept = 0
+    for o, sub_cases, repl_cases in graft_cases(4, 100):
+        cases = [(x, substitute(o, x, u)) for x, u in sub_cases]
+        cases += [(a, replace(o, new, a, st)) for new, a, st in repl_cases]
+        cases += [("nothere", substitute(o, "nothere", Var("y"))),
+                  ("'nothere", replace(o, "'new", "'nothere", Push(Var("y"), empty_stack())))]
+        for ident, got in cases:
+            if ident not in free_vars(o) | free_names(o):
+                assert got is o
+            ids = {id(n) for _, n in positions(got)}
+            for idxs, sub in positions(o):
+                if ident in free_vars(sub) | free_names(sub) or sort_of(sub) == STACK:
+                    continue
+                above = descend(o, idxs)[:-1]
+                spine = {_BOUND_BY[type(n)](n) for n in above if type(n) in _BOUND_BY}
+                if (free_vars(sub) | free_names(sub)) & spine:
+                    continue
+                assert id(sub) in ids
+                kept += 1
+    assert kept > 5000

@@ -337,8 +337,26 @@ def test_dot_export_deterministic():
 # the isomorphism test on string labels with linear lookups.
 
 
+def _absorb(target, other):
+    """Copy the contents of another net into target, box contents deep;
+    returns the wire id map."""
+    wmap = {}
+    for w, f in other.wires.items():
+        wmap[w] = target.new_wire(f)
+    for n in other.nodes.values():
+        n2 = Node(
+            target._new_id(),
+            n.kind,
+            [wmap[w] for w in n.ups],
+            [wmap[w] for w in n.downs],
+            n.contents.copy() if n.contents is not None else None,
+        )
+        target.nodes[n2.nid] = n2
+    return wmap
+
+
 def _ref_absorb(net, piece):
-    wmap = net.absorb(piece.net)
+    wmap = _absorb(net, piece.net)
     return Piece(
         net,
         {x: wmap[w] for x, w in piece.var_wires.items()},
@@ -566,18 +584,29 @@ def _ref_add_tree(target, net, nodes):
         n2 = Node(piece._new_id(), n.kind, [idmap[w] for w in n.ups],
                   [idmap[w] for w in n.downs], n.contents)
         piece.nodes[n2.nid] = n2
-    wmap = target.absorb(piece)
+    wmap = _absorb(target, piece)
     return {w: wmap[idmap[w]] for w in tree_wires}
 
 
 def test_tree_copy_matches_the_absorbed_piece():
     # every tensor-tree that a contraction or door cut meets on the way to
-    # the full normal form, copied into its own net and into a new one
-    compared = boxes = 0
+    # the full normal form, copied into its own net and into a new one, and
+    # every box whose contents a dereliction cut moves into its level
+    compared = boxes = opened = 0
     for o, g, d in _seeded_objects():
         net = translate_derivation(check_object(o, g, d))
         while (found := next(_redexes(net), None)) is not None:
             level, cut, rule, side = found
+            if rule == "der":
+                k = next(i for i, lv in enumerate(net.all_nets()) if lv is level)
+                bnid = level.producer_of(cut.ups[1 - side])[0]
+                got, want = net.copy(), net.copy()
+                got_level, want_level = list(got.all_nets())[k], list(want.all_nets())[k]
+                inner = got_level.nodes[bnid].contents
+                wmap = add_tree(got_level, inner, list(inner.nodes), copy_boxes=False)
+                assert wmap == _absorb(want_level, want_level.nodes[bnid].contents)
+                assert _dump(got_level) == _dump(want_level)
+                opened += 1
             if rule in ("con", "absorb"):
                 k = next(i for i, lv in enumerate(net.all_nets()) if lv is level)
                 nodes, _ = tensor_tree(level, cut.ups[1 - side])
@@ -599,7 +628,7 @@ def test_tree_copy_matches_the_absorbed_piece():
                                 boxes += 1
                 compared += 1
             fire(net, *found)
-    assert compared >= 10 and boxes >= 50
+    assert compared >= 10 and boxes >= 50 and opened >= 10
 
 
 def test_copy_is_deep_and_keeps_ids():

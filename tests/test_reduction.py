@@ -467,18 +467,35 @@ def rewrite_corpus():
     return objs
 
 
+def _binders_along(root, p):
+    """The variables and names bound on the spine from the root to the hole
+    at p, spelled out per binder class: each binds in its child 0."""
+    from lmtool.syntax import Abs, ERepl, ESub, Mu, children
+
+    vs, ns = set(), set()
+    o = root
+    for i in p.steps:
+        match o:
+            case Abs(x, _, _) | ESub(_, x, _) if i == 0:
+                vs.add(x)
+            case Mu(a, _, _) | ERepl(_, _, a, _, _) if i == 0:
+                ns.add(a)
+        o = children(o)[i]
+    return vs, ns
+
+
 def _reference_rewrite_at(root, p, q, supply=None):
     """rewrite_at as a recursive rebuild of the spine through children and
     with_children, renaming a capturing binder on the way down."""
     from lmtool.syntax import (
-        Abs, ERepl, ESub, Mu, NameSupply, all_idents, binders_along, children, free_names,
+        Abs, ERepl, ESub, Mu, NameSupply, all_idents, children, free_names,
         free_vars, rename_free, subobject_at, with_children,
     )
 
     old = subobject_at(root, p)
     fresh_v = free_vars(q) - free_vars(old)
     fresh_n = free_names(q) - free_names(old)
-    vs, ns = binders_along(root, p) if fresh_v or fresh_n else (set(), set())
+    vs, ns = _binders_along(root, p) if fresh_v or fresh_n else (set(), set())
     if not (vs & fresh_v) and not (ns & fresh_n):
         def put(o, steps):
             if not steps:
@@ -528,14 +545,14 @@ def _probe(sort, sub, x, a):
 
 def test_splice_matches_the_recursive_writer(rewrite_corpus):
     from lmtool.syntax import (
-        ERepl, ESub, binders_along, descend, free_names, free_vars, is_name, rewrite_at, sort_of,
+        ERepl, ESub, descend, free_names, free_vars, is_name, rewrite_at, sort_of,
     )
 
     captures = outside = 0
     for o in rewrite_corpus:
         for idxs, sub in positions(o):
             p = make_path(o, idxs)
-            vs, ns = binders_along(o, p)
+            vs, ns = _binders_along(o, p)
             s = sort_of(sub)
             # the subobject itself, a probe no binder captures, and probes
             # that each spine binder captures unless its identifier is

@@ -24,9 +24,9 @@ from lmtool.syntax import (
     barendregt,
     bound_idents,
     canonical_key,
+    check_sorts,
     children,
     count_free,
-    free_for,
     free_names,
     free_occurrences,
     free_vars,
@@ -38,7 +38,6 @@ from lmtool.syntax import (
     print_object,
     refresh,
     rename_free,
-    replace_at,
     rewrite_at,
     sort_of,
     subobject_at,
@@ -87,8 +86,6 @@ def test_parse_error_position():
 
 def test_sort_error_in_api():
     with pytest.raises(SortError):
-        from lmtool.syntax import check_sorts
-
         check_sorts(App(Var("x"), EmptyStack()))
 
 
@@ -183,23 +180,23 @@ def test_subobject_and_replace():
     o = t("x y")
     p = make_path(o, (1,))
     assert subobject_at(o, p) == Var("y")
-    assert alpha_eq(replace_at(o, p, Var("z")), t("x z"))
+    assert alpha_eq(rewrite_at(o, p, Var("z")), t("x z"))
 
 
-def test_replace_at_roundtrip_random():
+def test_rewrite_at_roundtrip_random():
     rng = random.Random(5)
     for _ in range(150):
         o = random_object(rng, 8)
         idxs = [ix for ix, _ in positions(o)]
         at = idxs[rng.randrange(len(idxs))]
         p = make_path(o, at)
-        assert alpha_eq(replace_at(o, p, subobject_at(o, p)), o)
+        assert alpha_eq(rewrite_at(o, p, subobject_at(o, p)), o)
 
 
-def test_replace_at_avoids_capture():
+def test_rewrite_at_avoids_capture():
     ctx = Abs("x", None, Var("q"))
     p = make_path(ctx, (0,))
-    got = replace_at(ctx, p, t("x y"))
+    got = rewrite_at(ctx, p, t("x y"))
     # the binder was renamed away from the free x of the payload
     assert isinstance(got, Abs) and got.var != "x"
     assert free_vars(got) == {"x", "y"}
@@ -229,14 +226,6 @@ def test_paths_thousands_deep_need_no_recursion():
             assert type(got) is type(o)
             got = got.fun if isinstance(got, App) else got.body
         assert got == Var("g")
-
-
-def test_free_for():
-    ctx = t(r"\x. q[xp\w]")
-    assert free_for(t("z y"), ctx, make_path(ctx, (0, 0)))
-    ctx2 = Abs("x", None, Var("q"))
-    assert not free_for(t("x y"), ctx2, make_path(ctx2, (0,)))
-    assert free_for(t("anything"), ctx2, make_path(ctx2, ()))
 
 
 def test_all_idents_covers_binders():
@@ -582,12 +571,9 @@ def test_nodes_are_slotted_with_field_only_matching():
         assert not {"_fv", "_fn", "_cn"} & set(names)
 
 
-def nested_key(o, with_types=False):
+def nested_key(o):
     """The nested-tuple alpha key that the flat canonical_key replaced:
     binders numbered in traversal order, an environment copied per binder."""
-
-    def ann_key(ann):
-        return str(ann) if (with_types and ann is not None) else None
 
     counter = [0]
 
@@ -602,22 +588,22 @@ def nested_key(o, with_types=False):
                 return ("v", env.get(x, x))
             case App(f, a):
                 return ("a", go(f, env), go(a, env))
-            case Abs(x, ann, b):
+            case Abs(x, _, b):
                 env2, tag = bind(env, x)
-                return ("l", tag, ann_key(ann), go(b, env2))
-            case Mu(a, ann, b):
+                return ("l", tag, go(b, env2))
+            case Mu(a, _, b):
                 env2, tag = bind(env, a)
-                return ("m", tag, ann_key(ann), go(b, env2))
+                return ("m", tag, go(b, env2))
             case ESub(b, x, u):
                 u_k = go(u, env)
                 env2, tag = bind(env, x)
                 return ("s", go(b, env2), tag, u_k)
             case Named(a, b):
                 return ("n", env.get(a, a), go(b, env))
-            case ERepl(b, nn, on, ann, s):
+            case ERepl(b, nn, on, _, s):
                 s_k = go(s, env)
                 env2, tag = bind(env, on)
-                return ("r", go(b, env2), env.get(nn, nn), tag, ann_key(ann), s_k)
+                return ("r", go(b, env2), env.get(nn, nn), tag, s_k)
             case EmptyStack():
                 return ("e",)
             case Push(h, t):
@@ -649,13 +635,13 @@ def test_flat_key_splits_like_the_nested_key():
         t(r"x[x\x]"), t(r"y[x\x]"), t(r"x[y\x]"), t(r"y[y\y]"),
         c(r"(['a]x)['a/'b\#]"), c(r"(['b]x)['a/'b\#]"), c(r"(['a]x)['c/'a\#]"),
     ]
-    for with_types in (False, True):
-        flat = [canonical_key(o, with_types) for o in objs]
-        ref = [nested_key(o, with_types) for o in objs]
-        assert not any(isinstance(tok, tuple) for k in flat for tok in k)
-        # the same equality classes: each key determines the other
-        assert len(set(flat)) == len(set(ref)) == len(set(zip(flat, ref)))
-    assert len({canonical_key(o, True) for o in objs}) > len({canonical_key(o) for o in objs})
+    flat = [canonical_key(o) for o in objs]
+    ref = [nested_key(o) for o in objs]
+    assert not any(isinstance(tok, tuple) for k in flat for tok in k)
+    # the same equality classes: each key determines the other
+    assert len(set(flat)) == len(set(ref)) == len(set(zip(flat, ref)))
+    # annotations are left out of the key
+    assert all(canonical_key(erase_types(o)) == canonical_key(o) for o in objs)
 
 
 def test_flat_key_tokens():
@@ -663,7 +649,7 @@ def test_flat_key_tokens():
     assert canonical_key(t(r"\x. x y")) == ("l", "a", "v", 1, "v", "y")
     assert canonical_key(t(r"y[x\x]")) == ("s", "v", "y", "v", "x")
     assert canonical_key(c(r"(['a]x)['c/'a\#]")) == ("r", "'c", "n", 1, "v", "x", "e")
-    assert canonical_key(t(r"\x:iA. x"), with_types=True) == ("l", "iA", "v", 1)
+    assert canonical_key(t(r"\x:iA. x")) == ("l", "v", 1)
 
 
 # --- bound identifiers and the lazy name supply against the eager walks ---------
@@ -750,3 +736,92 @@ def test_canonicity_is_invariant_under_refresh():
             assert is_canonical(fresh) == is_canonical(obj)
             seen[is_canonical(obj)] += 1
     assert min(seen.values()) > 50
+
+
+def ref_refresh(o, supply):
+    """refresh as one recursive walk per node class."""
+
+    def go(o, env):
+        match o:
+            case Var(x):
+                return Var(env.get(x, x))
+            case App(f, a):
+                return App(go(f, env), go(a, env))
+            case Abs(x, ann, b):
+                x2 = supply.fresh(x)
+                return Abs(x2, ann, go(b, {**env, x: x2}))
+            case Mu(a, ann, b):
+                a2 = supply.fresh(a)
+                return Mu(a2, ann, go(b, {**env, a: a2}))
+            case ESub(b, x, u):
+                x2 = supply.fresh(x)
+                return ESub(go(b, {**env, x: x2}), x2, go(u, env))
+            case Named(a, b):
+                return Named(env.get(a, a), go(b, env))
+            case ERepl(b, nn, on, ann, s):
+                on2 = supply.fresh(on)
+                return ERepl(go(b, {**env, on: on2}), env.get(nn, nn), on2, ann, go(s, env))
+            case EmptyStack():
+                return o
+            case Push(h, t):
+                return Push(go(h, env), go(t, env))
+        raise TypeError(o)
+
+    return go(o, {})
+
+
+def test_refresh_matches_the_recursive_walk():
+    rng = random.Random(12)
+    corpus = kernel_corpus() + [random_object(rng, rng.randrange(2, 14)) for _ in range(300)]
+    for o in corpus:
+        for obj in (o, squash_vars(squash_names(o))):
+            got, want = supply_for(obj), supply_for(obj)
+            assert print_object(refresh(obj, got)) == print_object(ref_refresh(obj, want))
+            assert got.counter == want.counter
+
+
+# --- sorts ---------------------------------------------------------------------
+
+
+def test_check_sorts_names_each_bad_node():
+    x, cmd, nil = Var("x"), Named("'a", Var("x")), EmptyStack()
+    bad = [
+        (App(x, nil), "application of non-terms"),
+        (App(cmd, x), "application of non-terms"),
+        (Abs("y", None, cmd), "abstraction body must be a term"),
+        (Mu("'b", None, x), "mu body must be a command"),
+        (ESub(x, "y", nil), "substitution parts must be terms"),
+        (ESub(cmd, "y", x), "substitution parts must be terms"),
+        (Named("'a", cmd), "named body must be a term"),
+        (ERepl(x, "'c", "'b", None, nil), "bad replacement sorts"),
+        (ERepl(cmd, "'c", "'b", None, x), "bad replacement sorts"),
+        (ERepl(cmd, "'b", "'b", None, nil), "replacement name equals bound name"),
+        (Push(nil, nil), "bad stack sorts"),
+        (Push(x, x), "bad stack sorts"),
+    ]
+    for o, msg in bad:
+        # alone and inside a well-sorted context
+        for obj in (o, _wrap(o)):
+            with pytest.raises(SortError, match=f"^{re.escape(msg)}: "):
+                check_sorts(obj)
+
+
+def _wrap(o):
+    """A well-sorted context around o."""
+    if sort_of(o) == "stack":
+        return Push(Var("h"), o)
+    if sort_of(o) == "command":
+        return Abs("w", None, Mu("'w", None, ERepl(o, "'v", "'u", None, EmptyStack())))
+    return ESub(Var("z"), "z", App(Var("f"), o))
+
+
+def test_check_sorts_needs_no_recursion():
+    spine = Var("f")
+    for _ in range(100_000):
+        spine = App(spine, Var("a"))
+    check_sorts(spine)
+    bad = Var("f")
+    for i in range(100_000):
+        bad = App(bad, Var("a") if i else EmptyStack())
+    with pytest.raises(SortError, match="application of non-terms"):
+        check_sorts(bad)
