@@ -62,10 +62,10 @@ def cmd_step(args) -> int:
     redexes = reduction.lm_redexes(o)
     if args.path is None:
         for tag, p in redexes:
-            print(f"{tag.value} @ {dotted(p.steps)}")
+            print(f"{tag.value} @ {dotted(p)}")
         return 0
     p = _path_arg(o, args.path)
-    matching = [tag for tag, q in redexes if q.steps == p.steps]
+    matching = [tag for tag, q in redexes if q == p]
     if args.tag:
         tag = RuleTag(args.tag)
     elif matching:
@@ -104,7 +104,7 @@ def cmd_meaningful(args) -> int:
     if not args.quiet and print_object(co) != print_object(o):
         print(f"canonicalized to {print_object(co)}")
     for tag, p, res in reduction.meaningful_reducts(co):
-        print(f"{tag.value} @ {dotted(p.steps)} => {print_object(res)}")
+        print(f"{tag.value} @ {dotted(p)} => {print_object(res)}")
     return 0
 
 
@@ -112,7 +112,7 @@ def cmd_sigma(args) -> int:
     o = parse(args.object, args.sort)
     for axiom, orient, p, res in lmu.sigma_instances(o):
         arrow = "+" if orient == "LR" else "-"
-        print(f"{axiom}{arrow} @ {dotted(p.steps)} => {print_object(res)}")
+        print(f"{axiom}{arrow} @ {dotted(p)} => {print_object(res)}")
     return 0
 
 

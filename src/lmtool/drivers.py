@@ -25,7 +25,6 @@ from .reduction import (
     reduction_graph,
 )
 from .syntax import (
-    COMMAND,
     Abs,
     App,
     Arrow,
@@ -34,7 +33,6 @@ from .syntax import (
     Mu,
     Named,
     Object,
-    Path,
     Type,
     Var,
     alpha_eq,
@@ -107,7 +105,7 @@ def bisim_driver(
                 report.ok = False
                 report.details.append(
                     f"{side}: step {tag.value} @"
-                    f" {dotted(path.steps)} of"
+                    f" {dotted(path)} of"
                     f" {print_object(a)} reaches {print_object(a2)},"
                     f" unmatched by {print_object(b)}"
                 )
@@ -352,12 +350,11 @@ class TypedPairs:
                 fold_stack_type(outer_tys, bty),
                 self._stack(outer_tys),
             )
-            root = Path((), COMMAND)
-            info = classify_R_info(lhs, root)
+            info = classify_R_info(lhs, ())
             want = RuleTag.W if which == "W" else RuleTag.C
-            if info.tag != want:
+            if info[0] != want:
                 continue
-            rhs = fire(lhs, want, root, info=info)
+            rhs = fire(lhs, want, (), info=info)
             g, d = self.envs()
             d[alpha2] = bty
             return lhs, rhs, want, g, d
@@ -509,7 +506,7 @@ def build_duplicating_step(pairs: TypedPairs):
     lhs = ERepl(
         Named(alpha, App(Var(x), inner)), alpha2, alpha, tann, pairs._stack(stys)
     )
-    rhs = canon(fire(lhs, RuleTag.R_NEQ1, Path((), COMMAND)))
+    rhs = canon(fire(lhs, RuleTag.R_NEQ1, ()))
     genv, denv = pairs.envs()
     denv[alpha2] = bty
     return RuleTag.R_NEQ1, lhs, rhs, genv, denv

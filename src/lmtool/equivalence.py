@@ -11,6 +11,9 @@ from typing import Optional
 from .meta import apply_stack, rename, stack_of
 from .reduction import LINEAR_SPINE, NotCanonicalError, canon, is_canonical
 from .syntax import (
+    _BOUND_BY,
+    _FREE_AT,
+    _REBIND,
     Abs,
     App,
     EmptyStack,
@@ -20,18 +23,17 @@ from .syntax import (
     Named,
     NameSupply,
     Object,
-    Path,
     PathError,
     Var,
     alpha_eq,
     canonical_key,
+    children,
     count_free,
     dotted,
     empty_stack,
     free_names,
     free_occurrences,
     free_vars,
-    make_path,
     print_object,
     rename_free,
     rename_occurrences,
@@ -92,74 +94,64 @@ class EquivOutcome:
 # Rewrites of a subobject by one axiom
 
 
-def _linear_positions(o: Object, want_sort: str):
-    """Yield (path, subobject, bound variables, bound names) for every
-    linear position of sort want_sort strictly below o, in pre-order.  A
-    linear context only descends into child 0, so these positions lie on
-    one spine; the binder sets are those crossed from o to the position."""
-    steps: tuple[int, ...] = ()
-    vs: frozenset[str] = frozenset()
-    ns: frozenset[str] = frozenset()
+# the explicit operators, by the axiom that moves them through a linear
+# context: a substitution t[x\u] and a replacement c['b/'a\s] bind in
+# their child 0 and carry a term or a stack in their child 1
+_EXPLICIT = {ESub: "exs", ERepl: "exr"}
+
+
+def _linear_positions(o: Object):
+    """Yield (index path, subobject, bound) for every linear position
+    strictly below o, in pre-order.  A linear context only descends into
+    child 0, so these positions lie on one spine; bound holds the
+    identifiers that the binders crossed from o to the position bind."""
+    idxs: tuple[int, ...] = ()
+    bound: frozenset[str] = frozenset()
     while isinstance(o, LINEAR_SPINE):
-        match o:
-            case Abs(x, _, _) | ESub(_, x, _):
-                vs = vs | {x}
-            case Mu(a, _, _) | ERepl(_, _, a, _, _):
-                ns = ns | {a}
-        steps += (0,)
-        o = o.fun if isinstance(o, App) else o.body
-        if sort_of(o) == want_sort:
-            yield Path(steps, want_sort), o, vs, ns
+        by = _BOUND_BY.get(type(o))
+        if by is not None:
+            bound = bound | {by(o)}
+        idxs += (0,)
+        o = o.fun if type(o) is App else o.body
+        yield idxs, o, bound
 
 
 def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
                       expansive: bool = True):
     """Yield (axiom, orientation, new_subobject) for rewrites rooted at sub."""
     out: list[tuple[str, str, Object]] = []
+    sort = sort_of(sub)
 
-    match sub:
-        case ESub(t, x, u):
-            # exs LR: (LTT<v>)[x\u] -> LTT<v[x\u]>
-            n_x = count_free(x, t)
-            for p, v, vs, _ in _linear_positions(t, "term"):
-                if x in vs or count_free(x, v) != n_x:
-                    continue
-                out.append(("exs", "LR", rewrite_at(t, p, ESub(v, x, u), supply)))
-        case ERepl(c, nn, on, ann, s):
-            # exr LR: (LCC<c0>)[a'/a\s] -> LCC<c0[a'/a\s]>
-            n_on = count_free(on, c)
-            for p, c0, _, ns in _linear_positions(c, "command"):
-                if on in ns or count_free(on, c0) != n_on:
-                    continue
-                out.append(("exr", "LR", rewrite_at(c, p, ERepl(c0, nn, on, ann, s), supply)))
+    # exs LR: (LTT<v>)[x\u] -> LTT<v[x\u]>
+    # exr LR: (LCC<c0>)[a'/a\s] -> LCC<c0[a'/a\s]>
+    ax = _EXPLICIT.get(type(sub))
+    if ax is not None:
+        x, body, rebind = _BOUND_BY[type(sub)](sub), sub.body, _REBIND[type(sub)]
+        n_x = count_free(x, body)
+        for idxs, v, bound in _linear_positions(body):
+            if sort_of(v) != sort or x in bound or count_free(x, v) != n_x:
+                continue
+            out.append((ax, "LR", rewrite_at(body, idxs, rebind(sub, x, v), supply)))
 
-    if sort_of(sub) == "term":
-        # exs RL: LTT<v[x\u]> -> (LTT<v>)[x\u]
-        for p, node, vs, ns in _linear_positions(sub, "term"):
-            if not isinstance(node, ESub):
-                continue
-            t2, x, u = node.body, node.var, node.arg
-            if (free_vars(u) & vs) or (free_names(u) & ns):
-                continue  # the substitution body cannot move out
-            if count_free(x, sub) > 0:
-                x2 = supply.fresh(x)
-                t2, x = rename_free(t2, x, x2), x2
-            res = ESub(rewrite_at(sub, p, t2, supply), x, u)
-            out.append(("exs", "RL", res))
-
-    if sort_of(sub) == "command":
-        # exr RL: LCC<c0[a'/a\s]> -> (LCC<c0>)[a'/a\s]
-        for p, node, vs, ns in _linear_positions(sub, "command"):
-            if not isinstance(node, ERepl):
-                continue
-            c0, nn, on, ann, s = node.body, node.new, node.old, node.ann, node.stack
-            if (free_vars(s) & vs) or (free_names(s) & ns) or nn in ns:
-                continue
-            if count_free(on, sub) > 0:
-                on2 = supply.fresh(on)
-                c0, on = rename_free(c0, on, on2), on2
-            res = ERepl(rewrite_at(sub, p, c0, supply), nn, on, ann, s)
-            out.append(("exr", "RL", res))
+    # exs RL: LTT<v[x\u]> -> (LTT<v>)[x\u]
+    # exr RL: LCC<c0[a'/a\s]> -> (LCC<c0>)[a'/a\s]
+    for idxs, node, bound in _linear_positions(sub):
+        t = type(node)
+        ax = _EXPLICIT.get(t)
+        if ax is None or sort_of(node) != sort:
+            continue
+        # neither u or s nor a' may leave the scope of a binder that binds them
+        moved = children(node)[1]
+        if not (bound.isdisjoint(free_vars(moved)) and bound.isdisjoint(free_names(moved))):
+            continue
+        at = _FREE_AT.get(t)
+        if at is not None and getattr(node, at) in bound:
+            continue
+        x, body = _BOUND_BY[t](node), node.body
+        if count_free(x, sub) > 0:
+            x2 = supply.fresh(x)
+            body, x = rename_free(body, x, x2), x2
+        out.append((ax, "RL", _REBIND[t](node, x, rewrite_at(sub, idxs, body, supply))))
 
     match sub:
         # lin LR: ([a]u)[a'/a\s] -> [a'](u``s), a # u, s != #.  The subject
@@ -304,16 +296,15 @@ def apply_axiom(o: Object, ax: Axiom) -> Object:
     """Replay one axiom step, ren included; raises ValueError if no
     matching instance."""
     try:
-        p = make_path(o, ax.path)
+        sub = subobject_at(o, ax.path)
     except PathError as e:
         raise ValueError(str(e)) from None
-    sub = subobject_at(o, p)
     supply = supply_for(o)
     matches = []
     for name, orient, new_sub in _subtree_rewrites(sub, supply, True):
         if name != ax.name or orient != ax.orientation:
             continue
-        res = rewrite_at(o, p, new_sub, supply)
+        res = rewrite_at(o, ax.path, new_sub, supply)
         if ax.result_key is None or canonical_key(res) == ax.result_key:
             matches.append(res)
     if not matches:

@@ -5,6 +5,7 @@ calculus."""
 from __future__ import annotations
 
 from .meta import apply_stack, replace, substitute
+from .reduction import RuleTag, _plain_tag, _redexes
 from .syntax import (
     COMMAND,
     TERM,
@@ -16,10 +17,10 @@ from .syntax import (
     Named,
     NameSupply,
     Object,
-    Path,
     Push,
     children,
     count_free,
+    dotted,
     empty_stack,
     free_names,
     free_occurrences,
@@ -52,24 +53,18 @@ def require_pure(o: Object) -> None:
 # Redexes and reduction
 
 
-def lmu_redexes(o: Object) -> list[tuple[str, Path]]:
-    """All beta and mu redex positions of a pure object."""
+def lmu_redexes(o: Object) -> list[tuple[str, tuple[int, ...]]]:
+    """All beta and mu redex positions of a pure object: there, B is beta
+    and M is mu."""
     require_pure(o)
-    out = []
-    for idxs, sub in positions(o):
-        if isinstance(sub, App):
-            if isinstance(sub.fun, Abs):
-                out.append(("beta", Path(idxs, TERM)))
-            elif isinstance(sub.fun, Mu):
-                out.append(("mu", Path(idxs, TERM)))
-    return out
+    return [("beta" if tag is RuleTag.B else "mu", p) for tag, p, _ in _redexes(o, _plain_tag)]
 
 
-def lmu_step(o: Object, p: Path, supply: NameSupply | None = None) -> Object:
+def lmu_step(o: Object, p: tuple[int, ...], supply: NameSupply | None = None) -> Object:
     """Contract the beta or mu redex at p."""
     sub = subobject_at(o, p)
     if not (isinstance(sub, App) and isinstance(sub.fun, (Abs, Mu))):
-        raise ValueError(f"no lambda-mu redex at {p}")
+        raise ValueError(f"no lambda-mu redex at {dotted(p)}")
     if supply is None:
         supply = supply_for(o)
     if isinstance(sub.fun, Abs):
@@ -88,7 +83,7 @@ def lmu_step(o: Object, p: Path, supply: NameSupply | None = None) -> Object:
 #   Q ::= [] | [b] P<mu g. []>
 
 
-def is_linear_mu_redex(o: Object, p: Path) -> bool:
+def is_linear_mu_redex(o: Object, p: tuple[int, ...]) -> bool:
     sub = subobject_at(o, p)
     if not (isinstance(sub, App) and isinstance(sub.fun, Mu)):
         return False
@@ -270,17 +265,17 @@ def _sigma_rewrites(sub: Object, supply: NameSupply) -> list[tuple[str, str, Obj
     return out
 
 
-def sigma_instances(o: Object) -> list[tuple[str, str, Path, Object]]:
+def sigma_instances(o: Object) -> list[tuple[str, str, tuple[int, ...], Object]]:
     """All positions where a sigma axiom applies in either orientation,
     together with the rewritten object."""
     require_pure(o)
     supply = supply_for(o)
     out = []
     # no sigma orientation yields a free identifier that its subobject lacks
-    for idxs, (axiom, orient, new), res in rewrite_everywhere(
+    for idxs, (axiom, orient, _), res in rewrite_everywhere(
         o, lambda sub: _sigma_rewrites(sub, supply)
     ):
-        out.append((axiom, orient, Path(idxs, sort_of(new)), res))
+        out.append((axiom, orient, idxs, res))
     return out
 
 

@@ -100,6 +100,8 @@ def _graft(
     free = free_names if is_name(ident) else free_vars
 
     def go(o: Object) -> Object:
+        if type(o) is Var:
+            return at(o, go) if o.name == ident else o
         if ident not in free(o):
             return o
         done = at(o, go)

@@ -14,7 +14,6 @@ from typing import Iterator, Optional
 from .net import Net, Node
 
 MULT = ("ax", "parten")
-EXP = ("wk", "der", "con", "absorb")
 
 
 class NoRuleError(Exception):
@@ -243,8 +242,6 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
             host.downs.pop(port)
             level.drop_wire(w_this)
             # tree interface wires become new doors of the host box
-            consumers = {w: level.consumer_of(w) for w in interface}
-            anchors = {w: level.conclusion_anchor(w) for w in interface}
             for nid in nodes:
                 level.drop_node(nid)
             for w in wmap:

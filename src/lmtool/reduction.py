@@ -18,8 +18,6 @@ from .meta import (
     substitute,
 )
 from .syntax import (
-    COMMAND,
-    TERM,
     Abs,
     App,
     EmptyStack,
@@ -29,7 +27,6 @@ from .syntax import (
     Named,
     NameSupply,
     Object,
-    Path,
     Push,
     Var,
     canonical_key,
@@ -81,12 +78,12 @@ REFINED = CANON | MEANINGFUL
 @dataclass
 class Trace:
     start: Object
-    steps: list[tuple[RuleTag, Path, Object]]
+    steps: list[tuple[RuleTag, tuple[int, ...], Object]]
 
     def render(self) -> str:
         lines = [print_object(self.start)]
         for tag, path, obj in self.steps:
-            lines.append(f"{tag.value} @ {dotted(path.steps)} => {print_object(obj)}")
+            lines.append(f"{tag.value} @ {dotted(path)} => {print_object(obj)}")
         return "\n".join(lines)
 
 
@@ -112,17 +109,16 @@ def is_linear_indices(root: Object, idxs: tuple[int, ...]) -> bool:
     return True
 
 
-def is_linear_path(root: Object, frm: Path, to: Path) -> bool:
+def is_linear_path(root: Object, frm: tuple[int, ...], to: tuple[int, ...]) -> bool:
     """True iff the path from frm to to (frm must be a prefix) stays within
     the linear-context grammar."""
-    fi, ti = frm.steps, to.steps
-    if ti[: len(fi)] != fi:
+    if to[: len(frm)] != frm:
         raise ValueError("frm is not a prefix of to")
     start = subobject_at(root, frm)
-    return is_linear_indices(start, ti[len(fi):])
+    return is_linear_indices(start, to[len(frm):])
 
 
-def linear_sort_pair(root: Object, frm: Path, to: Path) -> str:
+def linear_sort_pair(root: Object, frm: tuple[int, ...], to: tuple[int, ...]) -> str:
     """The XY classification of a linear context: hole sort then result sort
     (TT, TC, CC, CT)."""
     hole = subobject_at(root, to)
@@ -151,11 +147,12 @@ def _rebuild_subs(frames: list[ESub], core: Object) -> Object:
     return core
 
 
-def lm_step(o: Object, tag: RuleTag, p: Path, supply: NameSupply | None = None) -> Object:
+def lm_step(o: Object, tag: RuleTag, p: tuple[int, ...],
+            supply: NameSupply | None = None) -> Object:
     """Fire one of the plain rules B, S, M, R at p."""
     if supply is None:
         supply = supply_for(o)
-    nodes = descend(o, p.steps)
+    nodes = descend(o, p)
     sub = nodes[-1]
     match tag:
         case RuleTag.B:
@@ -186,60 +183,53 @@ def lm_step(o: Object, tag: RuleTag, p: Path, supply: NameSupply | None = None) 
         case _:
             raise ValueError(f"lm_step does not fire {RuleTag(tag).value}")
     # a reduct has no free identifier its redex lacks: nothing above p captures
-    return splice(nodes, p.steps, red)
+    return splice(nodes, p, red)
 
 
 # ---------------------------------------------------------------------------
-# Classification of an R-redex (the decision diagram)
+# Classification of an R-redex (the decision diagram).  A classification
+# is (tag, occurrence): the refined tag, and the position of the unique
+# occurrence of the bound name inside the replacement's command when there
+# is one, else None.
 
 
-@dataclass
-class RInfo:
-    tag: RuleTag
-    occ_idxs: Optional[tuple[int, ...]] = None  # position of the unique
-    # occurrence inside the replacement's command, when there is one
+def classify_R(o: Object, p: tuple[int, ...]) -> RuleTag:
+    return classify_R_info(o, p)[0]
 
 
-def classify_R(o: Object, p: Path) -> RuleTag:
-    return classify_R_info(o, p).tag
-
-
-def classify_R_info(o: Object, p: Path) -> RInfo:
+def classify_R_info(o: Object, p: tuple[int, ...]) -> tuple[RuleTag, tuple[int, ...] | None]:
     sub = subobject_at(o, p)
     if not isinstance(sub, ERepl):
         raise ValueError("classification expects an explicit replacement")
     return _classify_erepl(sub)
 
 
-def _classify_erepl(sub: ERepl) -> RInfo:
+def _classify_erepl(sub: ERepl) -> tuple[RuleTag, tuple[int, ...] | None]:
     c, alpha, s = sub.body, sub.old, sub.stack
     if isinstance(s, EmptyStack):
-        return RInfo(RuleTag.R_EMPTY)
+        return RuleTag.R_EMPTY, None
     if count_free(alpha, c) != 1:
-        return RInfo(RuleTag.R_NEQ1)
+        return RuleTag.R_NEQ1, None
     occ = next(free_occurrences(c, alpha), None)
     if occ is None:
         # the occurrence sits under a shadowing binder only when inputs break
         # the naming discipline; treat as non-linear work
-        return RInfo(RuleTag.R_NEQ1)
+        return RuleTag.R_NEQ1, None
     idxs, node = occ
     linear = is_linear_indices(c, idxs)
     if isinstance(node, Named):
-        tag = RuleTag.N_LIN if linear else RuleTag.N_NONLIN
-        return RInfo(tag, idxs)
+        return (RuleTag.N_LIN if linear else RuleTag.N_NONLIN), idxs
     inner: ERepl = node
     if isinstance(inner.stack, EmptyStack):
-        tag = RuleTag.W if linear else RuleTag.W_NONLIN
-    else:
-        tag = RuleTag.C if linear else RuleTag.C_NONLIN
-    return RInfo(tag, idxs)
+        return (RuleTag.W if linear else RuleTag.W_NONLIN), idxs
+    return (RuleTag.C if linear else RuleTag.C_NONLIN), idxs
 
 
 # ---------------------------------------------------------------------------
 # The redex engine.  A classifier names the redex rooted at a node itself,
-# as (tag, info) or None; one scan lists the redexes a classifier finds,
-# fire contracts any of them, and one loop normalizes under a choice of
-# the next redex.
+# as a classification (tag, occurrence) or None; one scan lists the
+# redexes a classifier finds, fire contracts any of them, and one loop
+# normalizes under a choice of the next redex.
 
 _B = (RuleTag.B, None)
 _M = (RuleTag.M, None)
@@ -270,15 +260,14 @@ def _plain_tag(o: Object) -> Optional[tuple[RuleTag, None]]:
     return None
 
 
-def _refined_tag(o: Object) -> Optional[tuple[RuleTag, RInfo | None]]:
+def _refined_tag(o: Object) -> Optional[tuple[RuleTag, tuple[int, ...] | None]]:
     """As _plain_tag, with an explicit replacement classified."""
     if type(o) is ERepl:
-        info = _classify_erepl(o)
-        return info.tag, info
+        return _classify_erepl(o)
     return _plain_tag(o)
 
 
-def _canon_tag(o: Object) -> Optional[tuple[RuleTag, RInfo | None]]:
+def _canon_tag(o: Object) -> Optional[tuple[RuleTag, tuple[int, ...] | None]]:
     """The B, M, C or W redex rooted at o.  This depends on o's own subtree
     only."""
     t = type(o)
@@ -286,47 +275,48 @@ def _canon_tag(o: Object) -> Optional[tuple[RuleTag, RInfo | None]]:
         return _app_tag(o)
     if t is ERepl:
         info = _classify_erepl(o)
-        if info.tag in CANON_R:
-            return info.tag, info
+        if info[0] in CANON_R:
+            return info
     return None
 
 
 def _redexes(o: Object, tag_of, tags=None):
     """Yield (tag, path, info) for each redex tag_of finds in o, in
-    pre-order; with tags, only those whose tag is in it."""
+    pre-order, where info is what tag_of gave; with tags, only those whose
+    tag is in it."""
     for idxs, sub in positions(o):
         found = tag_of(sub)
         if found is not None and (tags is None or found[0] in tags):
-            yield found[0], Path(idxs, COMMAND if type(sub) is ERepl else TERM), found[1]
+            yield found[0], idxs, found
 
 
 def fire(
-    o: Object, tag: RuleTag, p: Path, supply: NameSupply | None = None,
-    info: RInfo | None = None,
+    o: Object, tag: RuleTag, p: tuple[int, ...], supply: NameSupply | None = None,
+    info: tuple[RuleTag, tuple[int, ...] | None] | None = None,
 ) -> Object:
     """Fire the redex at p.  A plain tag goes to lm_step.  A refined
     replacement rule needs the classification of the replacement at p:
     without info it is computed here and must give tag."""
     if tag in PLAIN:
         return lm_step(o, tag, p, supply)
-    nodes = descend(o, p.steps)
+    nodes = descend(o, p)
     sub: ERepl = nodes[-1]  # type: ignore[assignment]
     if info is None:
         if type(sub) is not ERepl:
             raise ValueError("classification expects an explicit replacement")
         info = _classify_erepl(sub)
-        if info.tag != tag:
+        if info[0] != tag:
             raise ValueError(
-                f"redex at path classifies as {info.tag.value}, not {RuleTag(tag).value}"
+                f"redex at path classifies as {info[0].value}, not {RuleTag(tag).value}"
             )
     if supply is None:
         supply = supply_for(o)
     c, new, alpha, s = sub.body, sub.new, sub.old, sub.stack
-    if info.occ_idxs is None:  # R# and R!=1: replace every occurrence
+    occ_p = info[1]
+    if occ_p is None:  # R# and R!=1: replace every occurrence
         e = prepare_erepl(sub, supply)
         red = replace(e.body, e.new, e.old, e.stack, supply)
     else:
-        occ_p = Path(info.occ_idxs, COMMAND)
         node = subobject_at(c, occ_p)
         if type(node) is Named:  # N: the one named occurrence takes the stack
             repl = Named(new, apply_stack(node.body, s))
@@ -338,7 +328,7 @@ def fire(
             repl = ERepl(node.body, new, node.old, node.ann, stack_concat(node.stack, s))
         red = rewrite_at(c, occ_p, repl, supply)
     # unlike s in the inner write, red has no free identifier that sub lacks
-    return splice(nodes, p.steps, red)
+    return splice(nodes, p, red)
 
 
 def _normalize(o: Object, choose, supply: NameSupply, trace: Trace | None,
@@ -356,7 +346,7 @@ def _normalize(o: Object, choose, supply: NameSupply, trace: Trace | None,
     return None
 
 
-def lm_redexes(o: Object) -> list[tuple[RuleTag, Path]]:
+def lm_redexes(o: Object) -> list[tuple[RuleTag, tuple[int, ...]]]:
     """All B, S, M, R redex positions."""
     return [(tag, p) for tag, p, _ in _redexes(o, _plain_tag)]
 
@@ -412,7 +402,7 @@ def canon_random(o: Object, rng, supply: NameSupply | None = None) -> Object:
 # Meaningful reduction
 
 
-def meaningful_redexes(o: Object) -> list[tuple[RuleTag, Path]]:
+def meaningful_redexes(o: Object) -> list[tuple[RuleTag, tuple[int, ...]]]:
     """S-redexes plus the meaningful replacement redexes of a canonical
     object."""
     if not is_canonical(o):
@@ -421,7 +411,7 @@ def meaningful_redexes(o: Object) -> list[tuple[RuleTag, Path]]:
 
 
 def meaningful_step(
-    o: Object, tag: RuleTag, p: Path, supply: NameSupply | None = None
+    o: Object, tag: RuleTag, p: tuple[int, ...], supply: NameSupply | None = None
 ) -> Object:
     """Fire an S or meaningful-replacement redex, then canonicalize."""
     if tag not in MEANINGFUL:
@@ -431,7 +421,7 @@ def meaningful_step(
     return canon(fire(o, tag, p, supply), supply)
 
 
-def meaningful_reducts(o: Object) -> list[tuple[RuleTag, Path, Object]]:
+def meaningful_reducts(o: Object) -> list[tuple[RuleTag, tuple[int, ...], Object]]:
     """All meaningful reducts of a canonical object; one supply_for(o)
     serves every redex, and each redex fires with the classification its
     scan computed."""
@@ -477,7 +467,9 @@ def reduce_to_nf(o: Object, budget: int = 1000, mode: str = "plain") -> tuple[Ob
     return nf, trace
 
 
-def plain_reducts(o: Object, supply: NameSupply | None = None) -> list[tuple[RuleTag, Path, Object]]:
+def plain_reducts(
+    o: Object, supply: NameSupply | None = None
+) -> list[tuple[RuleTag, tuple[int, ...], Object]]:
     """All one-step plain reducts (used by confluence checks).  Without a
     supply, one supply_for(o) serves every redex."""
     if supply is None:

@@ -219,17 +219,6 @@ def with_children(o: Object, new: tuple[Object, ...]) -> Object:
     return rebuild(o, new)
 
 
-@dataclass(frozen=True)
-class Path:
-    """An address of a subobject: its child indices from the root, and its sort."""
-
-    steps: tuple[int, ...]
-    target_sort: str
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
 class PathError(Exception):
     pass
 
@@ -276,12 +265,15 @@ def splice(nodes: list[Object], idxs: tuple[int, ...], q: Object) -> Object:
     return q
 
 
-def make_path(root: Object, indices: tuple[int, ...]) -> Path:
-    return Path(tuple(indices), sort_of(descend(root, indices)[-1]))
+def make_path(root: Object, indices: tuple[int, ...]) -> tuple[int, ...]:
+    """The child indices as a path into root; PathError if one is out of
+    range."""
+    descend(root, indices)
+    return tuple(indices)
 
 
-def subobject_at(root: Object, p: Path) -> Object:
-    return descend(root, p.steps)[-1]
+def subobject_at(root: Object, p: tuple[int, ...]) -> Object:
+    return descend(root, p)[-1]
 
 
 def _binders(nodes: list[Object], idxs: tuple[int, ...]) -> set[str]:
@@ -294,11 +286,11 @@ def _binders(nodes: list[Object], idxs: tuple[int, ...]) -> set[str]:
     return out
 
 
-def rewrite_at(root: Object, p: Path, q: Object, supply: "NameSupply | None" = None) -> Object:
-    """Replace the subobject at p by q, protecting only identifiers that are
-    newly free in q: ones already free in the old subobject keep referring to
-    their existing binders on the spine."""
-    idxs = p.steps
+def rewrite_at(root: Object, idxs: tuple[int, ...], q: Object,
+               supply: "NameSupply | None" = None) -> Object:
+    """Replace the subobject at idxs by q, protecting only identifiers that
+    are newly free in q: ones already free in the old subobject keep
+    referring to their existing binders on the spine."""
     nodes = descend(root, idxs)
     old = nodes[-1]
     fresh = (free_vars(q) - free_vars(old)) | (free_names(q) - free_names(old))

@@ -22,7 +22,6 @@ from .syntax import (
     Mu,
     Named,
     Object,
-    Path,
     Push,
     Type,
     Var,
@@ -249,7 +248,7 @@ def subject_reduction_check(
     gamma: dict[str, Type],
     delta: dict[str, Type],
     tag: RuleTag,
-    p: Path,
+    p: tuple[int, ...],
     exact: bool | None = None,
 ) -> tuple[bool, str]:
     """Fire the rule at p and re-check.  The reduct must type with the same

@@ -89,6 +89,29 @@ def test_exr_instance():
     assert any(ax.name == "exr" and alpha_eq(r, o) for ax, r in back)
 
 
+@pytest.mark.parametrize(
+    "text, moves",
+    [
+        (r"(\x. y)[x\u]", 0),
+        (r"(\z. y)[x\u]", 1),
+        (r"(['b](mu 'a. ['d]y))['c/'a\z . #]", 0),
+        (r"(['b](mu 'e. ['d]y))['c/'a\z . #]", 1),
+    ],
+)
+def test_explicit_operator_does_not_move_under_a_binder_of_its_own(text, moves):
+    # exs/exr LR may not push t[x\u] or c['c/'a\s] under a binder of x or
+    # 'a, even where nothing below holds it
+    from lmtool.equivalence import _subtree_rewrites
+    from lmtool.syntax import supply_for
+
+    sub = parse(text, freshen=False)
+    moved = [
+        new for ax, orient, new in _subtree_rewrites(sub, supply_for(sub), False)
+        if ax in ("exs", "exr") and orient == "LR"
+    ]
+    assert len(moved) == moves
+
+
 def test_pp_instance():
     o = c("['a2]\\x. mu 'a. ['b2]\\y. mu 'b. ['g]u")
     insts = axiom_instances(o)
@@ -262,14 +285,14 @@ def test_type_preservation_under_axioms():
 # --- fast paths against the reference walks they replace ----------------------
 
 
-def _binders_along(root, p):
+def _binders_along(root, idxs):
     """The variables and names bound on the spine from the root to the hole
-    at p, spelled out per binder class: each binds in its child 0."""
+    at idxs, spelled out per binder class: each binds in its child 0."""
     from lmtool.syntax import Abs, ERepl, ESub, Mu, children
 
     vs, ns = set(), set()
     o = root
-    for i in p.steps:
+    for i in idxs:
         match o:
             case Abs(x, _, _) | ESub(_, x, _) if i == 0:
                 vs.add(x)
@@ -283,13 +306,12 @@ def _reference_linear_positions(o, want_sort):
     """Every position, filtered by is_linear_indices, with its binders read
     off by _binders_along: the walk that _linear_positions replaces."""
     from lmtool.reduction import is_linear_indices
-    from lmtool.syntax import make_path, positions, sort_of
+    from lmtool.syntax import positions, sort_of
 
     for idxs, sub in positions(o):
         if idxs and sort_of(sub) == want_sort and is_linear_indices(o, idxs):
-            p = make_path(o, idxs)
-            vs, ns = _binders_along(o, p)
-            yield p, sub, vs, ns
+            vs, ns = _binders_along(o, idxs)
+            yield idxs, sub, vs, ns
 
 
 @pytest.fixture(scope="module")
@@ -318,14 +340,16 @@ def seeded_objects():
 
 def test_spine_walk_matches_reference_walk(seeded_objects):
     from lmtool.equivalence import _linear_positions
-    from lmtool.syntax import positions
+    from lmtool.syntax import positions, sort_of
 
     compared = 0
     for o in seeded_objects:
         for _, sub in positions(o):
             for sort in ("term", "command"):
-                fast = list(_linear_positions(sub, sort))
-                ref = list(_reference_linear_positions(sub, sort))
+                # the walk keeps one set for both namespaces
+                fast = [pos for pos in _linear_positions(sub) if sort_of(pos[1]) == sort]
+                ref = [(idxs, node, vs | ns)
+                       for idxs, node, vs, ns in _reference_linear_positions(sub, sort)]
                 assert fast == ref, print_object(sub)
                 compared += len(ref)
     assert compared > 1000

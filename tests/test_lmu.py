@@ -14,7 +14,7 @@ from lmtool.lmu import (
     sigma_instances,
 )
 from lmtool.reduction import RuleTag, lm_redexes, lm_step, reduce_to_nf
-from lmtool.syntax import TERM, Path, alpha_eq, parse
+from lmtool.syntax import TERM, alpha_eq, parse
 
 
 def t(text):
@@ -28,6 +28,36 @@ def c(text):
 def test_redexes_reject_impure():
     with pytest.raises(NotPureError):
         lmu_redexes(t(r"x[y\z]"))
+
+
+def _ref_lmu_redexes(o):
+    """The hand-written scan that lmu_redexes replaced: an application
+    whose function is an abstraction or a mu, in pre-order."""
+    from lmtool.syntax import Abs, App, Mu, positions
+
+    out = []
+    for idxs, sub in positions(o):
+        if isinstance(sub, App):
+            if isinstance(sub.fun, Abs):
+                out.append(("beta", idxs))
+            elif isinstance(sub.fun, Mu):
+                out.append(("mu", idxs))
+    return out
+
+
+def test_redex_engine_scan_matches_the_pure_scan():
+    from lmtool.gen_random import random_pure_command, random_pure_term
+
+    rng = random.Random(17)
+    found = {"beta": 0, "mu": 0}
+    for k in range(400):
+        gen = random_pure_term if k % 2 else random_pure_command
+        o = gen(rng, rng.randint(2, 14))
+        got = lmu_redexes(o)
+        assert got == _ref_lmu_redexes(o)
+        for tag, _ in got:
+            found[tag] += 1
+    assert min(found.values()) > 50
 
 
 def test_two_beta_redexes():
@@ -76,7 +106,7 @@ def test_linear_mu_redex_ignores_a_shadowed_occurrence():
     # sits in an argument, so neither alpha-variant is linear
     text = "(mu 'a. ['b](mu 'a. ['a]x) (mu 'g. ['a]y)) v"
     for o in (parse(text, freshen=False), parse(text)):
-        assert not is_linear_mu_redex(o, Path((), TERM))
+        assert not is_linear_mu_redex(o, ())
 
 
 # --- sigma -------------------------------------------------------------------

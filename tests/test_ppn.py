@@ -27,6 +27,7 @@ from lmtool.ppn.rewrite import MULT, _cut_rule, _redexes, add_tree, fire, tensor
 from lmtool.ppn.translate import Piece, _boxed, _merge_shared
 from lmtool.syntax import (
     Abs, App, Arrow, Base, EmptyStack, ERepl, ESub, Mu, Named, Push, Var, parse, parse_type,
+    print_object,
 )
 from lmtool.typing import check_object
 from lmtool.typing_util import split_arrow
@@ -269,9 +270,13 @@ def test_net_equiv_distinguishes():
 
 @pytest.mark.parametrize("axiom", ["exs", "exr", "lin", "pp", "rho", "theta", "ren"])
 def test_axiom_soundness(axiom):
+    from lmtool.equivalence import Axiom, apply_axiom
+
     pairs = TypedPairs(seed=zlib.crc32(axiom.encode()) % 10**6)
     for _ in range(3):
         lhs, rhs, g, d = pairs.build(axiom)
+        # the hand-written right side is what the axiom's own rewrite gives
+        assert print_object(apply_axiom(lhs, Axiom(axiom, "LR", ()))) == print_object(rhs)
         assert soundness_check(lhs, rhs, g, d)
 
 

@@ -392,7 +392,7 @@ def test_plain_reducts_with_one_supply_match_fresh_supplies():
         o, _, _ = gen_typed(seed, size=12)
         got = plain_reducts(o)
         want = [(tag, p, lm_step(o, tag, p)) for tag, p in lm_redexes(o)]
-        assert [(tag, p.steps) for tag, p, _ in got] == [(tag, p.steps) for tag, p, _ in want]
+        assert [(tag, p) for tag, p, _ in got] == [(tag, p) for tag, p, _ in want]
         for (_, _, r), (_, _, r2) in zip(got, want):
             assert canonical_key(r) == canonical_key(r2)
             assert is_barendregt(r) == is_barendregt(r2)
@@ -407,7 +407,7 @@ def test_meaningful_reducts_with_one_supply_match_fresh_supplies():
         for side in gen_equiv_pair(seed, axiom=AXIOMS[seed % len(AXIOMS)])[:2]:
             got = meaningful_reducts(side)
             want = [(tag, p, meaningful_step(side, tag, p)) for tag, p in meaningful_redexes(side)]
-            assert [(tag, p.steps) for tag, p, _ in got] == [(tag, p.steps) for tag, p, _ in want]
+            assert [(tag, p) for tag, p, _ in got] == [(tag, p) for tag, p, _ in want]
             for (_, _, r), (_, _, r2) in zip(got, want):
                 assert alpha_eq(r, r2), print_object(side)
                 assert is_barendregt(r) == is_barendregt(r2)
@@ -474,7 +474,7 @@ def _binders_along(root, p):
 
     vs, ns = set(), set()
     o = root
-    for i in p.steps:
+    for i in p:
         match o:
             case Abs(x, _, _) | ESub(_, x, _) if i == 0:
                 vs.add(x)
@@ -504,7 +504,7 @@ def _reference_rewrite_at(root, p, q, supply=None):
             cs[steps[0]] = put(cs[steps[0]], steps[1:])
             return with_children(o, tuple(cs))
 
-        return put(root, p.steps)
+        return put(root, p)
     if supply is None:
         supply = NameSupply(reserved=all_idents(root) | free_vars(q) | free_names(q))
 
@@ -529,7 +529,7 @@ def _reference_rewrite_at(root, p, q, supply=None):
         cs[i] = go(cs[i], steps[1:])
         return with_children(o, tuple(cs))
 
-    return go(root, p.steps)
+    return go(root, p)
 
 
 def _probe(sort, sub, x, a):
@@ -666,7 +666,7 @@ def test_scanned_paths_equal_make_path(rewrite_corpus, monkeypatch):
         before = [trace.start] + [r for _, _, r in trace.steps]
         scanned += [(b, p) for b, (_, p, _) in zip(before, trace.steps)]
     for o, p in scanned + fired:
-        assert p == make_path(o, p.steps), print_object(o)
+        assert make_path(o, p) == p, print_object(o)
     assert len(scanned) > 400 and len(fired) > 200, (len(scanned), len(fired))
 
 
@@ -691,7 +691,7 @@ def _ref_core(f):
 
 
 def ref_lm_redexes(o):
-    from lmtool.syntax import COMMAND, TERM, Abs, App, ERepl, ESub, Mu, Path
+    from lmtool.syntax import Abs, App, ERepl, ESub, Mu
 
     out = []
     for idxs, sub in _ref_preorder(o):
@@ -699,13 +699,13 @@ def ref_lm_redexes(o):
             case App(f, _):
                 core = _ref_core(f)
                 if isinstance(core, Abs):
-                    out.append((RuleTag.B, Path(idxs, TERM)))
+                    out.append((RuleTag.B, idxs))
                 elif isinstance(core, Mu):
-                    out.append((RuleTag.M, Path(idxs, TERM)))
+                    out.append((RuleTag.M, idxs))
             case ESub(_, _, _):
-                out.append((RuleTag.S, Path(idxs, TERM)))
+                out.append((RuleTag.S, idxs))
             case ERepl(_, _, _, _, _):
-                out.append((RuleTag.R, Path(idxs, COMMAND)))
+                out.append((RuleTag.R, idxs))
     return out
 
 
@@ -722,58 +722,56 @@ def _ref_canon_tag(o):
                 return RuleTag.M, None
         case ERepl():
             info = _classify_erepl(o)
-            if info.tag in CANON_R:
-                return info.tag, info
+            if info[0] in CANON_R:
+                return info[0], info
     return None
 
 
 def ref_canon_redexes(o):
     """Every B, M, C, W redex in pre-order (canon_random's scan); the first
     is canon's."""
-    from lmtool.syntax import Path, sort_of
-
     found = []
     for idxs, sub in _ref_preorder(o):
         hit = _ref_canon_tag(sub)
         if hit is not None:
-            found.append((hit[0], Path(idxs, sort_of(sub)), hit[1]))
+            found.append((hit[0], idxs, hit[1]))
     return found
 
 
 def ref_meaningful_redexes(o):
     from lmtool.reduction import MEANINGFUL_R, _classify_erepl
-    from lmtool.syntax import COMMAND, TERM, ERepl, ESub, Path
+    from lmtool.syntax import ERepl, ESub
 
     out = []
     for idxs, sub in _ref_preorder(o):
         match sub:
             case ESub(_, _, _):
-                out.append((RuleTag.S, Path(idxs, TERM)))
+                out.append((RuleTag.S, idxs))
             case ERepl(_, _, _, _, _):
-                tag = _classify_erepl(sub).tag
+                tag = _classify_erepl(sub)[0]
                 if tag in MEANINGFUL_R:
-                    out.append((tag, Path(idxs, COMMAND)))
+                    out.append((tag, idxs))
     return out
 
 
 def ref_refined_redex(o):
     from lmtool.reduction import _classify_erepl
-    from lmtool.syntax import COMMAND, TERM, Abs, App, ERepl, ESub, Mu, Path
+    from lmtool.syntax import Abs, App, ERepl, ESub, Mu
 
     for idxs, sub in _ref_preorder(o):
         match sub:
             case App(f, _):
                 core = _ref_core(f)
                 if isinstance(core, Abs):
-                    return (RuleTag.B, Path(idxs, TERM), None)
+                    return (RuleTag.B, idxs, None)
                 if isinstance(core, Mu):
-                    return (RuleTag.M, Path(idxs, TERM), None)
+                    return (RuleTag.M, idxs, None)
             case ESub(_, _, _):
-                return (RuleTag.S, Path(idxs, TERM), None)
+                return (RuleTag.S, idxs, None)
             case ERepl(_, _, _, _, _):
                 info = _classify_erepl(sub)
-                if info.tag is not RuleTag.R_EMPTY and info.tag is not RuleTag.N_LIN:
-                    return (info.tag, Path(idxs, COMMAND), info)
+                if info[0] is not RuleTag.R_EMPTY and info[0] is not RuleTag.N_LIN:
+                    return (info[0], idxs, info)
     return None
 
 

@@ -146,8 +146,8 @@ def test_canonical_steps_preserve_judgment_exactly():
                 fired = True
             elif tag == RuleTag.R:
                 info = classify_R_info(o, p)
-                if info.tag in CANON_R:
-                    ok, diag = subject_reduction_check(o, g, d, info.tag, p)
+                if info[0] in CANON_R:
+                    ok, diag = subject_reduction_check(o, g, d, info[0], p)
                     assert ok, diag
                     fired = True
         if fired:
