@@ -8,7 +8,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equivalence import Axiom, ExpansionCache, equiv
+from .equivalence import Axiom, ExpansionCache, _stack_inert, equiv
+from .gen_random import random_pure_command, random_pure_stack, random_pure_term
 from .generators import _TypedGen, gen_typed
 from .lmu import lmu_redexes, sigma_instances
 from .meta import apply_stack, rename, stack_of
@@ -39,6 +40,8 @@ from .syntax import (
     canonical_key,
     dotted,
     empty_stack,
+    free_names,
+    parse,
     print_object,
 )
 from .typing_util import fold_stack_type
@@ -123,8 +126,6 @@ def bisim_driver(
 def sigma_not_strong_bisimulation() -> dict:
     """The introduction's pair: (mu a.[a]x) y and x y are sigma-equivalent
     but have different redex counts, so no one-step match exists."""
-    from .syntax import parse
-
     lhs = parse("(mu 'a. ['a]x) y", freshen=False)
     rhs = parse("x y", freshen=False)
     related = any(
@@ -184,7 +185,7 @@ class TypedPairs:
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
-        self.gen = _TypedGen(self.rng, ("A", "B"))
+        self.gen = _TypedGen(self.rng)
         self.i = 0
 
     def _n(self, prefix: str) -> str:
@@ -205,7 +206,7 @@ class TypedPairs:
 
     def build(self, axiom: str) -> tuple[Object, Object, dict, dict]:
         for _ in range(100):
-            self.gen = _TypedGen(self.rng, ("A", "B"))
+            self.gen = _TypedGen(self.rng)
             lhs, rhs, extra_d = getattr(self, "_" + axiom)()
             g, d = self.envs()
             d.update(extra_d)
@@ -257,8 +258,6 @@ class TypedPairs:
         return lhs, rhs, {nn: bty}
 
     def _lin(self):
-        from .equivalence import _stack_inert
-
         bty = self.gen.random_type(1)
         stys = tuple(
             self.gen.random_type(1) for _ in range(1 + self.rng.randrange(2))
@@ -316,7 +315,7 @@ class TypedPairs:
         """A typed command with a linear C or W redex at the root, and its
         reduct."""
         for _ in range(100):
-            self.gen = _TypedGen(self.rng, ("A", "B"))
+            self.gen = _TypedGen(self.rng)
             bty = self.gen.random_type(1)
             outer_tys = tuple(
                 self.gen.random_type(1) for _ in range(1 + self.rng.randrange(2))
@@ -367,8 +366,6 @@ class TypedPairs:
 
 def sigma_pair(seed: int, axiom: str, size: int = 4) -> tuple[Object, Object]:
     """A pure pair related by the requested sigma equation."""
-    from .gen_random import random_pure_command, random_pure_term
-
     rng = random.Random(seed)
     i = rng.randrange(10**6)
     t = random_pure_term(rng, size)
@@ -381,8 +378,6 @@ def sigma_pair(seed: int, axiom: str, size: int = 4) -> tuple[Object, Object]:
     a2, b2 = f"'sc{i}", f"'sd{i}"
     # give the bound continuation names real occurrences where the side
     # conditions allow it
-    from .syntax import free_names
-
     for target in (a, b):
         pool = sorted(free_names(c))
         if pool and rng.random() < 0.7:
@@ -432,8 +427,6 @@ def sigma_pair(seed: int, axiom: str, size: int = 4) -> tuple[Object, Object]:
 def permutation_case_subs(seed: int) -> tuple[Object, Object]:
     """canon(L<LTT<t>>) and canon(LTT<L<t>>) for random pieces with fresh
     binders."""
-    from .gen_random import random_pure_term
-
     rng = random.Random(seed)
     i = rng.randrange(10**6)
     t = random_pure_term(rng, 3)
@@ -461,8 +454,6 @@ def permutation_case_subs(seed: int) -> tuple[Object, Object]:
 
 def permutation_case_repl(seed: int) -> tuple[Object, Object]:
     """canon(R<LCC<c>>) and canon(LCC<R<c>>)."""
-    from .gen_random import random_pure_command, random_pure_stack
-
     rng = random.Random(seed)
     i = rng.randrange(10**6)
     c = random_pure_command(rng, 3)
@@ -492,7 +483,7 @@ def build_duplicating_step(pairs: TypedPairs):
     """A typed replacement step whose bound name occurs twice, once inside
     an argument box: its net fires the contraction-against-tree and
     box-absorption rules."""
-    g = pairs.gen = _TypedGen(pairs.rng, ("A", "B"))
+    g = pairs.gen = _TypedGen(pairs.rng)
     bty = g.random_type(1)
     stys = tuple(g.random_type(1) for _ in range(1 + pairs.rng.randrange(2)))
     tann = fold_stack_type(stys, bty)

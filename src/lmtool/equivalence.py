@@ -4,10 +4,13 @@ procedure, and replayable certificates."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
+from .gen_random import random_pure_command, random_pure_stack, random_pure_term
+from .lmu import project
 from .meta import apply_stack, rename, stack_of
 from .reduction import LINEAR_SPINE, NotCanonicalError, canon, is_canonical
 from .syntax import (
@@ -231,8 +234,6 @@ def _stack_inert(u: Object) -> bool:
     untouched by the meaningful rules, so the predicate is stable along
     reduction; syntactic checks (no abstraction/mu core) are not, because a
     substitution step may uncover an abstraction."""
-    from .lmu import project
-
     h = project(u)
     while isinstance(h, App):
         h = h.fun
@@ -468,13 +469,9 @@ def check_certificate(o: Object, cert: Certificate, p: Object) -> tuple[bool, st
 # Admissible equalities (random instances, closed by equiv)
 
 
-def admissible_suite(seed: int, cases: int = 20, verbose: bool = False) -> dict:
+def admissible_suite(seed: int, cases: int = 20) -> dict:
     """Random well-scoped instances of the three admissible equations; each
     must close under equiv within default bounds."""
-    import random
-
-    from .gen_random import random_pure_command, random_pure_stack, random_pure_term
-
     rng = random.Random(seed)
     report = {"subs-swap": 0, "repl-swap": 0, "mu-swap": 0, "failures": []}
 

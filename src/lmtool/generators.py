@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .equivalence import Axiom, axiom_instances
+from .equivalence import Axiom, _stack_inert, axiom_instances
 from .gen_random import random_object
 from .reduction import canon, is_canonical
 from .syntax import (
@@ -31,10 +31,12 @@ from .typing_util import fold_stack_type
 # Typed generation
 
 
+_BASES = (Base("A"), Base("B"))
+
+
 class _TypedGen:
-    def __init__(self, rng: random.Random, base_types: tuple[str, ...]):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.bases = [Base(b) for b in base_types]
         self.counter = 0
         self.gamma: dict[str, Type] = {}
         self.delta: dict[str, Type] = {}
@@ -45,7 +47,7 @@ class _TypedGen:
 
     def random_type(self, depth: int = 2) -> Type:
         if depth <= 0 or self.rng.random() < 0.55:
-            return self.rng.choice(self.bases)
+            return self.rng.choice(_BASES)
         return Arrow(self.random_type(depth - 1), self.random_type(depth - 1))
 
     # --- terms ---------------------------------------------------------
@@ -129,13 +131,11 @@ class _TypedGen:
         return Named(n, self.term(sd.get(n, self.delta.get(n, a)), max(1, fuel - 1), sg, sd))
 
 
-def gen_typed(
-    seed: int, size: int = 20, base_types: tuple[str, ...] = ("A", "B")
-) -> tuple[Object, dict[str, Type], dict[str, Type]]:
+def gen_typed(seed: int, size: int = 20) -> tuple[Object, dict[str, Type], dict[str, Type]]:
     """A well-typed annotated object with the environments for its free
     variables and names; deterministic per seed."""
     rng = random.Random(seed)
-    g = _TypedGen(rng, base_types)
+    g = _TypedGen(rng)
     if rng.random() < 0.7:
         o = g.term(g.random_type(2), max(1, size), {}, {})
     else:
@@ -184,8 +184,6 @@ def _template(rng: random.Random, axiom: str) -> Object:
             stack = rng.choice([empty_stack(), Push(u, empty_stack())])
             return ERepl(lcc, nn, on, None, stack)
         case "lin":
-            from .equivalence import _stack_inert
-
             on, nn = f"'go{i}", f"'gn{i}"
             while not _stack_inert(tt):
                 tt = _canonical_piece(rng, 2, "term")

@@ -60,13 +60,12 @@ def lmu_redexes(o: Object) -> list[tuple[str, tuple[int, ...]]]:
     return [("beta" if tag is RuleTag.B else "mu", p) for tag, p, _ in _redexes(o, _plain_tag)]
 
 
-def lmu_step(o: Object, p: tuple[int, ...], supply: NameSupply | None = None) -> Object:
+def lmu_step(o: Object, p: tuple[int, ...]) -> Object:
     """Contract the beta or mu redex at p."""
     sub = subobject_at(o, p)
     if not (isinstance(sub, App) and isinstance(sub.fun, (Abs, Mu))):
         raise ValueError(f"no lambda-mu redex at {dotted(p)}")
-    if supply is None:
-        supply = supply_for(o)
+    supply = supply_for(o)
     if isinstance(sub.fun, Abs):
         red = substitute(sub.fun.body, sub.fun.var, sub.arg, supply)
     else:
@@ -93,10 +92,9 @@ def is_linear_mu_redex(o: Object, p: tuple[int, ...]) -> bool:
     if count_free(a, c) != 1:
         return False
     # locate the unique free [a]u occurrence
-    occ = next(free_occurrences(c, a), None)
-    if occ is None or not isinstance(occ[1], Named):
+    idxs, node = next(free_occurrences(c, a))
+    if not isinstance(node, Named):
         return False
-    idxs, node = occ
     if a in free_names(node.body):
         return False
     return _is_q_path(c, idxs)

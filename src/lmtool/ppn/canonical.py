@@ -251,14 +251,18 @@ def _adjacency(nodes: dict, edges: list, labels: dict) -> dict[str, list[tuple[i
     return adj
 
 
-def _refine(*graphs: tuple[dict, dict], rounds: int = 4) -> list[dict]:
+_REFINE_ROUNDS = 4
+
+
+def _refine(*graphs: tuple[dict, dict]) -> list[dict]:
     """Colour refinement of the (nodes, adjacency) graphs together, so that
-    colours compare across them.  It stops after the first round that
-    splits no class of their joint partition: each round refines the last,
-    so every later round would give the same classes."""
+    colours compare across them, for at most _REFINE_ROUNDS rounds.  It
+    stops after the first round that splits no class of their joint
+    partition: each round refines the last, so every later round would give
+    the same classes."""
     colors = [{g: hash(c) for g, c in nodes.items()} for nodes, _ in graphs]
     count = len(set().union(*(c.values() for c in colors)))
-    for _ in range(rounds):
+    for _ in range(_REFINE_ROUNDS):
         colors = [
             {g: hash((col[g], tuple(sorted((lbl, col[o]) for lbl, o in adj[g])))) for g in nodes}
             for (nodes, adj), col in zip(graphs, colors)

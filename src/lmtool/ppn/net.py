@@ -1,7 +1,7 @@
 """The proof-structure graph: nodes, formula-labeled wires, nestable boxes.
 
-Wires run top to bottom: each wire has one producer port and at most one
-consumer port; a wire with no consumer is a conclusion and carries an
+Wires run top to bottom: each wire has one producer port and one
+consumer, a node port or a conclusion slot; a conclusion carries an
 anchor (the variable or name it came from, the distinguished conclusion
 of a term/stack, or the result conclusion of a stack).
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .formulas import Formula, PBang, dual, is_negative
+from .formulas import Formula, NWhy, OPar, PBang, QTen, dual, is_negative
 
 Anchor = tuple  # ("var", x) | ("name", a) | ("dist",) | ("result",)
 
@@ -56,9 +56,6 @@ class Net:
         self.nodes[n.nid] = n
         return n
 
-    def conclude(self, wire: int, anchor: Anchor) -> None:
-        self.conclusions.append((wire, anchor))
-
     # --- queries ------------------------------------------------------------
 
     def producer_of(self, wire: int) -> tuple[int, int]:
@@ -93,9 +90,6 @@ class Net:
         for b in self.boxes():
             yield from b.contents.all_nets()
 
-    def count_cuts(self) -> int:
-        return sum(len(net.cuts()) for net in self.all_nets())
-
     # --- surgery ------------------------------------------------------------
 
     def drop_node(self, nid: int) -> None:
@@ -105,20 +99,23 @@ class Net:
         self.wires.pop(w, None)
         self.conclusions = [(cw, a) for cw, a in self.conclusions if cw != w]
 
-    def redirect_consumer(self, old: int, new: int) -> None:
+    def move_consumer(self, old: int, new: int) -> None:
         """Whatever consumed old (a node port or a conclusion slot) now
-        consumes new; old disappears."""
+        consumes new."""
         c = self.consumer_of(old)
         if c is not None:
             n, i = c
             self.nodes[n].ups[i] = new
+        elif self.conclusion_anchor(old) is None:
+            raise KeyError(f"wire {old} is dangling")
         else:
-            anchor = self.conclusion_anchor(old)
-            if anchor is None:
-                raise KeyError(f"wire {old} is dangling")
             self.conclusions = [
                 (new if cw == old else cw, a) for cw, a in self.conclusions
             ]
+
+    def redirect_consumer(self, old: int, new: int) -> None:
+        """move_consumer, then old disappears."""
+        self.move_consumer(old, new)
         self.drop_wire(old)
 
     def copy(self) -> "Net":
@@ -137,8 +134,9 @@ class Net:
     # --- checks ---------------------------------------------------------------
 
     def validate(self) -> None:
-        """Every wire has one producer and at most one consumer; cut and
-        logical-node formulas line up; box doors mirror their contents."""
+        """Every wire has one producer and one consumer, a node port or a
+        conclusion; cut and logical-node formulas line up; box doors mirror
+        their contents."""
         producers: dict[int, int] = {}
         consumers: dict[int, int] = {}
         for n in self.nodes.values():
@@ -152,7 +150,7 @@ class Net:
             consumers[w] = consumers.get(w, 0) + 1
         for w in self.wires:
             assert producers.get(w) == 1, f"wire {w} producers {producers.get(w)}"
-            assert consumers.get(w, 0) <= 1, f"wire {w} over-consumed"
+            assert consumers.get(w) == 1, f"wire {w} consumers {consumers.get(w)}"
         for n in self.nodes.values():
             f = [self.wires[w] for w in n.ups]
             g = [self.wires[w] for w in n.downs]
@@ -170,21 +168,15 @@ class Net:
                     assert all(x == g[0] for x in f), f"bad contraction {f}"
                 case "d":
                     assert len(f) == 1 and len(g) == 1
-                    from .formulas import NWhy
-
                     assert g[0] == NWhy(f[0]), f"bad dereliction {f} {g}"
                 case "tensor":
                     assert len(f) == 2 and len(g) == 1
-                    from .formulas import QTen
-
                     assert isinstance(f[0], PBang) and g[0] == QTen(
                         f[0].o, f[1]
                     ), f"bad tensor {f} {g}"
                 case "par":
                     assert len(f) == 2 and len(g) == 1
-                    from .formulas import NWhy as _NW, OPar
-
-                    assert isinstance(f[0], _NW) and g[0] == OPar(
+                    assert isinstance(f[0], NWhy) and g[0] == OPar(
                         f[0].q, f[1]
                     ), f"bad par {f} {g}"
                 case "box":
@@ -202,8 +194,8 @@ class Net:
 
     # --- rendering -------------------------------------------------------------
 
-    def to_dot(self, name: str = "net") -> str:
-        lines = [f"digraph {name} {{", "  rankdir=TB;"]
+    def to_dot(self) -> str:
+        lines = ["digraph net {", "  rankdir=TB;"]
         self._dot_body(lines, prefix="n")
         lines.append("}")
         return "\n".join(lines)

@@ -165,14 +165,7 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
             # replace every interface wire by a weakening before deleting,
             # preserving conclusion positions (they may be box doors)
             for w in interface:
-                nw = level.add("w", [], [level.wires[w]]).downs[0]
-                c = level.consumer_of(w)
-                if c is not None:
-                    level.nodes[c[0]].ups[c[1]] = nw
-                else:
-                    level.conclusions = [
-                        (nw if cw == w else cw, a) for cw, a in level.conclusions
-                    ]
+                level.redirect_consumer(w, level.add("w", [], [level.wires[w]]).downs[0])
             delete_tree(level, nodes)
         case "der":
             dnode = level.nodes[level.producer_of(w_this)[0]]
@@ -211,19 +204,11 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
             level.drop_node(cnode.nid)
             # contract the interface copies onto the original consumers
             for i, w in enumerate(interface):
-                group = [copies[j][1][i] for j in range(k)]
-                c = level.consumer_of(w)
-                anchor = level.conclusion_anchor(w)
-                nc = level.add("c", group, [level.wires[w]])
-                # the original wire w is group[0]; its old consumer must now
-                # consume the contraction output
-                if c is not None:
-                    level.nodes[c[0]].ups[c[1]] = nc.downs[0]
-                elif anchor is not None:
-                    level.conclusions = [
-                        (nc.downs[0] if cw == w else cw, a)
-                        for cw, a in level.conclusions
-                    ]
+                # the original wire w is the first premise; its old consumer
+                # takes the contraction output before the premises go in
+                nc = level.add("c", [], [level.wires[w]])
+                level.move_consumer(w, nc.downs[0])
+                nc.ups = [copies[j][1][i] for j in range(k)]
         case "absorb":
             bnid, port = level.producer_of(w_this)
             host = level.nodes[bnid]
@@ -259,10 +244,10 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
 # Normalization drivers
 
 
-def mult_nf(net: Net, budget: int = 20000, rng: Optional[random.Random] = None) -> Net:
+def mult_nf(net: Net, rng: Optional[random.Random] = None) -> Net:
     """Fixpoint of the axiom and par/tensor cut rules (confluent and
     terminating); the input net is not modified."""
-    return _normalize(net, budget, rng, MULT, "multiplicative normalization budget exhausted")
+    return _normalize(net, rng, MULT, "multiplicative normalization budget exhausted")
 
 
 def exp_step(net: Net, cut_id: int) -> Net:
@@ -281,16 +266,19 @@ def exp_step(net: Net, cut_id: int) -> Net:
     return out
 
 
-def full_nf(net: Net, budget: int = 20000, rng: Optional[random.Random] = None) -> Net:
+def full_nf(net: Net, rng: Optional[random.Random] = None) -> Net:
     """Normal form under all cut-elimination rules (confluent and strongly
     normalizing on translated nets)."""
-    return _normalize(net, budget, rng, None, "cut elimination budget exhausted")
+    return _normalize(net, rng, None, "cut elimination budget exhausted")
 
 
-def _normalize(net: Net, budget: int, rng: Optional[random.Random], rules, exhausted: str) -> Net:
+_BUDGET = 20000  # a normalization longer than this many cut steps fails
+
+
+def _normalize(net: Net, rng: Optional[random.Random], rules, exhausted: str) -> Net:
     # without rng the first redex fires, with rng one drawn uniformly
     out = net.copy()
-    for _ in range(budget):
+    for _ in range(_BUDGET):
         if rng is None:
             found = next(_redexes(out, rules), None)
         else:

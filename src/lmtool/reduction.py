@@ -39,7 +39,6 @@ from .syntax import (
     positions,
     print_object,
     rewrite_at,
-    sort_of,
     splice,
     subobject_at,
     supply_for,
@@ -109,25 +108,6 @@ def is_linear_indices(root: Object, idxs: tuple[int, ...]) -> bool:
     return True
 
 
-def is_linear_path(root: Object, frm: tuple[int, ...], to: tuple[int, ...]) -> bool:
-    """True iff the path from frm to to (frm must be a prefix) stays within
-    the linear-context grammar."""
-    if to[: len(frm)] != frm:
-        raise ValueError("frm is not a prefix of to")
-    start = subobject_at(root, frm)
-    return is_linear_indices(start, to[len(frm):])
-
-
-def linear_sort_pair(root: Object, frm: tuple[int, ...], to: tuple[int, ...]) -> str:
-    """The XY classification of a linear context: hole sort then result sort
-    (TT, TC, CC, CT)."""
-    hole = subobject_at(root, to)
-    res = subobject_at(root, frm)
-    h = "T" if sort_of(hole) == "term" else "C"
-    r = "T" if sort_of(res) == "term" else "C"
-    return r + h  # result sort first: LTT takes a term and yields a term
-
-
 # ---------------------------------------------------------------------------
 # Plain steps
 
@@ -193,10 +173,6 @@ def lm_step(o: Object, tag: RuleTag, p: tuple[int, ...],
 # is one, else None.
 
 
-def classify_R(o: Object, p: tuple[int, ...]) -> RuleTag:
-    return classify_R_info(o, p)[0]
-
-
 def classify_R_info(o: Object, p: tuple[int, ...]) -> tuple[RuleTag, tuple[int, ...] | None]:
     sub = subobject_at(o, p)
     if not isinstance(sub, ERepl):
@@ -210,12 +186,7 @@ def _classify_erepl(sub: ERepl) -> tuple[RuleTag, tuple[int, ...] | None]:
         return RuleTag.R_EMPTY, None
     if count_free(alpha, c) != 1:
         return RuleTag.R_NEQ1, None
-    occ = next(free_occurrences(c, alpha), None)
-    if occ is None:
-        # the occurrence sits under a shadowing binder only when inputs break
-        # the naming discipline; treat as non-linear work
-        return RuleTag.R_NEQ1, None
-    idxs, node = occ
+    idxs, node = next(free_occurrences(c, alpha))
     linear = is_linear_indices(c, idxs)
     if isinstance(node, Named):
         return (RuleTag.N_LIN if linear else RuleTag.N_NONLIN), idxs
@@ -384,7 +355,7 @@ def _canonical(o: Object) -> bool:
     return out
 
 
-def canon_random(o: Object, rng, supply: NameSupply | None = None) -> Object:
+def canon_random(o: Object, rng) -> Object:
     """Canonicalization firing redexes in random order (strategy
     independence oracle)."""
 
@@ -392,7 +363,7 @@ def canon_random(o: Object, rng, supply: NameSupply | None = None) -> Object:
         found = list(_redexes(o, _canon_tag))
         return found[rng.randrange(len(found))] if found else None
 
-    out = _normalize(o, pick, supply or supply_for(o), None, _CANON_LIMIT)
+    out = _normalize(o, pick, supply_for(o), None, _CANON_LIMIT)
     if out is None:
         raise RuntimeError("canonicalization did not terminate")
     return out
@@ -408,17 +379,6 @@ def meaningful_redexes(o: Object) -> list[tuple[RuleTag, tuple[int, ...]]]:
     if not is_canonical(o):
         raise NotCanonicalError("meaningful reduction lives on canonical forms")
     return [(tag, p) for tag, p, _ in _redexes(o, _refined_tag, MEANINGFUL)]
-
-
-def meaningful_step(
-    o: Object, tag: RuleTag, p: tuple[int, ...], supply: NameSupply | None = None
-) -> Object:
-    """Fire an S or meaningful-replacement redex, then canonicalize."""
-    if tag not in MEANINGFUL:
-        raise ValueError(f"{RuleTag(tag).value} is not a meaningful rule")
-    if supply is None:
-        supply = supply_for(o)
-    return canon(fire(o, tag, p, supply), supply)
 
 
 def meaningful_reducts(o: Object) -> list[tuple[RuleTag, tuple[int, ...], Object]]:
@@ -442,12 +402,7 @@ class BudgetExhausted(Exception):
         self.trace = trace
 
 
-def _first_plain(o: Object):
-    return next(_redexes(o, _plain_tag), None)
-
-
-def _first_refined(o: Object):
-    return next(_redexes(o, _refined_tag, REFINED), None)
+_MODES = {"plain": (_plain_tag, None), "refined": (_refined_tag, REFINED)}
 
 
 def reduce_to_nf(o: Object, budget: int = 1000, mode: str = "plain") -> tuple[Object, Trace]:
@@ -459,9 +414,12 @@ def reduce_to_nf(o: Object, budget: int = 1000, mode: str = "plain") -> tuple[Ob
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if mode not in _MODES:
+        raise ValueError(f"unknown reduction mode {mode!r}")
+    tag_of, tags = _MODES[mode]
     trace = Trace(o, [])
-    choose = _first_plain if mode == "plain" else _first_refined
-    nf = _normalize(o, choose, supply_for(o), trace, budget)
+    nf = _normalize(o, lambda o: next(_redexes(o, tag_of, tags), None),
+                    supply_for(o), trace, budget)
     if nf is None:
         raise BudgetExhausted(trace)
     return nf, trace

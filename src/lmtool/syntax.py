@@ -708,10 +708,6 @@ _APPL = 2  # applications
 _TERM = 1  # lambda / mu, extends maximally to the right
 
 
-def print_type(t: Type) -> str:
-    return str(t)
-
-
 def print_object(o: Object) -> str:
     """Deterministic printing; parse(print_object(o)) is alpha_eq to o."""
 
@@ -850,6 +846,22 @@ def parse_type(text: str) -> Type:
 _KEYWORDS = {"mu"}
 
 
+def _name(ts: _Tokens) -> str:
+    """The name token a binder or a named command needs."""
+    n = ts.next()
+    if n[0] != "name":
+        raise ParseError(f"expected a name, found {n[1]!r}", n[2], ts.text)
+    return n[1]
+
+
+def _binder_ann(ts: _Tokens) -> Optional[Type]:
+    """The optional ': type' after a bound identifier."""
+    if not ts.at(":"):
+        return None
+    ts.next()
+    return _parse_type(ts)
+
+
 def _parse_term(ts: _Tokens, prec: int) -> Object:
     # prec: _TERM allows lambda/mu to extend rightwards, _APPL does not.
     t = ts.peek()
@@ -862,25 +874,17 @@ def _parse_term(ts: _Tokens, prec: int) -> Object:
         v = ts.next()
         if v[0] != "ident" or v[1] in _KEYWORDS:
             raise ParseError(f"expected a variable, found {v[1]!r}", v[2], ts.text)
-        ann = None
-        if ts.at(":"):
-            ts.next()
-            ann = _parse_type(ts)
+        ann = _binder_ann(ts)
         ts.expect(".")
         return Abs(v[1], ann, _parse_term(ts, _TERM))
     if t[1] == "mu":
         if prec > _TERM:
             raise ParseError("mu needs parentheses here", t[2], ts.text)
         ts.next()
-        n = ts.next()
-        if n[0] != "name":
-            raise ParseError(f"expected a name, found {n[1]!r}", n[2], ts.text)
-        ann = None
-        if ts.at(":"):
-            ts.next()
-            ann = _parse_type(ts)
+        n = _name(ts)
+        ann = _binder_ann(ts)
         ts.expect(".")
-        return Mu(n[1], ann, _parse_command(ts))
+        return Mu(n, ann, _parse_command(ts))
     # application chain of atoms; substitution postfixes bind to atoms
     out = _parse_atom(ts)
     while True:
@@ -929,23 +933,14 @@ def _parse_command(ts: _Tokens) -> Object:
         raise ParseError("unexpected end of input", len(ts.text), ts.text)
     if t[1] == "(":
         # parenthesized command, for replacement subjects
-        save = ts.i
         ts.next()
-        try:
-            c = _parse_command(ts)
-            ts.expect(")")
-        except ParseError:
-            ts.i = save
-            raise
-        out = c
+        out = _parse_command(ts)
+        ts.expect(")")
     else:
         ts.expect("[")
-        n = ts.next()
-        if n[0] != "name":
-            raise ParseError(f"expected a name, found {n[1]!r}", n[2], ts.text)
+        n = _name(ts)
         ts.expect("]")
-        body = _parse_term(ts, _TERM)
-        out = Named(n[1], body)
+        out = Named(n, _parse_term(ts, _TERM))
         # a trailing substitution on the named body would have been consumed
         # by the term parser; replacements follow below
     while ts.at("["):
@@ -957,19 +952,14 @@ def _parse_command(ts: _Tokens) -> Object:
             break
         ts.next()
         ts.expect("/")
-        on = ts.next()
-        if on[0] != "name":
-            raise ParseError(f"expected a name, found {on[1]!r}", on[2], ts.text)
-        ann = None
-        if ts.at(":"):
-            ts.next()
-            ann = _parse_type(ts)
+        on = _name(ts)
+        ann = _binder_ann(ts)
         ts.expect("\\")
         s = _parse_stack(ts)
         ts.expect("]")
-        if nn[1] == on[1]:
+        if nn[1] == on:
             raise ParseError("replacement name equals bound name", nn[2], ts.text)
-        out = ERepl(out, nn[1], on[1], ann, s)
+        out = ERepl(out, nn[1], on, ann, s)
     return out
 
 

@@ -28,7 +28,6 @@ from .syntax import (
     free_names,
     free_vars,
     print_object,
-    print_type,
 )
 from .typing_util import StackType, split_arrow
 
@@ -50,22 +49,16 @@ class Judgment:
     subject: Object
     type: ResultType  # a Type for terms, a StackType for stacks, None for commands
 
-    def gamma_dict(self) -> dict[str, Type]:
-        return dict(self.gamma)
-
-    def delta_dict(self) -> dict[str, Type]:
-        return dict(self.delta)
-
     def render(self) -> str:
-        g = ", ".join(f"{x}:{print_type(a)}" for x, a in self.gamma)
-        d = ", ".join(f"{n}:{print_type(a)}" for n, a in self.delta)
+        g = ", ".join(f"{x}:{a}" for x, a in self.gamma)
+        d = ", ".join(f"{n}:{a}" for n, a in self.delta)
         if self.type is None:
             ty = ""
         elif isinstance(self.type, tuple):
-            parts = [print_type(a) for a in self.type]
+            parts = [str(a) for a in self.type]
             ty = " : " + (",".join(parts) + ",eps" if parts else "eps")
         else:
-            ty = " : " + print_type(self.type)
+            ty = " : " + str(self.type)
         return f"{g} |- {print_object(self.subject)}{ty} | {d}"
 
 
@@ -92,8 +85,8 @@ def _merge(kind: str, *dicts: dict[str, Type]) -> dict[str, Type]:
         for k, v in d.items():
             if k in out and out[k] != v:
                 raise LMTypeError(
-                    f"incompatible union: {k} has types {print_type(out[k])}"
-                    f" and {print_type(v)} ({kind})"
+                    f"incompatible union: {k} has types {out[k]}"
+                    f" and {v} ({kind})"
                 )
             out[k] = v
     return out
@@ -120,17 +113,17 @@ def _check(o: Object, genv: dict[str, Type], denv: dict[str, Type]) -> Derivatio
             if not isinstance(df.judgment.type, Arrow):
                 raise LMTypeError(
                     f"application of a non-arrow: {print_object(f)} :"
-                    f" {print_type(df.judgment.type)}"
+                    f" {df.judgment.type}"
                 )
             du = _check(u, genv, denv)
             if du.judgment.type != df.judgment.type.left:
                 raise LMTypeError(
                     f"argument type mismatch: expected"
-                    f" {print_type(df.judgment.type.left)},"
-                    f" got {print_type(du.judgment.type)}"
+                    f" {df.judgment.type.left},"
+                    f" got {du.judgment.type}"
                 )
-            g = _merge("app", df.judgment.gamma_dict(), du.judgment.gamma_dict())
-            d = _merge("app", df.judgment.delta_dict(), du.judgment.delta_dict())
+            g = _merge("app", dict(df.judgment.gamma), dict(du.judgment.gamma))
+            d = _merge("app", dict(df.judgment.delta), dict(du.judgment.delta))
             return Derivation(
                 "app",
                 Judgment(_trim(g), _trim(d), o, df.judgment.type.right),
@@ -140,7 +133,7 @@ def _check(o: Object, genv: dict[str, Type], denv: dict[str, Type]) -> Derivatio
             if ann is None:
                 raise AnnotationMissing(f"abstraction binder {x} lacks a type")
             db = _check(b, {**genv, x: ann}, denv)
-            g = db.judgment.gamma_dict()
+            g = dict(db.judgment.gamma)
             g.pop(x, None)
             return Derivation(
                 "abs",
@@ -151,7 +144,7 @@ def _check(o: Object, genv: dict[str, Type], denv: dict[str, Type]) -> Derivatio
             if ann is None:
                 raise AnnotationMissing(f"mu binder {a} lacks a type")
             db = _check(b, genv, {**denv, a: ann})
-            d = db.judgment.delta_dict()
+            d = dict(db.judgment.delta)
             d.pop(a, None)
             return Derivation(
                 "mu", Judgment(db.judgment.gamma, _trim(d), o, ann), [db]
@@ -163,10 +156,10 @@ def _check(o: Object, genv: dict[str, Type], denv: dict[str, Type]) -> Derivatio
                 raise LMTypeError(f"no type for name {a}")
             if denv[a] != ty:
                 raise LMTypeError(
-                    f"name {a} expects {print_type(denv[a])},"
-                    f" given {print_type(ty)}"
+                    f"name {a} expects {denv[a]},"
+                    f" given {ty}"
                 )
-            d = _merge("name", db.judgment.delta_dict(), {a: ty})
+            d = _merge("name", dict(db.judgment.delta), {a: ty})
             return Derivation(
                 "name", Judgment(db.judgment.gamma, _trim(d), o, None), [db]
             )
@@ -174,10 +167,10 @@ def _check(o: Object, genv: dict[str, Type], denv: dict[str, Type]) -> Derivatio
             du = _check(u, genv, denv)
             bty = du.judgment.type
             db = _check(b, {**genv, x: bty}, denv)
-            g = db.judgment.gamma_dict()
+            g = dict(db.judgment.gamma)
             g.pop(x, None)
-            g = _merge("sub", g, du.judgment.gamma_dict())
-            d = _merge("sub", db.judgment.delta_dict(), du.judgment.delta_dict())
+            g = _merge("sub", g, dict(du.judgment.gamma))
+            d = _merge("sub", dict(db.judgment.delta), dict(du.judgment.delta))
             return Derivation(
                 "sub", Judgment(_trim(g), _trim(d), o, db.judgment.type), [db, du]
             )
@@ -191,8 +184,8 @@ def _check(o: Object, genv: dict[str, Type], denv: dict[str, Type]) -> Derivatio
                 raise LMTypeError(str(e)) from None
             if nn in denv and denv[nn] != bty:
                 raise LMTypeError(
-                    f"replacement name {nn} expects {print_type(denv[nn])},"
-                    f" concluded {print_type(bty)}"
+                    f"replacement name {nn} expects {denv[nn]},"
+                    f" concluded {bty}"
                 )
             denv2 = dict(denv)
             denv2[nn] = bty
@@ -201,20 +194,20 @@ def _check(o: Object, genv: dict[str, Type], denv: dict[str, Type]) -> Derivatio
             if ds.judgment.type != sty:
                 raise LMTypeError(
                     f"stack type mismatch on {on}: annotation wants"
-                    f" {[print_type(a) for a in sty]}"
+                    f" {[str(a) for a in sty]}"
                 )
-            d = db.judgment.delta_dict()
+            d = dict(db.judgment.delta)
             d.pop(on, None)
-            d = _merge("repl", d, ds.judgment.delta_dict(), {nn: bty})
-            g = _merge("repl", db.judgment.gamma_dict(), ds.judgment.gamma_dict())
+            d = _merge("repl", d, dict(ds.judgment.delta), {nn: bty})
+            g = _merge("repl", dict(db.judgment.gamma), dict(ds.judgment.gamma))
             return Derivation("repl", Judgment(_trim(g), _trim(d), o, None), [db, ds])
         case EmptyStack():
             return Derivation("st_h", Judgment((), (), o, ()))
         case Push(h, tl):
             dh = _check(h, genv, denv)
             dt = _check(tl, genv, denv)
-            g = _merge("st_t", dh.judgment.gamma_dict(), dt.judgment.gamma_dict())
-            d = _merge("st_t", dh.judgment.delta_dict(), dt.judgment.delta_dict())
+            g = _merge("st_t", dict(dh.judgment.gamma), dict(dt.judgment.gamma))
+            d = _merge("st_t", dict(dh.judgment.delta), dict(dt.judgment.delta))
             sty = (dh.judgment.type,) + dt.judgment.type
             return Derivation("st_t", Judgment(_trim(g), _trim(d), o, sty), [dh, dt])
     raise TypeError(o)

@@ -95,15 +95,19 @@ def test_empty_stack_is_axiom():
     assert sorted(node.kind for node in n.nodes.values()) == ["ax"]
 
 
+def _count_cuts(net):
+    return sum(len(level.cuts()) for level in net.all_nets())
+
+
 def test_callcc_net():
     cc = t(r"\x:(iA->iB)->iA. mu 'a:iA. ['a]x (\y:iA. mu 'd:iB. ['a]y)")
     n = translate_derivation(check_object(cc))
     n.validate()
     # one cut, from the single application clause
-    assert n.count_cuts() == 1
+    assert _count_cuts(n) == 1
     m = mult_nf(n)
     m.validate()
-    assert m.count_cuts() == 0
+    assert _count_cuts(m) == 0
 
 
 def test_translate_random_typed_validates():
@@ -124,7 +128,7 @@ def _axiom_cut_net():
     ax = net.add("ax", [], [neg_o(f), f])
     w = net.add("w", [], [f])
     net.add("cut", [w.downs[0], ax.downs[0]], [])
-    net.conclude(ax.downs[1], ("dist",))
+    net.conclusions.append((ax.downs[1], ("dist",)))
     return net
 
 
@@ -133,8 +137,20 @@ def test_ax_cut_fuses_to_wire():
     net.validate()
     m = mult_nf(net)
     m.validate()
-    assert m.count_cuts() == 0
+    assert _count_cuts(m) == 0
     assert sorted(n.kind for n in m.nodes.values()) == ["w"]
+
+
+def test_validate_rejects_a_dangling_wire():
+    net = Net()
+    f = trans_type(Base("A"))
+    ax = net.add("ax", [], [neg_o(f), f])
+    net.conclusions.append((ax.downs[1], ("dist",)))
+    # ax.downs[0] has no consumer and is no conclusion
+    with pytest.raises(AssertionError, match=f"wire {ax.downs[0]} consumers None"):
+        net.validate()
+    net.conclusions.append((ax.downs[0], ("var", "x")))
+    net.validate()
 
 
 def test_par_tensor_cut_splits():
@@ -149,9 +165,9 @@ def test_par_tensor_cut_splits():
     m.validate()
     kinds = sorted(nd.kind for level in m.all_nets() for nd in level.nodes.values())
     assert "par" not in kinds and "tensor" not in kinds
-    assert m.count_cuts() == 1  # the dereliction against the box remains
+    assert _count_cuts(m) == 1  # the dereliction against the box remains
     f = full_nf(m)
-    assert f.count_cuts() == 0
+    assert _count_cuts(f) == 0
 
 
 def test_mult_nf_cut_free_unchanged():
@@ -222,7 +238,7 @@ def test_contraction_associativity():
         f = trans_type(Base("A"))
         axs = [net.add("ax", [], [neg_o(f), f]) for _ in range(3)]
         for i, ax in enumerate(axs):
-            net.conclude(ax.downs[0], ("name", f"'q{i}"))
+            net.conclusions.append((ax.downs[0], ("name", f"'q{i}")))
         ws = [ax.downs[1] for ax in axs]
         if order == "left":
             c1 = net.add("c", [ws[0], ws[1]], [f])
@@ -230,7 +246,7 @@ def test_contraction_associativity():
         else:
             c1 = net.add("c", [ws[1], ws[2]], [f])
             c2 = net.add("c", [ws[0], c1.downs[0]], [f])
-        net.conclude(c2.downs[0], ("name", "'out"))
+        net.conclusions.append((c2.downs[0], ("name", "'out")))
         return net
 
     assert net_equiv(chain("left"), chain("right"))
@@ -242,12 +258,12 @@ def test_weakening_neutral_for_contraction():
     ax = net.add("ax", [], [neg_o(f), f])
     w = net.add("w", [], [f])
     c = net.add("c", [ax.downs[1], w.downs[0]], [f])
-    net.conclude(ax.downs[0], ("name", "'q"))
-    net.conclude(c.downs[0], ("name", "'out"))
+    net.conclusions.append((ax.downs[0], ("name", "'q")))
+    net.conclusions.append((c.downs[0], ("name", "'out")))
     plain = Net()
     ax2 = plain.add("ax", [], [neg_o(f), f])
-    plain.conclude(ax2.downs[0], ("name", "'q"))
-    plain.conclude(ax2.downs[1], ("name", "'out"))
+    plain.conclusions.append((ax2.downs[0], ("name", "'q")))
+    plain.conclusions.append((ax2.downs[1], ("name", "'out")))
     assert net_equiv(net, plain)
 
 

@@ -12,15 +12,14 @@ from lmtool.reduction import (
     RuleTag,
     _canon_tag,
     canon,
-    classify_R,
+    classify_R_info,
+    fire,
     is_canonical,
-    is_linear_path,
-    linear_sort_pair,
+    is_linear_indices,
     lm_redexes,
     lm_step,
     meaningful_redexes,
     meaningful_reducts,
-    meaningful_step,
     plain_reducts,
     reduce_to_nf,
     reduction_graph,
@@ -116,16 +115,16 @@ def test_b_step_keeps_frames_outside():
 )
 def test_classify(text, expected):
     o = c(text)
-    assert classify_R(o, make_path(o, ())) == expected
+    assert classify_R_info(o, make_path(o, ()))[0] == expected
 
 
 def test_classify_nonlinear_swap_and_composition():
     # inner renaming in argument position: non-linear swap
     o = c("(['g]x (mu 'd. (['q]w)['a/'q\\#]))['b/'a\\v . #]")
-    assert classify_R(o, make_path(o, ())) == RuleTag.W_NONLIN
+    assert classify_R_info(o, make_path(o, ()))[0] == RuleTag.W_NONLIN
     # inner stack replacement in argument position: non-linear composition
     o2 = c("(['g]x (mu 'd. (['q]w)['a/'q\\u . #]))['b/'a\\v . #]")
-    assert classify_R(o2, make_path(o2, ())) == RuleTag.C_NONLIN
+    assert classify_R_info(o2, make_path(o2, ()))[0] == RuleTag.C_NONLIN
 
 
 def test_classify_partition_random():
@@ -135,7 +134,7 @@ def test_classify_partition_random():
         o = random_object(rng, 8)
         for tg, p in lm_redexes(o):
             if tg is RuleTag.R:
-                tags.add(classify_R(o, p))
+                tags.add(classify_R_info(o, p)[0])
     # every classification is one of the refined tags
     allowed = {
         RuleTag.R_EMPTY,
@@ -155,19 +154,17 @@ def test_classify_partition_random():
 
 def test_linear_paths():
     o = c("['a]x y")  # [a](x y): function position is linear
-    root = make_path(o, ())
-    assert is_linear_path(o, root, make_path(o, (0, 0)))
-    assert not is_linear_path(o, root, make_path(o, (0, 1)))
-    assert linear_sort_pair(o, root, make_path(o, (0, 0))) == "CT"
+    assert is_linear_indices(o, make_path(o, (0, 0)))
+    assert not is_linear_indices(o, make_path(o, (0, 1)))
 
 
 def test_linear_path_examples():
     # ([b](box v))['a2/'a\u.#] seen from the replacement body down to the
     # function position: command to term, linear
     o = c("(['b]x v)['a2/'a\\u . #]")
-    assert is_linear_path(o, make_path(o, ()), make_path(o, (0, 0, 0)))
+    assert is_linear_indices(o, make_path(o, (0, 0, 0)))
     # entering the stack of a replacement is never linear
-    assert not is_linear_path(o, make_path(o, ()), make_path(o, (1, 0)))
+    assert not is_linear_indices(o, make_path(o, (1, 0)))
 
 
 # --- canonical forms ---------------------------------------------------------
@@ -254,26 +251,26 @@ def test_meaningful_redexes_counts():
 
 def test_meaningful_step_replacement_example():
     o = c("(['a](x (mu 'b. ['a]y)))['a2/'a\\(\\z. z) . #]")
-    rs = meaningful_redexes(o)
+    rs = meaningful_reducts(o)
     assert len(rs) == 1
-    got = meaningful_step(o, *rs[0])
+    got = rs[0][2]
     expected = c("['a2](x (mu 'b. ['a2]y (\\z. z))) (\\z. z)")
     assert alpha_eq(got, expected)
 
 
 def test_meaningful_step_nonlinear_named():
     o = c("(['b](x (mu 'g. ['a]y)))['a2/'a\\z . #]")
-    rs = meaningful_redexes(o)
-    assert [tag for tag, _ in rs] == [RuleTag.N_NONLIN]
-    got = meaningful_step(o, *rs[0])
+    rs = meaningful_reducts(o)
+    assert [tag for tag, _, _ in rs] == [RuleTag.N_NONLIN]
+    got = rs[0][2]
     assert alpha_eq(got, c("['b]x (mu 'g. ['a2]y z)"))
 
 
 def test_meaningful_step_s_vacuous():
     o = t(r"y[x\u]")
-    rs = meaningful_redexes(o)
-    assert [tag for tag, _ in rs] == [RuleTag.S]
-    assert alpha_eq(meaningful_step(o, *rs[0]), t("y"))
+    rs = meaningful_reducts(o)
+    assert [tag for tag, _, _ in rs] == [RuleTag.S]
+    assert alpha_eq(rs[0][2], t("y"))
 
 
 # --- reduction driver --------------------------------------------------------
@@ -310,6 +307,12 @@ def test_refined_mode_leaves_renamings():
     assert alpha_eq(nf, c("['a]x"))
     nf2, _ = reduce_to_nf(c("(['b]x)['a/'b\\#]"), budget=50, mode="refined")
     assert alpha_eq(nf2, c("(['b]x)['a/'b\\#]"))
+
+
+@pytest.mark.parametrize("mode", ["refind", "Plain", ""])
+def test_reduce_rejects_an_unknown_mode(mode):
+    with pytest.raises(ValueError, match="unknown reduction mode"):
+        reduce_to_nf(c("(['b]x)['a/'b\\#]"), budget=50, mode=mode)
 
 
 def test_projection_simulation_random():
@@ -406,7 +409,10 @@ def test_meaningful_reducts_with_one_supply_match_fresh_supplies():
     for seed in range(24):
         for side in gen_equiv_pair(seed, axiom=AXIOMS[seed % len(AXIOMS)])[:2]:
             got = meaningful_reducts(side)
-            want = [(tag, p, meaningful_step(side, tag, p)) for tag, p in meaningful_redexes(side)]
+            want = []
+            for tag, p in meaningful_redexes(side):
+                s = supply_for(side)
+                want.append((tag, p, canon(fire(side, tag, p, s), s)))
             assert [(tag, p) for tag, p, _ in got] == [(tag, p) for tag, p, _ in want]
             for (_, _, r), (_, _, r2) in zip(got, want):
                 assert alpha_eq(r, r2), print_object(side)

@@ -83,6 +83,33 @@ def test_parse_error_position():
     assert "line 1" in str(e.value)
 
 
+@pytest.mark.parametrize(
+    "text, sort, message, column",
+    [
+        (r"\ . x", "term", "expected a variable, found '.'", 3),
+        (r"\mu. x", "term", "expected a variable, found 'mu'", 2),
+        (r"\x:. x", "term", "expected a type, found '.'", 4),
+        (r"\x:iA x", "term", "expected '.', found 'x'", 7),
+        (r"\x", "term", "unexpected end of input", 3),
+        ("mu x. ['a]x", "term", "expected a name, found 'x'", 4),
+        ("mu : . ['a]x", "term", "expected a name, found ':'", 4),
+        ("mu 'a:. ['a]x", "term", "expected a type, found '.'", 7),
+        ("mu 'a:iA ['a]x", "term", "expected '.', found '['", 10),
+        ("[x]y", "command", "expected a name, found 'x'", 2),
+        ("['a]x['b/x\\#]", "command", "expected a name, found 'x'", 10),
+        ("['a]x['b/\\#]", "command", "expected a name, found '\\\\'", 10),
+        ("['a]x['b/'c:\\#]", "command", "expected a type, found '\\\\'", 13),
+        ("['a]x['b/'c:iA #]", "command", "expected '\\\\', found '#'", 16),
+        ("['a]x['b/'b\\#]", "command", "replacement name equals bound name", 7),
+    ],
+)
+def test_binder_errors_name_the_token_and_column(text, sort, message, column):
+    with pytest.raises(ParseError) as e:
+        parse(text, sort=sort)
+    assert str(e.value) == f"{message} at line 1, column {column}"
+    assert e.value.column == column
+
+
 def test_sort_error_in_api():
     with pytest.raises(SortError):
         check_sorts(App(Var("x"), EmptyStack()))
