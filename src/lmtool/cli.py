@@ -165,8 +165,12 @@ def cmd_ppn(args) -> int:
         net = full_nf(net)
     dot = net.to_dot()
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(dot + "\n")
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(dot + "\n")
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         print(f"wrote {args.dot}")
     else:
         print(dot)

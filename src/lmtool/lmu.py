@@ -4,7 +4,7 @@ calculus."""
 
 from __future__ import annotations
 
-from .meta import apply_stack, replace, substitute
+from .meta import apply_stack, rename, replace, substitute
 from .reduction import RuleTag, _plain_tag, _redexes
 from .syntax import (
     COMMAND,
@@ -33,7 +33,6 @@ from .syntax import (
     supply_for,
     with_children,
 )
-from .meta import rename
 
 
 class NotPureError(Exception):

@@ -220,7 +220,7 @@ def prepare_erepl(e: ERepl, supply: NameSupply | None = None) -> ERepl:
 
 
 # ---------------------------------------------------------------------------
-# Commutation identities (used by tests and the CLI property driver)
+# Commutation identities (checked by the test suite)
 
 
 def commutation_subs_subs(o: Object, y: str, v: Object, x: str, u: Object) -> bool:

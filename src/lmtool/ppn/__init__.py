@@ -1,5 +1,5 @@
 from .canonical import net_equiv, struct_canon
-from .formulas import dual, neg_o, neg_q, trans_stacktype, trans_type
+from .formulas import dual, neg_o, neg_q, trans_type
 from .net import Net
 from .rewrite import NetBudgetExhausted, exp_step, full_nf, mult_nf
 from .simulation import nets_of, simulation_check, soundness_check
@@ -19,7 +19,6 @@ __all__ = [
     "simulation_check",
     "soundness_check",
     "struct_canon",
-    "trans_stacktype",
     "trans_type",
     "translate_derivation",
     "translate_stack_derivation",

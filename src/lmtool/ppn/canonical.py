@@ -6,41 +6,38 @@ n-ary nodes), neutrality of weakening into contraction, permeability of
 contractions across box doors (normalized outward), hoisting and removal
 of final weakenings (chains of doors ending in a net conclusion), and the
 weakening-into-contraction absorption across doors used for renaming
-boxes."""
+boxes.
+
+struct_canon repeats one step until none applies: the first rule of
+_LEVEL_RULES, in that order, that applies at the first level in all_nets
+order fires, and final weakenings are pruned only when no level rule
+applies.  The rules do not commute, so the result depends on this order
+and _LEVEL_RULES fixes it: letting the door-chain rule cancel plain
+weakenings too, after the other rules, changes some net_equiv verdicts.
+
+The isomorphism is anchored at the labeled conclusions, which the
+translation writes from one map of free variables and names: the
+distinguished conclusion, the variables, the names (each sorted), then a
+stack's result.  Cut elimination (rewrite) reads each cut's rule off the
+producers of its two wires."""
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Optional
 
-from .net import Net
+from .net import Net, Node
 
 
 def struct_canon(net: Net) -> Net:
     out = net.copy()
-    changed = True
-    guard = 0
-    while changed:
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("structural canonicalization did not settle")
-        changed = False
-        for level in list(out.all_nets()):
-            if _flatten_contractions(level):
-                changed = True
-                break
-            if _cancel_weakenings(level):
-                changed = True
-                break
-            if _contractions_out_of_boxes(level):
-                changed = True
-                break
-            if _weakening_doors_into_contractions(level):
-                changed = True
-                break
-        if not changed and _prune_final_weakenings(out):
-            changed = True
-    return out
+    for _ in range(10000):
+        if not (
+            any(rule(level) for level in out.all_nets() for rule in _LEVEL_RULES)
+            or _prune_final_weakenings(out)
+        ):
+            return out
+    raise RuntimeError("structural canonicalization did not settle")
 
 
 def _flatten_contractions(level: Net) -> bool:
@@ -68,12 +65,18 @@ def _cancel_weakenings(level: Net) -> bool:
             if level.nodes[pn].kind == "w":
                 level.drop_node(pn)
                 level.drop_wire(w)
-                n.ups.pop(i)
-                if len(n.ups) == 1:
-                    level.redirect_consumer(n.downs[0], n.ups[0])
-                    level.drop_node(n.nid)
+                _drop_premise(level, n, i)
                 return True
     return False
+
+
+def _drop_premise(level: Net, n: Node, i: int) -> None:
+    """Take premise i off contraction n; a contraction left with one
+    premise goes, and that premise takes over its output."""
+    n.ups.pop(i)
+    if len(n.ups) == 1:
+        level.redirect_consumer(n.downs[0], n.ups[0])
+        level.drop_node(n.nid)
 
 
 def _contractions_out_of_boxes(level: Net) -> bool:
@@ -147,10 +150,7 @@ def _weakening_doors_into_contractions(level: Net) -> bool:
             if plan is None:
                 continue
             _apply_chain(plan)
-            n.ups.pop(i)
-            if len(n.ups) == 1:
-                level.redirect_consumer(n.downs[0], n.ups[0])
-                level.drop_node(n.nid)
+            _drop_premise(level, n, i)
             return True
     return False
 
@@ -163,6 +163,15 @@ def _prune_final_weakenings(net: Net) -> bool:
             _apply_chain(plan)
             return True
     return False
+
+
+# the level rules of struct_canon in the order it tries them
+_LEVEL_RULES = (
+    _flatten_contractions,
+    _cancel_weakenings,
+    _contractions_out_of_boxes,
+    _weakening_doors_into_contractions,
+)
 
 
 # ---------------------------------------------------------------------------

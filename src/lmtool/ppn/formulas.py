@@ -12,7 +12,6 @@ from functools import cache
 from typing import Union
 
 from ..syntax import Arrow, Base, Type
-from ..typing_util import StackType
 
 
 @dataclass(frozen=True)
@@ -124,15 +123,6 @@ def trans_type(a: Type) -> OFormula:
         case Arrow(l, r):
             return OPar(neg_o(trans_type(l)), trans_type(r))
     raise TypeError(a)
-
-
-def trans_stacktype(s: StackType, b: Type) -> OFormula:
-    """The stack type A1..An translated against the result type B; equals
-    trans_type(A1 -> .. -> An -> B)."""
-    out = trans_type(b)
-    for a in reversed(s):
-        out = OPar(neg_o(trans_type(a)), out)
-    return out
 
 
 def input_of(a: Type) -> NWhy:

@@ -28,29 +28,23 @@ class NetBudgetExhausted(Exception):
 # Redex discovery
 
 
+# the exponential rule of a cut whose negative side has this producer; a
+# box counts through an auxiliary door only
+_EXP_RULES = {"w": "wk", "d": "der", "c": "con", "box": "absorb"}
+
+
 def _cut_rule(net: Net, cut: Node) -> Optional[tuple[str, int]]:
-    """Which rule fires on this cut; the int picks the axiom side for 'ax'."""
-    w0, w1 = cut.ups
-    for i, w in enumerate((w0, w1)):
-        n, _ = net.producer_of(w)
-        if net.nodes[n].kind == "ax":
-            return ("ax", i)
-    k0 = net.nodes[net.producer_of(w0)[0]].kind
-    k1 = net.nodes[net.producer_of(w1)[0]].kind
-    if {k0, k1} == {"par", "tensor"}:
-        return ("parten", 0 if k0 == "par" else 1)
-    # exponential: find the negative side by its producer kind
-    for i, w in enumerate((w0, w1)):
-        n, port = net.producer_of(w)
-        kind = net.nodes[n].kind
-        if kind == "w":
-            return ("wk", i)
-        if kind == "d":
-            return ("der", i)
-        if kind == "c":
-            return ("con", i)
-        if kind == "box" and port > 0:
-            return ("absorb", i)
+    """Which rule fires on this cut, read off the producers of its two
+    wires; the int is the side whose producer picks the rule."""
+    producers = [net.producer_of(w) for w in cut.ups]
+    kinds = [net.nodes[n].kind for n, _ in producers]
+    if "ax" in kinds:
+        return ("ax", kinds.index("ax"))
+    if set(kinds) == {"par", "tensor"}:
+        return ("parten", kinds.index("par"))
+    for i, (kind, (_, port)) in enumerate(zip(kinds, producers)):
+        if kind in _EXP_RULES and (kind != "box" or port > 0):
+            return (_EXP_RULES[kind], i)
     return None
 
 
@@ -128,39 +122,43 @@ def delete_tree(net: Net, nodes: list[int]) -> None:
 # The rules
 
 
-def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
+# the rules that need a tensor-tree on the other side, with the name of
+# their cut in the error raised when there is none
+_TREE_RULES = {"wk": "weakening", "con": "contraction", "absorb": "door"}
+
+
+def fire(level: Net, cut: Node, rule: str, side: int) -> None:
     w_this = cut.ups[side]
     w_other = cut.ups[1 - side]
+    nid, port = level.producer_of(w_this)
+    this = level.nodes[nid]
+    if rule in _TREE_RULES:
+        tree = tensor_tree(level, w_other)
+        if tree is None:
+            raise NoRuleError(f"{_TREE_RULES[rule]} cut against a non-tree")
+        nodes, interface = tree
     match rule:
         case "ax":
-            nid, port = level.producer_of(w_this)
-            ax = level.nodes[nid]
-            w_tail = ax.downs[1 - port]
+            w_tail = this.downs[1 - port]
             if w_tail == w_other:
                 raise NoRuleError("axiom cut on itself (cyclic net)")
             level.drop_node(cut.nid)
-            level.drop_node(ax.nid)
+            level.drop_node(this.nid)
             level.drop_wire(w_this)
             # the other cut wire takes over the tail's consumer
             level.redirect_consumer(w_tail, w_other)
         case "parten":
-            par = level.nodes[level.producer_of(w_this)[0]]
             ten = level.nodes[level.producer_of(w_other)[0]]
             level.drop_node(cut.nid)
-            level.add("cut", [par.ups[0], ten.ups[0]], [])
-            level.add("cut", [par.ups[1], ten.ups[1]], [])
-            level.drop_node(par.nid)
+            level.add("cut", [this.ups[0], ten.ups[0]], [])
+            level.add("cut", [this.ups[1], ten.ups[1]], [])
+            level.drop_node(this.nid)
             level.drop_node(ten.nid)
             level.drop_wire(w_this)
             level.drop_wire(w_other)
         case "wk":
-            wnode = level.nodes[level.producer_of(w_this)[0]]
-            tree = tensor_tree(level, w_other)
-            if tree is None:
-                raise NoRuleError("weakening cut against a non-tree")
-            nodes, interface = tree
             level.drop_node(cut.nid)
-            level.drop_node(wnode.nid)
+            level.drop_node(this.nid)
             level.drop_wire(w_this)
             # replace every interface wire by a weakening before deleting,
             # preserving conclusion positions (they may be box doors)
@@ -168,40 +166,34 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
                 level.redirect_consumer(w, level.add("w", [], [level.wires[w]]).downs[0])
             delete_tree(level, nodes)
         case "der":
-            dnode = level.nodes[level.producer_of(w_this)[0]]
-            bnid, port = level.producer_of(w_other)
+            bnid, bport = level.producer_of(w_other)
             box = level.nodes[bnid]
-            if box.kind != "box" or port != 0:
+            if box.kind != "box" or bport != 0:
                 raise NoRuleError("dereliction cut against a non-box")
             inner = box.contents
             wmap = add_tree(level, inner, list(inner.nodes), copy_boxes=False)
             level.drop_node(cut.nid)
-            level.drop_node(dnode.nid)
+            level.drop_node(this.nid)
             level.drop_node(box.nid)
             # principal: cut the dereliction premise against the contents'
             # distinguished conclusion
-            level.add("cut", [dnode.ups[0], wmap[inner.conclusions[0][0]]], [])
+            level.add("cut", [this.ups[0], wmap[inner.conclusions[0][0]]], [])
             level.drop_wire(w_this)
             level.drop_wire(w_other)
             # auxiliary doors: the inner conclusion wire replaces the outer
             for (iw, _), ow in zip(inner.conclusions[1:], box.downs[1:]):
                 level.redirect_consumer(ow, wmap[iw])
         case "con":
-            cnode = level.nodes[level.producer_of(w_this)[0]]
-            tree = tensor_tree(level, w_other)
-            if tree is None:
-                raise NoRuleError("contraction cut against a non-tree")
-            nodes, interface = tree
-            k = len(cnode.ups)
+            k = len(this.ups)
             copies = [(w_other, interface)]
             for _ in range(k - 1):
                 wmap = add_tree(level, level, nodes, copy_boxes=True)
                 copies.append((wmap[w_other], [wmap[w] for w in interface]))
             level.drop_node(cut.nid)
             level.drop_wire(w_this)
-            for prem, (root, _) in zip(cnode.ups, copies):
+            for prem, (root, _) in zip(this.ups, copies):
                 level.add("cut", [prem, root], [])
-            level.drop_node(cnode.nid)
+            level.drop_node(this.nid)
             # contract the interface copies onto the original consumers
             for i, w in enumerate(interface):
                 # the original wire w is the first premise; its old consumer
@@ -210,13 +202,7 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
                 level.move_consumer(w, nc.downs[0])
                 nc.ups = [copies[j][1][i] for j in range(k)]
         case "absorb":
-            bnid, port = level.producer_of(w_this)
-            host = level.nodes[bnid]
-            tree = tensor_tree(level, w_other)
-            if tree is None:
-                raise NoRuleError("door cut against a non-tree")
-            nodes, interface = tree
-            inner = host.contents
+            inner = this.contents
             # move the tree inside the host box
             wmap = add_tree(inner, level, nodes, copy_boxes=False)
             # the cut moves inside: door wire w_this pairs conclusions[port]
@@ -224,18 +210,18 @@ def fire(net: Net, level: Net, cut: Node, rule: str, side: int) -> None:
             inner.add("cut", [iw, wmap[w_other]], [])
             inner.conclusions.pop(port)
             level.drop_node(cut.nid)
-            host.downs.pop(port)
+            this.downs.pop(port)
             level.drop_wire(w_this)
             # tree interface wires become new doors of the host box
-            for nid in nodes:
-                level.drop_node(nid)
+            for tid in nodes:
+                level.drop_node(tid)
             for w in wmap:
                 if w in interface:
                     continue
                 level.drop_wire(w)
             for w in interface:
                 inner.conclusions.append((wmap[w], ("door",)))
-                host.downs.append(w)
+                this.downs.append(w)
         case _:
             raise NoRuleError(rule)
 
@@ -262,7 +248,7 @@ def exp_step(net: Net, cut_id: int) -> Net:
     r = _cut_rule(level, cut)
     if r is None:
         raise NoRuleError("cut does not match any rule")
-    fire(out, level, cut, r[0], r[1])
+    fire(level, cut, *r)
     return out
 
 
@@ -286,5 +272,5 @@ def _normalize(net: Net, rng: Optional[random.Random], rules, exhausted: str) ->
             found = all_found[rng.randrange(len(all_found))] if all_found else None
         if found is None:
             return out
-        fire(out, *found)
+        fire(*found)
     raise NetBudgetExhausted(exhausted)

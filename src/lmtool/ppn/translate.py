@@ -1,12 +1,13 @@
 """Translation of typing derivations into polarized proof structures.
 
 Every clause returns a net with one wire per free variable (an input
-formula ?Q labeled with the variable), one per free name (an output
-formula labeled with the name), and, for terms and stacks, a
-distinguished conclusion; stacks also carry their result conclusion.
-Cuts are introduced by the application, substitution, replacement and
-stack clauses; shared variables and names of binary clauses are merged
-with contraction nodes.
+formula ?Q labeled with the variable) and per free name (an output
+formula labeled with the name), kept in one map since a name's
+apostrophe keeps the two apart, and, for terms and stacks, a distinguished
+conclusion; stacks also carry their result conclusion.  Cuts are
+introduced by the application, substitution, replacement and stack
+clauses; shared variables and names of binary clauses are merged with
+contraction nodes.
 """
 
 from __future__ import annotations
@@ -14,19 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..meta import stack_len
-from ..syntax import Abs, App, ERepl, ESub, EmptyStack, Mu, Named, Push, Var
+from ..syntax import Abs, App, ERepl, ESub, EmptyStack, Mu, Named, Push, Var, is_name
 from ..typing import Derivation
-from ..typing_util import split_arrow
-from .formulas import (
-    Formula,
-    PBang,
-    dual,
-    input_of,
-    neg_o,
-    trans_stacktype,
-    trans_type,
-)
-from .net import Anchor, Net
+from ..typing_util import fold_stack_type, split_arrow
+from .formulas import Formula, PBang, dual, input_of, neg_o, trans_type
+from .net import Net
 
 
 @dataclass
@@ -34,26 +27,20 @@ class Piece:
     """A net under construction with its open interface."""
 
     net: Net
-    var_wires: dict[str, int] = field(default_factory=dict)
-    name_wires: dict[str, int] = field(default_factory=dict)
+    wires: dict[str, int] = field(default_factory=dict)
     dist: int | None = None
     result: int | None = None
 
-    def interface_conclusions(self) -> list[tuple[int, Anchor]]:
-        out: list[tuple[int, Anchor]] = []
+    def seal(self) -> Net:
+        """Close the interface into labeled conclusions: the distinguished
+        one, the variables, the names (each sorted), the result."""
+        free = sorted(self.wires, key=lambda x: (is_name(x), x))
+        out = [(self.wires[x], ("name" if is_name(x) else "var", x)) for x in free]
         if self.dist is not None:
-            out.append((self.dist, ("dist",)))
-        for x in sorted(self.var_wires):
-            out.append((self.var_wires[x], ("var", x)))
-        for a in sorted(self.name_wires):
-            out.append((self.name_wires[a], ("name", a)))
+            out.insert(0, (self.dist, ("dist",)))
         if self.result is not None:
             out.append((self.result, ("result",)))
-        return out
-
-    def seal(self) -> Net:
-        """Close the interface into labeled conclusions."""
-        self.net.conclusions = list(self.interface_conclusions())
+        self.net.conclusions = out
         return self.net
 
 
@@ -61,42 +48,38 @@ def _boxed(net: Net, piece: Piece) -> tuple[int, Piece]:
     """Wrap a term piece into a box inside net; returns the principal wire
     and a piece holding the outer door wires for the piece's interface."""
     inner = piece.seal()
-    dist_f = inner.wires[inner.conclusions[0][0]]
-    downs: list[Formula] = [PBang(dist_f)]
-    for w, _ in inner.conclusions[1:]:
-        downs.append(inner.wires[w])
+    (dist, _), *aux = inner.conclusions
+    downs = [PBang(inner.wires[dist])] + [inner.wires[w] for w, _ in aux]
     b = net.add("box", [], downs, contents=inner)
-    out = Piece(net)
-    for (iw, anchor), ow in zip(inner.conclusions[1:], b.downs[1:]):
-        if anchor[0] == "var":
-            out.var_wires[anchor[1]] = ow
-        elif anchor[0] == "name":
-            out.name_wires[anchor[1]] = ow
-    return b.downs[0], out
+    return b.downs[0], Piece(net, {a[1]: ow for (_, a), ow in zip(aux, b.downs[1:])})
 
 
-def _merge_shared(net: Net, a: Piece, b: Piece) -> Piece:
-    """Contract the variable and name wires the two pieces share."""
-    out = Piece(net, dict(a.var_wires), dict(a.name_wires), a.dist, a.result)
-    for x, w2 in b.var_wires.items():
-        if x in out.var_wires:
-            w1 = out.var_wires[x]
-            c = net.add("c", [w1, w2], [net.wires[w1]])
-            out.var_wires[x] = c.downs[0]
-        else:
-            out.var_wires[x] = w2
-    for n, w2 in b.name_wires.items():
-        if n in out.name_wires:
-            w1 = out.name_wires[n]
-            c = net.add("c", [w1, w2], [net.wires[w1]])
-            out.name_wires[n] = c.downs[0]
-        else:
-            out.name_wires[n] = w2
-    if out.dist is None:
-        out.dist = b.dist
-    if out.result is None:
-        out.result = b.result
+def _merge_shared(net: Net, a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+    """a's wires and b's; a variable or name with a wire in both gets a
+    contraction of the two.  b's variables come before its names, which
+    fixes the ids of the contractions."""
+    out = dict(a)
+    for x, w2 in sorted(b.items(), key=lambda xw: is_name(xw[0])):
+        if x in out:
+            w1 = out[x]
+            w2 = net.add("c", [w1, w2], [net.wires[w1]]).downs[0]
+        out[x] = w2
     return out
+
+
+def _bound_wire(net: Net, piece: Piece, x: str, f: Formula) -> int:
+    """The wire of x, taken out of the piece's interface; a weakening of f
+    when x is not free."""
+    if x in piece.wires:
+        return piece.wires.pop(x)
+    return net.add("w", [], [f]).downs[0]
+
+
+def _name_wire(net: Net, piece: Piece, a: str, w: int) -> None:
+    """Make w the wire of name a, contracted with a's wire if it has one."""
+    if a in piece.wires:
+        w = net.add("c", [w, piece.wires[a]], [net.wires[w]]).downs[0]
+    piece.wires[a] = w
 
 
 def translate_derivation(d: Derivation) -> Net:
@@ -118,7 +101,7 @@ def _go(d: Derivation, net: Net, result_type=None) -> Piece:
             a = d.judgment.type
             ax = net.add("ax", [], [neg_o(trans_type(a)), trans_type(a)])
             dn = net.add("d", [ax.downs[0]], [input_of(a)])
-            return Piece(net, {x: dn.downs[0]}, {}, ax.downs[1], None)
+            return Piece(net, {x: dn.downs[0]}, ax.downs[1])
 
         case App(_, _):
             df, du = d.children
@@ -132,17 +115,12 @@ def _go(d: Derivation, net: Net, result_type=None) -> Piece:
                 [dual(net.wires[pf.dist])],
             )
             net.add("cut", [pf.dist, ten.downs[0]], [])
-            merged = _merge_shared(net, Piece(net, pf.var_wires, pf.name_wires), doors)
-            merged.dist = ax.downs[1]
-            return merged
+            return Piece(net, _merge_shared(net, pf.wires, doors.wires), ax.downs[1])
 
         case Abs(x, ann, _):
             (db,) = d.children
             pb = _go(db, net)
-            if x in pb.var_wires:
-                xw = pb.var_wires.pop(x)
-            else:
-                xw = net.add("w", [], [input_of(ann)]).downs[0]
+            xw = _bound_wire(net, pb, x, input_of(ann))
             par = net.add("par", [xw, pb.dist], [trans_type(d.judgment.type)])
             pb.dist = par.downs[0]
             return pb
@@ -150,20 +128,13 @@ def _go(d: Derivation, net: Net, result_type=None) -> Piece:
         case Mu(a, ann, _):
             (db,) = d.children
             pb = _go(db, net)
-            if a in pb.name_wires:
-                pb.dist = pb.name_wires.pop(a)
-            else:
-                pb.dist = net.add("w", [], [trans_type(ann)]).downs[0]
+            pb.dist = _bound_wire(net, pb, a, trans_type(ann))
             return pb
 
         case Named(a, _):
             (db,) = d.children
             pb = _go(db, net)
-            if a in pb.name_wires:
-                c = net.add("c", [pb.dist, pb.name_wires[a]], [net.wires[pb.dist]])
-                pb.name_wires[a] = c.downs[0]
-            else:
-                pb.name_wires[a] = pb.dist
+            _name_wire(net, pb, a, pb.dist)
             pb.dist = None
             return pb
 
@@ -171,56 +142,32 @@ def _go(d: Derivation, net: Net, result_type=None) -> Piece:
             db, du = d.children
             pb = _go(db, net)
             principal, doors = _boxed(net, _go(du, Net()))
-            uty = du.judgment.type
-            if x in pb.var_wires:
-                xw = pb.var_wires.pop(x)
-            else:
-                xw = net.add("w", [], [input_of(uty)]).downs[0]
+            xw = _bound_wire(net, pb, x, input_of(du.judgment.type))
             net.add("cut", [xw, principal], [])
-            merged = _merge_shared(net, Piece(net, pb.var_wires, pb.name_wires), doors)
-            merged.dist = pb.dist
-            return merged
+            return Piece(net, _merge_shared(net, pb.wires, doors.wires), pb.dist)
 
         case ERepl(_, nn, on, ann, s):
             db, ds = d.children
             pc = _go(db, net)
-            n_args = stack_len(s)
-            sty, bty = split_arrow(ann, n_args)
+            _, bty = split_arrow(ann, stack_len(s))
             ps = _go(ds, net, bty)
-            merged = _merge_shared(
-                net,
-                Piece(net, pc.var_wires, pc.name_wires),
-                Piece(net, ps.var_wires, ps.name_wires),
-            )
-            if on in merged.name_wires:
-                ow = merged.name_wires.pop(on)
-            else:
-                ow = net.add("w", [], [trans_type(ann)]).downs[0]
+            merged = Piece(net, _merge_shared(net, pc.wires, ps.wires))
+            ow = _bound_wire(net, merged, on, trans_type(ann))
             net.add("cut", [ow, ps.dist], [])
-            res = ps.result
-            if nn in merged.name_wires:
-                c = net.add("c", [res, merged.name_wires[nn]], [net.wires[res]])
-                res = c.downs[0]
-            merged.name_wires[nn] = res
-            merged.dist = None
-            merged.result = None
+            _name_wire(net, merged, nn, ps.result)
             return merged
 
         case EmptyStack():
             of = trans_type(result_type)
             ax = net.add("ax", [], [neg_o(of), of])
-            return Piece(net, {}, {}, ax.downs[0], ax.downs[1])
+            return Piece(net, {}, ax.downs[0], ax.downs[1])
 
         case Push(_, _):
             dh, dt = d.children
             principal, doors = _boxed(net, _go(dh, Net()))
             pt = _go(dt, net, result_type)
-            sty = d.judgment.type
-            root_f = neg_o(trans_stacktype(sty, result_type))
+            root_f = neg_o(trans_type(fold_stack_type(d.judgment.type, result_type)))
             ten = net.add("tensor", [principal, pt.dist], [root_f])
-            merged = _merge_shared(net, doors, Piece(net, pt.var_wires, pt.name_wires))
-            merged.dist = ten.downs[0]
-            merged.result = pt.result
-            return merged
+            return Piece(net, _merge_shared(net, doors.wires, pt.wires), ten.downs[0], pt.result)
 
     raise TypeError(o)

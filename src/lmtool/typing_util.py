@@ -8,8 +8,6 @@ from .syntax import Arrow, Type
 
 StackType = tuple[Type, ...]
 
-EPS: StackType = ()
-
 
 def fold_stack_type(s: StackType, b: Type) -> Type:
     """fold(A1..An, B) = A1 -> ... -> An -> B; the empty fold is B itself."""

@@ -62,6 +62,15 @@ def test_ppn_dot(capsys, tmp_path):
     assert out_file.read_text().startswith("digraph")
 
 
+def test_ppn_dot_to_a_missing_directory_exits_cleanly(capsys, tmp_path):
+    out_file = tmp_path / "missing" / "net.dot"
+    code = main(["ppn", r"\x:iA. x", "--dot", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert str(out_file) in captured.err
+
+
 def test_reduce_budget(capsys):
     code, out = run(capsys, "reduce", r"(\x. x x) (\x. x x)", "--budget", "40")
     assert code == 1 and "BUDGET-EXHAUSTED" in out

@@ -1,10 +1,12 @@
 import random
 import zlib
 from collections import Counter
+from dataclasses import dataclass, field
 
 import pytest
 
 from lmtool.drivers import TypedPairs, typed_step_cases
+from lmtool.equivalence import AXIOMS, REN_AXIOM
 from lmtool.generators import gen_typed
 from lmtool.meta import stack_len
 from lmtool.ppn import (
@@ -16,21 +18,19 @@ from lmtool.ppn import (
     simulation_check,
     soundness_check,
     struct_canon,
-    trans_stacktype,
     trans_type,
     translate_derivation,
     translate_stack_derivation,
 )
-from lmtool.ppn.formulas import OIota, OPar, QIota, QTen, input_of, neg_o
+from lmtool.ppn.formulas import OIota, OPar, PBang, QIota, QTen, input_of, neg_o
 from lmtool.ppn.net import Net, Node
 from lmtool.ppn.rewrite import MULT, _cut_rule, _redexes, add_tree, fire, tensor_tree
-from lmtool.ppn.translate import Piece, _boxed, _merge_shared
 from lmtool.syntax import (
     Abs, App, Arrow, Base, EmptyStack, ERepl, ESub, Mu, Named, Push, Var, parse, parse_type,
     print_object,
 )
 from lmtool.typing import check_object
-from lmtool.typing_util import split_arrow
+from lmtool.typing_util import fold_stack_type, split_arrow
 
 
 def t(text):
@@ -71,8 +71,8 @@ def test_negation_involutive_random():
 
 def test_stacktype_translation_folds():
     a, b = Base("a"), Base("b")
-    assert trans_stacktype((), b) == trans_type(b)
-    assert trans_stacktype((a,), b) == trans_type(Arrow(a, b))
+    assert trans_type(fold_stack_type((), b)) == trans_type(b)
+    assert trans_type(fold_stack_type((a,), b)) == OPar(QIota("a"), OIota("b"))
 
 
 # --- translation -------------------------------------------------------------
@@ -376,9 +376,69 @@ def _absorb(target, other):
     return wmap
 
 
+@dataclass
+class _RefPiece:
+    """A net under construction with its variable and name wires apart."""
+
+    net: Net
+    var_wires: dict = field(default_factory=dict)
+    name_wires: dict = field(default_factory=dict)
+    dist: int = None
+    result: int = None
+
+    def seal(self):
+        out = []
+        if self.dist is not None:
+            out.append((self.dist, ("dist",)))
+        for x in sorted(self.var_wires):
+            out.append((self.var_wires[x], ("var", x)))
+        for a in sorted(self.name_wires):
+            out.append((self.name_wires[a], ("name", a)))
+        if self.result is not None:
+            out.append((self.result, ("result",)))
+        self.net.conclusions = out
+        return self.net
+
+
+def _ref_boxed(net, piece):
+    inner = piece.seal()
+    downs = [PBang(inner.wires[inner.conclusions[0][0]])]
+    for w, _ in inner.conclusions[1:]:
+        downs.append(inner.wires[w])
+    b = net.add("box", [], downs, contents=inner)
+    out = _RefPiece(net)
+    for (iw, anchor), ow in zip(inner.conclusions[1:], b.downs[1:]):
+        if anchor[0] == "var":
+            out.var_wires[anchor[1]] = ow
+        elif anchor[0] == "name":
+            out.name_wires[anchor[1]] = ow
+    return b.downs[0], out
+
+
+def _ref_merge_shared(net, a, b):
+    out = _RefPiece(net, dict(a.var_wires), dict(a.name_wires), a.dist, a.result)
+    for x, w2 in b.var_wires.items():
+        if x in out.var_wires:
+            w1 = out.var_wires[x]
+            out.var_wires[x] = net.add("c", [w1, w2], [net.wires[w1]]).downs[0]
+        else:
+            out.var_wires[x] = w2
+    for n, w2 in b.name_wires.items():
+        if n in out.name_wires:
+            w1 = out.name_wires[n]
+            out.name_wires[n] = net.add("c", [w1, w2], [net.wires[w1]]).downs[0]
+        else:
+            out.name_wires[n] = w2
+    if out.dist is None:
+        out.dist = b.dist
+    if out.result is None:
+        out.result = b.result
+    return out
+
+
 def _ref_absorb(net, piece):
     wmap = _absorb(net, piece.net)
-    return Piece(
+    return _RefPiece(
         net,
         {x: wmap[w] for x, w in piece.var_wires.items()},
         {a: wmap[w] for a, w in piece.name_wires.items()},
@@ -395,16 +455,16 @@ def _ref_go(d, result_type=None):
             a = d.judgment.type
             ax = net.add("ax", [], [neg_o(trans_type(a)), trans_type(a)])
             dn = net.add("d", [ax.downs[0]], [input_of(a)])
-            return Piece(net, {x: dn.downs[0]}, {}, ax.downs[1], None)
+            return _RefPiece(net, {x: dn.downs[0]}, {}, ax.downs[1], None)
         case App(_, _):
             df, du = d.children
             pf = _ref_absorb(net, _ref_go(df))
-            principal, doors = _boxed(net, _ref_go(du))
+            principal, doors = _ref_boxed(net, _ref_go(du))
             bty = d.judgment.type
             ax = net.add("ax", [], [neg_o(trans_type(bty)), trans_type(bty)])
             ten = net.add("tensor", [principal, ax.downs[0]], [dual(net.wires[pf.dist])])
             net.add("cut", [pf.dist, ten.downs[0]], [])
-            merged = _merge_shared(net, Piece(net, pf.var_wires, pf.name_wires), doors)
+            merged = _ref_merge_shared(net, _RefPiece(net, pf.var_wires, pf.name_wires), doors)
             merged.dist = ax.downs[1]
             return merged
         case Abs(x, ann, _):
@@ -434,13 +494,13 @@ def _ref_go(d, result_type=None):
         case ESub(_, x, _):
             db, du = d.children
             pb = _ref_absorb(net, _ref_go(db))
-            principal, doors = _boxed(net, _ref_go(du))
+            principal, doors = _ref_boxed(net, _ref_go(du))
             if x in pb.var_wires:
                 xw = pb.var_wires.pop(x)
             else:
                 xw = net.add("w", [], [input_of(du.judgment.type)]).downs[0]
             net.add("cut", [xw, principal], [])
-            merged = _merge_shared(net, Piece(net, pb.var_wires, pb.name_wires), doors)
+            merged = _ref_merge_shared(net, _RefPiece(net, pb.var_wires, pb.name_wires), doors)
             merged.dist = pb.dist
             return merged
         case ERepl(_, nn, on, ann, s):
@@ -448,10 +508,10 @@ def _ref_go(d, result_type=None):
             pc = _ref_absorb(net, _ref_go(db))
             _, bty = split_arrow(ann, stack_len(s))
             ps = _ref_absorb(net, _ref_go(ds, bty))
-            merged = _merge_shared(
+            merged = _ref_merge_shared(
                 net,
-                Piece(net, pc.var_wires, pc.name_wires),
-                Piece(net, ps.var_wires, ps.name_wires),
+                _RefPiece(net, pc.var_wires, pc.name_wires),
+                _RefPiece(net, ps.var_wires, ps.name_wires),
             )
             if on in merged.name_wires:
                 ow = merged.name_wires.pop(on)
@@ -467,14 +527,17 @@ def _ref_go(d, result_type=None):
         case EmptyStack():
             of = trans_type(result_type)
             ax = net.add("ax", [], [neg_o(of), of])
-            return Piece(net, {}, {}, ax.downs[0], ax.downs[1])
+            return _RefPiece(net, {}, {}, ax.downs[0], ax.downs[1])
         case Push(_, _):
             dh, dt = d.children
-            principal, doors = _boxed(net, _ref_go(dh))
+            principal, doors = _ref_boxed(net, _ref_go(dh))
             pt = _ref_absorb(net, _ref_go(dt, result_type))
-            root_f = neg_o(trans_stacktype(d.judgment.type, result_type))
+            root_f = trans_type(result_type)
+            for a in reversed(d.judgment.type):
+                root_f = OPar(neg_o(trans_type(a)), root_f)
+            root_f = neg_o(root_f)
             ten = net.add("tensor", [principal, pt.dist], [root_f])
-            merged = _merge_shared(net, doors, Piece(net, pt.var_wires, pt.name_wires))
+            merged = _ref_merge_shared(net, doors, _RefPiece(net, pt.var_wires, pt.name_wires))
             merged.dist = ten.downs[0]
             merged.result = pt.result
             return merged
@@ -543,9 +606,19 @@ def _seeded_objects():
     return out
 
 
+# a replacement whose stack's wires come in the order variable, name,
+# variable: a merge that walked them in that order would add the name's
+# contraction before the variable's
+_INTERLEAVED = (
+    t(r"(['c](f x y (mu 'k:iA. ['a]x)))['b/'r:iA->iA->iB\(mu 'm:iA. ['a]x) . y . #]"),
+    {"f": parse_type("iA->iA->iA->iB"), "x": Base("A"), "y": Base("A")},
+    {"'a": Base("A"), "'b": Base("B"), "'c": Base("B")},
+)
+
+
 def test_in_place_translation_matches_copying_translation():
     stacks = 0
-    for o, g, d in _seeded_objects():
+    for o, g, d in _seeded_objects() + [_INTERLEAVED]:
         for sub, rt in _derivations(check_object(o, g, d)):
             if rt is None:
                 got = translate_derivation(sub)
@@ -556,6 +629,82 @@ def test_in_place_translation_matches_copying_translation():
             want = _ref_go(sub, rt).seal()
             assert _shape(got) == _shape(want), sub.judgment.render()
     assert stacks > 20
+
+
+def _ref_cut_rule(net, cut):
+    """The cut dispatch that looked a producer up once per question."""
+    w0, w1 = cut.ups
+    for i, w in enumerate((w0, w1)):
+        n, _ = net.producer_of(w)
+        if net.nodes[n].kind == "ax":
+            return ("ax", i)
+    k0 = net.nodes[net.producer_of(w0)[0]].kind
+    k1 = net.nodes[net.producer_of(w1)[0]].kind
+    if {k0, k1} == {"par", "tensor"}:
+        return ("parten", 0 if k0 == "par" else 1)
+    for i, w in enumerate((w0, w1)):
+        n, port = net.producer_of(w)
+        kind = net.nodes[n].kind
+        if kind == "w":
+            return ("wk", i)
+        if kind == "d":
+            return ("der", i)
+        if kind == "c":
+            return ("con", i)
+        if kind == "box" and port > 0:
+            return ("absorb", i)
+    return None
+
+
+def _ref_struct_canon(net):
+    """The structural canonicalization loop with its rules unrolled."""
+    out = net.copy()
+    changed = True
+    guard = 0
+    while changed:
+        guard += 1
+        if guard > 10000:
+            raise RuntimeError("structural canonicalization did not settle")
+        changed = False
+        for level in list(out.all_nets()):
+            if canonical._flatten_contractions(level):
+                changed = True
+                break
+            if canonical._cancel_weakenings(level):
+                changed = True
+                break
+            if canonical._contractions_out_of_boxes(level):
+                changed = True
+                break
+            if canonical._weakening_doors_into_contractions(level):
+                changed = True
+                break
+        if not changed and canonical._prune_final_weakenings(out):
+            changed = True
+    return out
+
+
+def test_rule_dispatch_matches_the_unrolled_references():
+    # the rule of every cut and the structural canonical form of translated
+    # nets and their multiplicative and full normal forms
+    nets = []
+    for _, o, o2, g, d in typed_step_cases(seed=99, count=300):
+        nets += [translate_derivation(check_object(x, g, d)) for x in (o, o2)]
+    for j, axiom in enumerate(AXIOMS + (REN_AXIOM,)):
+        pairs = TypedPairs(seed=700 + j)
+        for _ in range(4):
+            lhs, rhs, g, d = pairs.build(axiom)
+            nets += [translate_derivation(check_object(x, g, d)) for x in (lhs, rhs)]
+    rules = Counter()
+    for n in nets:
+        for m in (n, mult_nf(n), full_nf(n)):
+            for level in m.all_nets():
+                for cut in level.cuts():
+                    r = _cut_rule(level, cut)
+                    assert r == _ref_cut_rule(level, cut)
+                    rules[r] += 1
+            assert struct_canon(m).to_dot() == _ref_struct_canon(m).to_dot()
+    assert {r[0] for r in rules} == {"ax", "parten", "wk", "der", "con", "absorb"}, rules
 
 
 def _ref_nf(net, mult_only, rng=None):
@@ -576,7 +725,7 @@ def _ref_nf(net, mult_only, rng=None):
             for c in sorted(lv.cuts(), key=lambda n: n.nid)
             if applicable(lv, c)
         ]
-        fire(out, *found[skip])
+        fire(*found[skip])
 
 
 def test_single_scan_normalization_matches_count_then_find():
@@ -648,7 +797,7 @@ def test_tree_copy_matches_the_absorbed_piece():
                                 assert (new.contents is old.contents) == (not copy_boxes)
                                 boxes += 1
                 compared += 1
-            fire(net, *found)
+            fire(*found)
     assert compared >= 10 and boxes >= 50 and opened >= 10
 
 
