@@ -9,6 +9,7 @@ import sys
 from . import drivers, equivalence, generators, lmu, reduction, typing as ty
 from .reduction import BudgetExhausted, RuleTag, Trace
 from .syntax import (
+    STACK,
     ParseError,
     PathError,
     SortError,
@@ -17,6 +18,7 @@ from .syntax import (
     parse,
     parse_type,
     print_object,
+    sort_of,
 )
 
 
@@ -152,6 +154,8 @@ def cmd_ppn(args) -> int:
     from .ppn import full_nf, mult_nf, translate_derivation
 
     o = parse(args.object, args.sort)
+    if sort_of(o) == STACK:
+        raise SortError("a stack has no proof net without a result type")
     gamma, delta = _parse_env(args.env)
     try:
         d = ty.check_object(o, gamma, delta)

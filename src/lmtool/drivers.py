@@ -11,7 +11,7 @@ from typing import Optional
 from .equivalence import Axiom, ExpansionCache, _stack_inert, equiv
 from .gen_random import random_pure_command, random_pure_stack, random_pure_term
 from .generators import _TypedGen, gen_typed
-from .lmu import lmu_redexes, sigma_instances
+from .lmu import SIGMA_EQUATIONS, lmu_redexes, sigma_instances
 from .meta import apply_stack, rename, stack_of
 from .reduction import (
     BudgetExhausted,
@@ -41,6 +41,7 @@ from .syntax import (
     dotted,
     empty_stack,
     free_names,
+    instantiate,
     parse,
     print_object,
 )
@@ -361,7 +362,7 @@ class TypedPairs:
 
 
 # ---------------------------------------------------------------------------
-# Sigma instance templates (pure lambda-mu, all eight equations)
+# Sigma pairs (pure lambda-mu, all eight equations)
 
 
 def sigma_pair(seed: int, axiom: str, size: int = 4) -> tuple[Object, Object]:
@@ -385,37 +386,15 @@ def sigma_pair(seed: int, axiom: str, size: int = 4) -> tuple[Object, Object]:
     pool_u = sorted(free_names(u))
     if pool_u and rng.random() < 0.5:
         u = rename(u, a, rng.choice(pool_u))
-    match axiom:
-        case "sigma1":
-            return App(Abs(y, None, Abs(x, None, t)), v), Abs(
-                x, None, App(Abs(y, None, t), v)
-            )
-        case "sigma2":
-            return App(Abs(x, None, App(t, v)), u), App(App(Abs(x, None, t), u), v)
-        case "sigma3":
-            return (
-                App(Abs(x, None, Mu(a, None, Named(b, u))), w),
-                Mu(a, None, Named(b, App(Abs(x, None, u), w))),
-            )
-        case "sigma4":
-            return (
-                Named(a2, App(Mu(a, None, Named(b2, App(Mu(b, None, c), w))), v)),
-                Named(b2, App(Mu(b, None, Named(a2, App(Mu(a, None, c), v))), w)),
-            )
-        case "sigma5":
-            return (
-                Named(a2, App(Mu(a, None, Named(b2, Abs(x, None, Mu(b, None, c)))), v)),
-                Named(b2, Abs(x, None, Mu(b, None, Named(a2, App(Mu(a, None, c), v))))),
-            )
-        case "sigma6":
-            return (
-                Named(a2, Abs(x, None, Mu(a, None, Named(b2, Abs(y, None, Mu(b, None, c)))))),
-                Named(b2, Abs(y, None, Mu(b, None, Named(a2, Abs(x, None, Mu(a, None, c)))))),
-            )
-        case "sigma7":
-            return Named(a, Mu(b, None, c)), rename(c, a, b)
-        case "sigma8":
-            return Mu(a, None, Named(a, t)), t
+    if axiom == "sigma7":
+        return Named(a, Mu(b, None, c)), rename(c, a, b)
+    if axiom == "sigma8":
+        return Mu(a, None, Named(a, t)), t
+    env = dict(t=t, u=u, v=v, w=w, c=c, x=x, y=y, a=a, b=b, a2=a2, b2=b2,
+               annx=None, anny=None, anna=None, annb=None)
+    for name, left, right, _ in SIGMA_EQUATIONS:
+        if name == axiom:
+            return instantiate(left, env), instantiate(right, env)
     raise ValueError(axiom)
 
 

@@ -27,20 +27,25 @@ _VARS = ["x", "y", "z", "w", "u1", "v1"]
 _NAMES = ["'a", "'b", "'g", "'d", "'e1"]
 
 
+# the shapes a term of size two or more draws from, each equally likely
+_PURE = ("app", "abs", "mu", "app")
+_EXPLICIT = ("app", "app", "abs", "mu", "sub")
+
+
 def random_pure_term(rng: random.Random, size: int) -> Object:
     """A random lambda-mu term (no explicit operators), binders distinct."""
-    return barendregt(_pure_term(rng, size))
+    return barendregt(_term(rng, size, _PURE))
 
 
 def random_pure_command(rng: random.Random, size: int) -> Object:
-    return barendregt(_pure_command(rng, size))
+    return barendregt(_command(rng, size, _PURE))
 
 
 def random_pure_stack(rng: random.Random, size: int) -> Object:
     n = rng.randint(0, max(1, size // 2))
     s: Object = empty_stack()
     for _ in range(n):
-        s = Push(_pure_term(rng, max(1, size // 2)), s)
+        s = Push(_term(rng, max(1, size // 2), _PURE), s)
     return barendregt(s)
 
 
@@ -50,60 +55,42 @@ def random_pure_object(rng: random.Random, size: int) -> Object:
     return random_pure_command(rng, size)
 
 
-def _pure_term(rng: random.Random, size: int) -> Object:
-    if size <= 1:
-        return Var(rng.choice(_VARS))
-    match rng.randrange(4):
-        case 0:
-            k = rng.randint(1, size - 1)
-            return App(_pure_term(rng, k), _pure_term(rng, size - k))
-        case 1:
-            return Abs(rng.choice(_VARS), None, _pure_term(rng, size - 1))
-        case 2:
-            return Mu(rng.choice(_NAMES), None, _pure_command(rng, size - 1))
-        case _:
-            k = rng.randint(1, size - 1)
-            return App(_pure_term(rng, k), _pure_term(rng, size - k))
-
-
-def _pure_command(rng: random.Random, size: int) -> Object:
-    return Named(rng.choice(_NAMES), _pure_term(rng, max(1, size - 1)))
-
-
 def random_object(rng: random.Random, size: int) -> Object:
     """A random object that may contain explicit operators."""
     if rng.random() < 0.6:
-        return barendregt(_term(rng, size))
-    return barendregt(_command(rng, size))
+        return barendregt(_term(rng, size, _EXPLICIT))
+    return barendregt(_command(rng, size, _EXPLICIT))
 
 
-def _term(rng: random.Random, size: int) -> Object:
+def _term(rng: random.Random, size: int, shapes: tuple[str, ...]) -> Object:
     if size <= 1:
         return Var(rng.choice(_VARS))
-    match rng.randrange(5):
-        case 0 | 1:
+    match rng.choice(shapes):
+        case "app":
             k = rng.randint(1, size - 1)
-            return App(_term(rng, k), _term(rng, size - k))
-        case 2:
-            return Abs(rng.choice(_VARS), None, _term(rng, size - 1))
-        case 3:
-            return Mu(rng.choice(_NAMES), None, _command(rng, size - 1))
+            return App(_term(rng, k, shapes), _term(rng, size - k, shapes))
+        case "abs":
+            return Abs(rng.choice(_VARS), None, _term(rng, size - 1, shapes))
+        case "mu":
+            return Mu(rng.choice(_NAMES), None, _command(rng, size - 1, shapes))
         case _:
             k = rng.randint(1, size - 1)
-            return ESub(_term(rng, k), rng.choice(_VARS), _term(rng, size - k))
+            return ESub(_term(rng, k, shapes), rng.choice(_VARS), _term(rng, size - k, shapes))
 
 
-def _command(rng: random.Random, size: int) -> Object:
-    if size <= 2 or rng.random() < 0.5:
-        return Named(rng.choice(_NAMES), _term(rng, max(1, size - 1)))
+def _command(rng: random.Random, size: int, shapes: tuple[str, ...]) -> Object:
+    """A named term; an explicit command of size three or more is a
+    replacement half of the time."""
+    if shapes is _PURE or size <= 2 or rng.random() < 0.5:
+        return Named(rng.choice(_NAMES), _term(rng, max(1, size - 1), shapes))
     k = rng.randint(1, size - 1)
     new, old = rng.sample(_NAMES, 2)
-    return ERepl(_command(rng, k), new, old, None, _stack(rng, size - k))
+    return ERepl(_command(rng, k, shapes), new, old, None, _stack(rng, size - k))
 
 
 def _stack(rng: random.Random, size: int) -> Object:
     n = rng.randint(0, max(0, size // 2))
     s: Object = empty_stack()
     for _ in range(n):
-        s = Push(_term(rng, max(1, size // 3)), s)
+        s = Push(_term(rng, max(1, size // 3), _EXPLICIT), s)
     return s

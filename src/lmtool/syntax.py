@@ -338,6 +338,43 @@ def rewrite_everywhere(o: Object, rewrites_of) -> Iterator[tuple[tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
+# Templates.  A template is an object whose str children and str fields
+# are metavariables: App(Abs("x", "ann", "t"), "v") stands for every
+# (\x.t) v, its binder annotation included.
+
+
+def match_template(tpl, o, env: dict) -> bool:
+    """Bind tpl's metavariables in env to the parts of o they stand for;
+    False when o lacks tpl's shape or a metavariable would take two
+    values."""
+    if type(tpl) is str:
+        return env.setdefault(tpl, o) == o
+    return type(tpl) is type(o) and all(
+        match_template(getattr(tpl, f), getattr(o, f), env) for f in tpl.__match_args__
+    )
+
+
+def instantiate(tpl, env: dict):
+    """tpl with each metavariable replaced by its value in env."""
+    if type(tpl) is str:
+        return env[tpl]
+    return type(tpl)(*(instantiate(getattr(tpl, f), env) for f in tpl.__match_args__))
+
+
+def template_rewrites(sub: Object, equations) -> list[tuple[str, str, Object]]:
+    """For each (name, left, right, side) equation, in order: (name, "LR",
+    right) when sub matches left, then (name, "RL", left) when sub matches
+    right, each instantiated where side(**env) holds of the match."""
+    out = []
+    for name, left, right, side in equations:
+        for orient, src, dst in (("LR", left, right), ("RL", right, left)):
+            env: dict = {}
+            if match_template(src, sub, env) and side(**env):
+                out.append((name, orient, instantiate(dst, env)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Free variables / names and occurrence counting
 
 

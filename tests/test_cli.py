@@ -157,6 +157,14 @@ def test_bad_step_and_reduce_input_exits_cleanly(capsys, argv, message):
     assert captured.err.count("\n") == 1 and captured.err.startswith(message)
 
 
+def test_ppn_of_a_stack_exits_cleanly(capsys):
+    # a stack has no net without a result type
+    code = main(["ppn", "x . #", "--sort", "stack", "--env", "x:iA"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: a stack has no proof net without a result type\n"
+
+
 def test_deep_parentheses_exit_cleanly(capsys):
     code = main(["parse", "(" * 1200 + "x" + ")" * 1200])
     captured = capsys.readouterr()

@@ -119,6 +119,46 @@ def test_pp_instance():
     assert any(ax.name == "pp" and alpha_eq(r, expected) for ax, r in insts)
 
 
+# commands that each break one guard of pp: a == b2, a2 == b, a == b and
+# x == y; none of them has a pp rewrite at its root
+_PP_GUARD_BREAKERS = (
+    r"['c](\x. mu 'a. ['a](\y. mu 'b. ['d]x))",
+    r"['b](\x. mu 'a. ['c](\y. mu 'b. ['d]x))",
+    r"['c](\x. mu 'a. ['d](\y. mu 'a. ['e]x))",
+    r"['c](\x. mu 'a. ['d](\x. mu 'b. ['e]x))",
+)
+
+
+def test_pp_rewrites_are_the_sigma6_template_both_ways():
+    # pp is sigma6, kept as a match statement on the search's hot path;
+    # it must list what the sigma6 template lists, subobject by subobject
+    from lmtool.equivalence import AXIOMS, _subtree_rewrites
+    from lmtool.generators import gen_equiv_pair
+    from lmtool.lmu import SIGMA_EQUATIONS
+    from lmtool.syntax import positions, supply_for, template_rewrites
+
+    sigma6 = [eq for eq in SIGMA_EQUATIONS if eq[0] == "sigma6"]
+    objs = [c(text) for text in _PP_GUARD_BREAKERS]
+    for seed in range(40):
+        for ax in AXIOMS:
+            o, p, _ = gen_equiv_pair(seed, axiom=ax)
+            objs += [o, p] + [r for _, r in axiom_instances(o)]
+    found = 0
+    for o in objs:
+        for _, sub in positions(o):
+            pp = [
+                (orient, new)
+                for name, orient, new in _subtree_rewrites(sub, supply_for(sub), False, False)
+                if name == "pp"
+            ]
+            assert pp == [(orient, new) for _, orient, new in template_rewrites(sub, sigma6)]
+            found += len(pp)
+    assert found > 500
+    for text in _PP_GUARD_BREAKERS:
+        sub = c(text)
+        assert not any(name == "pp" for name, *_ in _subtree_rewrites(sub, supply_for(sub), False))
+
+
 def test_instances_stay_canonical():
     rng = random.Random(13)
     for _ in range(80):

@@ -101,6 +101,33 @@ def test_linear_mu_shapes():
     assert len(mu3) == 1 and not is_linear_mu_redex(o3, mu3[0][1])
 
 
+def test_mu_step_annotates_the_new_mu_with_the_codomain():
+    # the reduct of (mu a:A->B. c) z has type B, and so must its new mu
+    from lmtool.syntax import parse_type
+    from lmtool.typing import check_object
+
+    o = t("(mu 'a:iA->iB. ['a](\\x:iA. y)) z")
+    gamma = {"y": parse_type("iB"), "z": parse_type("iA")}
+    assert check_object(o, gamma, {}).judgment.type == parse_type("iB")
+    got = lmu_step(o, ())
+    assert check_object(got, gamma, {}).judgment.type == parse_type("iB")
+
+
+def test_mu_step_renames_a_bound_name_free_in_the_argument():
+    # the inner redex's argument holds the outer 'a free, which the inner
+    # mu 'a would bind
+    o = t("(mu 'a. ['b](mu 'a. ['a]x) (mu 'g. ['a]y)) v")
+    got = lmu_step(o, (0, 0, 0))
+    assert alpha_eq(got, t("(mu 'a. ['b](mu 'a1. ['a1]x (mu 'g. ['a]y))) v"))
+
+
+def test_lambda_mu_steps_reject_impure_objects():
+    o = t(r"((\x. x) y)[z\w]")
+    for f in (lmu_step, is_linear_mu_redex):
+        with pytest.raises(NotPureError):
+            f(o, (0,))
+
+
 def test_linear_mu_redex_ignores_a_shadowed_occurrence():
     # the first ['a] in pre-order is bound by the inner mu 'a; the free one
     # sits in an argument, so neither alpha-variant is linear
@@ -130,6 +157,174 @@ def test_sigma1_shape():
     assert any(
         a == "sigma1" and alpha_eq(r, t(r"\x. (\y. q) v")) for a, _, _, r in insts
     )
+
+
+def _sigma_equation_pairs(axioms, seeds=range(30), sizes=(3, 4)):
+    from lmtool.drivers import sigma_pair
+
+    for ax in axioms:
+        for seed in seeds:
+            for size in sizes:
+                yield ax, sigma_pair(seed, ax, size)
+
+
+def test_sigma_lists_each_equation_in_both_orientations():
+    # sigma1 to sigma6 are read both ways at the root of each side of a
+    # sigma pair; sigma7 and sigma8, whose right-to-left rewrites issue
+    # fresh names, are checked left to right
+    for ax, (lhs, rhs) in _sigma_equation_pairs([f"sigma{k}" for k in range(1, 9)]):
+        assert any(
+            (a, o, p) == (ax, "LR", ()) and alpha_eq(r, rhs) for a, o, p, r in sigma_instances(lhs)
+        ), (ax, lhs)
+        if ax in ("sigma7", "sigma8"):
+            continue
+        assert any(
+            (a, o, p) == (ax, "RL", ()) and alpha_eq(r, lhs) for a, o, p, r in sigma_instances(rhs)
+        ), (ax, rhs)
+
+
+def _without_twins(insts):
+    """The instances less the right-to-left twins of sigma4 and sigma6,
+    checking that each twin follows its left-to-right instance with the
+    same path and result."""
+    out = []
+    for k, (a, orient, p, r) in enumerate(insts):
+        if a in ("sigma4", "sigma6"):
+            if orient == "RL":
+                assert insts[k - 1] == (a, "LR", p, r)
+                continue
+            assert insts[k + 1] == (a, "RL", p, r)
+        out.append((a, orient, p, r))
+    return out
+
+
+def _ref_sigma_rewrites(sub, supply):
+    """The hand-written sigma rewrites that the equation templates
+    replaced: sigma4 and sigma6 left to right only."""
+    from lmtool.meta import rename
+    from lmtool.syntax import COMMAND, Abs, App, Mu, Named, free_names, not_at_all, sort_of
+
+    out = []
+
+    def naa(ident, *objs):
+        return all(not_at_all(ident, ob) for ob in objs)
+
+    match sub:
+        # sigma1: (\y.\x.t) v  =  \x.(\y.t) v,  x # v
+        case App(Abs(y, anny, Abs(x, annx, t)), v) if x != y and naa(x, v):
+            out.append(("sigma1", "LR", Abs(x, annx, App(Abs(y, anny, t), v))))
+    match sub:
+        case Abs(x, annx, App(Abs(y, anny, t), v)) if x != y and naa(x, v):
+            out.append(("sigma1", "RL", App(Abs(y, anny, Abs(x, annx, t)), v)))
+    match sub:
+        # sigma2: (\x.t v) u  =  ((\x.t) u) v,  x # v
+        case App(Abs(x, annx, App(t, v)), u) if naa(x, v):
+            out.append(("sigma2", "LR", App(App(Abs(x, annx, t), u), v)))
+    match sub:
+        case App(App(Abs(x, annx, t), u), v) if naa(x, v):
+            out.append(("sigma2", "RL", App(Abs(x, annx, App(t, v)), u)))
+    match sub:
+        # sigma3: (\x. mu a.[b]u) w  =  mu a.[b](\x.u) w,  a # w
+        case App(Abs(x, annx, Mu(a, anna, Named(b, u))), w) if naa(a, w):
+            out.append(
+                ("sigma3", "LR", Mu(a, anna, Named(b, App(Abs(x, annx, u), w))))
+            )
+    match sub:
+        case Mu(a, anna, Named(b, App(Abs(x, annx, u), w))) if naa(a, w):
+            out.append(
+                ("sigma3", "RL", App(Abs(x, annx, Mu(a, anna, Named(b, u))), w))
+            )
+    match sub:
+        # sigma4: [a2](mu a.[b2](mu b. c) w) v = [b2](mu b.[a2](mu a. c) v) w
+        # with a # w, b # v, b != a2, a != b2; the equation is its own
+        # converse, so one orientation covers both
+        case Named(a2, App(Mu(a, anna, Named(b2, App(Mu(b, annb, c), w))), v)) if (
+            a != b and naa(a, w) and naa(b, v) and b != a2 and a != b2
+        ):
+            out.append(
+                (
+                    "sigma4",
+                    "LR",
+                    Named(b2, App(Mu(b, annb, Named(a2, App(Mu(a, anna, c), v))), w)),
+                )
+            )
+    match sub:
+        # sigma5: [a2](mu a.[b2]\x. mu b. c) v  =  [b2]\x. mu b.[a2](mu a. c) v
+        # with x # v, b # v, b != a2, a != b2
+        case Named(a2, App(Mu(a, anna, Named(b2, Abs(x, annx, Mu(b, annb, c)))), v)) if (
+            a != b and naa(x, v) and naa(b, v) and b != a2 and a != b2
+        ):
+            out.append(
+                (
+                    "sigma5",
+                    "LR",
+                    Named(b2, Abs(x, annx, Mu(b, annb, Named(a2, App(Mu(a, anna, c), v))))),
+                )
+            )
+    match sub:
+        case Named(b2, Abs(x, annx, Mu(b, annb, Named(a2, App(Mu(a, anna, c), v))))) if (
+            a != b and naa(x, v) and naa(b, v) and b != a2 and a != b2
+        ):
+            out.append(
+                (
+                    "sigma5",
+                    "RL",
+                    Named(a2, App(Mu(a, anna, Named(b2, Abs(x, annx, Mu(b, annb, c)))), v)),
+                )
+            )
+    match sub:
+        # sigma6: [a2]\x. mu a.[b2]\y. mu b. c = [b2]\y. mu b.[a2]\x. mu a. c
+        # with b != a2, a != b2
+        case Named(
+            a2, Abs(x, annx, Mu(a, anna, Named(b2, Abs(y, anny, Mu(b, annb, c)))))
+        ) if a != b and b != a2 and a != b2 and x != y:
+            out.append(
+                (
+                    "sigma6",
+                    "LR",
+                    Named(
+                        b2,
+                        Abs(y, anny, Mu(b, annb, Named(a2, Abs(x, annx, Mu(a, anna, c))))),
+                    ),
+                )
+            )
+    match sub:
+        # sigma7: [a] mu b. c  =  c{b -> a}  (implicit renaming)
+        case Named(a, Mu(b, _, c)):
+            out.append(("sigma7", "LR", rename(c, a, b)))
+    # sigma7 RL: c = rename(c0, a, b) for a fresh b and some subset of the
+    # free a-occurrences; enumerating the literal inverse (all occurrences)
+    if sort_of(sub) == COMMAND:
+        for a in sorted(free_names(sub)):
+            b = supply.fresh("'b")
+            out.append(("sigma7", "RL", Named(a, Mu(b, None, rename(sub, b, a)))))
+    match sub:
+        # sigma8: mu a.[a]v = v,  a # v
+        case Mu(a, _, Named(a2, v)) if a == a2 and naa(a, v):
+            out.append(("sigma8", "LR", v))
+    if sort_of(sub) == TERM:
+        a = supply.fresh("'a")
+        out.append(("sigma8", "RL", Mu(a, None, Named(a, sub))))
+    return out
+
+
+def test_sigma_instances_match_the_hand_written_rewrites():
+    from lmtool.gen_random import random_pure_object
+    from lmtool.lmu import SIGMA_AXIOMS
+    from lmtool.syntax import rewrite_everywhere, supply_for
+
+    rng = random.Random(5)
+    objs = [o for _, pair in _sigma_equation_pairs(SIGMA_AXIOMS) for o in pair]
+    objs += [random_pure_object(rng, rng.randrange(2, 12)) for _ in range(300)]
+    twins = 0
+    for o in objs:
+        supply = supply_for(o)
+        rewrites = rewrite_everywhere(o, lambda s: _ref_sigma_rewrites(s, supply))
+        ref = [(a, orient, p, r) for p, (a, orient, _), r in rewrites]
+        got = sigma_instances(o)
+        assert _without_twins(got) == ref, o
+        twins += len(got) - len(ref)
+    assert twins > 100
 
 
 def test_sigma_sides_can_disagree_on_redex_count():
