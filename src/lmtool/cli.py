@@ -36,6 +36,23 @@ def _parse_env(spec: str | None):
     return gamma, delta
 
 
+def _at_least(least: int):
+    """An argparse type for a count: an int no smaller than least."""
+
+    def count(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    count.__name__ = "int"  # text that is no int reads "invalid int value"
+    return count
+
+
+_CASES = _at_least(1)
+_NON_NEGATIVE = _at_least(0)
+
+
 def _path_arg(o, spec: str):
     try:
         idxs = tuple(int(x) for x in spec.split(".") if x != "")
@@ -305,8 +322,8 @@ def main(argv=None) -> int:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--ren", action="store_true")
-    p.add_argument("--max-states", type=int, default=20000)
-    p.add_argument("--max-depth", type=int, default=12)
+    p.add_argument("--max-states", type=_NON_NEGATIVE, default=20000)
+    p.add_argument("--max-depth", type=_NON_NEGATIVE, default=12)
     p.add_argument("--stats", action="store_true", help="print the search's counts")
 
     p = add("typecheck", cmd_typecheck, help="check a typed object")
@@ -321,23 +338,27 @@ def main(argv=None) -> int:
 
     p = add("simcheck", cmd_simcheck, help="net simulation property")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--cases", type=_CASES, default=50)
 
     p = add("bisim-check", cmd_bisim_check, help="strong bisimulation property")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=60)
-    p.add_argument("--size", type=int, default=8)
+    p.add_argument(
+        "--cases", type=_CASES, default=60,
+        help="pairs to check, split evenly over the six axioms and rounded"
+        " down, at least one each: --cases 2 checks 6 pairs",
+    )
+    p.add_argument("--size", type=_NON_NEGATIVE, default=8)
 
     p = add("confluence-check", cmd_confluence_check, help="unique normal forms")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=50)
-    p.add_argument("--size", type=int, default=10)
-    p.add_argument("--max-states", type=int, default=10000)
+    p.add_argument("--cases", type=_CASES, default=50)
+    p.add_argument("--size", type=_NON_NEGATIVE, default=10)
+    p.add_argument("--max-states", type=_NON_NEGATIVE, default=10000)
 
     p = add("gen", cmd_gen, help="generate random objects")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=5)
-    p.add_argument("--size", type=int, default=10)
+    p.add_argument("--cases", type=_CASES, default=5)
+    p.add_argument("--size", type=_NON_NEGATIVE, default=10)
     p.add_argument("--typed", action="store_true")
 
     args = ap.parse_args(argv)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .equivalence import Axiom, _stack_inert, axiom_instances
+from .equivalence import Axiom, _stack_inert, _subtree_rewrites, axiom_instances
 from .gen_random import random_object
 from .reduction import canon, is_canonical
 from .syntax import (
@@ -22,8 +22,10 @@ from .syntax import (
     Push,
     Type,
     Var,
+    canonical_key,
     empty_stack,
     sort_of,
+    supply_for,
 )
 from .typing_util import fold_stack_type
 
@@ -148,10 +150,12 @@ def gen_typed(seed: int, size: int = 20) -> tuple[Object, dict[str, Type], dict[
 
 
 def _canonical_piece(rng: random.Random, size: int, sort: str) -> Object:
+    # canon keeps the sort and draws nothing from rng, so a draw of the
+    # wrong sort is dropped before it is canonicalized
     while True:
-        o = canon(random_object(rng, size))
+        o = random_object(rng, size)
         if sort_of(o) == sort:
-            return o
+            return canon(o)
 
 
 def _template(rng: random.Random, axiom: str) -> Object:
@@ -215,6 +219,24 @@ def _template(rng: random.Random, axiom: str) -> Object:
     raise ValueError(axiom)
 
 
+def axiom_choices(o: Object, axiom: str) -> list[tuple[Axiom, Object]]:
+    """The canonical instances of axiom that gen_equiv_pair draws from: those
+    at the root of the canonical object o, where the templates put them, or
+    failing those, the ones anywhere in o.
+
+    Only the root's rewrites are built and keyed; the root comes first in
+    pre-order, so they get the fresh names that axiom_instances gives them."""
+    include_ren = axiom == "ren"
+    roots = [
+        (Axiom(name, orient, (), canonical_key(r)), r)
+        for name, orient, r in _subtree_rewrites(o, supply_for(o), include_ren)
+        if name == axiom and is_canonical(r)
+    ]
+    if roots:
+        return roots
+    return [(ax, r) for ax, r in axiom_instances(o, include_ren) if ax.name == axiom]
+
+
 def gen_equiv_pair(
     seed: int,
     size: int = 8,
@@ -227,16 +249,12 @@ def gen_equiv_pair(
     for _ in range(200):
         if axiom is None:
             o = canon(random_object(rng, size))
+            insts = axiom_instances(o)
         else:
             o = _template(rng, axiom)
             if not is_canonical(o):
                 continue
-        insts = axiom_instances(o, include_ren=axiom == "ren")
-        if axiom is not None:
-            insts = [(ax, r) for ax, r in insts if ax.name == axiom]
-            # prefer root instances: those are the templated ones
-            roots = [(ax, r) for ax, r in insts if ax.path == ()]
-            insts = roots or insts
+            insts = axiom_choices(o, axiom)
         if not insts:
             continue
         ax, r = insts[rng.randrange(len(insts))]

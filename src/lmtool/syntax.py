@@ -521,13 +521,27 @@ def bound_idents(o: Object) -> set[str]:
 
 
 def all_idents(o: Object) -> set[str]:
-    return free_vars(o) | free_names(o) | bound_idents(o)
+    """Every variable and name of o, free or bound.  Each occurrence of an
+    identifier is a binder's or stands in a _FREE_AT field, so one walk over
+    those fields finds them all; it needs no recursion and fills no cache."""
+    out: set[str] = set()
+    stack = [o]
+    while stack:
+        cur = stack.pop()
+        t = type(cur)
+        bound = _BOUND_BY.get(t)
+        if bound is not None:
+            out.add(bound(cur))
+        at = _FREE_AT.get(t)
+        if at is not None:
+            out.add(getattr(cur, at))
+        stack.extend(children(cur))
+    return out
 
 
 def not_at_all(ident: str, o: Object) -> bool:
     """ident occurs neither free nor bound in o."""
-    free = free_names(o) if is_name(ident) else free_vars(o)
-    return ident not in free and ident not in bound_idents(o)
+    return ident not in all_idents(o)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,42 @@ def test_bad_step_and_reduce_input_exits_cleanly(capsys, argv, message):
     assert captured.err.count("\n") == 1 and captured.err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simcheck", "--cases", "-1"], "argument --cases: must be at least 1, got -1"),
+        (["bisim-check", "--cases", "0"], "argument --cases: must be at least 1, got 0"),
+        (["confluence-check", "--cases", "0"], "argument --cases: must be at least 1, got 0"),
+        (["gen", "--cases", "-3"], "argument --cases: must be at least 1, got -3"),
+        (["bisim-check", "--size", "-1"], "argument --size: must be at least 0, got -1"),
+        (["confluence-check", "--size", "-2"], "argument --size: must be at least 0, got -2"),
+        (["gen", "--size", "-1"], "argument --size: must be at least 0, got -1"),
+        (["confluence-check", "--max-states", "-1"],
+         "argument --max-states: must be at least 0, got -1"),
+        (["equiv", "x", "x", "--max-states", "-1"],
+         "argument --max-states: must be at least 0, got -1"),
+        (["equiv", "x", "x", "--max-depth", "-1"],
+         "argument --max-depth: must be at least 0, got -1"),
+        (["gen", "--cases", "many"], "argument --cases: invalid int value: 'many'"),
+    ],
+)
+def test_counts_out_of_range_exit_with_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and errors[0].endswith(message)
+
+
+def test_bisim_check_help_explains_the_cases_split(capsys):
+    with pytest.raises(SystemExit):
+        main(["bisim-check", "--help"])
+    assert "at least one each" in " ".join(capsys.readouterr().out.split())
+    code, out = run(capsys, "bisim-check", "--cases", "2", "--seed", "1")
+    assert code == 0 and out.strip().splitlines()[-2].startswith("6 pairs, ")
+
+
 def test_ppn_of_a_stack_exits_cleanly(capsys):
     # a stack has no net without a result type
     code = main(["ppn", "x . #", "--sort", "stack", "--env", "x:iA"])

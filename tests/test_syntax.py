@@ -726,6 +726,23 @@ def test_bound_idents_match_the_positions_walk():
             assert bound_idents(obj) == ref_bound_idents(obj)
 
 
+def test_all_idents_matches_the_reference_and_fills_no_cache():
+    for o in kernel_corpus():
+        for obj in (o, squash_names(o), squash_vars(o), squash_vars(squash_names(o))):
+            fresh = rebuild(obj)
+            assert all_idents(fresh) == ref_all_idents(obj)
+            for _, sub in positions(fresh):
+                assert getattr(sub, "_fv", None) is None
+                assert getattr(sub, "_fn", None) is None
+
+
+def test_all_idents_walks_a_deep_spine_without_recursion():
+    spine = Var("f")
+    for i in range(100_000):
+        spine = App(spine, Var(f"a{i % 7}"))
+    assert all_idents(spine) == {"f"} | {f"a{i}" for i in range(7)}
+
+
 def test_lazy_supply_issues_the_eager_names():
     corpus = kernel_corpus()
     compared = needs_second = 0
