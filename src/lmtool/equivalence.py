@@ -87,6 +87,10 @@ class EquivOutcome:
     reason: str = ""
     expanded: int = 0  # states whose rewrites the search enumerated
     built: int = 0  # rewrites it consumed, canonical or not
+    # node rewrite lists the search computed, and those its memo served
+    # again; both 0 when an expansion cache serves the search
+    computed: int = 0
+    served: int = 0
 
     @property
     def equivalent(self) -> bool:
@@ -212,7 +216,7 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
         match sub:
             # ren LR: c[a/b\#] -> rename(c, a, b)
             case ERepl(cbody, a, b, _, EmptyStack()):
-                out.append(("ren", "LR", rename(cbody, a, b)))
+                out.append(("ren", "LR", rename(cbody, a, b, supply)))
         if expansive and sort_of(sub) == "command":
             # ren RL: pick a free name and push a subset of its occurrences
             # under a fresh explicit renaming
@@ -260,15 +264,42 @@ def _rebuild_spine(head: Object, args: list[Object]) -> Object:
 # Instances on whole objects
 
 
-def _rewrites(o: Object, include_ren: bool, expansive: bool):
+class _NodeMemo:
+    """The _subtree_rewrites list of each node met, by node identity, and
+    how many lists it served again.  Every node it keys belongs to an
+    object that outlives the memo, so no id is reused while it lives.
+
+    A result can hold its node (theta's mu a.[a]t holds t), so a list
+    served again inside it can bind a name under a binder of the same
+    name; the state is alpha-equivalent to one with a second fresh name."""
+
+    __slots__ = ("lists", "served")
+
+    def __init__(self):
+        self.lists: dict[int, list[tuple[str, str, Object]]] = {}
+        self.served = 0
+
+
+def _rewrites(o: Object, include_ren: bool, expansive: bool, supply: NameSupply,
+              memo: _NodeMemo):
     """Yield (index path, (axiom, orientation, new subobject), result) for
     every single-axiom rewrite of o, at every position in pre-order and in
-    both orientations, canonical or not."""
-    supply = supply_for(o)
+    both orientations, canonical or not.  supply issues every fresh name,
+    and memo computes each node's rewrites once: they depend only on the
+    node and on fresh names, so one list serves every object that holds the
+    node, as long as one supply serves them all."""
+    lists = memo.lists
+
+    def of(sub: Object):
+        found = lists.get(id(sub))
+        if found is None:
+            found = lists[id(sub)] = _subtree_rewrites(sub, supply, include_ren, expansive)
+        else:
+            memo.served += 1
+        return found
+
     # no axiom yields a free identifier that its subobject lacks
-    yield from rewrite_everywhere(
-        o, lambda sub: _subtree_rewrites(sub, supply, include_ren, expansive)
-    )
+    yield from rewrite_everywhere(o, of)
 
 
 def _keyed(rewrites):
@@ -289,7 +320,8 @@ def axiom_instances(
     if not is_canonical(o):
         raise NotCanonicalError(print_object(o))
     return list(_keyed(
-        rw for rw in _rewrites(o, include_ren, expansive) if is_canonical(rw[-1])
+        rw for rw in _rewrites(o, include_ren, expansive, supply_for(o), _NodeMemo())
+        if is_canonical(rw[-1])
     ))
 
 
@@ -337,7 +369,7 @@ class ExpansionCache:
         if hit is not None and (hit[0] is o or hit[0] == o):
             self.hits += 1
             return hit[1]
-        out = list(_keyed(_rewrites(o, False, False)))
+        out = list(_keyed(_rewrites(o, False, False, supply_for(o), _NodeMemo())))
         self.entries[key] = (o, out)
         return out
 
@@ -364,7 +396,11 @@ def equiv(
     Rewrites are consumed one at a time.  A result whose key is already
     visited is skipped before its canonicity is tested: every visited state
     is canonical, and canonicity is invariant under renaming.  Without a
-    cache, no rewrite is built after the search stops."""
+    cache, no rewrite is built after the search stops, and one name supply,
+    reserving o's and p's identifiers, issues every fresh name of the
+    search.  Every identifier of every state is then o's or p's or was
+    issued once by that supply, so one memo computes each node's rewrites
+    once for all the states that hold the node."""
     for q in (o, p):
         if not is_canonical(q):
             raise NotCanonicalError(print_object(q))
@@ -388,10 +424,12 @@ def equiv(
     states = 2
     depth_f = depth_b = 0
     expanded = built = 0
+    supply, memo = supply_for(o, p), _NodeMemo()
 
     def stop(reason: str, cert: Optional[Certificate] = None) -> EquivOutcome:
         status = "equivalent" if cert is not None else "not-within-bounds"
-        return EquivOutcome(status, cert, states, reason, expanded, built)
+        return EquivOutcome(status, cert, states, reason, expanded, built,
+                            len(memo.lists), memo.served)
 
     def splice(meet_key) -> Certificate:
         steps = list(fwd[meet_key][1])
@@ -418,7 +456,7 @@ def equiv(
             obj, steps = visited[key]
             expanded += 1
             if cache is None:
-                rewrites = _keyed(_rewrites(obj, include_ren, expansive))
+                rewrites = _keyed(_rewrites(obj, include_ren, expansive, supply, memo))
             else:
                 rewrites = cache.instances(key, obj)
             for ax, res in rewrites:

@@ -203,9 +203,11 @@ def replace(
     return _graft(o, old, free_vars(s) | fn_s | {new}, supply, at)
 
 
-def rename(o: Object, new: str, old: str) -> Object:
-    """Replacement with the empty stack; never consults a name supply."""
-    return replace(o, new, old, empty_stack())
+def rename(o: Object, new: str, old: str, supply: NameSupply | None = None) -> Object:
+    """Replacement with the empty stack.  It issues a fresh name only where
+    an inner replacement binds new; pass the supply of the object that
+    holds o, since without one the name avoids only o's identifiers."""
+    return replace(o, new, old, empty_stack(), supply)
 
 
 def prepare_erepl(e: ERepl, supply: NameSupply | None = None) -> ERepl:

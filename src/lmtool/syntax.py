@@ -632,23 +632,31 @@ rename_free_var = rename_free
 def refresh(o: Object, supply: NameSupply) -> Object:
     """Rename every binder to a fresh identifier (Barendregt discipline).
     Each binder takes its fresh identifier before its children are walked,
-    in child order."""
+    in child order, and each node is built once, with its final fields; a
+    variable that keeps its name is kept as it is."""
 
     def go(o: Object, env: dict[str, str]) -> Object:
         t = type(o)
-        bound = _BOUND_BY.get(t)
-        inner = env
-        if bound is not None:
-            x = bound(o)
-            inner = {**env, x: supply.fresh(x)}
-            o = _REBIND[t](o, inner[x], o.body)
-        cs = children(o)
-        if cs:
-            o = with_children(o, (go(cs[0], inner), *(go(c, env) for c in cs[1:])))
-        at = _FREE_AT.get(t)
-        if at is not None and getattr(o, at) in env:
-            o = _RENAME_AT[t](o, env[getattr(o, at)])
-        return o
+        if t is Var:
+            return Var(env[o.name]) if o.name in env else o
+        if t is App:
+            return App(go(o.fun, env), go(o.arg, env))
+        if t is Push:
+            return Push(go(o.head, env), go(o.tail, env))
+        if t is Named:
+            return Named(env.get(o.name, o.name), go(o.body, env))
+        if t is EmptyStack:
+            return o
+        x = _BOUND_BY[t](o)
+        x2 = supply.fresh(x)
+        body = go(o.body, {**env, x: x2})
+        if t is Abs:
+            return Abs(x2, o.ann, body)
+        if t is Mu:
+            return Mu(x2, o.ann, body)
+        if t is ESub:
+            return ESub(body, x2, go(o.arg, env))
+        return ERepl(body, env.get(o.new, o.new), x2, o.ann, go(o.stack, env))
 
     return go(o, {})
 

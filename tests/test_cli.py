@@ -123,19 +123,24 @@ def test_equiv_stats_line_comes_before_the_unchanged_output(capsys):
         ["x", "y", "--ren", "--max-states", "40", "--max-depth", "3"],
         ["x", "y"],
     ]
-    stat = re.compile(r"search: (\d+) states, (\d+) expanded, (\d+) rewrites built")
+    stat = re.compile(
+        r"search: (\d+) states, (\d+) expanded, (\d+) rewrites built,"
+        r" (\d+) node rewrite lists computed, (\d+) served from memo"
+    )
     counts = []
     for argv in cases:
         code, plain = run(capsys, "equiv", *argv)
         code2, out = run(capsys, "equiv", *argv, "--stats")
         first, rest = out.split("\n", 1)
         assert code2 == code and rest == plain
-        states, expanded, built = map(int, stat.fullmatch(first).groups())
-        # every state past the two ends came from one built rewrite
+        states, expanded, built, computed, served = map(int, stat.fullmatch(first).groups())
+        # every state past the two ends came from one built rewrite, and
+        # every expanded state has a root whose rewrites were looked up
         assert expanded <= built and max(states - 2, 0) <= built
-        counts.append((states, expanded, built))
-    assert counts[1][1] > 1
-    assert counts[2] == (0, 0, 0)  # free identifiers differ: no search
+        assert expanded <= computed + served
+        counts.append((states, expanded, built, computed, served))
+    assert counts[1][1] > 1 and counts[1][4] > 0
+    assert counts[2] == (0, 0, 0, 0, 0)  # free identifiers differ: no search
 
 
 @pytest.mark.parametrize(
@@ -164,7 +169,8 @@ def test_bad_step_and_reduce_input_exits_cleanly(capsys, argv, message):
         (["bisim-check", "--cases", "0"], "argument --cases: must be at least 1, got 0"),
         (["confluence-check", "--cases", "0"], "argument --cases: must be at least 1, got 0"),
         (["gen", "--cases", "-3"], "argument --cases: must be at least 1, got -3"),
-        (["bisim-check", "--size", "-1"], "argument --size: must be at least 0, got -1"),
+        # every bisim-check pair comes from a template of fixed size
+        (["bisim-check", "--size", "3"], "error: unrecognized arguments: --size 3"),
         (["confluence-check", "--size", "-2"], "argument --size: must be at least 0, got -2"),
         (["gen", "--size", "-1"], "argument --size: must be at least 0, got -1"),
         (["confluence-check", "--max-states", "-1"],
@@ -188,7 +194,8 @@ def test_counts_out_of_range_exit_with_one_error_line(capsys, argv, message):
 def test_bisim_check_help_explains_the_cases_split(capsys):
     with pytest.raises(SystemExit):
         main(["bisim-check", "--help"])
-    assert "at least one each" in " ".join(capsys.readouterr().out.split())
+    usage = " ".join(capsys.readouterr().out.split())
+    assert "at least one each" in usage and "takes no --size" in usage
     code, out = run(capsys, "bisim-check", "--cases", "2", "--seed", "1")
     assert code == 0 and out.strip().splitlines()[-2].startswith("6 pairs, ")
 
@@ -235,7 +242,7 @@ def test_output_does_not_depend_on_the_hash_seed():
         ["sigma", "['c](mu 'a. ['b](x (mu 'd. ['a]y)))"],
         ["reduce", "--mode", "refined", "--trace", callcc],
         ["meaningful", callcc],
-        ["equiv", "--ren", print_object(lhs), print_object(rhs)],
+        ["equiv", "--ren", "--stats", print_object(lhs), print_object(rhs)],
         ["simcheck", "--seed", "99", "--cases", "60"],
         ["ppn", "--nf", "full", "--env", "f:iA->iA->iB,g:iC->iA,y:iC", r"(\x:iA. f x x) (g y)"],
     ]

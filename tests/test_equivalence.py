@@ -399,9 +399,9 @@ def test_cached_canonicity_of_instances_matches_reference_walk(seeded_objects):
     # every rewrite at every position, canonical or not, and every subobject
     # of it; the instances share untouched subtrees with their source, whose
     # caches are full after the first round
-    from lmtool.equivalence import _rewrites
+    from lmtool.equivalence import _NodeMemo, _rewrites
     from lmtool.reduction import _canon_tag
-    from lmtool.syntax import positions
+    from lmtool.syntax import positions, supply_for
 
     def reference(o):
         return all(_canon_tag(sub) is None for _, sub in positions(o))
@@ -409,7 +409,7 @@ def test_cached_canonicity_of_instances_matches_reference_walk(seeded_objects):
     seen = set()
     for _ in range(2):
         for o in seeded_objects:
-            for *_, res in _rewrites(o, include_ren=True, expansive=True):
+            for *_, res in _rewrites(o, True, True, supply_for(o), _NodeMemo()):
                 full = reference(res)
                 assert is_canonical(res) == full, print_object(res)
                 seen.add(full)
@@ -632,3 +632,98 @@ def test_non_expansive_instances_that_issue_no_name_do_not_walk_the_object(monke
     # theta right-to-left issues a fresh name, which walks o once
     assert any(ax.name == "theta" for ax, _ in axiom_instances(o))
     assert walks == [o]
+
+
+# --- one name supply and one node memo per search ------------------------------
+
+
+def _outcome(res):
+    steps = res.certificate.steps if res.certificate else []
+    return (res.status, res.states, res.expanded, res.built, res.reason,
+            res.certificate.render() if res.certificate else None,
+            [(s.name, s.orientation, s.path, s.result_key) for s in steps])
+
+
+def _per_state_rewrites(o, include_ren, expansive, supply, memo):
+    """The expansion before the memo: one supply_for per expanded state, and
+    every node's rewrites computed afresh."""
+    from lmtool.equivalence import _subtree_rewrites
+    from lmtool.syntax import rewrite_everywhere, supply_for
+
+    supply = supply_for(o)
+    return rewrite_everywhere(
+        o, lambda sub: _subtree_rewrites(sub, supply, include_ren, expansive)
+    )
+
+
+def _sigma_search_pairs(seeds):
+    from lmtool.drivers import sigma_pair
+
+    for seed in seeds:
+        for k in range(1, 9):
+            lhs, rhs = sigma_pair(seed, f"sigma{k}", size=3)
+            yield canon(lhs), canon(rhs)
+
+
+def test_node_memo_keeps_the_outcomes_of_the_per_state_loop(monkeypatch):
+    from lmtool import equivalence
+
+    rewrites = equivalence._rewrites
+    served = 0
+    for o, p in _sigma_search_pairs(range(8)):
+        for bounds in ({"max_states": 300}, {"max_depth": 3}, {}):
+            res = equiv(o, p, include_ren=True, **bounds)
+            monkeypatch.setattr(equivalence, "_rewrites", _per_state_rewrites)
+            want = equiv(o, p, include_ren=True, **bounds)
+            monkeypatch.setattr(equivalence, "_rewrites", rewrites)
+            assert _outcome(res) == _outcome(want)
+            served += res.served
+    assert served > 1000
+
+
+def test_every_identifier_of_a_search_is_an_inputs_or_issued_once(monkeypatch):
+    from collections import Counter
+
+    from lmtool import equivalence
+    from lmtool.syntax import NameSupply, all_idents
+
+    issued, states = [], []
+    fresh = NameSupply.fresh
+    is_canon = equivalence.is_canonical
+
+    def issue(supply, base):
+        issued.append(fresh(supply, base))
+        return issued[-1]
+
+    def seen(o):
+        states.append(o)
+        return is_canon(o)
+
+    monkeypatch.setattr(NameSupply, "fresh", issue)
+    monkeypatch.setattr(equivalence, "is_canonical", seen)
+    holding_issued = 0
+    for o, p in _sigma_search_pairs(range(4)):
+        issued.clear()
+        states.clear()
+        equiv(o, p, include_ren=True, max_states=300)
+        assert not [n for n, k in Counter(issued).items() if k > 1]
+        allowed = all_idents(o) | all_idents(p) | set(issued)
+        # every state the search visited, and every other result it checked
+        for q in states:
+            idents = all_idents(q)
+            assert idents <= allowed
+            holding_issued += bool(idents & set(issued))
+    assert holding_issued > 1000
+
+
+def test_ren_left_to_right_takes_its_fresh_name_from_the_objects_supply():
+    from lmtool.syntax import EmptyStack, Mu, Var, all_idents, subobject_at
+
+    # the inner replacement binds 'a, the outer redex's new name, so renaming
+    # 'b to 'a must rename the inner binder; 'a1 is taken outside the redex
+    inner = ERepl(Named("'b", Var("y")), "'c", "'a", None, EmptyStack())
+    o = Named("'a1", Mu("'e", None, ERepl(inner, "'a", "'b", None, EmptyStack())))
+    res = apply_axiom(o, Axiom("ren", "LR", (0, 0)))
+    renamed = subobject_at(res, (0, 0))
+    assert type(renamed) is ERepl and renamed.body == Named("'a", Var("y"))
+    assert renamed.old not in all_idents(o)

@@ -823,6 +823,43 @@ def test_refresh_matches_the_recursive_walk():
             assert got.counter == want.counter
 
 
+def ref_refresh_rebuilding(o, supply):
+    """refresh as it was, building each binder twice and renaming a free
+    identifier in a third build."""
+    from lmtool.syntax import _BOUND_BY, _FREE_AT, _REBIND, _RENAME_AT
+
+    def go(o, env):
+        t = type(o)
+        bound = _BOUND_BY.get(t)
+        inner = env
+        if bound is not None:
+            x = bound(o)
+            inner = {**env, x: supply.fresh(x)}
+            o = _REBIND[t](o, inner[x], o.body)
+        cs = children(o)
+        if cs:
+            o = with_children(o, (go(cs[0], inner), *(go(c, env) for c in cs[1:])))
+        at = _FREE_AT.get(t)
+        if at is not None and getattr(o, at) in env:
+            o = _RENAME_AT[t](o, env[getattr(o, at)])
+        return o
+
+    return go(o, {})
+
+
+def test_refresh_matches_the_reference_and_issues_the_same_names():
+    rng = random.Random(11)
+    objects = [random_object(rng, rng.randrange(1, 14)) for _ in range(2000)]
+    for o in kernel_corpus():
+        objects += [o, squash_names(o), squash_vars(o), squash_vars(squash_names(o))]
+    for o in objects:
+        got, want = supply_for(o), supply_for(o)
+        # a second refresh from the same supplies issues later names
+        for _ in range(2):
+            assert print_object(refresh(o, got)) == print_object(ref_refresh_rebuilding(o, want))
+            assert got.counter == want.counter
+
+
 # --- sorts ---------------------------------------------------------------------
 
 
