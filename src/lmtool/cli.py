@@ -288,51 +288,46 @@ def main(argv=None) -> int:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, *objects, **kw):
+        """A subcommand; one that parses objects takes them as positional
+        arguments, with --sort for their sort."""
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--sort", choices=["term", "command", "stack"], default=None)
+        for arg in objects:
+            p.add_argument(arg)
+        if objects:
+            p.add_argument("--sort", choices=["term", "command", "stack"], default=None)
         return p
 
-    p = add("parse", cmd_parse, help="parse and reprint an object")
-    p.add_argument("object")
+    p = add("parse", cmd_parse, "object", help="parse and reprint an object")
 
-    p = add("canon", cmd_canon, help="canonical form")
-    p.add_argument("object")
+    p = add("canon", cmd_canon, "object", help="canonical form")
     p.add_argument("--trace", action="store_true")
 
-    p = add("step", cmd_step, help="list plain redexes or fire one")
-    p.add_argument("object")
+    p = add("step", cmd_step, "object", help="list plain redexes or fire one")
     p.add_argument("--path", default=None, help="dotted child indices, e.g. 0.1")
     p.add_argument("--tag", default=None, choices=[t.value for t in RuleTag])
 
-    p = add("reduce", cmd_reduce, help="reduce to normal form")
-    p.add_argument("object")
+    p = add("reduce", cmd_reduce, "object", help="reduce to normal form")
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--mode", choices=["plain", "refined"], default="plain")
     p.add_argument("--trace", action="store_true")
 
-    p = add("meaningful", cmd_meaningful, help="meaningful redexes and reducts")
-    p.add_argument("object")
+    p = add("meaningful", cmd_meaningful, "object", help="meaningful redexes and reducts")
     p.add_argument("--quiet", action="store_true")
 
-    p = add("sigma", cmd_sigma, help="sigma-equivalence instances")
-    p.add_argument("object")
+    add("sigma", cmd_sigma, "object", help="sigma-equivalence instances")
 
-    p = add("equiv", cmd_equiv, help="bounded equivalence search")
-    p.add_argument("left")
-    p.add_argument("right")
+    p = add("equiv", cmd_equiv, "left", "right", help="bounded equivalence search")
     p.add_argument("--ren", action="store_true")
     p.add_argument("--max-states", type=_NON_NEGATIVE, default=20000)
     p.add_argument("--max-depth", type=_NON_NEGATIVE, default=12)
     p.add_argument("--stats", action="store_true", help="print the search's counts")
 
-    p = add("typecheck", cmd_typecheck, help="check a typed object")
-    p.add_argument("object")
+    p = add("typecheck", cmd_typecheck, "object", help="check a typed object")
     p.add_argument("--env", default=None, help="x:iA,'a:iB,... for free vars/names")
 
-    p = add("ppn", cmd_ppn, help="translate to a proof net (DOT)")
-    p.add_argument("object")
+    p = add("ppn", cmd_ppn, "object", help="translate to a proof net (DOT)")
     p.add_argument("--env", default=None)
     p.add_argument("--dot", default=None, help="write DOT to this file")
     p.add_argument("--nf", choices=["none", "mult", "full"], default="none")

@@ -8,11 +8,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equivalence import Axiom, ExpansionCache, _stack_inert, equiv
+from .equivalence import REN_AXIOM, Axiom, ExpansionCache, _stack_inert, _subtree_rewrites, equiv
 from .gen_random import random_pure_command, random_pure_stack, random_pure_term
 from .generators import _TypedGen, gen_typed
-from .lmu import SIGMA_EQUATIONS, lmu_redexes, sigma_instances
-from .meta import apply_stack, rename, stack_of
+from .lmu import SIGMA_EQUATIONS, _sigma_rewrites, lmu_redexes, sigma_instances
+from .meta import rename, stack_of
 from .reduction import (
     BudgetExhausted,
     RuleTag,
@@ -44,6 +44,7 @@ from .syntax import (
     instantiate,
     parse,
     print_object,
+    supply_for,
 )
 from .typing_util import fold_stack_type
 
@@ -180,9 +181,16 @@ def sigma_correspondence_case(
 # suite) and of canonical-form steps
 
 
+def _first_lr(rewrites, axiom: str) -> Optional[Object]:
+    """The first left-to-right rewrite by axiom in a list of root rewrites
+    (axiom, orientation, result), or None."""
+    return next((r for name, orient, r in rewrites if (name, orient) == (axiom, "LR")), None)
+
+
 class TypedPairs:
     """Builds typed pairs (lhs, rhs, gamma, delta) for each axiom; lhs and
-    rhs are canonical and related by one axiom instance."""
+    rhs are canonical and related by one axiom instance.  Each builder
+    draws only the left side; its right side is the engine's rewrite."""
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
@@ -206,12 +214,21 @@ class TypedPairs:
         return dict(self.gen.gamma), dict(self.gen.delta)
 
     def build(self, axiom: str) -> tuple[Object, Object, dict, dict]:
+        """A typed canonical left side and, as its right side, the first
+        left-to-right instance of axiom at its root that _subtree_rewrites
+        lists; drawn again until both sides are canonical."""
         for _ in range(100):
             self.gen = _TypedGen(self.rng)
-            lhs, rhs, extra_d = getattr(self, "_" + axiom)()
+            lhs, extra_d = getattr(self, "_" + axiom)()
             g, d = self.envs()
             d.update(extra_d)
-            if is_canonical(lhs) and is_canonical(rhs):
+            if not is_canonical(lhs):
+                continue
+            rhs = _first_lr(
+                _subtree_rewrites(lhs, supply_for(lhs), axiom == REN_AXIOM, expansive=False),
+                axiom,
+            )
+            if rhs is not None and is_canonical(rhs):
                 return lhs, rhs, g, d
         raise RuntimeError(f"no canonical typed instance of {axiom}")
 
@@ -225,21 +242,18 @@ class TypedPairs:
             y, cty = self._n("ty"), self.gen.random_type(1)
             v = self._term(a, 2, sg={x: b, y: cty})
             lhs = ESub(Abs(y, cty, v), x, u)
-            rhs = Abs(y, cty, ESub(v, x, u))
         elif shape == 1:
             cty = self.gen.random_type(1)
             v = self._term(Arrow(cty, a), 2, sg={x: b})
             t = self._term(cty, 2)
             lhs = ESub(App(v, t), x, u)
-            rhs = App(ESub(v, x, u), t)
         else:
             an, bn = self._n("'ta"), self._n("'tb")
             tb = self.gen.random_type(1)
             self.gen.delta[bn] = tb
             v = self._term(tb, 2, sg={x: b})
             lhs = ESub(Mu(an, a, Named(bn, v)), x, u)
-            rhs = Mu(an, a, Named(bn, ESub(v, x, u)))
-        return lhs, rhs, {}
+        return lhs, {}
 
     def _exr(self):
         bty = self.gen.random_type(1)
@@ -253,10 +267,7 @@ class TypedPairs:
         gn, dn = self._n("'tg"), self._n("'td")
         mty = self.gen.random_type(1)
         self.gen.delta[gn] = mty
-        lcc_inner = Named(gn, Mu(dn, mty, c0))
-        lhs = ERepl(lcc_inner, nn, on, tann, s)
-        rhs = Named(gn, Mu(dn, mty, ERepl(c0, nn, on, tann, s)))
-        return lhs, rhs, {nn: bty}
+        return ERepl(Named(gn, Mu(dn, mty, c0)), nn, on, tann, s), {nn: bty}
 
     def _lin(self):
         bty = self.gen.random_type(1)
@@ -268,10 +279,7 @@ class TypedPairs:
         u = self._term(tann, 3)
         while not _stack_inert(u):
             u = self._term(tann, 3)
-        s = self._stack(stys)
-        lhs = ERepl(Named(on, u), nn, on, tann, s)
-        rhs = Named(nn, canon(apply_stack(u, s)))
-        return lhs, rhs, {nn: bty}
+        return ERepl(Named(on, u), nn, on, tann, self._stack(stys)), {nn: bty}
 
     def _pp(self):
         ax_t, bx_t = self.gen.random_type(1), self.gen.random_type(1)
@@ -283,32 +291,24 @@ class TypedPairs:
         lhs = Named(
             an, Abs(x, ax_t, Mu(a2, ta, Named(bn, Abs(y, bx_t, Mu(b2, tb, c)))))
         )
-        rhs = Named(
-            bn, Abs(y, bx_t, Mu(b2, tb, Named(an, Abs(x, ax_t, Mu(a2, ta, c)))))
-        )
-        return lhs, rhs, {an: Arrow(ax_t, ta), bn: Arrow(bx_t, tb)}
+        return lhs, {an: Arrow(ax_t, ta), bn: Arrow(bx_t, tb)}
 
     def _rho(self):
         t = self.gen.random_type(1)
         a, b = self._n("'ta"), self._n("'tb")
         c = self._command(3, sd={b: t})
-        lhs = Named(a, Mu(b, t, c))
-        rhs = ERepl(c, a, b, t, empty_stack())
-        return lhs, rhs, {a: t}
+        return Named(a, Mu(b, t, c)), {a: t}
 
     def _theta(self):
         t = self.gen.random_type(1)
         a = self._n("'ta")
-        body = self._term(t, 3)
-        return Mu(a, t, Named(a, body)), body, {}
+        return Mu(a, t, Named(a, self._term(t, 3))), {}
 
     def _ren(self):
         t = self.gen.random_type(1)
         a, b = self._n("'ta"), self._n("'tb")
         c = self._command(3, sd={b: t})
-        lhs = ERepl(c, a, b, t, empty_stack())
-        rhs = rename(c, a, b)
-        return lhs, rhs, {a: t}
+        return ERepl(c, a, b, t, empty_stack()), {a: t}
 
     # --- canonical-form steps (C and W) -------------------------------------
 
@@ -386,10 +386,11 @@ def sigma_pair(seed: int, axiom: str, size: int = 4) -> tuple[Object, Object]:
     pool_u = sorted(free_names(u))
     if pool_u and rng.random() < 0.5:
         u = rename(u, a, rng.choice(pool_u))
-    if axiom == "sigma7":
-        return Named(a, Mu(b, None, c)), rename(c, a, b)
-    if axiom == "sigma8":
-        return Mu(a, None, Named(a, t)), t
+    # sigma7 and sigma8 are not templates: the right side is lmu's first
+    # left-to-right rewrite at the root
+    if axiom in ("sigma7", "sigma8"):
+        lhs = Named(a, Mu(b, None, c)) if axiom == "sigma7" else Mu(a, None, Named(a, t))
+        return lhs, _first_lr(_sigma_rewrites(lhs, supply_for(lhs)), axiom)
     env = dict(t=t, u=u, v=v, w=w, c=c, x=x, y=y, a=a, b=b, a2=a2, b2=b2,
                annx=None, anny=None, anna=None, annb=None)
     for name, left, right, _ in SIGMA_EQUATIONS:

@@ -52,19 +52,32 @@ class _TypedGen:
             return self.rng.choice(_BASES)
         return Arrow(self.random_type(depth - 1), self.random_type(depth - 1))
 
+    def pick(self, a: Type, scope: dict[str, Type], env: dict[str, Type],
+             prefix: str) -> str:
+        """An identifier of type a: mostly one already in scope or in env,
+        else a fresh one that env learns."""
+        rng = self.rng
+        cands = [k for k, t in scope.items() if t == a]
+        cands += [k for k, t in env.items() if t == a]
+        if cands and rng.random() < 0.7:
+            return rng.choice(cands)
+        k = self.fresh(prefix)
+        env[k] = a
+        return k
+
     # --- terms ---------------------------------------------------------
 
     def term(self, a: Type, fuel: int, sg: dict[str, Type], sd: dict[str, Type]) -> Object:
         rng = self.rng
         if fuel <= 1:
-            return self.leaf(a, sg)
+            return Var(self.pick(a, sg, self.gamma, "z"))
         choices = ["app", "mu", "var"]
         if isinstance(a, Arrow):
             choices += ["abs", "abs"]
         choices += ["sub"]
         match rng.choice(choices):
             case "var":
-                return self.leaf(a, sg)
+                return Var(self.pick(a, sg, self.gamma, "z"))
             case "abs":
                 x = self.fresh("x")
                 body = self.term(a.right, fuel - 1, {**sg, x: a.left}, sd)
@@ -88,27 +101,7 @@ class _TypedGen:
                 return ESub(body, x, u)
         raise AssertionError
 
-    def leaf(self, a: Type, sg: dict[str, Type]) -> Object:
-        rng = self.rng
-        cands = [x for x, t in sg.items() if t == a]
-        cands += [x for x, t in self.gamma.items() if t == a]
-        if cands and rng.random() < 0.7:
-            return Var(rng.choice(cands))
-        x = self.fresh("z")
-        self.gamma[x] = a
-        return Var(x)
-
     # --- commands ------------------------------------------------------
-
-    def pick_name(self, a: Type, sd: dict[str, Type]) -> str:
-        rng = self.rng
-        cands = [n for n, t in sd.items() if t == a]
-        cands += [n for n, t in self.delta.items() if t == a]
-        if cands and rng.random() < 0.7:
-            return rng.choice(cands)
-        n = self.fresh("'f")
-        self.delta[n] = a
-        return n
 
     def command(self, fuel: int, sg: dict[str, Type], sd: dict[str, Type]) -> Object:
         rng = self.rng
@@ -119,7 +112,7 @@ class _TypedGen:
             stypes = tuple(self.random_type(1) for _ in range(arity))
             ann = fold_stack_type(stypes, b)
             on = self.fresh("'r")
-            nn = self.pick_name(b, sd)
+            nn = self.pick(b, sd, self.delta, "'f")
             k = rng.randint(1, fuel - 1)
             body = self.command(k, sg, {**sd, on: ann, nn: b})
             stack: Object = empty_stack()
@@ -129,7 +122,7 @@ class _TypedGen:
                 stack = Push(self.term(st, kk, sg, sd), stack)
             return ERepl(body, nn, on, ann, stack)
         a = self.random_type(1)
-        n = self.pick_name(a, sd)
+        n = self.pick(a, sd, self.delta, "'f")
         return Named(n, self.term(sd.get(n, self.delta.get(n, a)), max(1, fuel - 1), sg, sd))
 
 

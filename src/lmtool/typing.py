@@ -2,8 +2,9 @@
 subject-reduction harness.
 
 Checking consumes caller environments for the free variables and names;
-every judgment in the produced derivation is trimmed so that its
-assignments mention exactly the free variables/names of its subject."""
+every judgment of the produced derivation takes as its contexts the
+environments of its clause cut to the free variables and names of its
+subject."""
 
 from __future__ import annotations
 
@@ -75,30 +76,28 @@ class Derivation:
         return "\n".join(lines)
 
 
-def _trim(d: dict[str, Type]) -> tuple[tuple[str, Type], ...]:
-    return tuple(sorted(d.items()))
-
-
-def _merge(kind: str, *dicts: dict[str, Type]) -> dict[str, Type]:
-    out: dict[str, Type] = {}
-    for d in dicts:
-        for k, v in d.items():
-            if k in out and out[k] != v:
-                raise LMTypeError(
-                    f"incompatible union: {k} has types {out[k]}"
-                    f" and {v} ({kind})"
-                )
-            out[k] = v
-    return out
-
-
 def check_object(
     o: Object,
     gamma: Optional[dict[str, Type]] = None,
     delta: Optional[dict[str, Type]] = None,
 ) -> Derivation:
     """Check o against environments covering its free variables and names."""
-    return _check(o, dict(gamma or {}), dict(delta or {}))
+    return _check(o, gamma or {}, delta or {})
+
+
+def _derive(rule: str, o: Object, genv: dict[str, Type], denv: dict[str, Type],
+            ty: ResultType, *children: Derivation) -> Derivation:
+    """The judgment of o at type ty: its contexts are the environments cut to
+    the free variables and names of o, so relevance holds by construction.
+
+    A replacement whose new name the environment lacks types that name
+    itself, but a clause above it has no type for the name."""
+    gamma = tuple([(x, genv[x]) for x in sorted(free_vars(o))])
+    try:
+        delta = tuple([(a, denv[a]) for a in sorted(free_names(o))])
+    except KeyError as e:
+        raise LMTypeError(f"no type for name {e.args[0]}") from None
+    return Derivation(rule, Judgment(gamma, delta, o, ty), list(children))
 
 
 def _check(o: Object, genv: dict[str, Type], denv: dict[str, Type]) -> Derivation:
@@ -106,110 +105,73 @@ def _check(o: Object, genv: dict[str, Type], denv: dict[str, Type]) -> Derivatio
         case Var(x):
             if x not in genv:
                 raise LMTypeError(f"no type for variable {x}")
+            # the cut written out: free_vars caches no leaf's set, and
+            # computing it at every variable slows checking by about a quarter
             a = genv[x]
             return Derivation("ax", Judgment(((x, a),), (), o, a))
         case App(f, u):
             df = _check(f, genv, denv)
-            if not isinstance(df.judgment.type, Arrow):
+            fty = df.judgment.type
+            if not isinstance(fty, Arrow):
                 raise LMTypeError(
-                    f"application of a non-arrow: {print_object(f)} :"
-                    f" {df.judgment.type}"
+                    f"application of a non-arrow: {print_object(f)} : {fty}"
                 )
             du = _check(u, genv, denv)
-            if du.judgment.type != df.judgment.type.left:
+            if du.judgment.type != fty.left:
                 raise LMTypeError(
-                    f"argument type mismatch: expected"
-                    f" {df.judgment.type.left},"
+                    f"argument type mismatch: expected {fty.left},"
                     f" got {du.judgment.type}"
                 )
-            g = _merge("app", dict(df.judgment.gamma), dict(du.judgment.gamma))
-            d = _merge("app", dict(df.judgment.delta), dict(du.judgment.delta))
-            return Derivation(
-                "app",
-                Judgment(_trim(g), _trim(d), o, df.judgment.type.right),
-                [df, du],
-            )
+            return _derive("app", o, genv, denv, fty.right, df, du)
         case Abs(x, ann, b):
             if ann is None:
                 raise AnnotationMissing(f"abstraction binder {x} lacks a type")
             db = _check(b, {**genv, x: ann}, denv)
-            g = dict(db.judgment.gamma)
-            g.pop(x, None)
-            return Derivation(
-                "abs",
-                Judgment(_trim(g), db.judgment.delta, o, Arrow(ann, db.judgment.type)),
-                [db],
-            )
+            return _derive("abs", o, genv, denv, Arrow(ann, db.judgment.type), db)
         case Mu(a, ann, b):
             if ann is None:
                 raise AnnotationMissing(f"mu binder {a} lacks a type")
             db = _check(b, genv, {**denv, a: ann})
-            d = dict(db.judgment.delta)
-            d.pop(a, None)
-            return Derivation(
-                "mu", Judgment(db.judgment.gamma, _trim(d), o, ann), [db]
-            )
+            return _derive("mu", o, genv, denv, ann, db)
         case Named(a, b):
             db = _check(b, genv, denv)
             ty = db.judgment.type
             if a not in denv:
                 raise LMTypeError(f"no type for name {a}")
             if denv[a] != ty:
-                raise LMTypeError(
-                    f"name {a} expects {denv[a]},"
-                    f" given {ty}"
-                )
-            d = _merge("name", dict(db.judgment.delta), {a: ty})
-            return Derivation(
-                "name", Judgment(db.judgment.gamma, _trim(d), o, None), [db]
-            )
+                raise LMTypeError(f"name {a} expects {denv[a]}, given {ty}")
+            return _derive("name", o, genv, denv, None, db)
         case ESub(b, x, u):
             du = _check(u, genv, denv)
-            bty = du.judgment.type
-            db = _check(b, {**genv, x: bty}, denv)
-            g = dict(db.judgment.gamma)
-            g.pop(x, None)
-            g = _merge("sub", g, dict(du.judgment.gamma))
-            d = _merge("sub", dict(db.judgment.delta), dict(du.judgment.delta))
-            return Derivation(
-                "sub", Judgment(_trim(g), _trim(d), o, db.judgment.type), [db, du]
-            )
+            db = _check(b, {**genv, x: du.judgment.type}, denv)
+            return _derive("sub", o, genv, denv, db.judgment.type, db, du)
         case ERepl(b, nn, on, ann, s):
             if ann is None:
                 raise AnnotationMissing(f"replacement binder {on} lacks a type")
-            n = len(stack_items(s))
             try:
-                sty, bty = split_arrow(ann, n)
+                sty, bty = split_arrow(ann, len(stack_items(s)))
             except ValueError as e:
                 raise LMTypeError(str(e)) from None
             if nn in denv and denv[nn] != bty:
                 raise LMTypeError(
-                    f"replacement name {nn} expects {denv[nn]},"
-                    f" concluded {bty}"
+                    f"replacement name {nn} expects {denv[nn]}, concluded {bty}"
                 )
-            denv2 = dict(denv)
-            denv2[nn] = bty
-            db = _check(b, genv, {**denv2, on: ann})
-            ds = _check(s, genv, denv2)
+            denv = {**denv, nn: bty}
+            db = _check(b, genv, {**denv, on: ann})
+            ds = _check(s, genv, denv)
             if ds.judgment.type != sty:
                 raise LMTypeError(
                     f"stack type mismatch on {on}: annotation wants"
                     f" {[str(a) for a in sty]}"
                 )
-            d = dict(db.judgment.delta)
-            d.pop(on, None)
-            d = _merge("repl", d, dict(ds.judgment.delta), {nn: bty})
-            g = _merge("repl", dict(db.judgment.gamma), dict(ds.judgment.gamma))
-            return Derivation("repl", Judgment(_trim(g), _trim(d), o, None), [db, ds])
+            return _derive("repl", o, genv, denv, None, db, ds)
         case EmptyStack():
-            return Derivation("st_h", Judgment((), (), o, ()))
+            return _derive("st_h", o, genv, denv, ())
         case Push(h, tl):
             dh = _check(h, genv, denv)
             dt = _check(tl, genv, denv)
-            g = _merge("st_t", dict(dh.judgment.gamma), dict(dt.judgment.gamma))
-            d = _merge("st_t", dict(dh.judgment.delta), dict(dt.judgment.delta))
             sty = (dh.judgment.type,) + dt.judgment.type
-            return Derivation("st_t", Judgment(_trim(g), _trim(d), o, sty), [dh, dt])
+            return _derive("st_t", o, genv, denv, sty, dh, dt)
     raise TypeError(o)
 
 

@@ -31,8 +31,7 @@ def split_arrow(t: Type, n: int) -> tuple[StackType, Type]:
 def codomain(t: Optional[Type], n: int) -> Optional[Type]:
     """What is left of t after n arguments; None when t is None or has
     fewer than n arrows."""
-    for _ in range(n):
-        if not isinstance(t, Arrow):
-            return None
-        t = t.right
-    return t
+    try:
+        return split_arrow(t, n)[1]
+    except ValueError:
+        return None

@@ -200,6 +200,16 @@ def test_bisim_check_help_explains_the_cases_split(capsys):
     assert code == 0 and out.strip().splitlines()[-2].startswith("6 pairs, ")
 
 
+@pytest.mark.parametrize("command", ["simcheck", "bisim-check", "confluence-check", "gen"])
+def test_sort_is_only_taken_by_commands_that_parse_an_object(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--sort", "stack"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: lmtool ")
+    assert captured.err.rstrip().endswith("error: unrecognized arguments: --sort stack")
+
+
 def test_ppn_of_a_stack_exits_cleanly(capsys):
     # a stack has no net without a result type
     code = main(["ppn", "x . #", "--sort", "stack", "--env", "x:iA"])

@@ -6,9 +6,10 @@ from dataclasses import dataclass, field
 import pytest
 
 from lmtool.drivers import TypedPairs, typed_step_cases
-from lmtool.equivalence import AXIOMS, REN_AXIOM
-from lmtool.generators import gen_typed
-from lmtool.meta import stack_len
+from lmtool.equivalence import AXIOMS, REN_AXIOM, _stack_inert
+from lmtool.generators import _TypedGen, gen_typed
+from lmtool.meta import apply_stack, rename, stack_len
+from lmtool.reduction import canon, is_canonical
 from lmtool.ppn import (
     canonical,
     dual,
@@ -294,6 +295,110 @@ def test_axiom_soundness(axiom):
         # the hand-written right side is what the axiom's own rewrite gives
         assert print_object(apply_axiom(lhs, Axiom(axiom, "LR", ()))) == print_object(rhs)
         assert soundness_check(lhs, rhs, g, d)
+
+
+class RefTypedPairs(TypedPairs):
+    """The builders with hand-written right sides: each draws its left side
+    as TypedPairs does and writes out the axiom's left-to-right rewrite."""
+
+    def build(self, axiom):
+        for _ in range(100):
+            self.gen = _TypedGen(self.rng)
+            lhs, rhs, extra_d = getattr(self, "_ref_" + axiom)()
+            g, d = self.envs()
+            d.update(extra_d)
+            if is_canonical(lhs) and is_canonical(rhs):
+                return lhs, rhs, g, d
+        raise RuntimeError(f"no canonical typed instance of {axiom}")
+
+    def _ref_exs(self):
+        a = self.gen.random_type(1)
+        b = self.gen.random_type(1)
+        x = self._n("tx")
+        u = self._term(b, 2)
+        shape = self.rng.randrange(3)
+        if shape == 0:
+            y, cty = self._n("ty"), self.gen.random_type(1)
+            v = self._term(a, 2, sg={x: b, y: cty})
+            return ESub(Abs(y, cty, v), x, u), Abs(y, cty, ESub(v, x, u)), {}
+        if shape == 1:
+            cty = self.gen.random_type(1)
+            v = self._term(Arrow(cty, a), 2, sg={x: b})
+            w = self._term(cty, 2)
+            return ESub(App(v, w), x, u), App(ESub(v, x, u), w), {}
+        an, bn = self._n("'ta"), self._n("'tb")
+        tb = self.gen.random_type(1)
+        self.gen.delta[bn] = tb
+        v = self._term(tb, 2, sg={x: b})
+        return ESub(Mu(an, a, Named(bn, v)), x, u), Mu(an, a, Named(bn, ESub(v, x, u))), {}
+
+    def _ref_exr(self):
+        bty = self.gen.random_type(1)
+        stys = tuple(self.gen.random_type(1) for _ in range(self.rng.randrange(2)))
+        tann = fold_stack_type(stys, bty)
+        on, nn = self._n("'to"), self._n("'tn")
+        z = self._n("tz")
+        self.gen.gamma[z] = tann
+        c0 = Named(on, Var(z))
+        s = self._stack(stys)
+        gn, dn = self._n("'tg"), self._n("'td")
+        mty = self.gen.random_type(1)
+        self.gen.delta[gn] = mty
+        lhs = ERepl(Named(gn, Mu(dn, mty, c0)), nn, on, tann, s)
+        rhs = Named(gn, Mu(dn, mty, ERepl(c0, nn, on, tann, s)))
+        return lhs, rhs, {nn: bty}
+
+    def _ref_lin(self):
+        bty = self.gen.random_type(1)
+        stys = tuple(self.gen.random_type(1) for _ in range(1 + self.rng.randrange(2)))
+        tann = fold_stack_type(stys, bty)
+        on, nn = self._n("'to"), self._n("'tn")
+        u = self._term(tann, 3)
+        while not _stack_inert(u):
+            u = self._term(tann, 3)
+        s = self._stack(stys)
+        return ERepl(Named(on, u), nn, on, tann, s), Named(nn, canon(apply_stack(u, s))), {nn: bty}
+
+    def _ref_pp(self):
+        ax_t, bx_t = self.gen.random_type(1), self.gen.random_type(1)
+        ta, tb = self.gen.random_type(1), self.gen.random_type(1)
+        an, bn = self._n("'tA"), self._n("'tB")
+        x, y = self._n("tx"), self._n("ty")
+        a2, b2 = self._n("'ta"), self._n("'tb")
+        c = self._command(3, sd={a2: ta, b2: tb})
+        lhs = Named(an, Abs(x, ax_t, Mu(a2, ta, Named(bn, Abs(y, bx_t, Mu(b2, tb, c))))))
+        rhs = Named(bn, Abs(y, bx_t, Mu(b2, tb, Named(an, Abs(x, ax_t, Mu(a2, ta, c))))))
+        return lhs, rhs, {an: Arrow(ax_t, ta), bn: Arrow(bx_t, tb)}
+
+    def _ref_rho(self):
+        ty = self.gen.random_type(1)
+        a, b = self._n("'ta"), self._n("'tb")
+        c = self._command(3, sd={b: ty})
+        return Named(a, Mu(b, ty, c)), ERepl(c, a, b, ty, EmptyStack()), {a: ty}
+
+    def _ref_theta(self):
+        ty = self.gen.random_type(1)
+        a = self._n("'ta")
+        body = self._term(ty, 3)
+        return Mu(a, ty, Named(a, body)), body, {}
+
+    def _ref_ren(self):
+        ty = self.gen.random_type(1)
+        a, b = self._n("'ta"), self._n("'tb")
+        c = self._command(3, sd={b: ty})
+        return ERepl(c, a, b, ty, EmptyStack()), rename(c, a, b), {a: ty}
+
+
+@pytest.mark.parametrize("axiom", AXIOMS + (REN_AXIOM,))
+def test_typed_pairs_match_the_hand_written_right_sides(axiom):
+    # the seeds of the nets benchmark corpus, then criterion 8's
+    axioms = AXIOMS + (REN_AXIOM,)
+    seeds = [k * len(axioms) + axioms.index(axiom) for k in range(100)]
+    seeds.append(zlib.crc32(axiom.encode()) % 10**6)
+    for seed in seeds:
+        pairs, ref = TypedPairs(seed), RefTypedPairs(seed)
+        for _ in range(3):
+            assert repr(pairs.build(axiom)) == repr(ref.build(axiom)), seed
 
 
 def test_simulation_random_steps():

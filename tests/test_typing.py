@@ -2,11 +2,30 @@ import random
 
 import pytest
 
+from lmtool.drivers import TypedPairs, typed_step_cases
 from lmtool.generators import gen_typed
+from lmtool.meta import stack_items
 from lmtool.reduction import RuleTag, lm_redexes
-from lmtool.syntax import Arrow, Base, parse, parse_type
+from lmtool.syntax import (
+    Abs,
+    App,
+    Arrow,
+    Base,
+    EmptyStack,
+    ERepl,
+    ESub,
+    Mu,
+    Named,
+    Push,
+    Var,
+    parse,
+    parse_type,
+    print_object,
+)
 from lmtool.typing import (
     AnnotationMissing,
+    Derivation,
+    Judgment,
     LMTypeError,
     check_object,
     relevance_check,
@@ -152,3 +171,187 @@ def test_canonical_steps_preserve_judgment_exactly():
                     fired = True
         if fired:
             done += 1
+
+
+# --- reference: contexts merged from the children's judgments ----------------
+
+
+def _ref_trim(d):
+    return tuple(sorted(d.items()))
+
+
+def _ref_merge(kind, *dicts):
+    out = {}
+    for d in dicts:
+        for k, v in d.items():
+            if k in out and out[k] != v:
+                raise LMTypeError(
+                    f"incompatible union: {k} has types {out[k]} and {v} ({kind})"
+                )
+            out[k] = v
+    return out
+
+
+def ref_check_object(o, gamma=None, delta=None):
+    """The checker whose clauses build each judgment's contexts by merging
+    their children's and popping the names they bind."""
+    return _ref_check(o, dict(gamma or {}), dict(delta or {}))
+
+
+def _ref_check(o, genv, denv):
+    match o:
+        case Var(x):
+            if x not in genv:
+                raise LMTypeError(f"no type for variable {x}")
+            a = genv[x]
+            return Derivation("ax", Judgment(((x, a),), (), o, a))
+        case App(f, u):
+            df = _ref_check(f, genv, denv)
+            if not isinstance(df.judgment.type, Arrow):
+                raise LMTypeError(
+                    f"application of a non-arrow: {print_object(f)} : {df.judgment.type}"
+                )
+            du = _ref_check(u, genv, denv)
+            if du.judgment.type != df.judgment.type.left:
+                raise LMTypeError(
+                    f"argument type mismatch: expected {df.judgment.type.left},"
+                    f" got {du.judgment.type}"
+                )
+            g = _ref_merge("app", dict(df.judgment.gamma), dict(du.judgment.gamma))
+            d = _ref_merge("app", dict(df.judgment.delta), dict(du.judgment.delta))
+            return Derivation(
+                "app", Judgment(_ref_trim(g), _ref_trim(d), o, df.judgment.type.right), [df, du]
+            )
+        case Abs(x, ann, b):
+            if ann is None:
+                raise AnnotationMissing(f"abstraction binder {x} lacks a type")
+            db = _ref_check(b, {**genv, x: ann}, denv)
+            g = dict(db.judgment.gamma)
+            g.pop(x, None)
+            return Derivation(
+                "abs",
+                Judgment(_ref_trim(g), db.judgment.delta, o, Arrow(ann, db.judgment.type)),
+                [db],
+            )
+        case Mu(a, ann, b):
+            if ann is None:
+                raise AnnotationMissing(f"mu binder {a} lacks a type")
+            db = _ref_check(b, genv, {**denv, a: ann})
+            d = dict(db.judgment.delta)
+            d.pop(a, None)
+            return Derivation("mu", Judgment(db.judgment.gamma, _ref_trim(d), o, ann), [db])
+        case Named(a, b):
+            db = _ref_check(b, genv, denv)
+            ty = db.judgment.type
+            if a not in denv:
+                raise LMTypeError(f"no type for name {a}")
+            if denv[a] != ty:
+                raise LMTypeError(f"name {a} expects {denv[a]}, given {ty}")
+            d = _ref_merge("name", dict(db.judgment.delta), {a: ty})
+            return Derivation("name", Judgment(db.judgment.gamma, _ref_trim(d), o, None), [db])
+        case ESub(b, x, u):
+            du = _ref_check(u, genv, denv)
+            db = _ref_check(b, {**genv, x: du.judgment.type}, denv)
+            g = dict(db.judgment.gamma)
+            g.pop(x, None)
+            g = _ref_merge("sub", g, dict(du.judgment.gamma))
+            d = _ref_merge("sub", dict(db.judgment.delta), dict(du.judgment.delta))
+            return Derivation(
+                "sub", Judgment(_ref_trim(g), _ref_trim(d), o, db.judgment.type), [db, du]
+            )
+        case ERepl(b, nn, on, ann, s):
+            if ann is None:
+                raise AnnotationMissing(f"replacement binder {on} lacks a type")
+            try:
+                sty, bty = split_arrow(ann, len(stack_items(s)))
+            except ValueError as e:
+                raise LMTypeError(str(e)) from None
+            if nn in denv and denv[nn] != bty:
+                raise LMTypeError(f"replacement name {nn} expects {denv[nn]}, concluded {bty}")
+            denv2 = {**denv, nn: bty}
+            db = _ref_check(b, genv, {**denv2, on: ann})
+            ds = _ref_check(s, genv, denv2)
+            if ds.judgment.type != sty:
+                raise LMTypeError(
+                    f"stack type mismatch on {on}: annotation wants {[str(a) for a in sty]}"
+                )
+            d = dict(db.judgment.delta)
+            d.pop(on, None)
+            d = _ref_merge("repl", d, dict(ds.judgment.delta), {nn: bty})
+            g = _ref_merge("repl", dict(db.judgment.gamma), dict(ds.judgment.gamma))
+            return Derivation("repl", Judgment(_ref_trim(g), _ref_trim(d), o, None), [db, ds])
+        case EmptyStack():
+            return Derivation("st_h", Judgment((), (), o, ()))
+        case Push(h, tl):
+            dh = _ref_check(h, genv, denv)
+            dt = _ref_check(tl, genv, denv)
+            g = _ref_merge("st_t", dict(dh.judgment.gamma), dict(dt.judgment.gamma))
+            d = _ref_merge("st_t", dict(dh.judgment.delta), dict(dt.judgment.delta))
+            sty = (dh.judgment.type,) + dt.judgment.type
+            return Derivation("st_t", Judgment(_ref_trim(g), _ref_trim(d), o, sty), [dh, dt])
+    raise TypeError(o)
+
+
+def _retyped(env, k):
+    """env with its k-th entry (cyclically, in sorted order) given another
+    type."""
+    key = sorted(env)[k % len(env)]
+    a = env[key]
+    other = {Base("A"): Base("B"), Base("B"): Base("A")}.get(a, Arrow(a, Base("A")))
+    return {**env, key: other}
+
+
+def _typing_corpus():
+    """(object, gamma, delta): gen_typed draws as drawn, with one entry
+    retyped, and with a root replacement's new name left out, the sources
+    and reducts of typed steps, and typed axiom pairs."""
+    for seed in range(1500):
+        o, g, d = gen_typed(seed, size=14)
+        yield o, g, d
+        if g and (seed % 2 or not d):
+            yield o, _retyped(g, seed), d
+        elif d:
+            yield o, g, _retyped(d, seed)
+        if isinstance(o, ERepl):
+            yield o, g, {a: ty for a, ty in d.items() if a != o.new}
+    for _, o, o2, g, d in typed_step_cases(99, 400):
+        yield o, g, d
+        yield o2, g, d
+    for axiom in ("exs", "exr", "lin", "pp", "rho", "theta", "ren"):
+        pairs = TypedPairs(17)
+        for _ in range(30):
+            lhs, rhs, g, d = pairs.build(axiom)
+            yield lhs, g, d
+            yield rhs, g, d
+
+
+def _outcome(check, o, g, d):
+    try:
+        return check(o, g, d).render()
+    except LMTypeError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_check_object_matches_the_merging_reference():
+    errors = 0
+    for o, g, d in _typing_corpus():
+        got = _outcome(check_object, o, g, d)
+        assert got == _outcome(ref_check_object, o, g, d), (o, g, d)
+        errors += not got.startswith("[")
+    # the corpus reaches the error paths too
+    assert errors > 500
+
+
+def test_a_replacement_types_a_new_name_left_out_only_within_itself():
+    repl = "(['a]x)['b/'a:iA\\#]"
+    d = check_object(t(repl), {"x": Base("A")})
+    assert dict(d.judgment.delta) == {"'b": Base("A")} and relevance_check(d)
+    # a clause above the replacement reads its contexts from its own
+    # environment, which has no type for 'b (the merging checker took the
+    # replacement's, and reported two replacements that disagree as an
+    # incompatible union)
+    with pytest.raises(LMTypeError, match="^no type for name 'b$"):
+        check_object(t(f"mu 'g:iA. {repl}"), {"x": Base("A")})
+    two = "(mu 'g:iA->iA. (['a]y)['b/'a:iA\\#]) (mu 'h:iA. (['c]z)['b/'c:iB\\#])"
+    with pytest.raises(LMTypeError, match="^no type for name 'b$"):
+        check_object(t(two), {"y": Base("A"), "z": Base("B")})
