@@ -222,7 +222,7 @@ def cmd_bisim_check(args) -> int:
     rng = random.Random(args.seed)
     axioms = equivalence.AXIOMS
     per = max(1, args.cases // len(axioms))
-    bad = checked = searches = nwb = hits = 0
+    bad = checked = searches = nwb = hits = computed = served = 0
     for ax in axioms:
         for _ in range(per):
             o, p, axiom = generators.gen_equiv_pair(seed=rng.randrange(10**9), axiom=ax)
@@ -231,6 +231,8 @@ def cmd_bisim_check(args) -> int:
             searches += rep.searches
             nwb += rep.not_within_bounds
             hits += rep.cache_hits
+            computed += rep.computed
+            served += rep.served
             if not rep.ok:
                 bad += 1
                 for dd in rep.details[:1]:
@@ -238,7 +240,8 @@ def cmd_bisim_check(args) -> int:
     print(
         f"{per * len(axioms)} pairs, {checked} redex matches, {bad} violations,"
         f" {searches} searches ({nwb} not within bounds),"
-        f" {hits} expansions from cache"
+        f" {hits} expansions from cache, {computed} node rewrite lists computed,"
+        f" {served} served from memo"
     )
     print("PASS" if bad == 0 else "FAIL")
     return 0 if bad == 0 else 1

@@ -61,6 +61,8 @@ class BisimReport:
     searches: int = 0  # equiv searches run
     not_within_bounds: int = 0  # searches that ended NOT-WITHIN-BOUNDS
     cache_hits: int = 0  # expansions served from the shared cache
+    computed: int = 0  # node rewrite lists that the cache's memo computed
+    served: int = 0  # and those it served again
 
 
 def bisim_driver(
@@ -75,14 +77,17 @@ def bisim_driver(
 
     Each side is reduced once, and every search of the call shares one
     expansion cache, so a state that an earlier search expanded is not
-    expanded again; no search outcome changes."""
+    expanded again, and a node's rewrite list, computed once, serves every
+    search; no search outcome changes.  The cache's name supply reserves
+    the identifiers of every reduct of both sides before any search
+    issues a name."""
     report = BisimReport(True, axiom)
-    cache = ExpansionCache()
     # each side's meaningful reducts with their keys, used in both directions
     ro, rp = (
         [(tag, path, r, canonical_key(r)) for tag, path, r in meaningful_reducts(side)]
         for side in (o, p)
     )
+    cache = ExpansionCache(*(r for _, _, r, _ in ro + rp))
 
     def match_side(a: Object, ra: list, b: Object, rb: list, side: str) -> None:
         for tag, path, a2, ka in ra:
@@ -101,6 +106,8 @@ def bisim_driver(
                     cache=cache,
                 )
                 report.searches += 1
+                report.computed += res.computed
+                report.served += res.served
                 if res.equivalent:
                     found = True
                     break

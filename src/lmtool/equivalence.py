@@ -88,7 +88,8 @@ class EquivOutcome:
     expanded: int = 0  # states whose rewrites the search enumerated
     built: int = 0  # rewrites it consumed, canonical or not
     # node rewrite lists the search computed, and those its memo served
-    # again; both 0 when an expansion cache serves the search
+    # again; under an expansion cache, those of the cache's memo while the
+    # search ran
     computed: int = 0
     served: int = 0
 
@@ -266,17 +267,19 @@ def _rebuild_spine(head: Object, args: list[Object]) -> Object:
 
 class _NodeMemo:
     """The _subtree_rewrites list of each node met, by node identity, and
-    how many lists it served again.  Every node it keys belongs to an
-    object that outlives the memo, so no id is reused while it lives.
+    how many lists it served again.  The memo keeps every node it keys, so
+    no id is reused while it lives, even when the states that held the
+    node are gone.
 
     A result can hold its node (theta's mu a.[a]t holds t), so a list
     served again inside it can bind a name under a binder of the same
     name; the state is alpha-equivalent to one with a second fresh name."""
 
-    __slots__ = ("lists", "served")
+    __slots__ = ("lists", "nodes", "served")
 
     def __init__(self):
         self.lists: dict[int, list[tuple[str, str, Object]]] = {}
+        self.nodes: list[Object] = []
         self.served = 0
 
 
@@ -288,12 +291,13 @@ def _rewrites(o: Object, include_ren: bool, expansive: bool, supply: NameSupply,
     and memo computes each node's rewrites once: they depend only on the
     node and on fresh names, so one list serves every object that holds the
     node, as long as one supply serves them all."""
-    lists = memo.lists
+    lists, keep = memo.lists, memo.nodes.append
 
     def of(sub: Object):
         found = lists.get(id(sub))
         if found is None:
             found = lists[id(sub)] = _subtree_rewrites(sub, supply, include_ren, expansive)
+            keep(sub)
         else:
             memo.served += 1
         return found
@@ -349,6 +353,34 @@ def apply_axiom(o: Object, ax: Axiom) -> Object:
 # Bounded decision procedure (bidirectional breadth-first search)
 
 
+class _Entry:
+    """A state, the keyed rewrites built for it so far, and the generator
+    of the rest (None once it is spent)."""
+
+    __slots__ = ("state", "built", "rest")
+
+    def __init__(self, state: Object, rest):
+        self.state = state
+        self.built: list[tuple[Axiom, Object]] = []
+        self.rest = rest
+
+
+def _replay(entry: _Entry):
+    """The entry's rewrites: the ones built, then the rest, each kept as it
+    is built.  A search that stops leaves the generator where it stopped
+    (a for loop, unlike yield from, does not close it), so the next search
+    that meets the state resumes it."""
+    yield from entry.built
+    rest = entry.rest
+    if rest is None:
+        return
+    built = entry.built
+    for rw in rest:
+        built.append(rw)
+        yield rw
+    entry.rest = None
+
+
 class ExpansionCache:
     """The rewrites of the states that earlier non-expansive searches
     without ren expanded, for later such searches.
@@ -356,22 +388,35 @@ class ExpansionCache:
     Entries are keyed by canonical key, but an entry serves only a state
     equal to the one it was computed for: side conditions such as pp's
     x != y read binder names, so an alpha-equivalent state with other
-    binder names is expanded afresh (and replaces the entry)."""
+    binder names is expanded afresh (and replaces the entry).
 
-    def __init__(self):
-        self.entries: dict[tuple, tuple[Object, list[tuple[Axiom, Object]]]] = {}
+    An entry is filled lazily: a search builds only the rewrites it
+    consumes, and a later search that meets the state replays them and
+    resumes the generator.  The cache owns one name supply, reserving the
+    identifiers of the given objects and of every search's two inputs,
+    and one node memo: every identifier of every state is then an input's
+    or was issued once, so a node's rewrite list, computed in one search,
+    serves that node in every later search."""
+
+    def __init__(self, *objects: Object):
+        self.entries: dict[tuple, _Entry] = {}
         self.hits = 0
+        self.supply = supply_for(*objects)
+        self.memo = _NodeMemo()
 
-    def instances(self, key: tuple, o: Object) -> list[tuple[Axiom, Object]]:
-        """Every non-expansive rewrite of o without ren, canonical or not;
-        key is o's canonical key."""
-        hit = self.entries.get(key)
-        if hit is not None and (hit[0] is o or hit[0] == o):
+    def instances(self, key: tuple, o: Object):
+        """Every non-expansive rewrite of o without ren, canonical or not,
+        as an iterator of (axiom, result); key is o's canonical key.  o's
+        identifiers must be the supply's: equiv adds its inputs, and every
+        state it reaches is built from them and from issued names."""
+        entry = self.entries.get(key)
+        if entry is not None and (entry.state is o or entry.state == o):
             self.hits += 1
-            return hit[1]
-        out = list(_keyed(_rewrites(o, False, False, supply_for(o), _NodeMemo())))
-        self.entries[key] = (o, out)
-        return out
+        else:
+            entry = self.entries[key] = _Entry(
+                o, _keyed(_rewrites(o, False, False, self.supply, self.memo))
+            )
+        return _replay(entry)
 
 
 def equiv(
@@ -393,14 +438,15 @@ def equiv(
     them as keys; searches that pass one cache share their expansions, which
     changes no outcome.
 
-    Rewrites are consumed one at a time.  A result whose key is already
-    visited is skipped before its canonicity is tested: every visited state
-    is canonical, and canonicity is invariant under renaming.  Without a
-    cache, no rewrite is built after the search stops, and one name supply,
-    reserving o's and p's identifiers, issues every fresh name of the
-    search.  Every identifier of every state is then o's or p's or was
-    issued once by that supply, so one memo computes each node's rewrites
-    once for all the states that hold the node."""
+    Rewrites are consumed one at a time, and none is built after the search
+    stops.  A result whose key is already visited is skipped before its
+    canonicity is tested: every visited state is canonical, and canonicity
+    is invariant under renaming.  One name supply issues every fresh name
+    of the search, and one memo computes each node's rewrites once for all
+    the states that hold the node.  Without a cache both are the search's
+    own, and the supply reserves o's and p's identifiers.  With a cache
+    both are the cache's: o's and p's identifiers are added to its supply,
+    which then reserves the inputs of every search that shares it."""
     for q in (o, p):
         if not is_canonical(q):
             raise NotCanonicalError(print_object(q))
@@ -424,12 +470,17 @@ def equiv(
     states = 2
     depth_f = depth_b = 0
     expanded = built = 0
-    supply, memo = supply_for(o, p), _NodeMemo()
+    if cache is None:
+        supply, memo = supply_for(o, p), _NodeMemo()
+    else:
+        supply, memo = cache.supply, cache.memo
+        supply.include(o, p)
+    computed, served = len(memo.lists), memo.served
 
     def stop(reason: str, cert: Optional[Certificate] = None) -> EquivOutcome:
         status = "equivalent" if cert is not None else "not-within-bounds"
         return EquivOutcome(status, cert, states, reason, expanded, built,
-                            len(memo.lists), memo.served)
+                            len(memo.lists) - computed, memo.served - served)
 
     def splice(meet_key) -> Certificate:
         steps = list(fwd[meet_key][1])

@@ -576,6 +576,11 @@ class NameSupply:
     def reserve(self, idents: set[str]) -> None:
         self.reserved |= idents
 
+    def include(self, *objects: Object) -> None:
+        """Reserve every identifier of objects too; like the constructor's
+        objects, they are walked only when a name is next issued."""
+        self._unwalked += objects
+
 
 @lru_cache(maxsize=1024)
 def _prefix_stem(base: str) -> tuple[str, str]:
@@ -618,10 +623,32 @@ def rename_occurrences(o: Object, old: str, new: str, chosen: set[tuple[int, ...
 
 def rename_free(o: Object, old: str, new: str) -> Object:
     """Rename the free occurrences of the variable or name old to new; the
-    subtrees that hold none are kept as they are."""
+    subtrees that hold none are kept as they are.  One walk, one frame per
+    level, that skips a subtree whose cached free identifiers lack old; no
+    cache is filled."""
     if old == new:
         return o
-    return rename_occurrences(o, old, new, {idxs for idxs, _ in free_occurrences(o, old)})
+    cache = "_fn" if is_name(old) else "_fv"
+
+    def go(o: Object) -> Object:
+        free = getattr(o, cache, None)
+        if free is not None and old not in free:
+            return o
+        t = type(o)
+        cs = children(o)
+        if cs:
+            bound = _BOUND_BY.get(t)
+            new_cs = list(cs)
+            for i in range(1 if bound is not None and bound(o) == old else 0, len(cs)):
+                new_cs[i] = go(cs[i])
+            if any(c is not n for c, n in zip(cs, new_cs)):
+                o = with_children(o, tuple(new_cs))
+        at = _FREE_AT.get(t)
+        if at is not None and getattr(o, at) == old:
+            o = _RENAME_AT[t](o, new)
+        return o
+
+    return go(o)
 
 
 # older names of the unified functions, which the benchmark scripts use

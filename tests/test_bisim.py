@@ -1,15 +1,37 @@
 """The bisimulation driver against a reference copy of the driver it
-replaced: each side reduced once and one expansion cache per call must
-leave every report and every search outcome as they were."""
+replaced: each side reduced once and one expansion cache per call, filled
+lazily and holding one name supply and one node memo, must leave every
+report and every search outcome as they were."""
+
+import gc
+import random
 
 import pytest
 
 from lmtool import drivers, equivalence
 from lmtool.drivers import BisimReport, bisim_driver
-from lmtool.equivalence import AXIOMS, ExpansionCache, axiom_instances, equiv
+from lmtool.equivalence import (
+    AXIOMS,
+    ExpansionCache,
+    _keyed,
+    _NodeMemo,
+    _rewrites,
+    axiom_instances,
+    equiv,
+)
 from lmtool.generators import gen_equiv_pair
-from lmtool.reduction import meaningful_reducts
-from lmtool.syntax import Abs, Mu, Named, Var, canonical_key, dotted, parse, print_object
+from lmtool.reduction import meaningful_redexes, meaningful_reducts
+from lmtool.syntax import (
+    Abs,
+    Mu,
+    Named,
+    Var,
+    canonical_key,
+    dotted,
+    parse,
+    print_object,
+    supply_for,
+)
 
 
 def ref_bisim_driver(o, p, axiom=None, max_states=1500, max_depth=6, search=equiv):
@@ -56,13 +78,29 @@ def outcome(res):
     return res.status, res.states, res.reason, cert
 
 
+def two_redex_pairs(per_axiom: int):
+    """Pairs of the perfbench bisim stratum: gen_equiv_pair(size=9) pairs
+    whose left side has two meaningful redexes."""
+    out = []
+    for i, ax in enumerate(AXIOMS):
+        seed = 50000 + 1000 * i
+        got = 0
+        while got < per_axiom:
+            o, p, axiom = gen_equiv_pair(seed=seed, axiom=ax, size=9)
+            seed += 1
+            if len(meaningful_redexes(o)) == 2:
+                out.append((o, p, axiom))
+                got += 1
+    return out
+
+
 @pytest.fixture(scope="module")
 def pairs():
     return [
         gen_equiv_pair(seed=1000 * i + s, axiom=ax, size=9)
         for i, ax in enumerate(AXIOMS)
         for s in range(10)
-    ]
+    ] + two_redex_pairs(3)
 
 
 def test_shared_search_matches_the_reference_driver(pairs, monkeypatch):
@@ -126,22 +164,105 @@ def test_alpha_equal_state_is_expanded_afresh():
     assert canonical_key(distinct) == key and shadowing != distinct
     cache = ExpansionCache()
 
-    first = cache.instances(key, shadowing)
+    first = list(cache.instances(key, shadowing))
     assert first == axiom_instances(shadowing, expansive=False)
     assert not any(ax.name == "pp" for ax, _ in first)
     # same key, other binder names: not served from the entry
-    second = cache.instances(key, distinct)
+    second = list(cache.instances(key, distinct))
     assert second == axiom_instances(distinct, expansive=False)
     assert any(ax.name == "pp" for ax, _ in second)
     assert cache.hits == 0
-    # an equal state made of other nodes is served
-    assert cache.instances(key, _pp_state("z", "x")) is second
+    # an equal state made of other nodes is served: the entry keeps the
+    # state it was built for, and the results are the ones built then
+    third = list(cache.instances(key, _pp_state("z", "x")))
+    assert cache.entries[key].state is distinct
+    assert [ax for ax, _ in third] == [ax for ax, _ in second]
+    assert all(r3 is r2 for (_, r3), (_, r2) in zip(third, second))
     assert cache.hits == 1
 
     target = next(r for ax, r in second if ax.name == "pp")
     for o in (shadowing, distinct):
         shared = equiv(o, target, expansive=False, cache=cache)
         assert outcome(shared) == outcome(equiv(o, target, expansive=False))
+
+
+def sequence(rewrites):
+    """(axiom, orientation, path, result key) of each of the rewrites."""
+    return [(ax.name, ax.orientation, ax.path, ax.result_key) for ax, _ in rewrites]
+
+
+def eager(o):
+    """The sequence of a fresh entry for o, built in full at once."""
+    return sequence(_keyed(_rewrites(o, False, False, supply_for(o), _NodeMemo())))
+
+
+def test_a_resumed_entry_yields_what_an_eager_enumeration_yields(monkeypatch):
+    caches, resumed = [], []
+
+    class Recording(ExpansionCache):
+        def __init__(self, *objects):
+            super().__init__(*objects)
+            caches.append(self)
+
+        def instances(self, key, o):
+            entry = self.entries.get(key)
+            if entry is not None and entry.state == o and entry.rest is not None:
+                resumed.append((key, len(entry.built)))
+            return super().instances(key, o)
+
+    # the pairs of `lmtool bisim-check --cases 12 --seed 3`
+    monkeypatch.setattr(drivers, "ExpansionCache", Recording)
+    rng = random.Random(3)
+    for ax in AXIOMS:
+        for _ in range(2):
+            o, p, axiom = gen_equiv_pair(seed=rng.randrange(10**9), axiom=ax)
+            assert bisim_driver(o, p, axiom).ok
+    assert len(resumed) >= 3
+    part_built = 0
+    for cache in caches:
+        for key, entry in list(cache.entries.items()):
+            part_built += entry.rest is not None
+            got = sequence(cache.instances(key, entry.state))
+            assert got == eager(entry.state)
+            assert entry.rest is None and len(entry.built) == len(got)
+    assert part_built > 0
+
+    # an entry left after two rewrites is resumed where it stopped
+    o = _pp_state("z", "x")
+    cache = ExpansionCache(o)
+    key = canonical_key(o)
+    it = cache.instances(key, o)
+    head = [next(it), next(it)]
+    del it
+    entry = cache.entries[key]
+    assert entry.built == head and entry.rest is not None
+    again = list(cache.instances(key, o))
+    assert again[:2] == head and sequence(again) == eager(o)
+
+
+def test_a_replaced_entry_frees_its_state_and_no_reused_id_is_served():
+    """The memo is keyed by node identity.  A state whose entry an
+    alpha-equal state with other binder names replaces is freed, and a
+    later node may be given a freed node's id; the memo keeps every node it
+    keys, so no node is served another node's list."""
+    cache = ExpansionCache()
+    key = canonical_key(_pp_state("x", "x"))
+    target = next(r for ax, r in axiom_instances(_pp_state("z", "x"), expansive=False)
+                  if ax.name == "pp")
+    # the binders of each state: pp applies at the root exactly when they
+    # differ; the state that replaces old differs from both others
+    cases = [(("x", "x"), ("y", "x"), ("z", "x")), (("z", "x"), ("y", "x"), ("x", "x"))]
+    for _ in range(30):
+        for old_names, other_names, new_names in cases:
+            old = _pp_state(*old_names)
+            assert sequence(cache.instances(key, old)) == eager(old)
+            list(cache.instances(key, _pp_state(*other_names)))
+            del old
+            gc.collect()
+            o = _pp_state(*new_names)
+            assert sequence(cache.instances(key, o)) == eager(o)
+            shared = equiv(o, target, expansive=False, cache=cache)
+            assert outcome(shared) == outcome(equiv(o, target, expansive=False))
 
 
 def test_cache_serves_only_non_expansive_searches_without_ren():

@@ -98,12 +98,14 @@ def test_property_drivers_pass(capsys):
     summary = out.strip().splitlines()[-2]
     m = re.fullmatch(
         r"6 pairs, (\d+) redex matches, 0 violations, (\d+) searches"
-        r" \((\d+) not within bounds\), (\d+) expansions from cache",
+        r" \((\d+) not within bounds\), (\d+) expansions from cache,"
+        r" (\d+) node rewrite lists computed, (\d+) served from memo",
         summary,
     )
     assert m, summary
-    matches, searches, failed, hits = map(int, m.groups())
+    matches, searches, failed, hits, computed, served = map(int, m.groups())
     assert matches > 0 and 0 < failed < searches and hits > 0
+    assert computed > 0 and served > 0
     code, out = run(capsys, "confluence-check", "--cases", "8", "--seed", "1")
     assert code == 0 and out.strip().endswith("PASS")
     code, out = run(capsys, "simcheck", "--cases", "10", "--seed", "1")

@@ -37,6 +37,7 @@ from lmtool.syntax import (
     print_object,
     refresh,
     rename_free,
+    rename_occurrences,
     rewrite_at,
     sort_of,
     subobject_at,
@@ -563,6 +564,90 @@ def test_rename_free_keeps_untouched_subtrees():
                     assert subobject_at(got, make_path(got, idxs)) is old
                     kept += 1
     assert kept > 2000
+
+
+def ref_rename_free_by_paths(o, old, new):
+    """The renamer that the one walk replaced: the paths of the free
+    occurrences, then every prefix of every path rebuilt."""
+    if old == new:
+        return o
+    return rename_occurrences(o, old, new, {idxs for idxs, _ in free_occurrences(o, old)})
+
+
+def kept_nodes(got, o):
+    """The index paths at which got holds the very node that o holds."""
+    out = set()
+    for idxs, node in positions(got):
+        try:
+            if subobject_at(o, idxs) is node:
+                out.add(idxs)
+        except PathError:
+            pass
+    return out
+
+
+def spine(n, head="x", arg="a3", arg_to="a3"):
+    """head (mu 'a. ['b]a0) ... (mu 'a. ['b]a(n-1)), nested to the left: n
+    levels of App; the variable arg is written arg_to."""
+    o = Var(head)
+    for i in range(n):
+        x = f"a{i}"
+        o = App(o, Mu("'a", None, Named("'b", Var(arg_to if x == arg else x))))
+    return o
+
+
+def test_rename_free_matches_the_path_renamer():
+    from lmtool.generators import gen_equiv_pair
+    from lmtool.reduction import meaningful_reducts
+
+    corpus = kernel_corpus()
+    for seed in range(12):
+        ax = ("exs", "exr", "lin", "pp", "rho", "theta")[seed % 6]
+        o, p, _ = gen_equiv_pair(seed=100 + seed, axiom=ax, size=9)
+        corpus += [o, p] + [r for side in (o, p) for _, _, r in meaningful_reducts(side)]
+    cases = 0
+    for o in corpus:
+        for obj in (o, squash_vars(squash_names(o))):
+            for _, sub in positions(obj):
+                for ident in sorted(free_vars(sub) | free_names(sub) | bound_idents(sub)):
+                    got = rename_free(sub, ident, ident + "_new")
+                    want = ref_rename_free_by_paths(sub, ident, ident + "_new")
+                    assert got == want
+                    assert kept_nodes(got, sub) == kept_nodes(want, sub)
+                    cases += 1
+    # spines the path renamer still walks at the default recursion limit;
+    # in the second, x stands free in every argument
+    every = Var("x")
+    for _ in range(250):
+        every = App(every, Var("x"))
+    for long in (spine(250), every):
+        for ident in ("x", "a7", "'b"):
+            got, want = rename_free(long, ident, "z"), ref_rename_free_by_paths(long, ident, "z")
+            assert got == want and kept_nodes(got, long) == kept_nodes(want, long)
+    assert cases > 10000
+
+
+def flat(o):
+    """o's nodes in pre-order, each with its path, class and identifiers:
+    equal exactly for equal objects without annotations, and built without
+    recursion (== on nodes recurses a few frames per level)."""
+    return [
+        (idxs, type(n), [getattr(n, f.name) for f in fields(n) if type(getattr(n, f.name)) is str])
+        for idxs, n in positions(o)
+    ]
+
+
+def test_rename_free_walks_a_deep_spine_at_the_default_recursion_limit():
+    long = spine(500)
+    got = rename_free(long, "x", "y")
+    assert flat(got) == flat(spine(500, head="y"))
+    # every argument is the original node, and nothing else is
+    assert kept_nodes(got, long) == {
+        (0,) * k + (1,) + rest for k in range(500) for rest in ((), (0,), (0, 0))
+    }
+    assert flat(rename_free(long, "a3", "z")) == flat(spine(500, arg_to="z"))
+    assert [ids for _, t, ids in flat(rename_free(long, "'b", "'c")) if t is Named] == [["'c"]] * 500
+    assert rename_free(long, "'a", "'c") is long
 
 
 def test_free_identifier_sets_are_frozen_and_shared():
