@@ -42,6 +42,7 @@ from .syntax import (
     rename_occurrences,
     rewrite_at,
     rewrite_everywhere,
+    same_object,
     sort_of,
     subobject_at,
     supply_for,
@@ -388,7 +389,8 @@ class ExpansionCache:
     Entries are keyed by canonical key, but an entry serves only a state
     equal to the one it was computed for: side conditions such as pp's
     x != y read binder names, so an alpha-equivalent state with other
-    binder names is expanded afresh (and replaces the entry).
+    binder names is expanded afresh (and replaces the entry).  Equality
+    is same_object's, which walks deep states without recursion.
 
     An entry is filled lazily: a search builds only the rewrites it
     consumes, and a later search that meets the state replays them and
@@ -410,7 +412,7 @@ class ExpansionCache:
         identifiers must be the supply's: equiv adds its inputs, and every
         state it reaches is built from them and from issued names."""
         entry = self.entries.get(key)
-        if entry is not None and (entry.state is o or entry.state == o):
+        if entry is not None and same_object(entry.state, o):
             self.hits += 1
         else:
             entry = self.entries[key] = _Entry(

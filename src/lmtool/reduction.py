@@ -18,6 +18,7 @@ from .meta import (
     substitute,
 )
 from .syntax import (
+    _WITH_CHILD,
     Abs,
     App,
     EmptyStack,
@@ -428,31 +429,70 @@ def reduce_to_nf(o: Object, budget: int = 1000, mode: str = "plain") -> tuple[Ob
 def plain_reducts(
     o: Object, supply: NameSupply | None = None
 ) -> list[tuple[RuleTag, tuple[int, ...], Object]]:
-    """All one-step plain reducts (used by confluence checks).  Without a
-    supply, one supply_for(o) serves every redex."""
+    """All one-step plain reducts of o, with the tag and path of each redex,
+    in lm_redexes order.  Without a supply, one supply_for(o) serves every
+    redex."""
     if supply is None:
         supply = supply_for(o)
     return [(tag, p, lm_step(o, tag, p, supply)) for tag, p in lm_redexes(o)]
 
 
+def _reduct_lists(o: Object, supply: NameSupply, lists: dict[int, list[Object]],
+                  kept: list[Object]) -> None:
+    """Put in lists, by node identity, the one-step plain reducts of every
+    node of o that has no list yet, and append each such node to kept.  A
+    node's list is its own redex fired at the node, then each reduct of
+    each child rebuilt under the node: lm_redexes order.  Post-order, on an
+    explicit stack."""
+    todo = [o]
+    while todo:
+        n = todo[-1]
+        if id(n) in lists:
+            todo.pop()
+            continue
+        cs = children(n)
+        pending = [c for c in cs if id(c) not in lists]
+        if pending:
+            todo.extend(pending)
+            continue
+        todo.pop()
+        found = _plain_tag(n)
+        out = [lm_step(n, found[0], (), supply)] if found is not None else []
+        for i, c in enumerate(cs):
+            below = lists[id(c)]
+            if below:
+                with_child = _WITH_CHILD[type(n)][i]
+                out.extend([with_child(n, r) for r in below])
+        lists[id(n)] = out
+        kept.append(n)
+
+
 def reduction_graph(o: Object, max_states: int = 10000) -> tuple[dict, list[Object]]:
     """Exhaustive exploration of the plain reduction graph up to alpha;
-    returns the successor map keyed by canonical keys and the normal forms.
+    returns the successor map keyed by canonical keys, each state's
+    successors in lm_redexes order, and one normal form per alpha-class
+    reached.
 
     One name supply serves the whole graph: every identifier of a state is
     one of o's or was issued by that supply, so it never issues one that a
-    state already holds."""
+    state already holds.  Each node's one-step reducts are built once per
+    call, by node identity, and serve every state that holds the node: a
+    state shares every subtree off one spine with the state it came from.
+    The memo keeps every node it keys, so no id is reused while it lives."""
     supply = supply_for(o)
+    lists: dict[int, list[Object]] = {}
+    kept: list[Object] = []
     start = canonical_key(o)
     edges: dict = {start: []}
     queue = [(o, start)]
     nfs = []
     while queue:
         cur, ck = queue.pop()
-        succs = plain_reducts(cur, supply)
+        _reduct_lists(cur, supply, lists, kept)
+        succs = lists[id(cur)]
         if not succs:
             nfs.append(cur)
-        for _, _, nxt in succs:
+        for nxt in succs:
             nk = canonical_key(nxt)
             if nk not in edges:
                 if len(edges) >= max_states:

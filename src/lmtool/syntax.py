@@ -779,6 +779,35 @@ def canonical_key(o: Object) -> tuple:
     return tuple(out)
 
 
+# per class, the fields that are not children: identifiers and annotations
+_LABEL = {
+    Var: attrgetter("name"),
+    Abs: attrgetter("var", "ann"),
+    Mu: attrgetter("name", "ann"),
+    ESub: attrgetter("var"),
+    Named: attrgetter("name"),
+    ERepl: attrgetter("new", "old", "ann"),
+}
+
+
+def same_object(o: Object, p: Object) -> bool:
+    """o == p, without recursion: the same constructors, identifiers and
+    annotations node for node.  A subtree that both share is not walked."""
+    todo = [(o, p)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        t = type(a)
+        if type(b) is not t:
+            return False
+        label = _LABEL.get(t)
+        if label is not None and label(a) != label(b):
+            return False
+        todo.extend(zip(children(a), children(b)))
+    return True
+
+
 def alpha_eq(o: Object, p: Object) -> bool:
     """Equality up to renaming of bound variables and names."""
     if sort_of(o) != sort_of(p):

@@ -5,6 +5,7 @@ report and every search outcome as they were."""
 
 import gc
 import random
+import sys
 
 import pytest
 
@@ -23,6 +24,7 @@ from lmtool.generators import gen_equiv_pair
 from lmtool.reduction import meaningful_redexes, meaningful_reducts
 from lmtool.syntax import (
     Abs,
+    App,
     Mu,
     Named,
     Var,
@@ -30,6 +32,7 @@ from lmtool.syntax import (
     dotted,
     parse,
     print_object,
+    same_object,
     supply_for,
 )
 
@@ -184,6 +187,31 @@ def test_alpha_equal_state_is_expanded_afresh():
     for o in (shadowing, distinct):
         shared = equiv(o, target, expansive=False, cache=cache)
         assert outcome(shared) == outcome(equiv(o, target, expansive=False))
+
+
+def _deep_spine(binder: str, args: int = 2000):
+    """(\\binder. x) y ... y with args arguments, built afresh."""
+    o = Abs(binder, None, Var("x"))
+    for _ in range(args):
+        o = App(o, Var("y"))
+    return o
+
+
+def test_cache_compares_deep_states_without_recursion():
+    # the dataclass == recurses once per spine node; 2,000 exceeds the
+    # default recursion limit
+    assert 2000 > sys.getrecursionlimit()
+    state, equal, renamed = _deep_spine("z"), _deep_spine("z"), _deep_spine("w")
+    assert same_object(state, equal) and not same_object(state, renamed)
+    key = canonical_key(state)
+    assert canonical_key(renamed) == key
+    cache = ExpansionCache(state)
+    cache.instances(key, state)
+    cache.instances(key, equal)
+    assert cache.hits == 1
+    # same key, one deep binder renamed: expanded afresh
+    cache.instances(key, renamed)
+    assert cache.hits == 1 and cache.entries[key].state is renamed
 
 
 def sequence(rewrites):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -25,6 +26,9 @@ from lmtool.reduction import (
     reduction_graph,
 )
 from lmtool.syntax import (
+    Abs,
+    App,
+    Var,
     alpha_eq,
     canonical_key,
     is_barendregt,
@@ -388,6 +392,68 @@ def test_reduction_graph_with_one_supply_matches_fresh_supplies():
         assert [canonical_key(nf) for nf in nfs] == [canonical_key(nf) for nf in want[1]]
         explored += len(edges) > 1
     assert explored >= 20
+
+
+def ref_reduction_graph(o, max_states):
+    """reduction_graph as a per-state loop: one supply for the graph, and
+    each state's redexes found by lm_redexes and fired from its root by
+    lm_step."""
+    supply = supply_for(o)
+    start = canonical_key(o)
+    edges = {start: []}
+    queue = [(o, start)]
+    nfs = []
+    while queue:
+        cur, ck = queue.pop()
+        succs = [lm_step(cur, tag, p, supply) for tag, p in lm_redexes(cur)]
+        if not succs:
+            nfs.append(cur)
+        for nxt in succs:
+            nk = canonical_key(nxt)
+            if nk not in edges:
+                if len(edges) >= max_states:
+                    raise BudgetExhausted(None)
+                edges[nk] = []
+                queue.append((nxt, nk))
+            edges[ck].append(nk)
+    return edges, nfs
+
+
+def _graph_or_budget(explore, o, max_states):
+    try:
+        edges, nfs = explore(o, max_states=max_states)
+    except BudgetExhausted:
+        return None
+    return list(edges.items()), [canonical_key(nf) for nf in nfs]
+
+
+def test_reduction_graph_matches_the_per_state_loop():
+    rng = random.Random(2024)
+    corpus = [t(r"(\x. \x1. x x1) x1 x2"), t("(mu 'a. ['a1](mu 'b. ['a]x)) y")]
+    corpus += [gen_typed(seed, size=12 + seed % 5)[0] for seed in range(300)]
+    corpus += [random_pure_term(rng, 7) for _ in range(100)]
+    explored = budget = 0
+    for o in corpus:
+        # same states in the same order, each with the same successors in
+        # the same order, and the same normal forms
+        got = _graph_or_budget(reduction_graph, o, 2000)
+        assert got == _graph_or_budget(ref_reduction_graph, o, 2000), print_object(o)
+        explored += got is not None and len(got[0]) > 1
+        small = _graph_or_budget(reduction_graph, o, 50)
+        assert (small is None) == (_graph_or_budget(ref_reduction_graph, o, 50) is None)
+        budget += small is None
+    assert explored >= 250 and budget >= 5
+
+
+def test_reduction_graph_explores_a_deep_spine():
+    # (\x. x) y applied to 3,000 more y: B, then S, then a normal form
+    o = App(Abs("x", None, Var("x")), Var("y"))
+    for _ in range(3000):
+        o = App(o, Var("y"))
+    assert 3000 > sys.getrecursionlimit()
+    edges, nfs = reduction_graph(o)
+    assert len(edges) == 3 and len(nfs) == 1
+    assert not lm_redexes(nfs[0])
 
 
 def test_plain_reducts_with_one_supply_match_fresh_supplies():
