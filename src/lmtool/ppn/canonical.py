@@ -18,8 +18,12 @@ weakenings too, after the other rules, changes some net_equiv verdicts.
 The isomorphism is anchored at the labeled conclusions, which the
 translation writes from one map of free variables and names: the
 distinguished conclusion, the variables, the names (each sorted), then a
-stack's result.  Cut elimination (rewrite) reads each cut's rule off the
-producers of its two wires."""
+stack's result.  Anchors make the colours of the conclusions unique, so the
+test maps them first and propagates forced moves from them, as VF2-style
+matchers do (Cordella et al., IEEE TPAMI 2004); it branches, and
+backtracks, only where propagation stalls.  Colours and labels are
+compared by value, so no verdict depends on hash().  Cut elimination
+(rewrite) reads each cut's rule off the producers of its two wires."""
 
 from __future__ import annotations
 
@@ -178,162 +182,154 @@ _LEVEL_RULES = (
 # Anchored isomorphism via a flattened labeled graph
 
 
-_ORDERED_PORTS = {
-    "tensor": True,
-    "par": True,
-    "d": True,
-}
+# the nodes whose ports are told apart by number in edge labels
+_ORDERED_UPS = ("tensor", "par", "d")
+_ORDERED_DOWNS = _ORDERED_UPS + ("ax",)
 
 
-def _flatten(net: Net):
-    """Nodes with colors plus labeled edges; boxes contribute door nodes so
-    that the through-the-membrane pairing is part of the graph."""
-    nodes: dict[str, tuple] = {}
-    edges: list[tuple[str, str, tuple]] = []
+def _flatten(net: Net) -> tuple[list[tuple], list[tuple[int, int, tuple]]]:
+    """The net as a graph on int ids: each node's colour and the labeled
+    edges (source, target, label).  Boxes contribute door nodes so that the
+    through-the-membrane pairing is part of the graph; a box's doors take
+    the ids right after its own."""
+    colours: list[tuple] = []
+    edges: list[tuple[int, int, tuple]] = []
 
-    def visit(level: Net, depth: int, prefix: str) -> None:
+    def visit(level: Net, depth: int) -> dict[int, tuple[int, tuple]]:
+        """Adds the level's nodes and wires; returns, for each wire that no
+        node of the level consumes and that is no top-level conclusion, its
+        source id and label."""
+        ids: dict[int, int] = {}
         for nid, n in level.nodes.items():
-            g = f"{prefix}n{nid}"
-            nodes[g] = ("node", n.kind, depth, len(n.ups))
+            g = ids[nid] = len(colours)
+            colours.append(("node", n.kind, depth, len(n.ups)))
             if n.kind == "box":
                 for i in range(len(n.downs)):
-                    dg = f"{g}door{i}"
-                    nodes[dg] = ("door", i == 0, depth)
-                    edges.append((dg, g, ("door-of", i == 0)))
+                    colours.append(("door", i == 0, depth))
+                    edges.append((g + 1 + i, g, ("door-of", i == 0)))
                 inner = n.contents
-                visit(inner, depth + 1, f"{g}b")
-                inner_producer = {
-                    w: (m.nid, i) for m in inner.nodes.values() for i, w in enumerate(m.downs)
-                }
+                loose = visit(inner, depth + 1)
                 for i, (iw, _) in enumerate(inner.conclusions):
-                    ip, iport = inner_producer[iw]
-                    src = _port_src(inner, ip, iport, f"{g}b")
-                    edges.append((src, f"{g}door{i}", _edge_label(inner, ip, iport, iw)))
-        # wires at this level; inner conclusions are box doors, already wired
-        consumer = {w: (m.nid, i) for m in level.nodes.values() for i, w in enumerate(m.ups)}
+                    src, label = loose[iw]
+                    edges.append((src, g + 1 + i, label))
+        # wires at this level; inner conclusions are box doors, wired above
+        consumer = {w: (m, i) for m in level.nodes.values() for i, w in enumerate(m.ups)}
         anchor = dict(level.conclusions) if depth == 0 else {}
+        loose: dict[int, tuple[int, tuple]] = {}
         for nid, n in level.nodes.items():
+            g = ids[nid]
             for pidx, w in enumerate(n.downs):
-                src = _port_src(level, nid, pidx, prefix)
-                label = _edge_label(level, nid, pidx, w)
+                src = g + 1 + pidx if n.kind == "box" else g
+                down = (n.kind, pidx) if n.kind in _ORDERED_DOWNS else (n.kind + "d",)
+                label = (str(level.wires[w]), down)
                 if w in consumer:
-                    cn, cport = consumer[w]
-                    tag = _up_tag(level.nodes[cn], cport)
-                    edges.append((src, f"{prefix}n{cn}", label + (tag,)))
+                    m, cport = consumer[w]
+                    up = (m.kind + "u", cport) if m.kind in _ORDERED_UPS else (m.kind + "u",)
+                    edges.append((src, ids[m.nid], label + (up,)))
                 elif w in anchor:
-                    cg = f"{prefix}conc{w}"
-                    nodes[cg] = ("conc", anchor[w], depth)
-                    edges.append((src, cg, label + ("conc",)))
+                    edges.append((src, len(colours), label + ("conc",)))
+                    colours.append(("conc", anchor[w], depth))
+                else:
+                    loose[w] = (src, label)
+        return loose
 
-    def _port_src(level: Net, nid: int, pidx: int, prefix: str) -> str:
-        if level.nodes[nid].kind == "box":
-            return f"{prefix}n{nid}door{pidx}"
-        return f"{prefix}n{nid}"
-
-    def _edge_label(level: Net, nid: int, pidx: int, w: int) -> tuple:
-        n = level.nodes[nid]
-        if n.kind in _ORDERED_PORTS or n.kind == "ax":
-            down_tag = (n.kind, pidx)
-        elif n.kind == "box":
-            down_tag = ("boxd",)
-        else:
-            down_tag = (n.kind + "d",)
-        return (str(level.wires[w]), down_tag)
-
-    def _up_tag(n, cport: int) -> tuple:
-        if n.kind in _ORDERED_PORTS:
-            return (n.kind + "u", cport)
-        return (n.kind + "u",)
-
-    visit(net, 0, "")
-    return nodes, edges
+    visit(net, 0)
+    return colours, edges
 
 
-def _adjacency(nodes: dict, edges: list, labels: dict) -> dict[str, list[tuple[int, str]]]:
-    """Each node's incident edges as (label, other end); an edge label and
-    its direction are interned to one small int in labels, which the two
-    graphs compared share."""
-    adj: dict[str, list] = {g: [] for g in nodes}
+def _incidence(n: int, edges: list, labels: dict) -> list[dict[int, list[int]]]:
+    """Each node's incident edges grouped by direction and label, as
+    {key: far ends}; a label is interned to one int in labels, which the
+    two graphs compared share, and key = 2 * label + (1 if incoming)."""
+    groups: list[dict[int, list[int]]] = [{} for _ in range(n)]
     for a, b, lbl in edges:
-        adj[a].append((labels.setdefault(("out", lbl), len(labels)), b))
-        adj[b].append((labels.setdefault(("inc", lbl), len(labels)), a))
-    return adj
+        key = 2 * labels.setdefault(lbl, len(labels))
+        groups[a].setdefault(key, []).append(b)
+        groups[b].setdefault(key + 1, []).append(a)
+    return groups
 
 
-_REFINE_ROUNDS = 4
-
-
-def _refine(*graphs: tuple[dict, dict]) -> list[dict]:
-    """Colour refinement of the (nodes, adjacency) graphs together, so that
-    colours compare across them, for at most _REFINE_ROUNDS rounds.  It
-    stops after the first round that splits no class of their joint
-    partition: each round refines the last, so every later round would give
-    the same classes."""
-    colors = [{g: hash(c) for g, c in nodes.items()} for nodes, _ in graphs]
-    count = len(set().union(*(c.values() for c in colors)))
-    for _ in range(_REFINE_ROUNDS):
-        colors = [
-            {g: hash((col[g], tuple(sorted((lbl, col[o]) for lbl, o in adj[g])))) for g in nodes}
-            for (nodes, adj), col in zip(graphs, colors)
-        ]
-        before, count = count, len(set().union(*(c.values() for c in colors)))
-        if count == before:
-            break
-    return colors
-
-
-def _isomorphic(nodes1, edges1, nodes2, edges2) -> bool:
-    if len(nodes1) != len(nodes2) or len(edges1) != len(edges2):
+def _isomorphic(colours1, edges1, colours2, edges2) -> bool:
+    """Whether a colour-preserving bijection carries the first edge
+    multiset onto the second.  The nodes whose colour is unique (the
+    anchored conclusions among them) are mapped first; each mapped pair
+    then forces its one-element edge groups.  Where that stalls, the search
+    branches on an unmapped node next to the mapped part, in the group
+    with the fewest candidates, and backtracks on a contradiction."""
+    n = len(colours1)
+    count = Counter(colours2)
+    if n != len(colours2) or len(edges1) != len(edges2) or Counter(colours1) != count:
         return False
     labels: dict = {}
-    adj1 = _adjacency(nodes1, edges1, labels)
-    adj2 = _adjacency(nodes2, edges2, labels)
-    c1, c2 = _refine((nodes1, adj1), (nodes2, adj2))
-    sizes = Counter(c1.values())
-    if sizes != Counter(c2.values()):
-        return False
-    if Counter(nodes1.values()) != Counter(nodes2.values()):
-        return False
+    inc1 = _incidence(n, edges1, labels)
+    inc2 = _incidence(n, edges2, labels)
+    fwd, back = [-1] * n, [-1] * n
+    trail: list[int] = []  # the mapped nodes of the first graph, in order
 
-    # the candidates for g1 are the nodes of its colour class, in nodes2 order
-    class2: dict[int, list[str]] = {}
-    for g in nodes2:
-        class2.setdefault(c2[g], []).append(g)
-    order = sorted(nodes1, key=lambda g: (sizes[c1[g]], g))
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def feasible(g1: str, g2: str) -> bool:
-        if nodes1[g1] != nodes2[g2]:
-            return False
-        want = sorted((lbl, mapping[o]) for lbl, o in adj1[g1] if o in mapping)
-        have = sorted((lbl, o) for lbl, o in adj2[g2] if o in used)
-        return want == have
-
-    def solve(i: int) -> bool:
-        if i == len(order):
-            return True
-        g1 = order[i]
-        for g2 in class2[c1[g1]]:
-            if g2 in used:
+    def assign(a: int, b: int) -> bool:
+        """Map a to b and propagate; False on a contradiction."""
+        todo = [(a, b)]
+        while todo:
+            a, b = todo.pop()
+            if fwd[a] == b:
                 continue
-            if feasible(g1, g2):
-                mapping[g1] = g2
-                used.add(g2)
-                if solve(i + 1):
-                    return True
-                del mapping[g1]
-                used.remove(g2)
+            if fwd[a] >= 0 or back[b] >= 0 or colours1[a] != colours2[b]:
+                return False
+            fwd[a], back[b] = b, a
+            trail.append(a)
+            g1, g2 = inc1[a], inc2[b]
+            if len(g1) != len(g2):
+                return False
+            for key, ends1 in g1.items():
+                ends2 = g2.get(key)
+                if ends2 is None or len(ends2) != len(ends1):
+                    return False
+                if len(ends1) == 1:
+                    todo.append((ends1[0], ends2[0]))
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            a = trail.pop()
+            b = fwd[a]
+            fwd[a] = back[b] = -1
+
+    def branch() -> tuple[int, list[int]]:
+        """An unmapped node and the unmapped nodes it may map to."""
+        best = None
+        for a in trail:
+            g2 = inc2[fwd[a]]
+            for key, ends1 in inc1[a].items():
+                free = [x for x in ends1 if fwd[x] < 0]
+                if free:
+                    x = free[0]
+                    cands = [y for y in dict.fromkeys(g2[key]) if back[y] < 0]
+                    if best is None or len(cands) < len(best[1]):
+                        best = (x, cands)
+        if best is None:  # no unmapped node next to the mapped part
+            x = fwd.index(-1)
+            best = (x, [y for y in range(n) if back[y] < 0])
+        return best
+
+    def search() -> bool:
+        if len(trail) == n:
+            return Counter((fwd[a], fwd[b], lbl) for a, b, lbl in edges1) == Counter(edges2)
+        x, cands = branch()
+        mark = len(trail)
+        for y in cands:
+            if assign(x, y) and search():
+                return True
+            undo(mark)
         return False
 
-    return solve(0)
+    where = {c: b for b, c in enumerate(colours2)}
+    for a, c in enumerate(colours1):
+        if count[c] == 1 and not assign(a, where[c]):
+            return False
+    return search()
 
 
 def net_equiv(n1: Net, n2: Net) -> bool:
     """Structural equality: canonical forms compared up to an isomorphism
     anchored at the labeled conclusions."""
-    s1 = struct_canon(n1)
-    s2 = struct_canon(n2)
-    nodes1, edges1 = _flatten(s1)
-    nodes2, edges2 = _flatten(s2)
-    return _isomorphic(nodes1, edges1, nodes2, edges2)
+    return _isomorphic(*_flatten(struct_canon(n1)), *_flatten(struct_canon(n2)))

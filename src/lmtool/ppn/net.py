@@ -60,16 +60,14 @@ class Net:
 
     def producer_of(self, wire: int) -> tuple[int, int]:
         for n in self.nodes.values():
-            for i, w in enumerate(n.downs):
-                if w == wire:
-                    return n.nid, i
+            if wire in n.downs:
+                return n.nid, n.downs.index(wire)
         raise KeyError(f"wire {wire} has no producer")
 
     def consumer_of(self, wire: int) -> Optional[tuple[int, int]]:
         for n in self.nodes.values():
-            for i, w in enumerate(n.ups):
-                if w == wire:
-                    return n.nid, i
+            if wire in n.ups:
+                return n.nid, n.ups.index(wire)
         return None
 
     def conclusion_anchor(self, wire: int) -> Optional[Anchor]:
@@ -217,17 +215,20 @@ class Net:
                 lines.append(
                     f"  {prefix}_{nid} [label=\"{labels[n.kind]}\", shape=circle];"
                 )
+        # each wire's first consumer and first anchor, as consumer_of and
+        # conclusion_anchor find them
+        consumer = {w: nid for nid, n in reversed(self.nodes.items()) for w in n.ups}
+        anchor = dict(reversed(self.conclusions))
         for nid in sorted(self.nodes):
             n = self.nodes[nid]
             for w in n.downs:
-                c = self.consumer_of(w)
                 lbl = str(self.wires[w]).replace('"', "'")
-                if c is not None:
+                if w in consumer:
                     lines.append(
-                        f"  {prefix}_{nid} -> {prefix}_{c[0]} [label=\"{lbl}\"];"
+                        f"  {prefix}_{nid} -> {prefix}_{consumer[w]} [label=\"{lbl}\"];"
                     )
                 else:
-                    a = self.conclusion_anchor(w)
+                    a = anchor.get(w)
                     name = ":".join(str(x) for x in (a or ("loose",)))
                     cid = f"{prefix}_conc_{w}"
                     lines.append(f"  {cid} [label=\"{name}\", shape=plaintext];")

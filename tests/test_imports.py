@@ -1,4 +1,5 @@
-"""Every name that a module of the package imports is used in that module."""
+"""Every name that a module of the package imports is used in that module,
+and every private module-level name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,61 @@ def test_no_module_imports_a_name_it_never_uses():
         if (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """The private (one leading underscore) module-level functions, classes
+    and constants of sources, a map of module path to text, that no module
+    reads outside the definition itself.  A read in another module counts
+    by name alone."""
+    defs: dict[tuple[str, str], tuple[int, int]] = {}
+    reads: list[tuple[str, int, str]] = []
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defs[path, name] = (node.lineno, node.end_lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                reads.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                reads += [(path, node.lineno, alias.name) for alias in node.names]
+
+    def read(path: str, name: str) -> bool:
+        first, last = defs[path, name]
+        return any(
+            n == name and (p != path or not first <= line <= last) for p, line, n in reads
+        )
+
+    return [
+        f"{path}: {name} (line {defs[path, name][0]})"
+        for path, name in sorted(defs)
+        if not read(path, name)
+    ]
+
+
+def test_unreferenced_private_names_finds_a_leftover():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n\n_C = 1\n",
+        "b.py": "from .a import _used\n_used()\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py: _C (line 7)", "a.py: _dead (line 4)"]
+    sources["b.py"] += "import a\nprint(a._C, a._dead)\n"
+    assert unreferenced_private_names(sources) == []
+
+
+def test_every_private_module_level_name_is_used():
+    sources = {
+        str(path.relative_to(_PACKAGE)): path.read_text() for path in sorted(_PACKAGE.rglob("*.py"))
+    }
+    assert unreferenced_private_names(sources) == []

@@ -292,7 +292,8 @@ def test_axiom_soundness(axiom):
     pairs = TypedPairs(seed=zlib.crc32(axiom.encode()) % 10**6)
     for _ in range(3):
         lhs, rhs, g, d = pairs.build(axiom)
-        # the hand-written right side is what the axiom's own rewrite gives
+        # the right side comes from the engine: it is what the axiom's own
+        # rewrite gives
         assert print_object(apply_axiom(lhs, Axiom(axiom, "LR", ()))) == print_object(rhs)
         assert soundness_check(lhs, rhs, g, d)
 
@@ -459,8 +460,9 @@ def test_dot_export_deterministic():
 #
 # The references below are the earlier, simpler forms of code that now avoids
 # copies and rescans: translation that builds every clause into a fresh net
-# and copies it into its parent, the count-then-find normalization loop, and
-# the isomorphism test on string labels with linear lookups.
+# and copies it into its parent, the count-then-find normalization loop, DOT
+# export and wire lookups with a scan per wire, and the isomorphism test on
+# string labels with colour refinement and linear lookups.
 
 
 def _absorb(target, other):
@@ -1048,11 +1050,82 @@ def _swap_var_anchors(net):
     return None
 
 
-def _classes(colors):
-    groups = {}
-    for g, c in colors.items():
-        groups.setdefault(c, set()).add(g)
-    return sorted(sorted(s) for s in groups.values())
+def _ref_dot_body(net, lines, prefix):
+    """Net._dot_body with a linear consumer and anchor scan per wire."""
+    labels = {
+        "ax": "ax", "cut": "cut", "w": "w", "c": "c",
+        "tensor": "(*)", "par": "(#)", "d": "d", "box": "!",
+    }
+    for nid in sorted(net.nodes):
+        n = net.nodes[nid]
+        if n.kind == "box":
+            lines.append(f"  subgraph cluster_{prefix}_{nid} {{")
+            lines.append("    style=dashed;")
+            _ref_dot_body(n.contents, lines, f"{prefix}_{nid}")
+            lines.append(f"    {prefix}_{nid} [label=\"!\", shape=box];")
+            lines.append("  }")
+        else:
+            lines.append(f"  {prefix}_{nid} [label=\"{labels[n.kind]}\", shape=circle];")
+    for nid in sorted(net.nodes):
+        for w in net.nodes[nid].downs:
+            c = net.consumer_of(w)
+            lbl = str(net.wires[w]).replace('"', "'")
+            if c is not None:
+                lines.append(f"  {prefix}_{nid} -> {prefix}_{c[0]} [label=\"{lbl}\"];")
+            else:
+                a = net.conclusion_anchor(w)
+                name = ":".join(str(x) for x in (a or ("loose",)))
+                cid = f"{prefix}_conc_{w}"
+                lines.append(f"  {cid} [label=\"{name}\", shape=plaintext];")
+                lines.append(f"  {prefix}_{nid} -> {cid} [label=\"{lbl}\"];")
+
+
+def _ref_port(level, wire, side):
+    """The first (node, port) of the level whose ups or downs hold wire."""
+    for n in level.nodes.values():
+        for i, w in enumerate(getattr(n, side)):
+            if w == wire:
+                return n.nid, i
+    return None
+
+
+def test_dot_and_wire_lookups_match_the_per_wire_scans():
+    nets = 0
+    for o, g, d in _seeded_objects()[::3]:
+        n = translate_derivation(check_object(o, g, d))
+        for m in (n, mult_nf(n), full_nf(n), struct_canon(full_nf(n))):
+            lines = ["digraph net {", "  rankdir=TB;"]
+            _ref_dot_body(m, lines, "n")
+            assert m.to_dot() == "\n".join(lines + ["}"])
+            for level in m.all_nets():
+                for w in list(level.wires) + [-1]:
+                    assert level.consumer_of(w) == _ref_port(level, w, "ups")
+                    producer = _ref_port(level, w, "downs")
+                    if producer is not None:
+                        assert level.producer_of(w) == producer
+                    else:
+                        with pytest.raises(KeyError):
+                            level.producer_of(w)
+            nets += 1
+    assert nets >= 40
+
+
+def _shuffled(net, rng):
+    """The net with the nodes of every level, and its conclusions, listed in
+    a shuffled order: the same net, but its graph numbers the nodes
+    differently."""
+    out = net.copy()
+    for level in out.all_nets():
+        items = list(level.nodes.items())
+        rng.shuffle(items)
+        level.nodes = dict(items)
+    rng.shuffle(out.conclusions)
+    return out
+
+
+def _ref_graph(colours, edges):
+    """An int graph in the form the string-label reference takes."""
+    return dict(enumerate(colours)), edges
 
 
 def test_isomorphism_matches_the_string_label_reference():
@@ -1075,36 +1148,116 @@ def test_isomorphism_matches_the_string_label_reference():
     verdicts = Counter()
     for n1, n2 in pairs:
         f1, f2 = canonical._flatten(n1), canonical._flatten(n2)
-        assert f1 == _ref_flatten(n1) and f2 == _ref_flatten(n2)
-        (nodes1, edges1), (nodes2, edges2) = f1, f2
-        labels = {}
-        adj1 = canonical._adjacency(nodes1, edges1, labels)
-        adj2 = canonical._adjacency(nodes2, edges2, labels)
-        c1, c2 = canonical._refine((nodes1, adj1), (nodes2, adj2))
-        # one int for each edge label and direction, shared by both graphs
-        assert len(labels) == 2 * len({lbl for _, _, lbl in edges1 + edges2})
-        both = {("1", g): c for g, c in c1.items()} | {("2", g): c for g, c in c2.items()}
-        ref1, ref2 = _ref_refine(nodes1, edges1), _ref_refine(nodes2, edges2)
-        ref = {("1", g): c for g, c in ref1.items()} | {("2", g): c for g, c in ref2.items()}
-        assert _classes(both) == _classes(ref)
-        got = canonical._isomorphic(nodes1, edges1, nodes2, edges2)
-        assert got == _ref_isomorphic(nodes1, edges1, nodes2, edges2)
+        ref1, ref2 = _ref_flatten(n1), _ref_flatten(n2)
+        for (colours, edges), (ref_nodes, ref_edges) in ((f1, ref1), (f2, ref2)):
+            # the int ids number the reference's nodes in its order
+            ids = {name: i for i, name in enumerate(ref_nodes)}
+            assert colours == [ref_nodes[name] for name in ids]
+            assert edges == [(ids[a], ids[b], lbl) for a, b, lbl in ref_edges]
+        got = canonical._isomorphic(*f1, *f2)
+        assert got == _ref_isomorphic(*ref1, *ref2)
         verdicts[got] += 1
     assert verdicts[True] > 50 and verdicts[False] > 20, verdicts
 
 
-def test_refinement_stops_only_when_the_joint_partition_is_stable():
-    # round 1 splits the class {a1, a2} that the two graphs share, while
-    # neither graph gains a class; c1 and c2 split only in round 2
-    nodes1 = {"a": "p", "b": "q", "c": "s"}
-    nodes2 = {"a": "p", "b": "r", "c": "s"}
-    edges = [("a", "b", "e"), ("c", "a", "e")]
-    labels = {}
-    adj1 = canonical._adjacency(nodes1, edges, labels)
-    adj2 = canonical._adjacency(nodes2, edges, labels)
-    c1, c2 = canonical._refine((nodes1, adj1), (nodes2, adj2))
-    both = {("1", g): c for g, c in c1.items()} | {("2", g): c for g, c in c2.items()}
-    ref1, ref2 = _ref_refine(nodes1, edges), _ref_refine(nodes2, edges)
-    ref = {("1", g): c for g, c in ref1.items()} | {("2", g): c for g, c in ref2.items()}
-    assert _classes(both) == _classes(ref)
-    assert c1["c"] != c2["c"]
+def test_isomorphism_matches_the_reference_on_normal_forms():
+    # the nets that simulation_check and soundness_check compare, each
+    # against the other side and against itself in a shuffled node order,
+    # and against itself with two variable anchors swapped; with these
+    # shuffles, the first candidate fails in one stalled pair
+    rng = random.Random(23)
+    sides = [(c[1], c[2], c[3], c[4]) for c in typed_step_cases(seed=420, count=25)]
+    for j, axiom in enumerate(["exs", "exr", "lin", "pp", "rho", "theta", "ren"]):
+        pairs = TypedPairs(seed=910 + j)
+        sides += [pairs.build(axiom) for _ in range(3)]
+    verdicts = Counter()
+    for o, o2, g, d in sides:
+        n1 = translate_derivation(check_object(o, g, d))
+        n2 = translate_derivation(check_object(o2, g, d))
+        for nf in (mult_nf, full_nf):
+            s1, s2 = struct_canon(nf(n1)), struct_canon(nf(n2))
+            swapped = _swap_var_anchors(s1)
+            others = [_shuffled(s2, rng), _shuffled(s1, rng)]
+            others += [] if swapped is None else [_shuffled(swapped, rng)]
+            for other in others:
+                f1, f2 = canonical._flatten(s1), canonical._flatten(other)
+                got = canonical._isomorphic(*f1, *f2)
+                assert got == _ref_isomorphic(*_ref_graph(*f1), *_ref_graph(*f2))
+                verdicts[got] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 10, verdicts
+
+
+# Small graphs, as (colours, edges) pairs with the expected verdict.  "R",
+# "C" and "D" are unique colours, which the search maps first.
+_SMALL_GRAPHS = {
+    # one colour differs, so no bijection keeps the colours
+    "joint_partition_pair": (
+        (["p", "q", "s"], [(0, 1, "e"), (2, 0, "e")]),
+        (["p", "r", "s"], [(0, 1, "e"), (2, 0, "e")]),
+        False,
+    ),
+    # r's two k-edges stall propagation; on the left each x reaches both c
+    # and d, on the right one of them twice: every node has the same edge
+    # counts on both sides, so only the final check of the whole edge
+    # multiset tells the graphs apart
+    "stall_edges_differ": (
+        (["R", "x", "x", "C", "D"],
+         [(0, 1, "k"), (0, 2, "k"), (1, 3, "q"), (1, 4, "q"), (2, 3, "q"), (2, 4, "q")]),
+        (["R", "x", "x", "C", "D"],
+         [(0, 1, "k"), (0, 2, "k"), (1, 3, "q"), (1, 3, "q"), (2, 4, "q"), (2, 4, "q")]),
+        False,
+    ),
+    # the first candidate for the first x, in node order, carries the wrong
+    # loop: the search has to undo it and take the second
+    "first_candidate_fails": (
+        (["R", "x", "x"], [(0, 1, "k"), (0, 2, "k"), (1, 1, "m"), (2, 2, "p")]),
+        (["R", "x", "x"], [(0, 1, "k"), (0, 2, "k"), (1, 1, "p"), (2, 2, "m")]),
+        True,
+    ),
+    # no edge joins the two x to the unique node: the search branches on
+    # the first unmapped node, and its first candidate points the wrong way
+    "unanchored_component": (
+        (["R", "x", "x"], [(0, 0, "a"), (1, 2, "b")]),
+        (["R", "x", "x"], [(0, 0, "a"), (2, 1, "b")]),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SMALL_GRAPHS))
+def test_isomorphism_decides_small_graphs(case):
+    (colours1, edges1), (colours2, edges2), want = _SMALL_GRAPHS[case]
+    assert canonical._isomorphic(colours1, edges1, colours2, edges2) == want
+    assert canonical._isomorphic(colours2, edges2, colours1, edges1) == want
+    ref1, ref2 = _ref_graph(colours1, edges1), _ref_graph(colours2, edges2)
+    assert _ref_isomorphic(*ref1, *ref2) == want
+
+
+def test_wide_contraction_into_different_contexts():
+    # x feeds one contraction whose premises lead into the boxes of four
+    # erased substitutions, each cut against a weakening: nothing anchored
+    # tells those premises apart, so the search branches among them, and
+    # only the box contents show which choice is right
+    env = {
+        "k": parse_type("iA->iA->iB"),
+        "g": parse_type("iA->iA"),
+        "h": parse_type("iA->iA"),
+        "x": Base("A"),
+    }
+    text = r"\z:iA. (k z x)[w1\g x][w2\h x][w3\g (g x)][w4\h (g x)]"
+    swapped = r"\z:iA. (k z x)[w1\g x][w2\h x][w3\g (g x)][w4\g (h x)]"
+    nets = [
+        struct_canon(mult_nf(translate_derivation(check_object(t(s), env))))
+        for s in (text, swapped)
+    ]
+    wide = [
+        len(n.ups) for level in nets[0].all_nets() for n in level.nodes.values() if n.kind == "c"
+    ]
+    assert max(wide) >= 4
+    rng = random.Random(3)
+    for other, want in [(nets[0], True), (nets[1], False)]:
+        for n2 in [other] + [_shuffled(other, rng) for _ in range(4)]:
+            f1, f2 = canonical._flatten(nets[0]), canonical._flatten(n2)
+            assert canonical._isomorphic(*f1, *f2) == want
+            assert _ref_isomorphic(*_ref_graph(*f1), *_ref_graph(*f2)) == want
+            assert net_equiv(nets[0], n2) == want
