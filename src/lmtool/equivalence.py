@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional
 
 from .gen_random import random_pure_command, random_pure_stack, random_pure_term
@@ -39,7 +38,7 @@ from .syntax import (
     free_vars,
     print_object,
     rename_free,
-    rename_occurrences,
+    rename_subsets,
     rewrite_at,
     rewrite_everywhere,
     same_object,
@@ -157,7 +156,7 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
         if at is not None and getattr(node, at) in bound:
             continue
         x, body = _BOUND_BY[t](node), node.body
-        if count_free(x, sub) > 0:
+        if x in (free_vars(sub) if t is ESub else free_names(sub)):
             x2 = supply.fresh(x)
             body, x = rename_free(body, x, x2), x2
         out.append((ax, "RL", _REBIND[t](node, x, rewrite_at(sub, idxs, body, supply))))
@@ -170,7 +169,7 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
         case ERepl(Named(a, u), nn, on, _, s) if (
             a == on
             and not isinstance(s, EmptyStack)
-            and count_free(on, u) == 0
+            and on not in free_names(u)
             and _stack_inert(u)
         ):
             out.append(("lin", "LR", Named(nn, canon(apply_stack(u, s), supply))))
@@ -208,7 +207,7 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
             out.append(("rho", "RL", Named(a, Mu(b, annb, cbody))))
     match sub:
         # theta LR: mu a. [a]t -> t, a # t
-        case Mu(a, _, Named(a2, tb)) if a == a2 and count_free(a, tb) == 0:
+        case Mu(a, _, Named(a2, tb)) if a == a2 and a not in free_names(tb):
             out.append(("theta", "LR", tb))
     if expansive and sort_of(sub) == "term":
         a = supply.fresh("'a")
@@ -227,10 +226,8 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
                 if len(occs) > _REN_SUBSET_CAP:
                     occs = occs[:_REN_SUBSET_CAP]
                 b = supply.fresh("'b")
-                for r in range(0, len(occs) + 1):
-                    for chosen in combinations(occs, r):
-                        body = rename_occurrences(sub, a, b, set(chosen))
-                        out.append(("ren", "RL", ERepl(body, a, b, None, empty_stack())))
+                for body in rename_subsets(sub, b, occs):
+                    out.append(("ren", "RL", ERepl(body, a, b, None, empty_stack())))
     return out
 
 
@@ -509,14 +506,22 @@ def equiv(
             obj, steps = visited[key]
             expanded += 1
             if cache is None:
-                rewrites = _keyed(_rewrites(obj, include_ren, expansive, supply, memo))
+                rewrites = _rewrites(obj, include_ren, expansive, supply, memo)
             else:
                 rewrites = cache.instances(key, obj)
-            for ax, res in rewrites:
+            for item in rewrites:
                 built += 1
-                rk = ax.result_key
+                if cache is None:
+                    # keyed here, and given an Axiom only if it is kept
+                    idxs, rw, res = item
+                    rk = canonical_key(res)
+                else:
+                    ax, res = item
+                    rk = ax.result_key
                 if rk in visited or not is_canonical(res):
                     continue
+                if cache is None:
+                    ax = Axiom(rw[0], rw[1], idxs, rk)
                 if expand_fwd:
                     visited[rk] = (res, steps + [ax])
                 else:

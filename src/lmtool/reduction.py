@@ -245,11 +245,43 @@ def _canon_tag(o: Object) -> Optional[tuple[RuleTag, tuple[int, ...] | None]]:
     t = type(o)
     if t is App:
         return _app_tag(o)
-    if t is ERepl:
-        info = _classify_erepl(o)
-        if info[0] in CANON_R:
-            return info
+    if t is ERepl and type(o.stack) is not EmptyStack:
+        return _linear_swap_or_compose(o)
     return None
+
+
+def _linear_swap_or_compose(o: ERepl) -> Optional[tuple[RuleTag, tuple[int, ...]]]:
+    """_classify_erepl(o) when it is W or C, else None, for o with a
+    nonempty stack.  W and C need the bound name's one occurrence to be a
+    replacement's new name on the linear spine of o's command, so the walk
+    follows that spine to the first occurrence and counts only when it is
+    such a candidate.  It stops early where no occurrence can be linear: at
+    a named occurrence (N or R!=1), at a binder of the name, and at a node
+    whose cached free names lack it."""
+    alpha = o.old
+    c = o.body
+    depth = 0
+    while True:
+        free = getattr(c, "_fn", None)
+        if free is not None and alpha not in free:
+            return None
+        t = type(c)
+        if t is ERepl:
+            if c.new == alpha:
+                if count_free(alpha, o.body) != 1:
+                    return None
+                occ = (0,) * depth
+                return (RuleTag.W, occ) if type(c.stack) is EmptyStack else (RuleTag.C, occ)
+            if c.old == alpha:
+                return None
+        elif t is Named or t is Mu:
+            # a named occurrence, or a binder of the name
+            if c.name == alpha:
+                return None
+        elif t is not App and t is not Abs and t is not ESub:
+            return None  # a variable ends the spine
+        c = c.fun if t is App else c.body
+        depth += 1
 
 
 def _redexes(o: Object, tag_of, tags=None):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from operator import attrgetter
 from typing import Iterator, Optional, Union
 
@@ -328,13 +329,29 @@ def rewrite_everywhere(o: Object, rewrites_of) -> Iterator[tuple[tuple[int, ...]
     rewrites_of(sub) lists for its subobject, a tuple whose last item is the
     new subobject: yield (index path, rewrite, o with the new subobject in
     place).  No binder is checked for capture, so a rewrite must bring no
-    free identifier that its subobject lacks."""
-    for idxs, sub in positions(o):
+    free identifier that its subobject lacks.
+
+    One walk on an explicit stack: nodes holds the nodes from o down to the
+    current position and steps the child indices between them, so a
+    position costs its path tuple only when it has rewrites."""
+    nodes: list[Object] = []
+    steps: list[int] = []
+    todo = [(o, 0, 0)]  # (subobject, depth, child index in its parent)
+    while todo:
+        sub, d, i = todo.pop()
+        del nodes[d:]
+        nodes.append(sub)
+        if d:
+            del steps[d - 1:]
+            steps.append(i)
         found = rewrites_of(sub)
         if found:
-            nodes = descend(o, idxs)
+            idxs = tuple(steps)
             for rw in found:
                 yield idxs, rw, splice(nodes, idxs, rw[-1])
+        cs = children(sub)
+        for k in range(len(cs) - 1, -1, -1):
+            todo.append((cs[k], d + 1, k))
 
 
 # ---------------------------------------------------------------------------
@@ -599,26 +616,32 @@ def supply_for(*objects: Object) -> NameSupply:
 # Renaming (no capture checks: callers ensure the new identifier is fresh)
 
 
-def rename_occurrences(o: Object, old: str, new: str, chosen: set[tuple[int, ...]]) -> Object:
-    """Rename old to new at the chosen index paths, which address nodes
-    where an identifier stands free (free_occurrences lists them).  A
-    subtree that holds no chosen path is returned as it is, so it keeps its
-    caches."""
-    on_path = {c[:k] for c in chosen for k in range(len(c) + 1)}
+def rename_subsets(o: Object, new: str, occs: list[tuple[int, ...]]) -> list[Object]:
+    """o with the identifier at each subset of the index paths occs renamed
+    to new, one object per subset in combinations order: by size, then
+    lexicographically.  occs address free occurrences of one identifier in
+    pre-order (free_occurrences lists them), and new must be fresh.
 
-    def go(o: Object, idxs: tuple[int, ...]) -> Object:
-        if idxs not in on_path:
-            return o
-        cs = children(o)
-        if cs:
-            o = with_children(o, tuple(go(ch, idxs + (i,)) for i, ch in enumerate(cs)))
-        if idxs in chosen:
-            at = _FREE_AT[type(o)]
-            if getattr(o, at) == old:
-                o = _RENAME_AT[type(o)](o, new)
-        return o
-
-    return go(o, ())
+    Each object is its subset's (r-1)-prefix's object with the last chosen
+    occurrence renamed, rebuilt up the path to it: that occurrence follows
+    the others in pre-order, so none of them lies below it, and the node
+    there is still o's.  A subtree that holds no chosen occurrence is o's
+    own node and keeps its caches."""
+    built = {(): o}
+    for r in range(1, len(occs) + 1):
+        for chosen in combinations(range(len(occs)), r):
+            idxs = occs[chosen[-1]]
+            above = []
+            n = built[chosen[:-1]]
+            for i in idxs:
+                above.append(n)
+                n = children(n)[i]
+            n = _RENAME_AT[type(n)](n, new)
+            for k in range(len(idxs) - 1, -1, -1):
+                p = above[k]
+                n = _WITH_CHILD[type(p)][idxs[k]](p, n)
+            built[chosen] = n
+    return list(built.values())
 
 
 def rename_free(o: Object, old: str, new: str) -> Object:

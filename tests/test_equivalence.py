@@ -418,32 +418,49 @@ def test_cached_canonicity_of_instances_matches_reference_walk(seeded_objects):
     assert seen == {True, False}
 
 
-def _rebuilt_renaming(o, frm, to, chosen):
-    """rename_occurrences as a full rebuild of every node."""
-    from lmtool.syntax import children, with_children
+def ref_rename_occurrences(o, old, new, chosen):
+    """The renamer of ren right-to-left before rename_subsets: rename old to
+    new at the chosen index paths, rebuilding every prefix of every chosen
+    path and returning every other subtree as it is."""
+    from lmtool.syntax import _FREE_AT, _RENAME_AT, children, with_children
+
+    on_path = {c[:k] for c in chosen for k in range(len(c) + 1)}
 
     def go(o, idxs):
-        match o:
-            case Named(a, b):
-                a2 = to if (idxs in chosen and a == frm) else a
-                return Named(a2, go(b, idxs + (0,)))
-            case ERepl(b, nn, on, ann, s):
-                nn2 = to if (idxs in chosen and nn == frm) else nn
-                return ERepl(go(b, idxs + (0,)), nn2, on, ann, go(s, idxs + (1,)))
-            case _:
-                cs = children(o)
-                if not cs:
-                    return o
-                return with_children(o, tuple(go(ch, idxs + (i,)) for i, ch in enumerate(cs)))
+        if idxs not in on_path:
+            return o
+        cs = children(o)
+        if cs:
+            o = with_children(o, tuple(go(ch, idxs + (i,)) for i, ch in enumerate(cs)))
+        if idxs in chosen:
+            at = _FREE_AT[type(o)]
+            if getattr(o, at) == old:
+                o = _RENAME_AT[type(o)](o, new)
+        return o
 
     return go(o, ())
 
 
-def test_rename_occurrences_shares_untouched_subtrees(seeded_objects):
+def _ref_rename_subsets(o, new, occs):
+    """rename_subsets by one ref_rename_occurrences call per subset."""
+    from itertools import combinations
+
+    from lmtool.syntax import _FREE_AT, subobject_at
+
+    if not occs:
+        return [o]
+    first = subobject_at(o, occs[0])
+    old = getattr(first, _FREE_AT[type(first)])
+    return [ref_rename_occurrences(o, old, new, set(chosen))
+            for r in range(len(occs) + 1) for chosen in combinations(occs, r)]
+
+
+def test_rename_subsets_shares_untouched_subtrees(seeded_objects):
     from itertools import combinations
 
     from lmtool.syntax import (
-        free_names, free_occurrences, positions, rename_occurrences, sort_of, subobject_at,
+        free_names, free_occurrences, positions, rename_subsets, same_object, sort_of,
+        subobject_at,
     )
 
     shared = 0
@@ -453,18 +470,131 @@ def test_rename_occurrences_shares_untouched_subtrees(seeded_objects):
                 continue
             for a in sorted(free_names(sub)):
                 occs = [idxs for idxs, _ in free_occurrences(sub, a)][:4]
-                for r in range(len(occs) + 1):
-                    for chosen in map(set, combinations(occs, r)):
-                        got = rename_occurrences(sub, a, "'fresh", chosen)
-                        assert got == _rebuilt_renaming(sub, a, "'fresh", chosen)
-                        for idxs, old in positions(sub):
-                            if any(ch[: len(idxs)] == idxs for ch in chosen):
-                                continue
-                            # no chosen occurrence at or below: kept as is
-                            new = subobject_at(got, make_path(got, idxs))
-                            assert new is old
-                            shared += 1
+                got = rename_subsets(sub, "'fresh", occs)
+                subsets = [c for r in range(len(occs) + 1) for c in combinations(occs, r)]
+                assert len(got) == len(subsets) and got[0] is sub
+                for res, chosen in zip(got, subsets):
+                    want = ref_rename_occurrences(sub, a, "'fresh", set(chosen))
+                    assert same_object(res, want)
+                    for idxs, old in positions(sub):
+                        if any(ch[: len(idxs)] == idxs for ch in chosen):
+                            continue
+                        # no chosen occurrence at or below: kept as is
+                        assert subobject_at(res, make_path(res, idxs)) is old
+                        shared += 1
     assert shared > 1000
+
+
+def test_ren_right_to_left_lists_match_the_path_renamer(seeded_objects, monkeypatch):
+    # each command's whole rewrite list, once as built and once with every
+    # chosen subset renamed by the path renamer, from equal fresh supplies
+    from lmtool import equivalence
+    from lmtool.equivalence import _subtree_rewrites
+    from lmtool.syntax import count_free, positions, same_object, sort_of, supply_for
+
+    def with_path_renamer(sub):
+        with monkeypatch.context() as m:
+            m.setattr(equivalence, "rename_subsets", _ref_rename_subsets)
+            return _subtree_rewrites(sub, supply_for(sub), True)
+
+    # the objects, and the ren rewrites of the 32 canonical sigma sides that
+    # end them: renamed commands hold more occurrences of a name
+    objs = list(seeded_objects)
+    for o in seeded_objects[-32:]:
+        objs += [r for ax, r in axiom_instances(o, include_ren=True) if ax.name == "ren"]
+    ren_rl = chosen_two = 0
+    seen = set()
+    for o in objs:
+        for _, sub in positions(o):
+            if sort_of(sub) != "command" or id(sub) in seen:
+                continue
+            seen.add(id(sub))
+            got = _subtree_rewrites(sub, supply_for(sub), True)
+            want = with_path_renamer(sub)
+            assert [rw[:2] for rw in got] == [rw[:2] for rw in want]
+            for (name, orient, res), (_, _, ref) in zip(got, want):
+                # every name compared, the fresh ones included
+                assert same_object(res, ref), print_object(sub)
+                if (name, orient) == ("ren", "RL"):
+                    ren_rl += 1
+                    chosen_two += count_free(res.old, res.body) >= 2
+    assert ren_rl > 1000 and chosen_two > 100, (ren_rl, chosen_two)
+
+
+def _ref_rewrite_everywhere(o, rewrites_of):
+    """rewrite_everywhere before its one walk: every position, then the
+    nodes above each position that has rewrites read again from the root."""
+    from lmtool.syntax import descend, positions, splice
+
+    for idxs, sub in positions(o):
+        found = rewrites_of(sub)
+        if found:
+            nodes = descend(o, idxs)
+            for rw in found:
+                yield idxs, rw, splice(nodes, idxs, rw[-1])
+
+
+def _same_rewrites(got, want):
+    from lmtool.syntax import same_object
+
+    assert len(got) == len(want)
+    for (idxs, rw, res), (idxs2, rw2, res2) in zip(got, want):
+        assert idxs == idxs2 and rw[:-1] == rw2[:-1]
+        assert same_object(rw[-1], rw2[-1]) and same_object(res, res2)
+    return len(got)
+
+
+def test_one_walk_rewrite_everywhere_matches_the_descend_reference(seeded_objects, monkeypatch):
+    from lmtool import equivalence, lmu
+    from lmtool.drivers import sigma_pair
+    from lmtool.equivalence import _NodeMemo, _rewrites
+    from lmtool.syntax import same_object, supply_for
+
+    def both(module, run):
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(module, "rewrite_everywhere", _ref_rewrite_everywhere)
+            return got, run()
+
+    compared = 0
+    for o in seeded_objects:
+        got, want = both(equivalence, lambda: list(
+            _rewrites(o, True, True, supply_for(o), _NodeMemo())))
+        compared += _same_rewrites(got, want)
+    sigma = 0
+    for k in range(1, 9):
+        for seed in range(3):
+            for side in sigma_pair(seed, f"sigma{k}", size=3):
+                got, want = both(lmu, lambda: lmu.sigma_instances(side))
+                assert [g[:3] for g in got] == [w[:3] for w in want]
+                assert all(same_object(g[3], w[3]) for g, w in zip(got, want))
+                sigma += len(got)
+    assert compared > 2000 and sigma > 500, (compared, sigma)
+
+
+def test_one_walk_rewrite_everywhere_on_a_deep_spine():
+    # x y0 ... y4999, nested to the left: deeper than the recursion limit
+    import sys
+
+    from lmtool.syntax import App, Var, rewrite_everywhere
+
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    o = Var("x")
+    for i in range(depth):
+        o = App(o, Var(f"y{i}"))
+    hit = {"x", "y0", "y2500", f"y{depth - 1}"}
+
+    def rewrites_of(sub):
+        if type(sub) is Var and sub.name in hit:
+            return [("to z", Var("z")), ("to w", Var("w"))]
+        return []
+
+    got = list(rewrite_everywhere(o, rewrites_of))
+    assert _same_rewrites(got, list(_ref_rewrite_everywhere(o, rewrites_of))) == 8
+    # the head x is the deepest position; y4999 is the root's argument
+    assert got[0][0] == (0,) * depth and got[-1][0] == (1,)
+    assert got[-1][2].fun is o.fun
 
 
 def test_result_keys_and_free_identifiers_of_instances(seeded_objects):

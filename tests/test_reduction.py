@@ -518,6 +518,102 @@ def test_cached_canonicity_matches_the_reference_walk():
     assert seen == {True, False}
 
 
+# (label, command, the _classify_erepl tag of the command under
+# ['f/'a\y . #]): each exercises one way the spine walk stops or goes on
+_SPINE_CASES = [
+    # a mu on the spine rebinds 'a above an ERepl that replaces by 'a; the
+    # one free 'a is off the spine
+    ("mu rebinds", r"['c](mu 'a. (['d]x)['a/'e\#]) (mu 'g. (['h]z)['a/'k\#])",
+     RuleTag.W_NONLIN),
+    # as above, with a replacement that binds 'a on the spine
+    ("replacement rebinds",
+     r"['c](mu 'q. (['d]x)['a/'e\#]['m/'a\#]) (mu 'g. (['h]z)['a/'k\#])", RuleTag.W_NONLIN),
+    ("named first, twice", r"['a]mu 'g. (['d]x)['a/'e\#]", RuleTag.R_NEQ1),
+    ("named first, once", r"['c]mu 'g. ['a]x", RuleTag.N_LIN),
+    ("unique, not linear", r"['c]x (mu 'g. (['h]z)['a/'k\#])", RuleTag.W_NONLIN),
+    ("unique, not linear, stack", r"['c]x (mu 'g. (['h]z)['a/'k\y . #])", RuleTag.C_NONLIN),
+    ("linear, twice below", r"(['c]x (mu 'g. ['a]z))['a/'k\#]", RuleTag.R_NEQ1),
+    ("linear, twice in its stack", r"(['c]x)['a/'k\(mu 'g. ['a]z) . #]", RuleTag.R_NEQ1),
+    ("absent", r"['c]mu 'g. (['h]z)['b/'k\#]", RuleTag.R_NEQ1),
+    ("W below a mu", r"['c]mu 'g. (['h]z)['a/'k\#]", RuleTag.W),
+    ("C below a mu", r"['c]mu 'g. (['h]z)['a/'k\y . #]", RuleTag.C),
+    ("C at the top", r"(['h]z)['a/'k\y . #]", RuleTag.C),
+]
+
+
+def _uncached_copy(o):
+    """o with every inner node built anew, names kept: no cache is filled."""
+    from lmtool.syntax import children, with_children
+
+    cs = children(o)
+    return with_children(o, tuple(map(_uncached_copy, cs))) if cs else o
+
+
+def _wc_by_counting(o):
+    """What _canon_tag answered for a replacement before the spine walk:
+    _classify_erepl's classification if it is W or C."""
+    from lmtool.reduction import CANON_R, _classify_erepl
+
+    info = _classify_erepl(o)
+    return info if info[0] in CANON_R else None
+
+
+@pytest.mark.parametrize("label,body,tag", _SPINE_CASES, ids=[k for k, *_ in _SPINE_CASES])
+def test_swap_or_compose_spine_check_on_hand_written_cases(label, body, tag):
+    from lmtool.reduction import _classify_erepl
+    from lmtool.syntax import ERepl, EmptyStack, Push, free_names
+
+    o = ERepl(c(body), "'f", "'a", None, Push(Var("y"), EmptyStack()))
+    # once with no free-name cache filled, once with every one full
+    got = _canon_tag(o)
+    assert _classify_erepl(o)[0] is tag
+    for _, sub in positions(o):
+        free_names(sub)
+    assert got == _wc_by_counting(o) == _canon_tag(o)
+
+
+def test_swap_or_compose_spine_check_matches_counting(rewrite_corpus):
+    from lmtool.drivers import sigma_pair, typed_step_cases
+    from lmtool.equivalence import _NodeMemo, _rewrites
+    from lmtool.lmu import SIGMA_AXIOMS
+    from lmtool.reduction import Trace
+    from lmtool.syntax import ERepl
+
+    objs = list(rewrite_corpus)
+    for seed in range(4):
+        for ax in SIGMA_AXIOMS:
+            objs += sigma_pair(seed=100 + seed, axiom=ax, size=3)
+    for seed in (1, 2):
+        for _, lhs, rhs, _, _ in typed_step_cases(seed, 40):
+            objs += [lhs, rhs]
+    rng = random.Random(5)
+    objs += [random_object(rng, 10) for _ in range(600)]
+    # expansion makes B and M redexes, whose firing makes replacements
+    objs += [expand(o) for o in rewrite_corpus]
+    # every state that canon passes through, where W and C redexes fire,
+    # and the one-axiom rewrites of the canonical forms, canonical or not
+    states = []
+    for o in objs:
+        trace = Trace(o, [])
+        co = canon(o, trace=trace)
+        states += [o] + [r for _, _, r in trace.steps]
+        states += [r for *_, r in _rewrites(co, True, True, supply_for(co), _NodeMemo())]
+    seen = {}
+    for o in states:
+        # the first ask finds no cache, and _classify_erepl then fills the
+        # free-name caches for the second
+        o = _uncached_copy(o)
+        for _, sub in positions(o):
+            if type(sub) is ERepl:
+                first = _canon_tag(sub)
+                want = _wc_by_counting(sub)
+                assert first == want and _canon_tag(sub) == want, print_object(sub)
+                tag = want[0] if want else None
+                seen[tag] = seen.get(tag, 0) + 1
+    assert seen.get(RuleTag.W, 0) > 100 and seen.get(RuleTag.C, 0) > 50, seen
+    assert seen.get(None, 0) > 10000, seen
+
+
 # --- one-descent rewriting against the recursive writer it replaced ---------------
 
 

@@ -37,7 +37,6 @@ from lmtool.syntax import (
     print_object,
     refresh,
     rename_free,
-    rename_occurrences,
     rewrite_at,
     sort_of,
     subobject_at,
@@ -566,12 +565,34 @@ def test_rename_free_keeps_untouched_subtrees():
     assert kept > 2000
 
 
+def ref_rename_occurrences(o, old, new, chosen):
+    """Rename old to new at the chosen index paths, rebuilding every prefix
+    of every chosen path and returning every other subtree as it is."""
+    from lmtool.syntax import _FREE_AT, _RENAME_AT
+
+    on_path = {c[:k] for c in chosen for k in range(len(c) + 1)}
+
+    def go(o, idxs):
+        if idxs not in on_path:
+            return o
+        cs = children(o)
+        if cs:
+            o = with_children(o, tuple(go(ch, idxs + (i,)) for i, ch in enumerate(cs)))
+        if idxs in chosen:
+            at = _FREE_AT[type(o)]
+            if getattr(o, at) == old:
+                o = _RENAME_AT[type(o)](o, new)
+        return o
+
+    return go(o, ())
+
+
 def ref_rename_free_by_paths(o, old, new):
     """The renamer that the one walk replaced: the paths of the free
     occurrences, then every prefix of every path rebuilt."""
     if old == new:
         return o
-    return rename_occurrences(o, old, new, {idxs for idxs, _ in free_occurrences(o, old)})
+    return ref_rename_occurrences(o, old, new, {idxs for idxs, _ in free_occurrences(o, old)})
 
 
 def kept_nodes(got, o):
