@@ -22,17 +22,26 @@ from .syntax import (
 )
 
 
-def _parse_env(spec: str | None):
+def _env(spec: str):
+    """An argparse type for --env: comma-separated name:type items, split
+    into the types of free variables and of free names."""
     gamma: dict = {}
     delta: dict = {}
-    if spec:
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            name, _, tyt = item.partition(":")
-            target = delta if name.startswith("'") else gamma
-            target[name.strip()] = parse_type(tyt.strip())
+    for item in spec.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        name, colon, tyt = (part.strip() for part in item.partition(":"))
+        if not name:
+            raise argparse.ArgumentTypeError(f"item {item!r} has no name")
+        if not colon:
+            raise argparse.ArgumentTypeError(f"item {item!r} has no ':type'")
+        try:
+            (delta if name.startswith("'") else gamma)[name] = parse_type(tyt)
+        except ParseError as e:
+            raise argparse.ArgumentTypeError(f"item {item!r}: {e}") from None
+        except RecursionError:
+            raise argparse.ArgumentTypeError(f"the type of {name!r} is too deep") from None
     return gamma, delta
 
 
@@ -160,7 +169,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_typecheck(args) -> int:
     o = parse(args.object, args.sort)
-    gamma, delta = _parse_env(args.env)
+    gamma, delta = args.env
     try:
         d = ty.check_object(o, gamma, delta)
     except ty.LMTypeError as e:
@@ -176,7 +185,7 @@ def cmd_ppn(args) -> int:
     o = parse(args.object, args.sort)
     if sort_of(o) == STACK:
         raise SortError("a stack has no proof net without a result type")
-    gamma, delta = _parse_env(args.env)
+    gamma, delta = args.env
     try:
         d = ty.check_object(o, gamma, delta)
     except ty.LMTypeError as e:
@@ -328,10 +337,10 @@ def main(argv=None) -> int:
     p.add_argument("--stats", action="store_true", help="print the search's counts")
 
     p = add("typecheck", cmd_typecheck, "object", help="check a typed object")
-    p.add_argument("--env", default=None, help="x:iA,'a:iB,... for free vars/names")
+    p.add_argument("--env", type=_env, default="", help="x:iA,'a:iB,... for free vars/names")
 
     p = add("ppn", cmd_ppn, "object", help="translate to a proof net (DOT)")
-    p.add_argument("--env", default=None)
+    p.add_argument("--env", type=_env, default="")
     p.add_argument("--dot", default=None, help="write DOT to this file")
     p.add_argument("--nf", choices=["none", "mult", "full"], default="none")
 

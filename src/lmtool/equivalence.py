@@ -27,6 +27,7 @@ from .syntax import (
     Object,
     PathError,
     Var,
+    _NodeMemo,
     alpha_eq,
     canonical_key,
     children,
@@ -51,6 +52,8 @@ AXIOMS = ("exs", "exr", "lin", "pp", "rho", "theta")
 REN_AXIOM = "ren"
 
 _REN_SUBSET_CAP = 6
+
+_FLIP = {"LR": "RL", "RL": "LR"}
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,8 @@ class EquivOutcome:
     reason: str = ""
     expanded: int = 0  # states whose rewrites the search enumerated
     built: int = 0  # rewrites it consumed, canonical or not
-    # node rewrite lists the search computed, and those its memo served
-    # again; under an expansion cache, those of the cache's memo while the
-    # search ran
+    # node rewrite lists that the search's node memo (its own, or its
+    # cache's) computed while the search ran, and those it served again
     computed: int = 0
     served: int = 0
 
@@ -263,24 +265,6 @@ def _rebuild_spine(head: Object, args: list[Object]) -> Object:
 # Instances on whole objects
 
 
-class _NodeMemo:
-    """The _subtree_rewrites list of each node met, by node identity, and
-    how many lists it served again.  The memo keeps every node it keys, so
-    no id is reused while it lives, even when the states that held the
-    node are gone.
-
-    A result can hold its node (theta's mu a.[a]t holds t), so a list
-    served again inside it can bind a name under a binder of the same
-    name; the state is alpha-equivalent to one with a second fresh name."""
-
-    __slots__ = ("lists", "nodes", "served")
-
-    def __init__(self):
-        self.lists: dict[int, list[tuple[str, str, Object]]] = {}
-        self.nodes: list[Object] = []
-        self.served = 0
-
-
 def _rewrites(o: Object, include_ren: bool, expansive: bool, supply: NameSupply,
               memo: _NodeMemo):
     """Yield (index path, (axiom, orientation, new subobject), result) for
@@ -288,7 +272,11 @@ def _rewrites(o: Object, include_ren: bool, expansive: bool, supply: NameSupply,
     both orientations, canonical or not.  supply issues every fresh name,
     and memo computes each node's rewrites once: they depend only on the
     node and on fresh names, so one list serves every object that holds the
-    node, as long as one supply serves them all."""
+    node, as long as one supply serves them all.
+
+    A result can hold its node (theta's mu a.[a]t holds t), so a list
+    served again inside it can bind a name under a binder of the same
+    name; the state is alpha-equivalent to one with a second fresh name."""
     lists, keep = memo.lists, memo.nodes.append
 
     def of(sub: Object):
@@ -437,15 +425,20 @@ def equiv(
     them as keys; searches that pass one cache share their expansions, which
     changes no outcome.
 
+    One breadth-first loop grows a side from each input, expanding the
+    smaller frontier, o's on a tie.  Each side records every state it
+    reaches with its parent and the axiom from it, and the certificate is
+    read along those links from the state where the sides meet.  Every
+    expansion is a stream of (axiom, result) pairs, canonical or not:
+    cache.instances, or the keyed _rewrites of the search's own name supply
+    and node memo, whose supply reserves o's and p's identifiers.  With a
+    cache, o's and p's identifiers are added to the cache's supply, which
+    then reserves the inputs of every search that shares it.
+
     Rewrites are consumed one at a time, and none is built after the search
     stops.  A result whose key is already visited is skipped before its
     canonicity is tested: every visited state is canonical, and canonicity
-    is invariant under renaming.  One name supply issues every fresh name
-    of the search, and one memo computes each node's rewrites once for all
-    the states that hold the node.  Without a cache both are the search's
-    own, and the supply reserves o's and p's identifiers.  With a cache
-    both are the cache's: o's and p's identifiers are added to its supply,
-    which then reserves the inputs of every search that shares it."""
+    is invariant under renaming."""
     for q in (o, p):
         if not is_canonical(q):
             raise NotCanonicalError(print_object(q))
@@ -461,86 +454,69 @@ def equiv(
     if ko == kp:
         return EquivOutcome("equivalent", Certificate([]), reason="found")
 
-    # visited maps: key -> (object, steps from the origin)
-    fwd = {ko: (o, [])}
-    bwd = {kp: (p, [])}
-    frontier_f = [ko]
-    frontier_b = [kp]
-    states = 2
-    depth_f = depth_b = 0
-    expanded = built = 0
     if cache is None:
         supply, memo = supply_for(o, p), _NodeMemo()
+
+        def expand(key, obj):
+            return _keyed(_rewrites(obj, include_ren, expansive, supply, memo))
     else:
-        supply, memo = cache.supply, cache.memo
-        supply.include(o, p)
+        memo, expand = cache.memo, cache.instances
+        cache.supply.include(o, p)
     computed, served = len(memo.lists), memo.served
+    # each side maps a state's key to (state, parent key, axiom from the
+    # parent); side 0 grows from o, side 1 from p
+    seen = ({ko: (o, None, None)}, {kp: (p, None, None)})
+    frontiers = [[ko], [kp]]
+    states, depth, expanded, built = 2, 0, 0, 0
 
     def stop(reason: str, cert: Optional[Certificate] = None) -> EquivOutcome:
         status = "equivalent" if cert is not None else "not-within-bounds"
         return EquivOutcome(status, cert, states, reason, expanded, built,
                             len(memo.lists) - computed, memo.served - served)
 
-    def splice(meet_key) -> Certificate:
-        steps = list(fwd[meet_key][1])
-        back = bwd[meet_key][1]
-        # reverse the backward chain: each recorded step went from p towards
-        # the meet, so the reverse direction flips its orientation
-        for ax, prev_key in reversed(back):
-            flipped = "RL" if ax.orientation == "LR" else "LR"
-            steps.append(Axiom(ax.name, flipped, ax.path, prev_key))
+    def certificate(meet) -> Certificate:
+        steps = [ax for ax, _ in _links(seen[0], meet)]
+        steps.reverse()
+        # a step of p's side, read towards p, flips and ends at its parent
+        for ax, parent in _links(seen[1], meet):
+            steps.append(Axiom(ax.name, _FLIP[ax.orientation], ax.path, parent))
         return Certificate(steps)
 
-    while frontier_f or frontier_b:
-        if depth_f + depth_b >= max_depth:
+    while frontiers[0] or frontiers[1]:
+        if depth >= max_depth:
             return stop("depth bound")
         if states >= max_states:
             return stop("state bound")
-        # expand the smaller frontier
-        expand_fwd = (len(frontier_f) <= len(frontier_b) and frontier_f) or not frontier_b
-        frontier = frontier_f if expand_fwd else frontier_b
-        visited = fwd if expand_fwd else bwd
-        other = bwd if expand_fwd else fwd
+        # expand the smaller frontier, o's on a tie
+        f, b = frontiers
+        side = 0 if f and (not b or len(f) <= len(b)) else 1
+        visited, other = seen[side], seen[1 - side]
         new_frontier = []
-        for key in frontier:
-            obj, steps = visited[key]
+        for key in frontiers[side]:
             expanded += 1
-            if cache is None:
-                rewrites = _rewrites(obj, include_ren, expansive, supply, memo)
-            else:
-                rewrites = cache.instances(key, obj)
-            for item in rewrites:
+            for ax, res in expand(key, visited[key][0]):
                 built += 1
-                if cache is None:
-                    # keyed here, and given an Axiom only if it is kept
-                    idxs, rw, res = item
-                    rk = canonical_key(res)
-                else:
-                    ax, res = item
-                    rk = ax.result_key
+                rk = ax.result_key
                 if rk in visited or not is_canonical(res):
                     continue
-                if cache is None:
-                    ax = Axiom(rw[0], rw[1], idxs, rk)
-                if expand_fwd:
-                    visited[rk] = (res, steps + [ax])
-                else:
-                    visited[rk] = (res, steps + [(ax, key)])
+                visited[rk] = (res, key, ax)
                 states += 1
                 new_frontier.append(rk)
                 if rk in other:
-                    return stop("found", splice(rk))
+                    return stop("found", certificate(rk))
                 if states >= max_states:
                     return stop("state bound")
-        if expand_fwd:
-            frontier_f = new_frontier
-            depth_f += 1
-        else:
-            frontier_b = new_frontier
-            depth_b += 1
-        if not frontier_f and not frontier_b:
-            break
+        frontiers[side] = new_frontier
+        depth += 1
     return stop("empty frontier")
+
+
+def _links(visited: dict, key):
+    """(axiom, parent key) of each step from key back to its side's origin."""
+    _, parent, ax = visited[key]
+    while parent is not None:
+        yield ax, parent
+        _, parent, ax = visited[parent]
 
 
 def check_certificate(o: Object, cert: Certificate, p: Object) -> tuple[bool, str]:

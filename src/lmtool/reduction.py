@@ -19,6 +19,7 @@ from .meta import (
 )
 from .syntax import (
     _WITH_CHILD,
+    _NodeMemo,
     Abs,
     App,
     EmptyStack,
@@ -469,13 +470,12 @@ def plain_reducts(
     return [(tag, p, lm_step(o, tag, p, supply)) for tag, p in lm_redexes(o)]
 
 
-def _reduct_lists(o: Object, supply: NameSupply, lists: dict[int, list[Object]],
-                  kept: list[Object]) -> None:
-    """Put in lists, by node identity, the one-step plain reducts of every
-    node of o that has no list yet, and append each such node to kept.  A
-    node's list is its own redex fired at the node, then each reduct of
-    each child rebuilt under the node: lm_redexes order.  Post-order, on an
-    explicit stack."""
+def _reduct_lists(o: Object, supply: NameSupply, memo: _NodeMemo) -> None:
+    """Put in memo the one-step plain reducts of every node of o that has
+    no list yet.  A node's list is its own redex fired at the node, then
+    each reduct of each child rebuilt under the node: lm_redexes order.
+    Post-order, on an explicit stack."""
+    lists = memo.lists
     todo = [o]
     while todo:
         n = todo[-1]
@@ -496,7 +496,7 @@ def _reduct_lists(o: Object, supply: NameSupply, lists: dict[int, list[Object]],
                 with_child = _WITH_CHILD[type(n)][i]
                 out.extend([with_child(n, r) for r in below])
         lists[id(n)] = out
-        kept.append(n)
+        memo.nodes.append(n)
 
 
 def reduction_graph(o: Object, max_states: int = 10000) -> tuple[dict, list[Object]]:
@@ -509,19 +509,17 @@ def reduction_graph(o: Object, max_states: int = 10000) -> tuple[dict, list[Obje
     one of o's or was issued by that supply, so it never issues one that a
     state already holds.  Each node's one-step reducts are built once per
     call, by node identity, and serve every state that holds the node: a
-    state shares every subtree off one spine with the state it came from.
-    The memo keeps every node it keys, so no id is reused while it lives."""
+    state shares every subtree off one spine with the state it came from."""
     supply = supply_for(o)
-    lists: dict[int, list[Object]] = {}
-    kept: list[Object] = []
+    memo = _NodeMemo()
     start = canonical_key(o)
     edges: dict = {start: []}
     queue = [(o, start)]
     nfs = []
     while queue:
         cur, ck = queue.pop()
-        _reduct_lists(cur, supply, lists, kept)
-        succs = lists[id(cur)]
+        _reduct_lists(cur, supply, memo)
+        succs = memo.lists[id(cur)]
         if not succs:
             nfs.append(cur)
         for nxt in succs:

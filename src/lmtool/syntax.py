@@ -354,6 +354,19 @@ def rewrite_everywhere(o: Object, rewrites_of) -> Iterator[tuple[tuple[int, ...]
             todo.append((cs[k], d + 1, k))
 
 
+class _NodeMemo:
+    """A list for each node met, by node identity, and how many lists it
+    served again.  The memo keeps every node it keys, so no id is reused
+    while it lives, even when the objects that held the node are gone."""
+
+    __slots__ = ("lists", "nodes", "served")
+
+    def __init__(self):
+        self.lists: dict[int, list] = {}
+        self.nodes: list[Object] = []
+        self.served = 0
+
+
 # ---------------------------------------------------------------------------
 # Templates.  A template is an object whose str children and str fields
 # are metavariables: App(Abs("x", "ann", "t"), "v") stands for every

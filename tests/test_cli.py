@@ -55,6 +55,33 @@ def test_typecheck_env_and_failure(capsys):
     assert code == 1 and "ILL-TYPED" in out
 
 
+@pytest.mark.parametrize("command", ["typecheck", "ppn"])
+@pytest.mark.parametrize(
+    "env, message",
+    [
+        (":iA", "argument --env: item ':iA' has no name"),
+        (" : iA", "argument --env: item ': iA' has no name"),
+        ("x", "argument --env: item 'x' has no ':type'"),
+        ("x:iA,y", "argument --env: item 'y' has no ':type'"),
+        ("x:iA(", "argument --env: item 'x:iA(': trailing input '(' at line 1, column 3"),
+        ("x:" + "(" * 5000 + "iA" + ")" * 5000, "argument --env: the type of 'x' is too deep"),
+    ],
+)
+def test_bad_env_items_exit_with_one_error_line_naming_the_item(capsys, command, env, message):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "x", "--env", env])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and errors[0].endswith(message)
+
+
+def test_env_items_may_be_spaced_and_empty(capsys):
+    env = " x : iA , , 'a:iA,"
+    code, out = run(capsys, "typecheck", "['a]x", "--sort", "command", "--env", env)
+    assert code == 0 and "x:iA" in out and "'a:iA" in out
+
+
 def test_ppn_dot(capsys, tmp_path):
     out_file = tmp_path / "net.dot"
     code, out = run(capsys, "ppn", r"\x:iA. x", "--dot", str(out_file))

@@ -745,6 +745,30 @@ def test_streamed_search_matches_the_eager_loop_on_reduct_pairs():
     assert {"found", "empty frontier", "free identifiers differ"} <= reasons
 
 
+@pytest.mark.parametrize(
+    "lhs, rhs, steps",
+    [
+        # o's side reaches p's origin: round 1 gives o two reducts, p's
+        # frontier is then smaller and has no non-expansive rewrite, and
+        # round 3 meets p from the reduct with the theta left over
+        ("mu 'a. ['a]y (mu 'b. ['b]x)", "y x", ["theta+ @ root", "theta+ @ 1"]),
+        # o has no non-expansive rewrite, so its frontier empties first and
+        # p's side alone reaches o
+        ("x", "mu 'a. ['a]x", ["theta- @ root"]),
+        ("y x", "mu 'a. ['a]y (mu 'b. ['b]x)", ["theta- @ 1", "theta- @ root"]),
+        # each side takes one step and they meet at y x: o's side finds it
+        # in round 1 and then empties, p's side reaches it in round 3
+        ("y (mu 'a. ['a]x)", "mu 'b. ['b]y x", ["theta+ @ 1", "theta- @ root"]),
+    ],
+)
+def test_certificates_read_from_parent_links(lhs, rhs, steps):
+    o, p = t(lhs), t(rhs)
+    res = _streamed_matches_reference(o, p, expansive=False)
+    assert res.reason == "found" and res.certificate.render().splitlines() == steps
+    ok, diag = check_certificate(o, res.certificate, p)
+    assert ok, diag
+
+
 def test_non_expansive_instances_that_issue_no_name_do_not_walk_the_object(monkeypatch):
     from lmtool import syntax
 
