@@ -24,7 +24,8 @@ from .syntax import (
 
 def _env(spec: str):
     """An argparse type for --env: comma-separated name:type items, split
-    into the types of free variables and of free names."""
+    into the types of free variables and of free names.  Each variable and
+    each name may be given one type only."""
     gamma: dict = {}
     delta: dict = {}
     for item in spec.split(","):
@@ -36,8 +37,11 @@ def _env(spec: str):
             raise argparse.ArgumentTypeError(f"item {item!r} has no name")
         if not colon:
             raise argparse.ArgumentTypeError(f"item {item!r} has no ':type'")
+        table = delta if name.startswith("'") else gamma
+        if name in table:
+            raise argparse.ArgumentTypeError(f"item {item!r} repeats {name!r}")
         try:
-            (delta if name.startswith("'") else gamma)[name] = parse_type(tyt)
+            table[name] = parse_type(tyt)
         except ParseError as e:
             raise argparse.ArgumentTypeError(f"item {item!r}: {e}") from None
         except RecursionError:

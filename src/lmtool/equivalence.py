@@ -11,7 +11,7 @@ from typing import Optional
 from .gen_random import random_pure_command, random_pure_stack, random_pure_term
 from .lmu import project
 from .meta import apply_stack, rename, stack_of
-from .reduction import LINEAR_SPINE, NotCanonicalError, canon, is_canonical
+from .reduction import LINEAR_SPINE, NotCanonicalError, canon, is_canonical, rewrite_is_canonical
 from .syntax import (
     _BOUND_BY,
     _FREE_AT,
@@ -60,7 +60,11 @@ _FLIP = {"LR": "RL", "RL": "LR"}
 class Axiom:
     """One axiom application: name, orientation, position, and the
     alpha-canonical key of the expected result (which pins down the instance
-    when several rewrites share a position)."""
+    when several rewrites share a position).
+
+    Axioms are built for the steps of a certificate and for the results of
+    axiom_instances only: a search carries each rewrite it consumes as a
+    plain (key, name, orientation, path, result) tuple."""
 
     name: str
     orientation: str  # "LR" | "RL"
@@ -274,6 +278,11 @@ def _rewrites(o: Object, include_ren: bool, expansive: bool, supply: NameSupply,
     node and on fresh names, so one list serves every object that holds the
     node, as long as one supply serves them all.
 
+    A result shares every node off the path to its position with o, and
+    only the new subobject and the nodes above it are new; so when o is
+    canonical, rewrite_is_canonical(result, path) tests the result at the
+    cost of those nodes.
+
     A result can hold its node (theta's mu a.[a]t holds t), so a list
     served again inside it can bind a name under a binder of the same
     name; the state is alpha-equivalent to one with a second fresh name."""
@@ -293,10 +302,10 @@ def _rewrites(o: Object, include_ren: bool, expansive: bool, supply: NameSupply,
 
 
 def _keyed(rewrites):
-    """(axiom, result) for each of the rewrites, the axiom carrying the
-    result's canonical key."""
+    """(key, axiom name, orientation, path, result) for each of the
+    rewrites, key being the result's canonical key."""
     for idxs, (name, orient, _), res in rewrites:
-        yield Axiom(name, orient, idxs, canonical_key(res)), res
+        yield canonical_key(res), name, orient, idxs, res
 
 
 def axiom_instances(
@@ -306,13 +315,19 @@ def axiom_instances(
     in both orientations, whose results are again canonical.  Non-expansive
     enumeration omits the orientations that synthesize fresh structure
     (theta, lin and ren right-to-left); a bidirectional search recovers
-    those steps from the other frontier."""
+    those steps from the other frontier.
+
+    A result's canonicity is read off the nodes its rewrite rebuilt
+    (rewrite_is_canonical), and only a canonical result is keyed and
+    given an Axiom."""
     if not is_canonical(o):
         raise NotCanonicalError(print_object(o))
-    return list(_keyed(
-        rw for rw in _rewrites(o, include_ren, expansive, supply_for(o), _NodeMemo())
-        if is_canonical(rw[-1])
-    ))
+    return [
+        (Axiom(name, orient, idxs, canonical_key(res)), res)
+        for idxs, (name, orient, _), res
+        in _rewrites(o, include_ren, expansive, supply_for(o), _NodeMemo())
+        if rewrite_is_canonical(res, idxs)
+    ]
 
 
 def apply_axiom(o: Object, ax: Axiom) -> Object:
@@ -347,7 +362,7 @@ class _Entry:
 
     def __init__(self, state: Object, rest):
         self.state = state
-        self.built: list[tuple[Axiom, Object]] = []
+        self.built: list[tuple] = []
         self.rest = rest
 
 
@@ -393,7 +408,9 @@ class ExpansionCache:
 
     def instances(self, key: tuple, o: Object):
         """Every non-expansive rewrite of o without ren, canonical or not,
-        as an iterator of (axiom, result); key is o's canonical key.  o's
+        as an iterator of _keyed tuples (key, axiom name, orientation,
+        path, result); key is o's canonical key.  An entry keeps the tuples
+        it built, so a replay walks no result for its key again.  o's
         identifiers must be the supply's: equiv adds its inputs, and every
         state it reaches is built from them and from issued names."""
         entry = self.entries.get(key)
@@ -427,18 +444,23 @@ def equiv(
 
     One breadth-first loop grows a side from each input, expanding the
     smaller frontier, o's on a tie.  Each side records every state it
-    reaches with its parent and the axiom from it, and the certificate is
-    read along those links from the state where the sides meet.  Every
-    expansion is a stream of (axiom, result) pairs, canonical or not:
-    cache.instances, or the keyed _rewrites of the search's own name supply
-    and node memo, whose supply reserves o's and p's identifiers.  With a
-    cache, o's and p's identifiers are added to the cache's supply, which
-    then reserves the inputs of every search that shares it.
+    reaches with its parent and the (axiom name, orientation, path) step
+    from it, and the certificate is read along those links from the state
+    where the sides meet; its steps are the only Axiom objects the search
+    builds.  Every expansion is a stream of (key, axiom name, orientation,
+    path, result) tuples, canonical or not: cache.instances, or the keyed
+    _rewrites of the search's own name supply and node memo, whose supply
+    reserves o's and p's identifiers.  With a cache, o's and p's
+    identifiers are added to the cache's supply, which then reserves the
+    inputs of every search that shares it.
 
     Rewrites are consumed one at a time, and none is built after the search
-    stops.  A result whose key is already visited is skipped before its
-    canonicity is tested: every visited state is canonical, and canonicity
-    is invariant under renaming."""
+    stops.  A result is admitted by its key first: one already visited is
+    skipped before its canonicity is tested, since every visited state is
+    canonical and canonicity is invariant under renaming.  Canonicity is
+    then read off the path the rewrite rebuilt (rewrite_is_canonical):
+    the new subobject's cached answer and the redex test of each node
+    above it, since every other node is the canonical state's own."""
     for q in (o, p):
         if not is_canonical(q):
             raise NotCanonicalError(print_object(q))
@@ -475,11 +497,12 @@ def equiv(
                             len(memo.lists) - computed, memo.served - served)
 
     def certificate(meet) -> Certificate:
-        steps = [ax for ax, _ in _links(seen[0], meet)]
+        steps = [Axiom(name, orient, path, key)
+                 for key, (name, orient, path), _ in _links(seen[0], meet)]
         steps.reverse()
         # a step of p's side, read towards p, flips and ends at its parent
-        for ax, parent in _links(seen[1], meet):
-            steps.append(Axiom(ax.name, _FLIP[ax.orientation], ax.path, parent))
+        for _, (name, orient, path), parent in _links(seen[1], meet):
+            steps.append(Axiom(name, _FLIP[orient], path, parent))
         return Certificate(steps)
 
     while frontiers[0] or frontiers[1]:
@@ -494,12 +517,11 @@ def equiv(
         new_frontier = []
         for key in frontiers[side]:
             expanded += 1
-            for ax, res in expand(key, visited[key][0]):
+            for rk, name, orient, idxs, res in expand(key, visited[key][0]):
                 built += 1
-                rk = ax.result_key
-                if rk in visited or not is_canonical(res):
+                if rk in visited or not rewrite_is_canonical(res, idxs):
                     continue
-                visited[rk] = (res, key, ax)
+                visited[rk] = (res, key, (name, orient, idxs))
                 states += 1
                 new_frontier.append(rk)
                 if rk in other:
@@ -512,11 +534,14 @@ def equiv(
 
 
 def _links(visited: dict, key):
-    """(axiom, parent key) of each step from key back to its side's origin."""
-    _, parent, ax = visited[key]
+    """(key, step, parent key) of each state from key back to its side's
+    origin, step being the (axiom name, orientation, path) from the
+    parent."""
+    _, parent, step = visited[key]
     while parent is not None:
-        yield ax, parent
-        _, parent, ax = visited[parent]
+        yield key, step, parent
+        key = parent
+        _, parent, step = visited[key]
 
 
 def check_certificate(o: Object, cert: Certificate, p: Object) -> tuple[bool, str]:

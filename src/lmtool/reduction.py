@@ -389,6 +389,27 @@ def _canonical(o: Object) -> bool:
     return out
 
 
+def rewrite_is_canonical(o: Object, idxs: tuple[int, ...]) -> bool:
+    """is_canonical(o) for an o that splice built from a canonical object
+    by putting a new subobject at idxs.  Every node off that path is the
+    canonical object's own, so only the new subobject (through its cached
+    answer) and the nodes rebuilt above it are tested, bottom-up, and each
+    rebuilt node's answer is kept in its cache slot."""
+    out = getattr(o, "_cn", None)
+    if out is not None:
+        return out
+    nodes = []
+    for i in idxs:
+        nodes.append(o)
+        o = children(o)[i]
+    out = _canonical(o)
+    for node in reversed(nodes):
+        if out:
+            out = _canon_tag(node) is None
+        object.__setattr__(node, "_cn", out)
+    return out
+
+
 def canon_random(o: Object, rng) -> Object:
     """Canonicalization firing redexes in random order (strategy
     independence oracle)."""

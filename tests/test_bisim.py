@@ -13,6 +13,7 @@ from lmtool import drivers, equivalence
 from lmtool.drivers import BisimReport, bisim_driver
 from lmtool.equivalence import (
     AXIOMS,
+    Axiom,
     ExpansionCache,
     _keyed,
     _NodeMemo,
@@ -167,17 +168,17 @@ def test_alpha_equal_state_is_expanded_afresh():
     assert canonical_key(distinct) == key and shadowing != distinct
     cache = ExpansionCache()
 
-    first = list(cache.instances(key, shadowing))
+    first = as_axioms(cache.instances(key, shadowing))
     assert first == axiom_instances(shadowing, expansive=False)
     assert not any(ax.name == "pp" for ax, _ in first)
     # same key, other binder names: not served from the entry
-    second = list(cache.instances(key, distinct))
+    second = as_axioms(cache.instances(key, distinct))
     assert second == axiom_instances(distinct, expansive=False)
     assert any(ax.name == "pp" for ax, _ in second)
     assert cache.hits == 0
     # an equal state made of other nodes is served: the entry keeps the
     # state it was built for, and the results are the ones built then
-    third = list(cache.instances(key, _pp_state("z", "x")))
+    third = as_axioms(cache.instances(key, _pp_state("z", "x")))
     assert cache.entries[key].state is distinct
     assert [ax for ax, _ in third] == [ax for ax, _ in second]
     assert all(r3 is r2 for (_, r3), (_, r2) in zip(third, second))
@@ -214,9 +215,16 @@ def test_cache_compares_deep_states_without_recursion():
     assert cache.hits == 1 and cache.entries[key].state is renamed
 
 
+def as_axioms(rewrites):
+    """(Axiom, result) of each of the keyed rewrites, as axiom_instances
+    gives them."""
+    return [(Axiom(name, orient, path, key), res) for key, name, orient, path, res in rewrites]
+
+
 def sequence(rewrites):
-    """(axiom, orientation, path, result key) of each of the rewrites."""
-    return [(ax.name, ax.orientation, ax.path, ax.result_key) for ax, _ in rewrites]
+    """(axiom, orientation, path, result key) of each of the keyed
+    rewrites."""
+    return [(name, orient, path, key) for key, name, orient, path, _ in rewrites]
 
 
 def eager(o):

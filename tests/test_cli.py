@@ -63,6 +63,8 @@ def test_typecheck_env_and_failure(capsys):
         (" : iA", "argument --env: item ': iA' has no name"),
         ("x", "argument --env: item 'x' has no ':type'"),
         ("x:iA,y", "argument --env: item 'y' has no ':type'"),
+        ("x:iA,x:iB", "argument --env: item 'x:iB' repeats 'x'"),
+        ("'a:iA, y:iA, 'a : iA", "argument --env: item \"'a : iA\" repeats \"'a\""),
         ("x:iA(", "argument --env: item 'x:iA(': trailing input '(' at line 1, column 3"),
         ("x:" + "(" * 5000 + "iA" + ")" * 5000, "argument --env: the type of 'x' is too deep"),
     ],

@@ -843,18 +843,18 @@ def test_every_identifier_of_a_search_is_an_inputs_or_issued_once(monkeypatch):
 
     issued, states = [], []
     fresh = NameSupply.fresh
-    is_canon = equivalence.is_canonical
+    admit = equivalence.rewrite_is_canonical
 
     def issue(supply, base):
         issued.append(fresh(supply, base))
         return issued[-1]
 
-    def seen(o):
+    def seen(o, idxs):
         states.append(o)
-        return is_canon(o)
+        return admit(o, idxs)
 
     monkeypatch.setattr(NameSupply, "fresh", issue)
-    monkeypatch.setattr(equivalence, "is_canonical", seen)
+    monkeypatch.setattr(equivalence, "rewrite_is_canonical", seen)
     holding_issued = 0
     for o, p in _sigma_search_pairs(range(4)):
         issued.clear()
@@ -881,3 +881,124 @@ def test_ren_left_to_right_takes_its_fresh_name_from_the_objects_supply():
     renamed = subobject_at(res, (0, 0))
     assert type(renamed) is ERepl and renamed.body == Named("'a", Var("y"))
     assert renamed.old not in all_idents(o)
+
+
+# --- results admitted by the nodes their rewrite rebuilt -----------------------
+
+
+def _copy(o):
+    """o rebuilt node for node: the copy shares no node, and so no cached
+    answer, with o."""
+    from lmtool.syntax import EmptyStack, Var, children, with_children
+
+    cs = children(o)
+    if cs:
+        return with_children(o, tuple(map(_copy, cs)))
+    return Var(o.name) if type(o) is Var else EmptyStack()
+
+
+def _admission_states():
+    """The canonical sides of criterion 3's pairs, of more sigma pairs, and
+    of one-axiom pairs of every axiom, ren included."""
+    from lmtool.drivers import sigma_pair
+    from lmtool.equivalence import AXIOMS, REN_AXIOM
+    from lmtool.generators import gen_equiv_pair
+
+    for k in range(1, 9):
+        for seed in range(20):
+            yield from map(canon, sigma_pair(seed * 101 + k, f"sigma{k}"))
+        for seed in range(3):
+            yield from map(canon, sigma_pair(seed, f"sigma{k}", size=3))
+    for i, ax in enumerate(AXIOMS + (REN_AXIOM,)):
+        for seed in range(3):
+            yield from gen_equiv_pair(seed=100 * i + seed, axiom=ax)[:2]
+
+
+def test_admission_by_the_rebuilt_path_matches_is_canonical_of_a_copy():
+    from collections import Counter
+
+    from lmtool.equivalence import _NodeMemo, _rewrites
+    from lmtool.reduction import RuleTag, _canon_tag, rewrite_is_canonical
+    from lmtool.syntax import App, canonical_key, subobject_at, supply_for
+
+    kinds = Counter()
+    for o in _admission_states():
+        assert is_canonical(o)
+        want_instances = []
+        for idxs, (name, orient, _), res in _rewrites(o, True, True, supply_for(o), _NodeMemo()):
+            want = is_canonical(_copy(res))
+            assert rewrite_is_canonical(res, idxs) == want, print_object(res)
+            # every rebuilt node holds its own answer, and a second
+            # admission reads the result's
+            for k in range(len(idxs)):
+                node = subobject_at(res, idxs[:k])
+                assert node._cn == is_canonical(_copy(node)), print_object(node)
+            assert rewrite_is_canonical(res, idxs) == want
+            kinds[want] += 1
+            if want:
+                want_instances.append((Axiom(name, orient, idxs, canonical_key(res)), res))
+                continue
+            parent = subobject_at(res, idxs[:-1]) if idxs else None
+            if (name, orient) == ("theta", "RL") and type(parent) is App and idxs[-1] == 0:
+                kinds["theta RL at the function of an application"] += 1
+            tag = _canon_tag(parent) if type(parent) is ERepl else None
+            if (name, orient) == ("ren", "RL") and tag is not None and tag[0] is RuleTag.W:
+                kinds["ren RL makes the enclosing replacement a W redex"] += 1
+            if (name, orient) == ("lin", "RL"):
+                kinds["lin RL"] += 1
+        # axiom_instances admits by the same path
+        assert axiom_instances(o, include_ren=True) == want_instances
+    assert kinds[True] > 5000 and kinds[False] > 500
+    assert kinds["theta RL at the function of an application"] > 100
+    assert kinds["ren RL makes the enclosing replacement a W redex"] > 0
+    assert kinds["lin RL"] > 0
+
+
+@pytest.mark.parametrize("state, path, new", [
+    # a B redex, and an M redex below the new subobject's root
+    ("f (x y)", (1,), r"(\z. z) y"),
+    ("f (x y)", (1,), "w ((mu 'a. ['a]z) y)"),
+    (r"\v. mu 'b. ['b]x y", (0, 0, 0), r"(\z. z) y"),
+    # canonical in place
+    (r"\v. mu 'b. ['b]x y", (0, 0, 0), "w y"),
+])
+def test_admission_reads_the_new_subobjects_own_canonicity(state, path, new):
+    # no axiom rewrite of a canonical object in the corpora above makes a
+    # new subobject that is not canonical itself, so these are written out
+    from lmtool.reduction import rewrite_is_canonical
+    from lmtool.syntax import descend, splice, subobject_at
+
+    o = canon(t(state))
+    res = splice(descend(o, path), path, t(new))
+    want = is_canonical(_copy(res))
+    assert want == is_canonical(t(new))
+    assert rewrite_is_canonical(res, path) == want
+    for k in range(len(path)):
+        assert subobject_at(res, path[:k])._cn == want
+
+
+def test_a_search_builds_an_axiom_for_each_certificate_step_only(monkeypatch):
+    from lmtool import equivalence
+    from lmtool.drivers import sigma_pair
+    from lmtool.equivalence import ExpansionCache
+    from lmtool.generators import gen_equiv_pair
+
+    built = []
+    real = equivalence.Axiom
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equivalence, "Axiom", counted)
+    searches = [(map(canon, sigma_pair(0, f"sigma{k}", size=3)), {"include_ren": True})
+                for k in (4, 5, 7)]
+    # a cached search two steps long: a rho pair's right side, one step on
+    o, p, _ = gen_equiv_pair(seed=0, axiom="rho")
+    q = next(r for _, r in axiom_instances(p, expansive=False) if not alpha_eq(r, o))
+    searches.append(((o, q), {"expansive": False, "cache": ExpansionCache(o, q)}))
+    for pair, setting in searches:
+        built.clear()
+        res = equiv(*pair, **setting)
+        assert res.equivalent and len(res.certificate.steps) > 1
+        assert len(built) == len(res.certificate.steps) and res.built > len(built)
