@@ -34,6 +34,7 @@ from .syntax import (
     count_free,
     dotted,
     empty_stack,
+    free_idents,
     free_names,
     free_occurrences,
     free_vars,
@@ -156,13 +157,13 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
             continue
         # neither u or s nor a' may leave the scope of a binder that binds them
         moved = children(node)[1]
-        if not (bound.isdisjoint(free_vars(moved)) and bound.isdisjoint(free_names(moved))):
+        if not bound.isdisjoint(free_idents(moved)):
             continue
         at = _FREE_AT.get(t)
         if at is not None and getattr(node, at) in bound:
             continue
         x, body = _BOUND_BY[t](node), node.body
-        if x in (free_vars(sub) if t is ESub else free_names(sub)):
+        if x in free_idents(sub):
             x2 = supply.fresh(x)
             body, x = rename_free(body, x, x2), x2
         out.append((ax, "RL", _REBIND[t](node, x, rewrite_at(sub, idxs, body, supply))))
@@ -175,7 +176,7 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
         case ERepl(Named(a, u), nn, on, _, s) if (
             a == on
             and not isinstance(s, EmptyStack)
-            and on not in free_names(u)
+            and on not in free_idents(u)
             and _stack_inert(u)
         ):
             out.append(("lin", "LR", Named(nn, canon(apply_stack(u, s), supply))))
@@ -213,7 +214,7 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
             out.append(("rho", "RL", Named(a, Mu(b, annb, cbody))))
     match sub:
         # theta LR: mu a. [a]t -> t, a # t
-        case Mu(a, _, Named(a2, tb)) if a == a2 and a not in free_names(tb):
+        case Mu(a, _, Named(a2, tb)) if a == a2 and a not in free_idents(tb):
             out.append(("theta", "LR", tb))
     if expansive and sort_of(sub) == "term":
         a = supply.fresh("'a")
@@ -468,9 +469,11 @@ def equiv(
         raise ValueError("the expansion cache serves non-expansive searches without ren")
     if sort_of(o) != sort_of(p):
         return EquivOutcome("not-within-bounds", reason="sorts differ")
-    # every base-axiom rewrite keeps the free variables and names; ren LR
-    # can drop a free name, so with ren the sets may differ
-    if not include_ren and (free_vars(o) != free_vars(p) or free_names(o) != free_names(p)):
+    # every base-axiom rewrite keeps the free variables and names; ren
+    # renames names only, and ren LR can drop a free name, so with ren only
+    # the free variables must agree
+    free = free_vars if include_ren else free_idents
+    if free(o) != free(p):
         return EquivOutcome("not-within-bounds", reason="free identifiers differ")
     ko, kp = keys if keys is not None else (canonical_key(o), canonical_key(p))
     if ko == kp:

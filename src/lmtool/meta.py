@@ -24,9 +24,7 @@ from .syntax import (
     alpha_eq,
     children,
     empty_stack,
-    free_names,
-    free_vars,
-    is_name,
+    free_idents,
     refresh,
     rename_free,
     supply_for,
@@ -97,12 +95,10 @@ def _graft(
     ident keeps its body; a binder of an identifier in avoid whose body
     holds ident is renamed fresh first.  A binder's other children are
     walked before its body."""
-    free = free_names if is_name(ident) else free_vars
-
     def go(o: Object) -> Object:
         if type(o) is Var:
             return at(o, go) if o.name == ident else o
-        if ident not in free(o):
+        if ident not in free_idents(o):
             return o
         done = at(o, go)
         if done is not None:
@@ -116,7 +112,7 @@ def _graft(
         x = bound(o)
         if x == ident:
             return with_children(o, (o.body, *rest))
-        if x in avoid and ident in free(o.body):
+        if x in avoid and ident in free_idents(o.body):
             x2 = supply.fresh(x)
             o = _REBIND[t](o, x2, rename_free(o.body, x, x2))
         return with_children(o, (go(o.body), *rest))
@@ -137,7 +133,7 @@ def substitute(o: Object, x: str, u: Object, supply: NameSupply | None = None) -
     return _graft(
         o,
         x,
-        free_vars(u) | free_names(u),
+        free_idents(u),
         supply,
         lambda o, go: next(payloads) if type(o) is Var else None,
     )
@@ -155,12 +151,12 @@ def replace(
     (repair inputs with prepare_erepl first)."""
     if old == new:
         raise ValueError("replacement requires distinct names")
-    if old in free_names(s):
+    free_s = free_idents(s)
+    if old in free_s:
         raise ValueError("bound name occurs free in the stack; alpha-rename first")
     if supply is None:
         supply = supply_for(o, s)
         supply.reserve({new, old})
-    fn_s = free_names(s)
     payloads = _payloads(s, supply)
 
     def at(o: Object, go) -> Object | None:
@@ -177,10 +173,10 @@ def replace(
             return ERepl(b, nn, on, ann, go(s1))
         # on is renamed also when old is free only in s1 or as nn, which lie
         # outside on's scope; the fresh names issued depend on this test
-        old_in_b = old in free_names(b)
-        old_in_s1 = old in free_names(s1)
+        old_in_b = old in free_idents(b)
+        old_in_s1 = old in free_idents(s1)
         collides = (on == new and (old_in_b or old_in_s1)) or (
-            on in fn_s and (old_in_b or old_in_s1 or nn == old)
+            on in free_s and (old_in_b or old_in_s1 or nn == old)
         )
         if collides:
             on2 = supply.fresh(on)
@@ -200,7 +196,7 @@ def replace(
         # a blocking stack replacement accumulates the new arguments
         return ERepl(go(b), new, on, ann, stack_concat(go(s1), next(payloads)))
 
-    return _graft(o, old, free_vars(s) | fn_s | {new}, supply, at)
+    return _graft(o, old, free_s | {new}, supply, at)
 
 
 def rename(o: Object, new: str, old: str, supply: NameSupply | None = None) -> Object:
@@ -213,7 +209,7 @@ def rename(o: Object, new: str, old: str, supply: NameSupply | None = None) -> O
 def prepare_erepl(e: ERepl, supply: NameSupply | None = None) -> ERepl:
     """Repair an explicit replacement whose bound name occurs free in its
     stack by renaming the bound name."""
-    if e.old not in free_names(e.stack):
+    if e.old not in free_idents(e.stack):
         return e
     if supply is None:
         supply = supply_for(e)
@@ -227,7 +223,7 @@ def prepare_erepl(e: ERepl, supply: NameSupply | None = None) -> ERepl:
 
 def commutation_subs_subs(o: Object, y: str, v: Object, x: str, u: Object) -> bool:
     """o{y\\v}{x\\u} = o{x\\u}{y\\ v{x\\u}}, provided y not free in u."""
-    if y in free_vars(u):
+    if y in free_idents(u):
         raise ValueError("requires y not free in u")
     lhs = substitute(substitute(o, y, v), x, u)
     rhs = substitute(substitute(o, x, u), y, substitute(v, x, u))
@@ -236,7 +232,7 @@ def commutation_subs_subs(o: Object, y: str, v: Object, x: str, u: Object) -> bo
 
 def commutation_subs_repl(o: Object, b: str, a: str, s: Object, x: str, u: Object) -> bool:
     """replace(o,b,a,s){x\\u} = replace(o{x\\u}, b, a, s{x\\u}), a not free in u."""
-    if a in free_names(u):
+    if a in free_idents(u):
         raise ValueError("requires a not free in u")
     lhs = substitute(replace(o, b, a, s), x, u)
     rhs = replace(substitute(o, x, u), b, a, substitute(s, x, u))
@@ -246,7 +242,7 @@ def commutation_subs_repl(o: Object, b: str, a: str, s: Object, x: str, u: Objec
 def commutation_repl_subs(o: Object, b: str, a: str, s: Object, x: str, u: Object) -> bool:
     """replace(o{x\\u}, b, a, s) = replace(o,b,a,s){x\\ replace(u,b,a,s)},
     provided x not free in s."""
-    if x in free_vars(s):
+    if x in free_idents(s):
         raise ValueError("requires x not free in s")
     lhs = replace(substitute(o, x, u), b, a, s)
     rhs = substitute(replace(o, b, a, s), x, replace(u, b, a, s))
@@ -259,7 +255,7 @@ def commutation_repl_repl(
     """replace(replace(o,b2,a2,s2), b, a, s) commuted to the other order;
     covers both the independent case (a != b2) and the composition case
     (a == b2), provided a2 not free in s."""
-    if a2 in free_names(s):
+    if a2 in free_idents(s):
         raise ValueError("requires the inner bound name not free in the outer stack")
     lhs = replace(replace(o, b2, a2, s2), b, a, s)
     if a != b2:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Optional
 
 from .meta import (
@@ -33,7 +34,6 @@ from .syntax import (
     Var,
     canonical_key,
     children,
-    count_free,
     descend,
     dotted,
     empty_stack,
@@ -186,9 +186,10 @@ def _classify_erepl(sub: ERepl) -> tuple[RuleTag, tuple[int, ...] | None]:
     c, alpha, s = sub.body, sub.old, sub.stack
     if isinstance(s, EmptyStack):
         return RuleTag.R_EMPTY, None
-    if count_free(alpha, c) != 1:
+    occ = _sole_occurrence(c, alpha)
+    if occ is None:
         return RuleTag.R_NEQ1, None
-    idxs, node = next(free_occurrences(c, alpha))
+    idxs, node = occ
     linear = is_linear_indices(c, idxs)
     if isinstance(node, Named):
         return (RuleTag.N_LIN if linear else RuleTag.N_NONLIN), idxs
@@ -196,6 +197,13 @@ def _classify_erepl(sub: ERepl) -> tuple[RuleTag, tuple[int, ...] | None]:
     if isinstance(inner.stack, EmptyStack):
         return (RuleTag.W if linear else RuleTag.W_NONLIN), idxs
     return (RuleTag.C if linear else RuleTag.C_NONLIN), idxs
+
+
+def _sole_occurrence(c: Object, alpha: str) -> tuple[tuple[int, ...], Object] | None:
+    """The free occurrence of alpha in c as (index path, node) when it is
+    the only one, else None; the walk stops at the second."""
+    occs = list(islice(free_occurrences(c, alpha), 2))
+    return occs[0] if len(occs) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +263,21 @@ def _linear_swap_or_compose(o: ERepl) -> Optional[tuple[RuleTag, tuple[int, ...]
     """_classify_erepl(o) when it is W or C, else None, for o with a
     nonempty stack.  W and C need the bound name's one occurrence to be a
     replacement's new name on the linear spine of o's command, so the walk
-    follows that spine to the first occurrence and counts only when it is
-    such a candidate.  It stops early where no occurrence can be linear: at
-    a named occurrence (N or R!=1), at a binder of the name, and at a node
-    whose cached free names lack it."""
+    follows that spine to the first occurrence and looks for a second only
+    when it is such a candidate.  It stops early where no occurrence can be
+    linear: at a named occurrence (N or R!=1), at a binder of the name, and
+    at a node whose cached free identifiers lack it."""
     alpha = o.old
     c = o.body
     depth = 0
     while True:
-        free = getattr(c, "_fn", None)
+        free = getattr(c, "_fi", None)
         if free is not None and alpha not in free:
             return None
         t = type(c)
         if t is ERepl:
             if c.new == alpha:
-                if count_free(alpha, o.body) != 1:
+                if _sole_occurrence(o.body, alpha) is None:
                     return None
                 occ = (0,) * depth
                 return (RuleTag.W, occ) if type(c.stack) is EmptyStack else (RuleTag.C, occ)

@@ -43,9 +43,9 @@ Type = Union[Base, Arrow]
 # ---------------------------------------------------------------------------
 # Objects
 #
-# Nodes are immutable and slotted.  Inner nodes carry three cache slots:
-# their free variables and free names, filled on the first ask by
-# free_vars/free_names, and whether they are canonical, filled by
+# Nodes are immutable and slotted.  Inner nodes carry two cache slots:
+# their free identifiers, variables and names in one set, filled on the
+# first ask by free_idents, and whether they are canonical, filled by
 # reduction.is_canonical.  Each depends on the node's own subtree only, so
 # a node shared between objects answers for all of them.  Equality,
 # hashing and __match_args__ use the fields only.  Leaves keep no cache:
@@ -53,7 +53,7 @@ Type = Union[Base, Arrow]
 
 
 class _Cached:
-    __slots__ = ("_fv", "_fn", "_cn")
+    __slots__ = ("_fi", "_cn")
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,13 +294,13 @@ def rewrite_at(root: Object, idxs: tuple[int, ...], q: Object,
     referring to their existing binders on the spine."""
     nodes = descend(root, idxs)
     old = nodes[-1]
-    fresh = (free_vars(q) - free_vars(old)) | (free_names(q) - free_names(old))
+    fresh = free_idents(q) - free_idents(old)
     if fresh and fresh & _binders(nodes, idxs):
         # a spine binder would capture a genuinely new identifier; rename the
         # binder (this cannot disturb q's pre-existing free identifiers) and
         # read the nodes below it from the renamed one
         if supply is None:
-            supply = NameSupply(reserved=all_idents(root) | free_vars(q) | free_names(q))
+            supply = NameSupply(reserved=all_idents(root) | free_idents(q))
         o = root
         for k, i in enumerate(idxs):
             bound = _BOUND_BY.get(type(o))
@@ -461,81 +461,75 @@ _RENAME_AT = {
 }
 
 
-def _free(o: Object, slot: str, names: bool) -> frozenset[str]:
-    """The free names of o if names, else its free variables; cached in
-    slot on inner nodes.  They are child 0's less the identifier a binder
-    binds, plus the one standing free at the node, plus the other
-    children's."""
-    out = getattr(o, slot, None)
+def free_idents(o: Object) -> frozenset[str]:
+    """The free variables and names of o in one set; computed once per inner
+    node and cached.  They are child 0's less the identifier a binder binds,
+    plus the one standing free at the node, plus the other children's."""
+    out = getattr(o, "_fi", None)
     if out is not None:
         return out
     t = type(o)
     cs = children(o)
     out = _NO_IDENTS
     if cs:
-        out = _free(cs[0], slot, names)
+        out = free_idents(cs[0])
         bound = _BOUND_BY.get(t)
         if bound is not None:
             out = _minus(out, bound(o))
     at = _FREE_AT.get(t)
-    if at is not None and is_name(getattr(o, at)) == names:
+    if at is not None:
         out = _plus(out, getattr(o, at))
     for c in cs[1:]:
-        out = _union(out, _free(c, slot, names))
+        out = _union(out, free_idents(c))
     if cs:
-        object.__setattr__(o, slot, out)
+        object.__setattr__(o, "_fi", out)
     return out
 
 
 def free_vars(o: Object) -> frozenset[str]:
-    """The free variables of o; computed once per inner node and cached."""
-    return _free(o, "_fv", False)
+    """The free variables of o: free_idents(o) without its names."""
+    return frozenset([x for x in free_idents(o) if not is_name(x)])
 
 
 def free_names(o: Object) -> frozenset[str]:
-    """The free continuation names of o; computed once per inner node and
-    cached."""
-    return _free(o, "_fn", True)
-
-
-def count_free(ident: str, o: Object) -> int:
-    """The number of free occurrences of the variable or name ident in o.
-    A subobject where ident is not free answers 0 from its cache."""
-    t = type(o)
-    if t is Var:
-        return 1 if o.name == ident else 0
-    if t is EmptyStack or ident not in (free_names(o) if is_name(ident) else free_vars(o)):
-        return 0
-    at = _FREE_AT.get(t)
-    n = 1 if at is not None and getattr(o, at) == ident else 0
-    cs = children(o)
-    bound = _BOUND_BY.get(t)
-    for c in cs[1:] if bound is not None and bound(o) == ident else cs:
-        n += count_free(ident, c)
-    return n
+    """The free continuation names of o: free_idents(o) without its
+    variables."""
+    return frozenset([a for a in free_idents(o) if is_name(a)])
 
 
 def free_occurrences(o: Object, ident: str) -> Iterator[tuple[tuple[int, ...], Object]]:
     """Yield (index path, node) for each free occurrence of the variable or
-    name ident in o, in pre-order, without recursion: a Var, the name of a
-    Named node or the replacement name of an ERepl node.  A subobject whose
-    cached free identifiers lack ident is skipped; no cache is filled."""
-    cache = "_fn" if is_name(ident) else "_fv"
-    stack = [((), o)]
-    while stack:
-        idxs, o = stack.pop()
+    name ident in o, in pre-order: a Var, the name of a Named node or the
+    replacement name of an ERepl node.  A subobject whose cached free
+    identifiers lack ident is skipped; no cache is filled.
+
+    One walk on an explicit stack, as in rewrite_everywhere: steps holds the
+    child indices from o down to the current node, so an occurrence costs
+    its path tuple and any other node none."""
+    steps: list[int] = []
+    todo = [(o, 0, 0)]  # (subobject, depth, child index in its parent)
+    while todo:
+        o, d, i = todo.pop()
+        if d:
+            del steps[d - 1:]
+            steps.append(i)
         t = type(o)
         at = _FREE_AT.get(t)
         if at is not None and getattr(o, at) == ident:
-            yield idxs, o
-        free = getattr(o, cache, None)
+            yield tuple(steps), o
+        free = getattr(o, "_fi", None)
         if free is not None and ident not in free:
             continue
         bound = _BOUND_BY.get(t)
         first = 1 if bound is not None and bound(o) == ident else 0
         cs = children(o)
-        for i in range(len(cs) - 1, first - 1, -1):
-            stack.append((idxs + (i,), cs[i]))
+        for k in range(len(cs) - 1, first - 1, -1):
+            todo.append((cs[k], d + 1, k))
+
+
+def count_free(ident: str, o: Object) -> int:
+    """The number of free occurrences of the variable or name ident in o."""
+    return sum(1 for _ in free_occurrences(o, ident))
 
 
 def bound_idents(o: Object) -> set[str]:
@@ -643,48 +637,36 @@ def rename_subsets(o: Object, new: str, occs: list[tuple[int, ...]]) -> list[Obj
     built = {(): o}
     for r in range(1, len(occs) + 1):
         for chosen in combinations(range(len(occs)), r):
-            idxs = occs[chosen[-1]]
-            above = []
-            n = built[chosen[:-1]]
-            for i in idxs:
-                above.append(n)
-                n = children(n)[i]
-            n = _RENAME_AT[type(n)](n, new)
-            for k in range(len(idxs) - 1, -1, -1):
-                p = above[k]
-                n = _WITH_CHILD[type(p)][idxs[k]](p, n)
-            built[chosen] = n
+            built[chosen] = _rename_at(built[chosen[:-1]], occs[chosen[-1]], new)
     return list(built.values())
+
+
+def _rename_at(o: Object, idxs: tuple[int, ...], new: str) -> Object:
+    """o with the identifier that stands free at the node at idxs renamed to
+    new, and the nodes above it rebuilt; every other subtree is o's own."""
+    above = []
+    for i in idxs:
+        above.append(o)
+        o = children(o)[i]
+    o = _RENAME_AT[type(o)](o, new)
+    for k in range(len(idxs) - 1, -1, -1):
+        p = above[k]
+        o = _WITH_CHILD[type(p)][idxs[k]](p, o)
+    return o
 
 
 def rename_free(o: Object, old: str, new: str) -> Object:
     """Rename the free occurrences of the variable or name old to new; the
-    subtrees that hold none are kept as they are.  One walk, one frame per
-    level, that skips a subtree whose cached free identifiers lack old; no
-    cache is filled."""
+    subtrees that hold none are kept as they are, and no cache is filled.
+    Each occurrence that free_occurrences finds is renamed along its path,
+    the last in pre-order first: a renaming rebuilds only the nodes above
+    its occurrence, so the other paths still lead to theirs.  The cost is
+    the sum of the occurrences' depths."""
     if old == new:
         return o
-    cache = "_fn" if is_name(old) else "_fv"
-
-    def go(o: Object) -> Object:
-        free = getattr(o, cache, None)
-        if free is not None and old not in free:
-            return o
-        t = type(o)
-        cs = children(o)
-        if cs:
-            bound = _BOUND_BY.get(t)
-            new_cs = list(cs)
-            for i in range(1 if bound is not None and bound(o) == old else 0, len(cs)):
-                new_cs[i] = go(cs[i])
-            if any(c is not n for c, n in zip(cs, new_cs)):
-                o = with_children(o, tuple(new_cs))
-        at = _FREE_AT.get(t)
-        if at is not None and getattr(o, at) == old:
-            o = _RENAME_AT[t](o, new)
-        return o
-
-    return go(o)
+    for idxs, _ in reversed(list(free_occurrences(o, old))):
+        o = _rename_at(o, idxs, new)
+    return o
 
 
 # older names of the unified functions, which the benchmark scripts use
@@ -732,7 +714,7 @@ def barendregt(o: Object) -> Object:
 
 def is_barendregt(o: Object) -> bool:
     seen: set[str] = set()
-    free = free_vars(o) | free_names(o)
+    free = free_idents(o)
     for _, sub in positions(o):
         bound = _BOUND_BY.get(type(sub))
         if bound is not None:

@@ -8,6 +8,7 @@ subject."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -26,6 +27,7 @@ from .syntax import (
     Push,
     Type,
     Var,
+    free_idents,
     free_names,
     free_vars,
     print_object,
@@ -88,15 +90,13 @@ def check_object(
 def _derive(rule: str, o: Object, genv: dict[str, Type], denv: dict[str, Type],
             ty: ResultType, *children: Derivation) -> Derivation:
     """The judgment of o at type ty: its contexts are the environments cut to
-    the free variables and names of o, so relevance holds by construction.
-
-    A replacement whose new name the environment lacks types that name
-    itself, but a clause above it has no type for the name."""
-    gamma = tuple([(x, genv[x]) for x in sorted(free_vars(o))])
-    try:
-        delta = tuple([(a, denv[a]) for a in sorted(free_names(o))])
-    except KeyError as e:
-        raise LMTypeError(f"no type for name {e.args[0]}") from None
+    the free variables and names of o, so relevance holds by construction."""
+    free = sorted(free_idents(o))
+    # the names come first: their apostrophe sorts before "(", and a
+    # variable starts with a letter or an underscore, which sort after it
+    k = bisect_left(free, "(")
+    gamma = tuple([(x, genv[x]) for x in free[k:]])
+    delta = tuple([(a, denv[a]) for a in free[:k]])
     return Derivation(rule, Judgment(gamma, delta, o, ty), list(children))
 
 
@@ -105,7 +105,7 @@ def _check(o: Object, genv: dict[str, Type], denv: dict[str, Type]) -> Derivatio
         case Var(x):
             if x not in genv:
                 raise LMTypeError(f"no type for variable {x}")
-            # the cut written out: free_vars caches no leaf's set, and
+            # the cut written out: free_idents caches no leaf's set, and
             # computing it at every variable slows checking by about a quarter
             a = genv[x]
             return Derivation("ax", Judgment(((x, a),), (), o, a))
@@ -152,11 +152,12 @@ def _check(o: Object, genv: dict[str, Type], denv: dict[str, Type]) -> Derivatio
                 sty, bty = split_arrow(ann, len(stack_items(s)))
             except ValueError as e:
                 raise LMTypeError(str(e)) from None
-            if nn in denv and denv[nn] != bty:
+            if nn not in denv:
+                raise LMTypeError(f"no type for name {nn}")
+            if denv[nn] != bty:
                 raise LMTypeError(
                     f"replacement name {nn} expects {denv[nn]}, concluded {bty}"
                 )
-            denv = {**denv, nn: bty}
             db = _check(b, genv, {**denv, on: ann})
             ds = _check(s, genv, denv)
             if ds.judgment.type != sty:

@@ -144,14 +144,14 @@ def test_property_drivers_pass(capsys):
 def test_equiv_prints_stop_reason(capsys):
     code, out = run(capsys, "equiv", "x", "y")
     assert code == 1 and out.strip() == "NOT-WITHIN-BOUNDS (free identifiers differ)"
-    code, out = run(capsys, "equiv", "x", "y", "--ren", "--max-states", "40", "--max-depth", "3")
+    code, out = run(capsys, "equiv", "x y", "y x", "--ren", "--max-states", "40", "--max-depth", "3")
     assert code == 1 and out.strip() == "NOT-WITHIN-BOUNDS (depth bound)"
 
 
 def test_equiv_stats_line_comes_before_the_unchanged_output(capsys):
     cases = [
         ["mu 'b. (['a]x)['b/'a \\ y . #]", "mu 'b. ['b]x y"],
-        ["x", "y", "--ren", "--max-states", "40", "--max-depth", "3"],
+        ["x y", "y x", "--ren", "--max-states", "40", "--max-depth", "3"],
         ["x", "y"],
     ]
     stat = re.compile(

@@ -633,9 +633,13 @@ def test_equiv_stop_reasons():
     assert equiv(t("x y"), t("x y")).reason == "found"
     assert equiv(t("x"), c("['a]x")).reason == "sorts differ"
     assert equiv(t("x"), t("y")).reason == "free identifiers differ"
+    # ren renames names only: free variables that differ still stop a
+    # search at once, free names that differ do not
+    assert equiv(t("x"), t("y"), include_ren=True).reason == "free identifiers differ"
     bounded = dict(max_states=40, include_ren=True)
-    assert equiv(t("x"), t("y"), max_depth=3, **bounded).reason == "depth bound"
-    assert equiv(t("x"), t("y"), max_depth=12, **bounded).reason == "state bound"
+    assert equiv(c("['a]x"), c("['b]x"), max_depth=3, **bounded).reason == "depth bound"
+    assert equiv(t("x y"), t("y x"), max_depth=3, **bounded).reason == "depth bound"
+    assert equiv(t("x y"), t("y x"), max_depth=12, **bounded).reason == "state bound"
     assert equiv(t("x y"), t("y x"), expansive=False).reason == "empty frontier"
 
 
@@ -649,7 +653,7 @@ def ref_equiv(o, p, max_states=20000, max_depth=12, include_ren=False, expansive
 
     if sort_of(o) != sort_of(p):
         return ("not-within-bounds", None, 0, "sorts differ")
-    if not include_ren and (free_vars(o) != free_vars(p) or free_names(o) != free_names(p)):
+    if free_vars(o) != free_vars(p) or not include_ren and free_names(o) != free_names(p):
         return ("not-within-bounds", None, 0, "free identifiers differ")
     ko, kp = canonical_key(o), canonical_key(p)
     if ko == kp:

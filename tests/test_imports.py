@@ -1,5 +1,6 @@
 """Every name that a module of the package imports is used in that module,
-and every private module-level name is used somewhere in the package."""
+every private module-level name is used somewhere in the package, and
+every cache slot named by a string is a slot of the nodes."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,45 @@ def test_every_private_module_level_name_is_used():
         str(path.relative_to(_PACKAGE)): path.read_text() for path in sorted(_PACKAGE.rglob("*.py"))
     }
     assert unreferenced_private_names(sources) == []
+
+
+def slot_literals(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each string with one leading underscore that a bare
+    getattr or hasattr call, or object.__setattr__, receives as the
+    attribute: a name that no node has would only make getattr answer its
+    default."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or len(node.args) < 2:
+            continue
+        f = node.func
+        if isinstance(f, ast.Name):
+            named = f.id in ("getattr", "hasattr")
+        else:
+            named = (isinstance(f, ast.Attribute) and f.attr == "__setattr__"
+                     and isinstance(f.value, ast.Name) and f.value.id == "object")
+        attr = node.args[1]
+        if named and isinstance(attr, ast.Constant) and isinstance(attr.value, str):
+            if attr.value.startswith("_") and not attr.value.startswith("__"):
+                out.append((node.lineno, attr.value))
+    return out
+
+
+def test_slot_literals_finds_a_cache_slot_named_by_a_string():
+    source = (
+        'getattr(o, "_fn", None)\nobject.__setattr__(o, "_cn", 1)\nhasattr(o, "_x")\n'
+        'hasattr(o, "__dict__")\nself.getattr(o, "_q")\nx.__setattr__(o, "_q", 1)\n'
+        'getattr(o, name)\ngetattr(o, "_" + name)\n'
+    )
+    assert slot_literals(source) == [(1, "_fn"), (2, "_cn"), (3, "_x")]
+
+
+def test_every_slot_named_by_a_string_is_a_node_cache_slot():
+    from lmtool.syntax import _Cached
+
+    paths = sorted([*_PACKAGE.rglob("*.py"), *Path(__file__).parent.glob("*.py")])
+    named = {(path.name, line, name) for path in paths
+             for line, name in slot_literals(path.read_text())}
+    assert [n for n in sorted(named) if n[2] not in _Cached.__slots__] == []
+    # the scan reaches the reads of both slots
+    assert {name for *_, name in named} == set(_Cached.__slots__)

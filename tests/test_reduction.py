@@ -577,7 +577,7 @@ def test_swap_or_compose_spine_check_matches_counting(rewrite_corpus):
     from lmtool.equivalence import _NodeMemo, _rewrites
     from lmtool.lmu import SIGMA_AXIOMS
     from lmtool.reduction import Trace
-    from lmtool.syntax import ERepl
+    from lmtool.syntax import ERepl, free_idents
 
     objs = list(rewrite_corpus)
     for seed in range(4):
@@ -600,18 +600,93 @@ def test_swap_or_compose_spine_check_matches_counting(rewrite_corpus):
         states += [r for *_, r in _rewrites(co, True, True, supply_for(co), _NodeMemo())]
     seen = {}
     for o in states:
-        # the first ask finds no cache, and _classify_erepl then fills the
-        # free-name caches for the second
+        # the first ask finds no cache; free_idents then fills every one
+        # for the second
         o = _uncached_copy(o)
         for _, sub in positions(o):
             if type(sub) is ERepl:
                 first = _canon_tag(sub)
                 want = _wc_by_counting(sub)
+                free_idents(sub)
                 assert first == want and _canon_tag(sub) == want, print_object(sub)
                 tag = want[0] if want else None
                 seen[tag] = seen.get(tag, 0) + 1
     assert seen.get(RuleTag.W, 0) > 100 and seen.get(RuleTag.C, 0) > 50, seen
     assert seen.get(None, 0) > 10000, seen
+
+
+def _ref_name_occurrences(o, alpha):
+    """The index paths of the free occurrences of the name alpha in o, in
+    pre-order, by recursion."""
+    from lmtool.syntax import ERepl, Mu, Named, children
+
+    match o:
+        case Mu(a, _, b):
+            return [] if a == alpha else [(0,) + p for p in _ref_name_occurrences(b, alpha)]
+        case Named(a, b):
+            inner = [(0,) + p for p in _ref_name_occurrences(b, alpha)]
+            return [()] + inner if a == alpha else inner
+        case ERepl(b, nn, on, _, s):
+            here = [()] if nn == alpha else []
+            inner = [] if on == alpha else [(0,) + p for p in _ref_name_occurrences(b, alpha)]
+            return here + inner + [(1,) + p for p in _ref_name_occurrences(s, alpha)]
+    return [(i,) + p for i, ch in enumerate(children(o)) for p in _ref_name_occurrences(ch, alpha)]
+
+
+def _classify_by_counting(sub):
+    """_classify_erepl as it was before it stopped at a second occurrence:
+    every free occurrence of the bound name counted, then the first one
+    classified."""
+    from lmtool.syntax import EmptyStack, Named, subobject_at
+
+    c, alpha = sub.body, sub.old
+    if type(sub.stack) is EmptyStack:
+        return RuleTag.R_EMPTY, None
+    occs = _ref_name_occurrences(c, alpha)
+    if len(occs) != 1:
+        return RuleTag.R_NEQ1, None
+    idxs = occs[0]
+    node = subobject_at(c, idxs)
+    linear = is_linear_indices(c, idxs)
+    if type(node) is Named:
+        return (RuleTag.N_LIN if linear else RuleTag.N_NONLIN), idxs
+    if type(node.stack) is EmptyStack:
+        return (RuleTag.W if linear else RuleTag.W_NONLIN), idxs
+    return (RuleTag.C if linear else RuleTag.C_NONLIN), idxs
+
+
+def test_classification_stopping_at_a_second_occurrence_matches_counting(rewrite_corpus):
+    from lmtool.reduction import Trace, _classify_erepl
+    from lmtool.syntax import EmptyStack, ERepl, Push, free_idents
+
+    # the objects, their expansions, random objects and the hand-written
+    # spine cases, with their plain reducts, the states canon passes
+    # through, and the meaningful reducts of their canonical forms
+    rng = random.Random(6)
+    stack = Push(Var("y"), EmptyStack())
+    sources = [*rewrite_corpus, *map(expand, rewrite_corpus)]
+    sources += [random_object(rng, 14) for _ in range(300)]
+    sources += [ERepl(c(body), "'f", "'a", None, stack) for _, body, _ in _SPINE_CASES]
+    objs = []
+    for o in sources:
+        trace = Trace(o, [])
+        co = canon(o, trace=trace)
+        objs += [o] + [r for _, _, r in plain_reducts(o)] + [r for _, _, r in trace.steps]
+        objs += [r for _, _, r in meaningful_reducts(co)]
+    seen = {}
+    for o in objs:
+        # on new nodes, whose caches are empty, then with every cache full
+        o = _uncached_copy(o)
+        subs = [sub for _, sub in positions(o) if type(sub) is ERepl]
+        want = [_classify_by_counting(sub) for sub in subs]
+        assert [_classify_erepl(sub) for sub in subs] == want, print_object(o)
+        free_idents(o)
+        assert [_classify_erepl(sub) for sub in subs] == want, print_object(o)
+        for tag, _ in want:
+            seen[tag] = seen.get(tag, 0) + 1
+    # every refined tag of a replacement
+    assert set(seen) == set(list(RuleTag)[4:]), seen
+    assert seen[RuleTag.R_NEQ1] > 500 and seen[RuleTag.N_LIN] > 100, seen
 
 
 # --- one-descent rewriting against the recursive writer it replaced ---------------

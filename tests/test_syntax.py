@@ -26,6 +26,7 @@ from lmtool.syntax import (
     check_sorts,
     children,
     count_free,
+    free_idents,
     free_names,
     free_occurrences,
     free_vars,
@@ -38,6 +39,7 @@ from lmtool.syntax import (
     refresh,
     rename_free,
     rewrite_at,
+    same_object,
     sort_of,
     subobject_at,
     supply_for,
@@ -254,6 +256,56 @@ def test_paths_thousands_deep_need_no_recursion():
         assert got == Var("g")
 
 
+def test_occurrence_walks_five_thousand_deep_need_no_recursion():
+    # x a0 a1 ... with x as every thousandth argument, and half way up a
+    # [x\x] that binds the x below it and holds a free one in its argument
+    def app_spine(x):
+        o = Var("x")
+        for i in range(5000):
+            if i == 2500:
+                o = ESub(o, "x", Var(x))
+            o = App(o, Var(f"a{i % 7}" if i % 1000 != 999 else x if i > 2500 else "x"))
+        return o
+
+    spine = app_spine("x")
+    paths = [(0,) * 2500 + (1,), (0,) * 2000 + (1,), (0,) * 1000 + (1,), (1,)]
+    assert [idxs for idxs, _ in free_occurrences(spine, "x")] == paths
+    assert count_free("x", spine) == 4 and count_free("a3", spine) == 713
+    got = rename_free(spine, "x", "z")
+    assert same_object(got, app_spine("z"))
+    o, k = spine, 0
+    while type(o) is App:  # every other argument is the original node
+        assert (got.arg is o.arg) == (o.arg != Var("x"))
+        o, got, k = o.fun, got.fun, k + 1
+    assert k == 2500 and got.body is o.body
+    assert rename_free(spine, "y", "z") is spine
+
+    # ['c0] mu 'b4999. ... ['c5] mu 'b0. ['a]x, each thousandth name 'a, and
+    # half way down a replacement that binds the 'a below it and holds a
+    # free one in its stack
+    def chain(a, x="x"):
+        cmd = Named("'a", Var(x))
+        for i in range(5000):
+            if i == 2500:
+                stack = Push(Mu("'q", None, Named(a, Var("y"))), EmptyStack())
+                cmd = ERepl(cmd, "'n", "'a", None, stack)
+            name = f"'c{i % 7}" if i % 1000 != 999 else a if i > 2500 else "'a"
+            cmd = Named(name, Mu(f"'b{i}", None, cmd))
+        return cmd
+
+    cmd = chain("'a")
+    paths = [(), (0,) * 2000, (0,) * 4000, (0,) * 5000 + (1, 0, 0)]
+    assert [idxs for idxs, _ in free_occurrences(cmd, "'a")] == paths
+    assert count_free("'a", cmd) == 4 and count_free("'c3", cmd) == 713
+    got = rename_free(cmd, "'a", "'z")
+    assert same_object(got, chain("'z"))
+    below = (0,) * 5001  # the replacement's body is the original node
+    assert subobject_at(got, below) is subobject_at(cmd, below)
+    assert next(free_occurrences(cmd, "x")) == ((0,) * 10002, Var("x"))
+    assert count_free("x", cmd) == 1
+    assert same_object(rename_free(cmd, "x", "y"), chain("'a", "y"))
+
+
 def test_all_idents_covers_binders():
     o = t(r"\x. mu 'a. ['b]x[y\z]")
     ids = all_idents(o)
@@ -363,20 +415,27 @@ def probe_idents(o):
 
 def test_cached_free_identifiers_match_the_reference_walk():
     for o in kernel_corpus():
+        ref = ref_free_vars(o) | ref_free_names(o)
         for fresh in (rebuild(o), rebuild(o)):
-            # first ask the counts (they fill the caches), then the sets, then
+            # first ask the counts (they fill no cache), then the sets, then
             # everything again with the caches full
             for _ in range(2):
                 for ident in probe_idents(o):
                     ref_count = ref_count_free_name if is_name(ident) else ref_count_free_var
                     assert count_free(ident, fresh) == ref_count(ident, o)
+                assert free_idents(fresh) == ref
                 assert free_vars(fresh) == ref_free_vars(o)
                 assert free_names(fresh) == ref_free_names(o)
             # every subobject's cache agrees too
             for _, sub in positions(fresh):
+                want = ref_free_vars(sub) | ref_free_names(sub)
+                if children(sub):
+                    assert sub._fi == want  # filled by the ask at the root
+                assert free_idents(sub) == want
                 assert free_vars(sub) == ref_free_vars(sub)
                 assert free_names(sub) == ref_free_names(sub)
         # the shared original, whose caches other calls may have filled
+        assert free_idents(o) == ref
         assert (free_vars(o), free_names(o)) == (ref_free_vars(o), ref_free_names(o))
 
 
@@ -674,17 +733,17 @@ def test_rename_free_walks_a_deep_spine_at_the_default_recursion_limit():
 def test_free_identifier_sets_are_frozen_and_shared():
     f = t("f x y")
     o = App(f, Var("x"))
-    assert isinstance(free_vars(o), frozenset) and isinstance(free_names(o), frozenset)
+    assert isinstance(free_idents(o), frozenset)
     # a node whose set equals a child's reuses the child's set object
-    assert free_vars(o) is free_vars(f)
+    assert free_idents(o) is free_idents(f)
     body = c("['a]x")
-    assert free_names(Abs("y", None, Mu("'b", None, body))) is free_names(body)
+    assert free_idents(Abs("y", None, Mu("'b", None, body))) is free_idents(body)
 
 
 def test_equality_and_hash_ignore_the_caches():
     for o in kernel_corpus()[::7]:
         filled, empty = rebuild(o), rebuild(o)
-        free_vars(filled), free_names(filled)
+        free_idents(filled)
         assert filled == empty and hash(filled) == hash(empty)
         assert repr(filled) == repr(empty)
         assert {filled: 1}[empty] == 1
@@ -700,7 +759,7 @@ def test_nodes_are_slotted_with_field_only_matching():
         assert not hasattr(o, "__dict__")
         names = tuple(f.name for f in fields(o))
         assert type(o).__match_args__ == names
-        assert not {"_fv", "_fn", "_cn"} & set(names)
+        assert not {"_fi", "_cn"} & set(names)
 
 
 def nested_key(o):
@@ -838,8 +897,7 @@ def test_all_idents_matches_the_reference_and_fills_no_cache():
             fresh = rebuild(obj)
             assert all_idents(fresh) == ref_all_idents(obj)
             for _, sub in positions(fresh):
-                assert getattr(sub, "_fv", None) is None
-                assert getattr(sub, "_fn", None) is None
+                assert getattr(sub, "_fi", None) is None
 
 
 def test_all_idents_walks_a_deep_spine_without_recursion():

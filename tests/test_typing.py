@@ -266,11 +266,12 @@ def _ref_check(o, genv, denv):
                 sty, bty = split_arrow(ann, len(stack_items(s)))
             except ValueError as e:
                 raise LMTypeError(str(e)) from None
-            if nn in denv and denv[nn] != bty:
+            if nn not in denv:
+                raise LMTypeError(f"no type for name {nn}")
+            if denv[nn] != bty:
                 raise LMTypeError(f"replacement name {nn} expects {denv[nn]}, concluded {bty}")
-            denv2 = {**denv, nn: bty}
-            db = _ref_check(b, genv, {**denv2, on: ann})
-            ds = _ref_check(s, genv, denv2)
+            db = _ref_check(b, genv, {**denv, on: ann})
+            ds = _ref_check(s, genv, denv)
             if ds.judgment.type != sty:
                 raise LMTypeError(
                     f"stack type mismatch on {on}: annotation wants {[str(a) for a in sty]}"
@@ -342,16 +343,20 @@ def test_check_object_matches_the_merging_reference():
     assert errors > 500
 
 
-def test_a_replacement_types_a_new_name_left_out_only_within_itself():
+def test_a_replacement_takes_its_new_name_from_the_environment():
+    # every free name comes from the environment, a replacement's new name
+    # too: left out, it fails at the replacement itself and above it
     repl = "(['a]x)['b/'a:iA\\#]"
-    d = check_object(t(repl), {"x": Base("A")})
-    assert dict(d.judgment.delta) == {"'b": Base("A")} and relevance_check(d)
-    # a clause above the replacement reads its contexts from its own
-    # environment, which has no type for 'b (the merging checker took the
-    # replacement's, and reported two replacements that disagree as an
-    # incompatible union)
-    with pytest.raises(LMTypeError, match="^no type for name 'b$"):
-        check_object(t(f"mu 'g:iA. {repl}"), {"x": Base("A")})
+    gamma, delta = {"x": Base("A")}, {"'b": Base("A")}
+    for text in (repl, f"mu 'g:iA. {repl}"):
+        with pytest.raises(LMTypeError, match="^no type for name 'b$"):
+            check_object(t(text), gamma)
+        d = check_object(t(text), gamma, delta)
+        assert dict(d.judgment.delta) == delta and relevance_check(d)
+    # two replacements that disagree on the type of 'b
     two = "(mu 'g:iA->iA. (['a]y)['b/'a:iA\\#]) (mu 'h:iA. (['c]z)['b/'c:iB\\#])"
+    gamma = {"y": Base("A"), "z": Base("B")}
     with pytest.raises(LMTypeError, match="^no type for name 'b$"):
-        check_object(t(two), {"y": Base("A"), "z": Base("B")})
+        check_object(t(two), gamma)
+    with pytest.raises(LMTypeError, match="^replacement name 'b expects iA, concluded iB$"):
+        check_object(t(two), gamma, delta)
