@@ -184,7 +184,7 @@ def cmd_typecheck(args) -> int:
 
 
 def cmd_ppn(args) -> int:
-    from .ppn import full_nf, mult_nf, translate_derivation
+    from .ppn import NetBudgetExhausted, full_nf, mult_nf, translate_derivation
 
     o = parse(args.object, args.sort)
     if sort_of(o) == STACK:
@@ -196,10 +196,14 @@ def cmd_ppn(args) -> int:
         print(f"ILL-TYPED: {e}")
         return 1
     net = translate_derivation(d)
-    if args.nf == "mult":
-        net = mult_nf(net)
-    elif args.nf == "full":
-        net = full_nf(net)
+    try:
+        if args.nf == "mult":
+            net = mult_nf(net)
+        elif args.nf == "full":
+            net = full_nf(net)
+    except NetBudgetExhausted:
+        print("BUDGET-EXHAUSTED")
+        return 1
     dot = net.to_dot()
     if args.dot:
         try:

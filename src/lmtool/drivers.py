@@ -360,11 +360,10 @@ class TypedPairs:
                 fold_stack_type(outer_tys, bty),
                 self._stack(outer_tys),
             )
-            info = classify_R_info(lhs, ())
             want = RuleTag.W if which == "W" else RuleTag.C
-            if info[0] != want:
+            if classify_R_info(lhs, ())[0] != want:
                 continue
-            rhs = fire(lhs, want, (), info=info)
+            rhs = fire(lhs, want, ())
             g, d = self.envs()
             d[alpha2] = bty
             return lhs, rhs, want, g, d

@@ -10,8 +10,10 @@ from typing import Optional
 
 from .gen_random import random_pure_command, random_pure_stack, random_pure_term
 from .lmu import project
-from .meta import apply_stack, rename, stack_of
-from .reduction import LINEAR_SPINE, NotCanonicalError, canon, is_canonical, rewrite_is_canonical
+from .meta import rename, stack_of
+from .reduction import (
+    LINEAR_SPINE, NotCanonicalError, RuleTag, canon, is_canonical, lm_step, rewrite_is_canonical,
+)
 from .syntax import (
     _BOUND_BY,
     _FREE_AT,
@@ -169,17 +171,17 @@ def _subtree_rewrites(sub: Object, supply: NameSupply, include_ren: bool,
         out.append((ax, "RL", _REBIND[t](node, x, rewrite_at(sub, idxs, body, supply))))
 
     match sub:
-        # lin LR: ([a]u)[a'/a\s] -> [a'](u``s), a # u, s != #.  The subject
-        # must be stack-inert (not an abstraction or mu under substitution
-        # frames): otherwise the right side acquires meaningful redexes the
-        # left cannot mirror and the strong bisimulation breaks.
-        case ERepl(Named(a, u), nn, on, _, s) if (
+        # lin LR: ([a]u)[a'/a\s] -> [a'](u``s), a # u, s != #: the R step.
+        # The subject must be stack-inert (not an abstraction or mu under
+        # substitution frames): otherwise the right side acquires meaningful
+        # redexes the left cannot mirror and the strong bisimulation breaks.
+        case ERepl(Named(a, u), _, on, _, s) if (
             a == on
             and not isinstance(s, EmptyStack)
             and on not in free_idents(u)
             and _stack_inert(u)
         ):
-            out.append(("lin", "LR", Named(nn, canon(apply_stack(u, s), supply))))
+            out.append(("lin", "LR", lm_step(sub, RuleTag.R, (), supply)))
     match sub:
         # lin RL: split the application spine (heads of canonical spines are
         # inert by canonicity)

@@ -12,7 +12,7 @@ matcher reads both ways.
 
 from __future__ import annotations
 
-from .meta import apply_stack, rename, replace, substitute
+from .meta import apply_stack, rename
 from .reduction import RuleTag, _plain_tag, _redexes, classify_R_info, lm_step
 from .syntax import (
     COMMAND,
@@ -64,17 +64,16 @@ def lmu_redexes(o: Object) -> list[tuple[str, tuple[int, ...]]]:
     """All beta and mu redex positions of a pure object: there, B is beta
     and M is mu."""
     require_pure(o)
-    return [("beta" if tag is RuleTag.B else "mu", p) for tag, p, _ in _redexes(o, _plain_tag)]
+    return [("beta" if tag is RuleTag.B else "mu", p) for tag, p in _redexes(o, _plain_tag)]
 
 
 def lmu_step(o: Object, p: tuple[int, ...]) -> Object:
     """Contract the beta or mu redex at p of a pure object; one supply
     serves both steps."""
     require_pure(o)
-    found = _plain_tag(subobject_at(o, p))
-    if found is None:
+    tag = _plain_tag(subobject_at(o, p))
+    if tag is None:
         raise ValueError(f"no lambda-mu redex at {dotted(p)}")
-    tag = found[0]
     close, below = _CLOSE[tag]
     supply = supply_for(o)
     return lm_step(lm_step(o, tag, p, supply), close, p + below, supply)
@@ -85,8 +84,7 @@ def is_linear_mu_redex(o: Object, p: tuple[int, ...]) -> bool:
     leaves an Nlin replacement: a occurs once in c, as [a]u, under a
     linear context."""
     require_pure(o)
-    found = _plain_tag(subobject_at(o, p))
-    if found is None or found[0] is not RuleTag.M:
+    if _plain_tag(subobject_at(o, p)) is not RuleTag.M:
         return False
     return classify_R_info(lm_step(o, RuleTag.M, p), p + (0,))[0] is RuleTag.N_LIN
 
@@ -183,20 +181,21 @@ def sigma_instances(o: Object) -> list[tuple[str, str, tuple[int, ...], Object]]
 # Projection (execute all explicit operators) and expansion (unfold them)
 
 
+# the rule that executes each explicit operator
+_EXECUTE = {ESub: RuleTag.S, ERepl: RuleTag.R}
+
+
 def project(o: Object, supply: NameSupply | None = None) -> Object:
-    """Execute every explicit substitution and replacement."""
+    """Execute every explicit substitution and replacement: fire S or R at
+    each one once its parts are projected."""
     if supply is None:
         supply = supply_for(o)
     cs = children(o)
     if not cs:
         return o
-    cs = tuple(project(c, supply) for c in cs)
-    t = type(o)
-    if t is ESub:
-        return substitute(cs[0], o.var, cs[1], supply)
-    if t is ERepl:
-        return replace(cs[0], o.new, o.old, cs[1], supply)
-    return with_children(o, cs)
+    o = with_children(o, tuple(project(c, supply) for c in cs))
+    tag = _EXECUTE.get(type(o))
+    return o if tag is None else lm_step(o, tag, (), supply)
 
 
 def expand(o: Object) -> Object:

@@ -171,14 +171,10 @@ def replace(
         if on == old:
             # old is shadowed inside b; nn != old since nn != on
             return ERepl(b, nn, on, ann, go(s1))
-        # on is renamed also when old is free only in s1 or as nn, which lie
-        # outside on's scope; the fresh names issued depend on this test
-        old_in_b = old in free_idents(b)
-        old_in_s1 = old in free_idents(s1)
-        collides = (on == new and (old_in_b or old_in_s1)) or (
-            on in free_s and (old_in_b or old_in_s1 or nn == old)
-        )
-        if collides:
+        # on binds in b only, since s1 and nn lie outside its scope: it is
+        # renamed where it would capture there, and where new would replace
+        # nn and so name on itself
+        if on == new and nn == old or (on == new or on in free_s) and old in free_idents(b):
             on2 = supply.fresh(on)
             return go(ERepl(rename_free(b, on, on2), nn, on2, ann, s1))
         if nn != old:

@@ -10,14 +10,7 @@ from enum import Enum
 from itertools import islice
 from typing import Optional
 
-from .meta import (
-    apply_stack,
-    prepare_erepl,
-    replace,
-    stack_concat,
-    stack_len,
-    substitute,
-)
+from .meta import prepare_erepl, replace, substitute
 from .syntax import (
     _WITH_CHILD,
     _NodeMemo,
@@ -40,7 +33,6 @@ from .syntax import (
     free_occurrences,
     positions,
     print_object,
-    rewrite_at,
     splice,
     subobject_at,
     supply_for,
@@ -53,7 +45,8 @@ class RuleTag(str, Enum):
     S = "S"
     M = "M"
     R = "R"
-    # refinement of R (classification of an explicit replacement)
+    # refinement of R: the classification of an explicit replacement, which
+    # sorts its R step into a kind; a refined redex fires as R
     R_EMPTY = "R#"          # renaming replacement: inert
     R_NEQ1 = "R!=1"         # stack replacement, several or no occurrences
     N_LIN = "Nlin"          # named occurrence under a linear context
@@ -208,47 +201,42 @@ def _sole_occurrence(c: Object, alpha: str) -> tuple[tuple[int, ...], Object] | 
 
 # ---------------------------------------------------------------------------
 # The redex engine.  A classifier names the redex rooted at a node itself,
-# as a classification (tag, occurrence) or None; one scan lists the
-# redexes a classifier finds, fire contracts any of them, and one loop
-# normalizes under a choice of the next redex.
-
-_B = (RuleTag.B, None)
-_M = (RuleTag.M, None)
-_S = (RuleTag.S, None)
-_R = (RuleTag.R, None)
+# as a tag or None; one scan lists the redexes a classifier finds, fire
+# contracts any of them, and one loop normalizes under a choice of the next
+# redex.
 
 
-def _app_tag(o: App) -> Optional[tuple[RuleTag, None]]:
+def _app_tag(o: App) -> Optional[RuleTag]:
     f = o.fun
     while type(f) is ESub:
         f = f.body
     if type(f) is Abs:
-        return _B
+        return RuleTag.B
     if type(f) is Mu:
-        return _M
+        return RuleTag.M
     return None
 
 
-def _plain_tag(o: Object) -> Optional[tuple[RuleTag, None]]:
+def _plain_tag(o: Object) -> Optional[RuleTag]:
     """The B, M, S or R redex rooted at o."""
     t = type(o)
     if t is App:
         return _app_tag(o)
     if t is ESub:
-        return _S
+        return RuleTag.S
     if t is ERepl:
-        return _R
+        return RuleTag.R
     return None
 
 
-def _refined_tag(o: Object) -> Optional[tuple[RuleTag, tuple[int, ...] | None]]:
+def _refined_tag(o: Object) -> Optional[RuleTag]:
     """As _plain_tag, with an explicit replacement classified."""
     if type(o) is ERepl:
-        return _classify_erepl(o)
+        return _classify_erepl(o)[0]
     return _plain_tag(o)
 
 
-def _canon_tag(o: Object) -> Optional[tuple[RuleTag, tuple[int, ...] | None]]:
+def _canon_tag(o: Object) -> Optional[RuleTag]:
     """The B, M, C or W redex rooted at o.  This depends on o's own subtree
     only."""
     t = type(o)
@@ -259,8 +247,8 @@ def _canon_tag(o: Object) -> Optional[tuple[RuleTag, tuple[int, ...] | None]]:
     return None
 
 
-def _linear_swap_or_compose(o: ERepl) -> Optional[tuple[RuleTag, tuple[int, ...]]]:
-    """_classify_erepl(o) when it is W or C, else None, for o with a
+def _linear_swap_or_compose(o: ERepl) -> Optional[RuleTag]:
+    """_classify_erepl(o)'s tag when it is W or C, else None, for o with a
     nonempty stack.  W and C need the bound name's one occurrence to be a
     replacement's new name on the linear spine of o's command, so the walk
     follows that spine to the first occurrence and looks for a second only
@@ -269,7 +257,6 @@ def _linear_swap_or_compose(o: ERepl) -> Optional[tuple[RuleTag, tuple[int, ...]
     at a node whose cached free identifiers lack it."""
     alpha = o.old
     c = o.body
-    depth = 0
     while True:
         free = getattr(c, "_fi", None)
         if free is not None and alpha not in free:
@@ -279,8 +266,7 @@ def _linear_swap_or_compose(o: ERepl) -> Optional[tuple[RuleTag, tuple[int, ...]
             if c.new == alpha:
                 if _sole_occurrence(o.body, alpha) is None:
                     return None
-                occ = (0,) * depth
-                return (RuleTag.W, occ) if type(c.stack) is EmptyStack else (RuleTag.C, occ)
+                return RuleTag.W if type(c.stack) is EmptyStack else RuleTag.C
             if c.old == alpha:
                 return None
         elif t is Named or t is Mu:
@@ -290,70 +276,42 @@ def _linear_swap_or_compose(o: ERepl) -> Optional[tuple[RuleTag, tuple[int, ...]
         elif t is not App and t is not Abs and t is not ESub:
             return None  # a variable ends the spine
         c = c.fun if t is App else c.body
-        depth += 1
 
 
 def _redexes(o: Object, tag_of, tags=None):
-    """Yield (tag, path, info) for each redex tag_of finds in o, in
-    pre-order, where info is what tag_of gave; with tags, only those whose
-    tag is in it."""
+    """Yield (tag, path) for each redex tag_of finds in o, in pre-order;
+    with tags, only those whose tag is in it."""
     for idxs, sub in positions(o):
-        found = tag_of(sub)
-        if found is not None and (tags is None or found[0] in tags):
-            yield found[0], idxs, found
+        tag = tag_of(sub)
+        if tag is not None and (tags is None or tag in tags):
+            yield tag, idxs
 
 
-def fire(
-    o: Object, tag: RuleTag, p: tuple[int, ...], supply: NameSupply | None = None,
-    info: tuple[RuleTag, tuple[int, ...] | None] | None = None,
-) -> Object:
-    """Fire the redex at p.  A plain tag goes to lm_step.  A refined
-    replacement rule needs the classification of the replacement at p:
-    without info it is computed here and must give tag."""
-    if tag in PLAIN:
-        return lm_step(o, tag, p, supply)
-    nodes = descend(o, p)
-    sub: ERepl = nodes[-1]  # type: ignore[assignment]
-    if info is None:
-        if type(sub) is not ERepl:
-            raise ValueError("classification expects an explicit replacement")
-        info = _classify_erepl(sub)
-        if info[0] != tag:
+def fire(o: Object, tag: RuleTag, p: tuple[int, ...],
+         supply: NameSupply | None = None) -> Object:
+    """Fire the redex at p.  A plain tag goes to lm_step.  A refined tag
+    only sorts an R-redex into a kind of step, so it must be the
+    classification of the replacement at p, and R fires there."""
+    if tag not in PLAIN:
+        found = classify_R_info(o, p)[0]
+        if found != tag:
             raise ValueError(
-                f"redex at path classifies as {info[0].value}, not {RuleTag(tag).value}"
+                f"redex at path classifies as {found.value}, not {RuleTag(tag).value}"
             )
-    if supply is None:
-        supply = supply_for(o)
-    c, new, alpha, s = sub.body, sub.new, sub.old, sub.stack
-    occ_p = info[1]
-    if occ_p is None:  # R# and R!=1: replace every occurrence
-        e = prepare_erepl(sub, supply)
-        red = replace(e.body, e.new, e.old, e.stack, supply)
-    else:
-        node = subobject_at(c, occ_p)
-        if type(node) is Named:  # N: the one named occurrence takes the stack
-            repl = Named(new, apply_stack(node.body, s))
-        elif type(node.stack) is EmptyStack:  # W: swap with the inner renaming
-            base = node.ann if node.ann is not None else sub.ann
-            repl = ERepl(ERepl(node.body, alpha, node.old, node.ann, s), new, alpha,
-                         codomain(base, stack_len(s)), empty_stack())
-        else:  # C: compose with the inner stack
-            repl = ERepl(node.body, new, node.old, node.ann, stack_concat(node.stack, s))
-        red = rewrite_at(c, occ_p, repl, supply)
-    # unlike s in the inner write, red has no free identifier that sub lacks
-    return splice(nodes, p, red)
+        tag = RuleTag.R
+    return lm_step(o, tag, p, supply)
 
 
 def _normalize(o: Object, choose, supply: NameSupply, trace: Trace | None,
                limit: int) -> Optional[Object]:
-    """Fire the redex choose(o) gives, as (tag, path, info), until it gives
-    None; return that normal form, or None when limit steps reach none."""
+    """Fire the redex choose(o) gives, as (tag, path), until it gives None;
+    return that normal form, or None when limit steps reach none."""
     for _ in range(limit):
         found = choose(o)
         if found is None:
             return o
-        tag, p, info = found
-        o = fire(o, tag, p, supply, info)
+        tag, p = found
+        o = fire(o, tag, p, supply)
         if trace is not None:
             trace.steps.append((tag, p, o))
     return None
@@ -361,7 +319,7 @@ def _normalize(o: Object, choose, supply: NameSupply, trace: Trace | None,
 
 def lm_redexes(o: Object) -> list[tuple[RuleTag, tuple[int, ...]]]:
     """All B, S, M, R redex positions."""
-    return [(tag, p) for tag, p, _ in _redexes(o, _plain_tag)]
+    return list(_redexes(o, _plain_tag))
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +399,17 @@ def meaningful_redexes(o: Object) -> list[tuple[RuleTag, tuple[int, ...]]]:
     object."""
     if not is_canonical(o):
         raise NotCanonicalError("meaningful reduction lives on canonical forms")
-    return [(tag, p) for tag, p, _ in _redexes(o, _refined_tag, MEANINGFUL)]
+    return list(_redexes(o, _refined_tag, MEANINGFUL))
 
 
 def meaningful_reducts(o: Object) -> list[tuple[RuleTag, tuple[int, ...], Object]]:
     """All meaningful reducts of a canonical object; one supply_for(o)
-    serves every redex, and each redex fires with the classification its
-    scan computed."""
+    serves every redex."""
     if not is_canonical(o):
         raise NotCanonicalError("meaningful reduction lives on canonical forms")
     redexes = list(_redexes(o, _refined_tag, MEANINGFUL))
     supply = supply_for(o) if redexes else None
-    return [(tag, p, canon(fire(o, tag, p, supply, info), supply)) for tag, p, info in redexes]
+    return [(tag, p, canon(fire(o, tag, p, supply), supply)) for tag, p in redexes]
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +474,8 @@ def _reduct_lists(o: Object, supply: NameSupply, memo: _NodeMemo) -> None:
             todo.extend(pending)
             continue
         todo.pop()
-        found = _plain_tag(n)
-        out = [lm_step(n, found[0], (), supply)] if found is not None else []
+        tag = _plain_tag(n)
+        out = [lm_step(n, tag, (), supply)] if tag is not None else []
         for i, c in enumerate(cs):
             below = lists[id(c)]
             if below:

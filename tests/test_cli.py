@@ -105,6 +105,15 @@ def test_reduce_budget(capsys):
     assert code == 1 and "BUDGET-EXHAUSTED" in out
 
 
+@pytest.mark.parametrize("nf", ["mult", "full"])
+def test_ppn_budget_exhausted(capsys, monkeypatch, nf):
+    from lmtool.ppn import rewrite
+
+    monkeypatch.setattr(rewrite, "_BUDGET", 1)
+    code, out = run(capsys, "ppn", "--nf", nf, "--env", "y:iA", r"(\x:iA. x) y")
+    assert code == 1 and out == "BUDGET-EXHAUSTED\n"
+
+
 def test_sigma_listing(capsys):
     code, out = run(capsys, "sigma", "(mu 'a. ['a]x) y")
     assert code == 0 and "sigma8" in out
@@ -298,3 +307,47 @@ def test_output_does_not_depend_on_the_hash_seed():
             assert proc.returncode == 0, proc.stderr
             outs.add(proc.stdout)
         assert len(outs) == 1, argv
+
+
+# a mu-bound name free in the argument, and replacements whose bound name
+# is free in their stack
+_CAPTURE_INPUTS = [
+    r"(mu 'a. (['o]x)['a/'o\#]) (mu 'd. ['a]y)",
+    r"(['e]z)['f/'e\ (mu 'g. ['e]w) . #]",
+    r"(['o](mu 'd. (['e]z)['f/'e\(mu 'g. ['e]w) . #]))['n/'o\v . #]",
+]
+_HOSTILE = [
+    "(\\x. ", "x)", "mu 'a. [", "x[y\\", "\\x:iA->. x", "x . y . #", "#",
+    "(" * 5000 + "x" + ")" * 5000, *_CAPTURE_INPUTS,
+]
+_OBJECT_COMMANDS = ["parse", "canon", "step", "reduce", "meaningful", "sigma", "typecheck", "ppn"]
+_SWEEP = (
+    [[command, text] for command in _OBJECT_COMMANDS for text in _HOSTILE]
+    + [["equiv", text, text] for text in _HOSTILE]
+    + [
+        ["equiv", _CAPTURE_INPUTS[0], _CAPTURE_INPUTS[1]],
+        ["equiv", "x", "x", "--max-states", "0"],
+        ["ppn", "x . #", "--sort", "stack", "--env", "x:iA"],
+        ["ppn", "--nf", "full", "--env", "y:iA", r"(\x:iA. x) y"],
+        ["reduce", "--budget", "1", r"(\x. x x) (\x. x x)"],
+        ["reduce", "--mode", "refined", "--budget", "1", _CAPTURE_INPUTS[0]],
+        ["step", "--path", "", "--tag", "W", _CAPTURE_INPUTS[1]],
+        ["canon", "--sort", "stack", _CAPTURE_INPUTS[1]],
+        ["simcheck", "--cases", "1", "--seed", "-7"],
+        ["bisim-check", "--cases", "1", "--seed", "-7"],
+        ["confluence-check", "--cases", "1", "--max-states", "0"],
+        ["gen", "--typed", "--size", "0"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", _SWEEP, ids=range(len(_SWEEP)))
+def test_no_input_ends_in_a_traceback(capsys, monkeypatch, argv):
+    # every subcommand on malformed, too deep and capturing input, and
+    # reduction and cut elimination with a budget of one step: each ends in
+    # an exit code, never in an exception
+    from lmtool.ppn import rewrite
+
+    if "--nf" in argv:
+        monkeypatch.setattr(rewrite, "_BUDGET", 1)
+    assert main(argv) in (0, 1, 2)

@@ -167,6 +167,14 @@ def test_instances_stay_canonical():
             assert is_canonical(r), (ax.render(), print_object(o), print_object(r))
 
 
+def test_instances_where_a_replacement_name_is_free_in_its_stack():
+    # lin's stack-inertness test projects the subject of the replacement at
+    # the root, whose inner 'e is also free in its own stack
+    o = c(r"(['o](mu 'd. (['e]z)['f/'e\(mu 'g. ['e]w) . #]))['n/'o\v . #]")
+    assert is_canonical(o)
+    assert [(ax.name, ax.orientation) for ax, _ in axiom_instances(o)]
+
+
 def test_instances_reject_non_canonical_input():
     with pytest.raises(NotCanonicalError):
         axiom_instances(t(r"(\x. x) y"))
@@ -946,7 +954,7 @@ def test_admission_by_the_rebuilt_path_matches_is_canonical_of_a_copy():
             if (name, orient) == ("theta", "RL") and type(parent) is App and idxs[-1] == 0:
                 kinds["theta RL at the function of an application"] += 1
             tag = _canon_tag(parent) if type(parent) is ERepl else None
-            if (name, orient) == ("ren", "RL") and tag is not None and tag[0] is RuleTag.W:
+            if (name, orient) == ("ren", "RL") and tag is RuleTag.W:
                 kinds["ren RL makes the enclosing replacement a W redex"] += 1
             if (name, orient) == ("lin", "RL"):
                 kinds["lin RL"] += 1
@@ -1006,3 +1014,34 @@ def test_a_search_builds_an_axiom_for_each_certificate_step_only(monkeypatch):
         res = equiv(*pair, **setting)
         assert res.equivalent and len(res.certificate.steps) > 1
         assert len(built) == len(res.certificate.steps) and res.built > len(built)
+
+
+def test_lin_left_to_right_is_the_r_step(monkeypatch):
+    # lin LR fires R at the replacement; on every instance that the
+    # searches of one-axiom and sigma pairs meet, that is the subject with
+    # the stack applied, which is canonical already
+    from lmtool import equivalence
+    from lmtool.drivers import bisim_driver, sigma_correspondence_case, sigma_pair
+    from lmtool.generators import gen_equiv_pair
+    from lmtool.meta import apply_stack
+    from lmtool.syntax import supply_for
+
+    real = equivalence._subtree_rewrites
+    checked = [0]
+
+    def checking(sub, *args, **kwargs):
+        out = real(sub, *args, **kwargs)
+        for name, orient, res in out:
+            if (name, orient) == ("lin", "LR"):
+                u = apply_stack(sub.body.body, sub.stack)
+                assert res == Named(sub.new, canon(u, supply_for(sub))), print_object(sub)
+                checked[0] += 1
+        return out
+
+    monkeypatch.setattr(equivalence, "_subtree_rewrites", checking)
+    for seed in range(60):
+        bisim_driver(*gen_equiv_pair(seed=500 + seed, axiom="lin", size=9))
+    for k in range(1, 9):
+        for seed in range(3):
+            sigma_correspondence_case(*sigma_pair(seed * 101 + k, f"sigma{k}", size=3))
+    assert checked[0] > 80, checked

@@ -367,6 +367,15 @@ def test_project_examples():
     assert alpha_eq(project(t(r"x[x\u]")), t("u"))
 
 
+def test_project_renames_a_replacement_apart_from_its_stack():
+    # the bound 'e also occurs free in the stack: project fires R, which
+    # renames the bound name first, and reaches the plain normal form
+    o = c(r"(['e]z)['f/'e\ (mu 'g. ['e]w) . #]")
+    got = project(o)
+    assert alpha_eq(got, reduce_to_nf(o)[0])
+    assert alpha_eq(got, c(r"['f]z (mu 'g. ['e]w)"))
+
+
 def test_expand_examples():
     e = t("mu 'b. (['a]x)['b/'a\\y . z . #]")
     assert alpha_eq(expand(e), t("mu 'b. ['b](mu 'a. ['a]x) y z"))

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from lmtool.meta import (
     apply_stack,
     commutation_repl_repl,
@@ -326,12 +328,7 @@ def ref_replace(o, new, old, s, supply=None):
             case ERepl(b, nn, on, ann, s1):
                 if on == old:
                     return ERepl(b, nn, on, ann, go(s1))
-                old_in_b = old in free_names(b)
-                old_in_s1 = old in free_names(s1)
-                collides = (on == new and (old_in_b or old_in_s1)) or (
-                    on in fn_s and (old_in_b or old_in_s1 or nn == old)
-                )
-                if collides:
+                if on == new and nn == old or (on == new or on in fn_s) and old in free_names(b):
                     on2 = supply.fresh(on)
                     return go(ERepl(rename_free(b, on, on2), nn, on2, ann, s1))
                 if nn != old:
@@ -399,6 +396,62 @@ def test_graft_matches_the_recursive_walks():
                 )
                 repls += 1
     assert subs > 2000 and repls > 2000
+
+
+def test_replace_needs_no_binder_renamed_apart_first():
+    # on objects whose binders shadow each other and the free identifiers,
+    # and on replacements whose bound name is free in their stack, replace
+    # renames a binder exactly where it would capture: the result is the
+    # one it gives with every binder renamed apart first, up to alpha
+    from lmtool.gen_random import _EXPLICIT, _command, _stack, _term
+    from lmtool.syntax import barendregt, is_barendregt, positions, print_object
+
+    rng = random.Random(28)
+    cases = []
+    for _ in range(400):
+        draw = _command if rng.random() < 0.5 else _term
+        o = draw(rng, rng.randrange(2, 12), _EXPLICIT)
+        stacks = [empty_stack(), _stack(rng, 6), Push(_term(rng, 3, _EXPLICIT), empty_stack())]
+        cases += [
+            (o, new, a, st)
+            for a in sorted(free_names(o))
+            for new in ("'a", "'b", "'g", "'d")
+            for st in stacks
+            if new != a and a not in free_names(st)
+        ]
+    for text in (
+        r"(['e]z)['f/'e\ (mu 'g. ['e]w) . #]",
+        r"(['o](mu 'd. (['e]z)['f/'e\(mu 'g. ['e]w) . #]))['n/'o\v . #]",
+        r"(mu 'a. (['o]x)['a/'o\#]) (mu 'd. ['a]y)",
+    ):
+        o = parse(text, freshen=False)
+        for _, sub in positions(o):
+            if isinstance(sub, ERepl):
+                e = prepare_erepl(sub)
+                cases.append((e.body, e.new, e.old, e.stack))
+    shadowed = 0
+    for o, new, a, st in cases:
+        got = replace(o, new, a, st)
+        assert alpha_eq(got, replace(barendregt(o), new, a, st)), print_object(o)
+        shadowed += not is_barendregt(o)
+    assert len(cases) > 2000 and shadowed > 1000, (len(cases), shadowed)
+
+
+@pytest.mark.parametrize("command", [
+    r"(['b]x)['a/'b\#]['b/'a\#]",  # R# renames 'a to 'b
+    r"((['b]x)['a/'b\z . #])['b/'a\y . #]",  # C composes the stacks
+])
+def test_replacement_never_names_its_own_bound_name(command):
+    # an inner replacement binds the new name and replaces by the old one:
+    # its bound name is renamed, so the result has no c['b/'b\s], which
+    # the parser rejects and R cannot fire
+    from lmtool.reduction import canon, reduce_to_nf
+    from lmtool.syntax import print_object
+
+    o = c(command)
+    for got in (canon(o), reduce_to_nf(o, mode="refined")[0]):
+        assert alpha_eq(c(print_object(got)), got), print_object(got)
+    assert alpha_eq(reduce_to_nf(o)[0], c("['b]x z y" if "z" in command else "['b]x"))
 
 
 def test_graft_keeps_subtrees_without_the_target():

@@ -551,11 +551,11 @@ def _uncached_copy(o):
 
 def _wc_by_counting(o):
     """What _canon_tag answered for a replacement before the spine walk:
-    _classify_erepl's classification if it is W or C."""
+    _classify_erepl's tag if it is W or C."""
     from lmtool.reduction import CANON_R, _classify_erepl
 
-    info = _classify_erepl(o)
-    return info if info[0] in CANON_R else None
+    tag = _classify_erepl(o)[0]
+    return tag if tag in CANON_R else None
 
 
 @pytest.mark.parametrize("label,body,tag", _SPINE_CASES, ids=[k for k, *_ in _SPINE_CASES])
@@ -609,8 +609,7 @@ def test_swap_or_compose_spine_check_matches_counting(rewrite_corpus):
                 want = _wc_by_counting(sub)
                 free_idents(sub)
                 assert first == want and _canon_tag(sub) == want, print_object(sub)
-                tag = want[0] if want else None
-                seen[tag] = seen.get(tag, 0) + 1
+                seen[want] = seen.get(want, 0) + 1
     assert seen.get(RuleTag.W, 0) > 100 and seen.get(RuleTag.C, 0) > 50, seen
     assert seen.get(None, 0) > 10000, seen
 
@@ -829,7 +828,7 @@ def test_splice_matches_the_recursive_writer(rewrite_corpus):
 def test_writes_that_skip_the_capture_check_bring_no_new_free_identifier(
     rewrite_corpus, monkeypatch
 ):
-    # lm_step, the outer write of fire, and rewrite_everywhere for
+    # lm_step, which fire calls for every rule, and rewrite_everywhere for
     # equivalence._rewrites and sigma_instances call splice without
     # rewrite_at's check; every such write is checked here
     import sys
@@ -873,7 +872,7 @@ def test_writes_that_skip_the_capture_check_bring_no_new_free_identifier(
         for _, _, r in meaningful_reducts(co):
             equivalence.axiom_instances(r, include_ren=True, expansive=True)
             meaningful_reducts(r)
-    assert set(writes) == {"lm_step", "fire", "_rewrites", "sigma_instances"}
+    assert set(writes) == {"lm_step", "_rewrites", "sigma_instances"}
     assert min(writes.values()) > 50, writes
 
 
@@ -888,9 +887,9 @@ def test_scanned_paths_equal_make_path(rewrite_corpus, monkeypatch):
         fired.append((o, p))
         return step(o, tag, p, supply)
 
-    def spy_fire(o, tag, p, supply=None, info=None):
+    def spy_fire(o, tag, p, supply=None):
         fired.append((o, p))
-        return fire(o, tag, p, supply, info)
+        return fire(o, tag, p, supply)
 
     monkeypatch.setattr(reduction, "lm_step", spy_step)
     monkeypatch.setattr(reduction, "fire", spy_fire)
@@ -899,7 +898,7 @@ def test_scanned_paths_equal_make_path(rewrite_corpus, monkeypatch):
     for o in rewrite_corpus:
         scanned += [(o, p) for _, p in lm_redexes(o)]
         for tag_of, tags in ((_canon_tag, None), (_refined_tag, REFINED)):
-            scanned += [(o, p) for _, p, _ in _redexes(o, tag_of, tags)]
+            scanned += [(o, p) for _, p in _redexes(o, tag_of, tags)]
         cos = [canon_random(r, rng) for r in [o] + [r for _, _, r in plain_reducts(o)]]
         scanned += [(co, p) for co in cos for _, p in meaningful_redexes(co)]
         try:
@@ -960,13 +959,13 @@ def _ref_canon_tag(o):
         case App(f, _):
             core = _ref_core(f)
             if isinstance(core, Abs):
-                return RuleTag.B, None
+                return RuleTag.B
             if isinstance(core, Mu):
-                return RuleTag.M, None
+                return RuleTag.M
         case ERepl():
-            info = _classify_erepl(o)
-            if info[0] in CANON_R:
-                return info[0], info
+            tag = _classify_erepl(o)[0]
+            if tag in CANON_R:
+                return tag
     return None
 
 
@@ -975,9 +974,9 @@ def ref_canon_redexes(o):
     is canon's."""
     found = []
     for idxs, sub in _ref_preorder(o):
-        hit = _ref_canon_tag(sub)
-        if hit is not None:
-            found.append((hit[0], idxs, hit[1]))
+        tag = _ref_canon_tag(sub)
+        if tag is not None:
+            found.append((tag, idxs))
     return found
 
 
@@ -1006,27 +1005,24 @@ def ref_refined_redex(o):
             case App(f, _):
                 core = _ref_core(f)
                 if isinstance(core, Abs):
-                    return (RuleTag.B, idxs, None)
+                    return (RuleTag.B, idxs)
                 if isinstance(core, Mu):
-                    return (RuleTag.M, idxs, None)
+                    return (RuleTag.M, idxs)
             case ESub(_, _, _):
-                return (RuleTag.S, idxs, None)
+                return (RuleTag.S, idxs)
             case ERepl(_, _, _, _, _):
-                info = _classify_erepl(sub)
-                if info[0] is not RuleTag.R_EMPTY and info[0] is not RuleTag.N_LIN:
-                    return (info[0], idxs, info)
+                tag = _classify_erepl(sub)[0]
+                if tag is not RuleTag.R_EMPTY and tag is not RuleTag.N_LIN:
+                    return (tag, idxs)
     return None
 
 
-def _ref_fire(o, tag, p, info, supply, fired):
-    """The old dispatch: B, S, M, R by lm_step, a classified replacement by
-    its refined rule."""
+def _ref_fire(o, tag, p, supply, fired):
+    """B, S, M, R by lm_step, and a classified replacement as R."""
     from lmtool import reduction
 
     fired.append((tag, p))
-    if info is None:
-        return reduction.lm_step(o, tag, p, supply)
-    return reduction.fire(o, tag, p, supply, info)
+    return reduction.lm_step(o, tag if tag in PLAIN else RuleTag.R, p, supply)
 
 
 def ref_canon(o, trace, fired):
@@ -1035,8 +1031,8 @@ def ref_canon(o, trace, fired):
         found = ref_canon_redexes(o)
         if not found:
             return o
-        tag, p, info = found[0]
-        o = _ref_fire(o, tag, p, info, supply, fired)
+        tag, p = found[0]
+        o = _ref_fire(o, tag, p, supply, fired)
         trace.steps.append((tag, p, o))
 
 
@@ -1046,8 +1042,8 @@ def ref_canon_random(o, rng, fired):
         found = ref_canon_redexes(o)
         if not found:
             return o
-        tag, p, info = found[rng.randrange(len(found))]
-        o = _ref_fire(o, tag, p, info, supply, fired)
+        tag, p = found[rng.randrange(len(found))]
+        o = _ref_fire(o, tag, p, supply, fired)
 
 
 def ref_reduce_to_nf(o, budget, mode, fired):
@@ -1058,13 +1054,13 @@ def ref_reduce_to_nf(o, budget, mode, fired):
     for _ in range(budget):
         if mode == "plain":
             rs = ref_lm_redexes(o)
-            found = (*rs[0], None) if rs else None
+            found = rs[0] if rs else None
         else:
             found = ref_refined_redex(o)
         if found is None:
             return o, trace
-        tag, p, info = found
-        o = _ref_fire(o, tag, p, info, supply, fired)
+        tag, p = found
+        o = _ref_fire(o, tag, p, supply, fired)
         trace.steps.append((tag, p, o))
     raise BudgetExhausted(trace)
 
@@ -1076,9 +1072,9 @@ def test_engine_matches_the_scans_and_loops_it_replaced(rewrite_corpus, monkeypa
     engine_fired = []
     fire = reduction.fire
 
-    def spy_fire(o, tag, p, supply=None, info=None):
+    def spy_fire(o, tag, p, supply=None):
         engine_fired.append((tag, p))
-        return fire(o, tag, p, supply, info)
+        return fire(o, tag, p, supply)
 
     def run(f, *args):
         # the normal form or the trace of an exhausted budget, and the
@@ -1130,3 +1126,94 @@ def test_engine_matches_the_scans_and_loops_it_replaced(rewrite_corpus, monkeypa
             assert meaningful_redexes(r) == ref_meaningful_redexes(r), print_object(r)
             seen["meaningful"] += len(meaningful_redexes(r))
     assert min(seen.values()) > 40, seen
+
+
+# --- every replacement redex fires by R ---------------------------------------
+
+
+def _ref_refined_fire(o, tag, p, supply):
+    """fire as it was before a refined redex fired as R: R# and R!=1 by
+    R, and N, W and C built by hand around the one occurrence of the bound
+    name, which alone was rewritten.  The builder read the replacement as
+    it was, so a bound name that also occurs free in the stack captured
+    it; here the name is first renamed apart, as R does."""
+    from lmtool.meta import apply_stack, prepare_erepl, stack_concat, stack_len
+    from lmtool.reduction import _classify_erepl
+    from lmtool.syntax import (
+        EmptyStack, ERepl, Named, descend, empty_stack, rewrite_at, splice, subobject_at,
+    )
+    from lmtool.typing_util import codomain
+
+    nodes = descend(o, p)
+    sub = prepare_erepl(nodes[-1], supply)
+    got, occ = _classify_erepl(sub)
+    assert got is tag
+    if occ is None:
+        return lm_step(o, RuleTag.R, p, supply)
+    c, new, alpha, s = sub.body, sub.new, sub.old, sub.stack
+    node = subobject_at(c, occ)
+    if type(node) is Named:  # N: the one named occurrence takes the stack
+        repl = Named(new, apply_stack(node.body, s))
+    elif type(node.stack) is EmptyStack:  # W: swap with the inner renaming
+        base = node.ann if node.ann is not None else sub.ann
+        repl = ERepl(ERepl(node.body, alpha, node.old, node.ann, s), new, alpha,
+                     codomain(base, stack_len(s)), empty_stack())
+    else:  # C: compose with the inner stack
+        repl = ERepl(node.body, new, node.old, node.ann, stack_concat(node.stack, s))
+    return splice(nodes, p, rewrite_at(c, occ, repl, supply))
+
+
+def test_refined_redexes_fire_as_the_builder_they_replaced(rewrite_corpus):
+    # every refined redex of the objects, their expansions, random objects
+    # and the hand-written spine cases, whose non-linear classes the
+    # generators seldom draw, of the states of their canon and refined
+    # traces, and of typed one-step cases: N and C reducts are the
+    # builder's to the byte, a W reduct differs in the name of its
+    # intermediate replacement only
+    from collections import Counter
+
+    from lmtool.drivers import typed_step_cases
+    from lmtool.reduction import Trace, _redexes, _refined_tag
+    from lmtool.syntax import EmptyStack, ERepl, Push
+
+    rng = random.Random(8)
+    stack = Push(Var("y"), EmptyStack())
+    sources = [*rewrite_corpus, *map(expand, rewrite_corpus)]
+    sources += [random_object(rng, 10) for _ in range(300)]
+    sources += [ERepl(c(body), "'f", "'a", None, stack) for _, body, _ in _SPINE_CASES]
+    sources += [t(r"(mu 'a. ['c]x (mu 'g. ['a]z)) y"), t(r"(mu 'a. ['c]x[v\mu 'g. ['a]z]) y")]
+    objs = []
+    for o in sources:
+        trace = Trace(o, [])
+        canon(o, trace=trace)
+        try:
+            _, refined = reduce_to_nf(o, budget=200, mode="refined")
+        except BudgetExhausted as e:
+            refined = e.trace
+        objs += [o] + [r for _, _, r in trace.steps + refined.steps]
+    for _, lhs, rhs, _, _ in typed_step_cases(99, 300):
+        objs += [lhs, rhs]
+    refined_tags = set(RuleTag) - PLAIN
+    seen = Counter()
+    for o in objs:
+        for tag, p in _redexes(o, _refined_tag, refined_tags):
+            got = fire(o, tag, p, supply_for(o))
+            want = _ref_refined_fire(o, tag, p, supply_for(o))
+            if tag in (RuleTag.W, RuleTag.W_NONLIN):
+                assert alpha_eq(got, want), print_object(o)
+            else:
+                assert print_object(got) == print_object(want), print_object(o)
+            seen[tag] += 1
+    assert set(seen) == refined_tags, seen
+    assert min(seen[RuleTag.W], seen[RuleTag.C], seen[RuleTag.N_LIN]) > 20, seen
+
+
+def test_a_swap_through_a_name_free_in_the_stack_does_not_capture_it():
+    # the mu-bound 'a is also free in the argument: the W step that the M
+    # step leaves renames the replacement's bound 'a first, as R does
+    from lmtool.syntax import free_names
+
+    o = t(r"(mu 'a. (['o]x)['a/'o\#]) (mu 'd. ['a]y)")
+    nf = reduce_to_nf(canon(o))[0]
+    assert "'a" in free_names(nf)
+    assert alpha_eq(nf, reduce_to_nf(o)[0]), print_object(nf)
