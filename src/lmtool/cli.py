@@ -219,18 +219,24 @@ def cmd_ppn(args) -> int:
 
 
 def cmd_simcheck(args) -> int:
-    from .ppn import simulation_check
+    from .ppn import NetBudgetExhausted, simulation_check
 
-    bad = 0
+    bad = exhausted = 0
     cases = drivers.typed_step_cases(args.seed, args.cases)
     for tag, o, o2, g, d in cases:
-        ok, diag = simulation_check(o, o2, g, d, tag)
+        step = f"({tag.value}): {print_object(o)} -> {print_object(o2)}"
+        try:
+            ok, diag = simulation_check(o, o2, g, d, tag)
+        except NetBudgetExhausted:
+            exhausted += 1
+            print(f"budget exhausted {step}")
+            continue
         if not ok:
             bad += 1
-            print(f"violation ({tag.value}): {print_object(o)} -> {print_object(o2)}: {diag}")
-    print(f"{len(cases)} steps checked, {bad} violations")
-    print("PASS" if bad == 0 else "FAIL")
-    return 0 if bad == 0 else 1
+            print(f"violation {step}: {diag}")
+    print(f"{len(cases)} steps checked, {bad} violations, {exhausted} out of budget")
+    print("FAIL" if bad else "BUDGET-EXHAUSTED" if exhausted else "PASS")
+    return 0 if bad == exhausted == 0 else 1
 
 
 def cmd_bisim_check(args) -> int:
@@ -239,7 +245,7 @@ def cmd_bisim_check(args) -> int:
     rng = random.Random(args.seed)
     axioms = equivalence.AXIOMS
     per = max(1, args.cases // len(axioms))
-    bad = checked = searches = nwb = hits = computed = served = 0
+    bad = checked = searches = nwb = retries = hits = computed = served = 0
     for ax in axioms:
         for _ in range(per):
             o, p, axiom = generators.gen_equiv_pair(seed=rng.randrange(10**9), axiom=ax)
@@ -247,6 +253,7 @@ def cmd_bisim_check(args) -> int:
             checked += rep.checked
             searches += rep.searches
             nwb += rep.not_within_bounds
+            retries += rep.retries
             hits += rep.cache_hits
             computed += rep.computed
             served += rep.served
@@ -257,6 +264,7 @@ def cmd_bisim_check(args) -> int:
     print(
         f"{per * len(axioms)} pairs, {checked} redex matches, {bad} violations,"
         f" {searches} searches ({nwb} not within bounds),"
+        f" {retries} reducts searched again per candidate,"
         f" {hits} expansions from cache, {computed} node rewrite lists computed,"
         f" {served} served from memo"
     )

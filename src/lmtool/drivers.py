@@ -8,7 +8,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equivalence import REN_AXIOM, Axiom, ExpansionCache, _stack_inert, _subtree_rewrites, equiv
+from .equivalence import (
+    REN_AXIOM, Axiom, ExpansionCache, _stack_inert, _subtree_rewrites, equiv, refusal,
+)
 from .gen_random import random_pure_command, random_pure_stack, random_pure_term
 from .generators import _TypedGen, gen_typed
 from .lmu import SIGMA_EQUATIONS, _sigma_rewrites, lmu_redexes, sigma_instances
@@ -58,8 +60,11 @@ class BisimReport:
     axiom: Optional[Axiom]
     checked: int = 0
     details: list[str] = field(default_factory=list)
-    searches: int = 0  # equiv searches run
+    searches: int = 0  # equiv searches run, towards one or several targets
     not_within_bounds: int = 0  # searches that ended NOT-WITHIN-BOUNDS
+    # reducts whose one search towards several candidates reached none and
+    # that were searched again towards each candidate on its own
+    retries: int = 0
     cache_hits: int = 0  # expansions served from the shared cache
     computed: int = 0  # node rewrite lists that the cache's memo computed
     served: int = 0  # and those it served again
@@ -75,12 +80,21 @@ def bisim_driver(
     """For every meaningful redex of o there must be a meaningful reduct of
     p equivalent to o's reduct, and symmetrically.
 
-    Each side is reduced once, and every search of the call shares one
-    expansion cache, so a state that an earlier search expanded is not
-    expanded again, and a node's rewrite list, computed once, serves every
-    search; no search outcome changes.  The cache's name supply reserves
-    the identifiers of every reduct of both sides before any search
-    issues a name."""
+    Each side is reduced once.  A reduct whose key is no candidate's gets
+    one search towards every candidate of the other side that refusal
+    does not rule out.  When that search reaches none of several
+    candidates, the reduct is searched again towards each candidate on
+    its own, in order, until one is reached: the wider far side of the
+    one search can spend the depth bound that a single candidate's search
+    spends on the near side, so this keeps every match that the
+    per-candidate searches find.  The one search can also reach a
+    candidate that no per-candidate search reaches within the bounds.
+
+    Every search of the call shares one expansion cache, so a state that
+    an earlier search expanded is not expanded again, and a node's
+    rewrite list, computed once, serves every search; no search outcome
+    changes.  The cache's name supply reserves the identifiers of every
+    reduct of both sides before any search issues a name."""
     report = BisimReport(True, axiom)
     # each side's meaningful reducts with their keys, used in both directions
     ro, rp = (
@@ -89,29 +103,26 @@ def bisim_driver(
     )
     cache = ExpansionCache(*(r for _, _, r, _ in ro + rp))
 
+    def search(a2: Object, ka: tuple, cands: list) -> bool:
+        """One search from a2 towards the (reduct, key) candidates."""
+        res = equiv(a2, [b2 for b2, _ in cands], max_states=max_states, max_depth=max_depth,
+                    expansive=False, keys=(ka, [kb for _, kb in cands]), cache=cache)
+        report.searches += 1
+        report.not_within_bounds += not res.equivalent
+        report.computed += res.computed
+        report.served += res.served
+        return res.equivalent
+
     def match_side(a: Object, ra: list, b: Object, rb: list, side: str) -> None:
+        keys = {kb for _, _, _, kb in rb}
         for tag, path, a2, ka in ra:
-            found = False
-            for _, _, b2, kb in rb:
-                if ka == kb:
-                    found = True
-                    break
-                res = equiv(
-                    a2,
-                    b2,
-                    max_states=max_states,
-                    max_depth=max_depth,
-                    expansive=False,
-                    keys=(ka, kb),
-                    cache=cache,
-                )
-                report.searches += 1
-                report.computed += res.computed
-                report.served += res.served
-                if res.equivalent:
-                    found = True
-                    break
-                report.not_within_bounds += 1
+            found = ka in keys
+            if not found:
+                cands = [(b2, kb) for _, _, b2, kb in rb if not refusal(a2, b2)]
+                found = bool(cands) and search(a2, ka, cands)
+                if not found and len(cands) > 1:
+                    report.retries += 1
+                    found = any(search(a2, ka, [c]) for c in cands)
             report.checked += 1
             if not found:
                 report.ok = False

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .gen_random import random_pure_command, random_pure_stack, random_pure_term
 from .lmu import project
@@ -89,6 +89,10 @@ class Certificate:
 
 @dataclass
 class EquivOutcome:
+    """What a search found.  An equivalent outcome names the target it
+    reached, by its index among the search's targets (0 for a single p),
+    and its certificate replays from o to that target."""
+
     status: str  # "equivalent" | "not-within-bounds"
     certificate: Optional[Certificate] = None
     states: int = 0
@@ -101,6 +105,7 @@ class EquivOutcome:
     # cache's) computed while the search ran, and those it served again
     computed: int = 0
     served: int = 0
+    target: Optional[int] = None  # the index of the target reached
 
     @property
     def equivalent(self) -> bool:
@@ -398,10 +403,11 @@ class ExpansionCache:
     An entry is filled lazily: a search builds only the rewrites it
     consumes, and a later search that meets the state replays them and
     resumes the generator.  The cache owns one name supply, reserving the
-    identifiers of the given objects and of every search's two inputs,
-    and one node memo: every identifier of every state is then an input's
-    or was issued once, so a node's rewrite list, computed in one search,
-    serves that node in every later search."""
+    identifiers of the given objects and of every search's input and
+    targets, and one node memo: every identifier of every state is then
+    an input's or a target's or was issued once, so a node's rewrite
+    list, computed in one search, serves that node in every later
+    search."""
 
     def __init__(self, *objects: Object):
         self.entries: dict[tuple, _Entry] = {}
@@ -414,8 +420,9 @@ class ExpansionCache:
         as an iterator of _keyed tuples (key, axiom name, orientation,
         path, result); key is o's canonical key.  An entry keeps the tuples
         it built, so a replay walks no result for its key again.  o's
-        identifiers must be the supply's: equiv adds its inputs, and every
-        state it reaches is built from them and from issued names."""
+        identifiers must be the supply's: equiv adds its input and its
+        targets, and every state it reaches is built from them and from
+        issued names."""
         entry = self.entries.get(key)
         if entry is not None and same_object(entry.state, o):
             self.hits += 1
@@ -426,36 +433,57 @@ class ExpansionCache:
         return _replay(entry)
 
 
+def refusal(o: Object, p: Object, include_ren: bool = False) -> str:
+    """Why no chain of axiom applications can join o and p, read off their
+    sorts and free identifiers, or "" if these allow one.  Every base-axiom
+    rewrite keeps the sort, the free variables and the free names; ren
+    renames names only, and ren LR can drop a free name, so with ren only
+    the free variables must agree."""
+    if sort_of(o) != sort_of(p):
+        return "sorts differ"
+    free = free_vars if include_ren else free_idents
+    if free(o) != free(p):
+        return "free identifiers differ"
+    return ""
+
+
 def equiv(
     o: Object,
-    p: Object,
+    p: Object | Sequence[Object],
     max_states: int = 20000,
     max_depth: int = 12,
     include_ren: bool = False,
     expansive: bool = True,
     *,
-    keys: Optional[tuple[tuple, tuple]] = None,
+    keys: Optional[tuple] = None,
     cache: Optional[ExpansionCache] = None,
 ) -> EquivOutcome:
-    """Search for a chain of axiom applications joining o and p.
+    """Search for a chain of axiom applications joining o and p, where p is
+    one target or a list of targets: the search stops at the first target
+    it reaches, and its outcome names that target.
 
-    Both inputs must be canonical.  The outcome is either Equivalent with a
-    replayable certificate or NotWithinBounds, which is inconclusive.  A
-    caller that already holds canonical_key(o) and canonical_key(p) passes
-    them as keys; searches that pass one cache share their expansions, which
-    changes no outcome.
+    Every input must be canonical.  The outcome is either Equivalent with a
+    replayable certificate from o to the target it reached, or
+    NotWithinBounds, which is inconclusive.  A target that refusal rules
+    out is not searched for; when it rules out every target, the outcome
+    gives the first target's refusal as its reason.  A caller that already
+    holds the keys passes them as keys: canonical_key(o) and
+    canonical_key(p), or the list of the targets' keys.  Searches that pass
+    one cache share their expansions, which changes no outcome.
 
-    One breadth-first loop grows a side from each input, expanding the
-    smaller frontier, o's on a tie.  Each side records every state it
-    reaches with its parent and the (axiom name, orientation, path) step
-    from it, and the certificate is read along those links from the state
-    where the sides meet; its steps are the only Axiom objects the search
-    builds.  Every expansion is a stream of (key, axiom name, orientation,
-    path, result) tuples, canonical or not: cache.instances, or the keyed
-    _rewrites of the search's own name supply and node memo, whose supply
-    reserves o's and p's identifiers.  With a cache, o's and p's
-    identifiers are added to the cache's supply, which then reserves the
-    inputs of every search that shares it.
+    One breadth-first loop grows a side from o and a side from the
+    targets, expanding the smaller frontier, o's on a tie; a single p is
+    the one-target case.  Each side records every state it reaches with
+    its parent and the (axiom name, orientation, path) step from it, and
+    the certificate is read along those links from the state where the
+    sides meet; its steps are the only Axiom objects the search builds,
+    and the links of the targets' side end at the target reached.  Every
+    expansion is a stream of (key, axiom name, orientation, path, result)
+    tuples, canonical or not: cache.instances, or the keyed _rewrites of
+    the search's own name supply and node memo, whose supply reserves the
+    identifiers of o and of the targets.  With a cache, these identifiers
+    are added to the cache's supply, which then reserves the inputs of
+    every search that shares it.
 
     Rewrites are consumed one at a time, and none is built after the search
     stops.  A result is admitted by its key first: one already visited is
@@ -464,51 +492,61 @@ def equiv(
     then read off the path the rewrite rebuilt (rewrite_is_canonical):
     the new subobject's cached answer and the redex test of each node
     above it, since every other node is the canonical state's own."""
-    for q in (o, p):
+    several = isinstance(p, (list, tuple))
+    targets = list(p) if several else [p]
+    if not targets:
+        raise ValueError("equiv needs a target")
+    for q in (o, *targets):
         if not is_canonical(q):
             raise NotCanonicalError(print_object(q))
     if cache is not None and (include_ren or expansive):
         raise ValueError("the expansion cache serves non-expansive searches without ren")
-    if sort_of(o) != sort_of(p):
-        return EquivOutcome("not-within-bounds", reason="sorts differ")
-    # every base-axiom rewrite keeps the free variables and names; ren
-    # renames names only, and ren LR can drop a free name, so with ren only
-    # the free variables must agree
-    free = free_vars if include_ren else free_idents
-    if free(o) != free(p):
-        return EquivOutcome("not-within-bounds", reason="free identifiers differ")
-    ko, kp = keys if keys is not None else (canonical_key(o), canonical_key(p))
-    if ko == kp:
-        return EquivOutcome("equivalent", Certificate([]), reason="found")
+    refusals = [refusal(o, t, include_ren) for t in targets]
+    live = [i for i, why in enumerate(refusals) if not why]
+    if not live:
+        return EquivOutcome("not-within-bounds", reason=refusals[0])
+    if keys is None:
+        ko, kts = canonical_key(o), {i: canonical_key(targets[i]) for i in live}
+    else:
+        ko, kts = keys[0], keys[1] if several else [keys[1]]
+    # each target key with the index of the first target that has it
+    origin: dict[tuple, int] = {}
+    for i in live:
+        origin.setdefault(kts[i], i)
+    if ko in origin:
+        return EquivOutcome("equivalent", Certificate([]), reason="found", target=origin[ko])
 
     if cache is None:
-        supply, memo = supply_for(o, p), _NodeMemo()
+        supply, memo = supply_for(o, *targets), _NodeMemo()
 
         def expand(key, obj):
             return _keyed(_rewrites(obj, include_ren, expansive, supply, memo))
     else:
         memo, expand = cache.memo, cache.instances
-        cache.supply.include(o, p)
+        cache.supply.include(o, *targets)
     computed, served = len(memo.lists), memo.served
     # each side maps a state's key to (state, parent key, axiom from the
-    # parent); side 0 grows from o, side 1 from p
-    seen = ({ko: (o, None, None)}, {kp: (p, None, None)})
-    frontiers = [[ko], [kp]]
-    states, depth, expanded, built = 2, 0, 0, 0
+    # parent); side 0 grows from o, side 1 from the targets
+    seen = ({ko: (o, None, None)}, {k: (targets[i], None, None) for k, i in origin.items()})
+    frontiers = [[ko], list(origin)]
+    states, depth, expanded, built = 1 + len(origin), 0, 0, 0
 
-    def stop(reason: str, cert: Optional[Certificate] = None) -> EquivOutcome:
+    def stop(reason: str, meet=None) -> EquivOutcome:
+        cert, target = certificate(meet) if meet is not None else (None, None)
         status = "equivalent" if cert is not None else "not-within-bounds"
         return EquivOutcome(status, cert, states, reason, expanded, built,
-                            len(memo.lists) - computed, memo.served - served)
+                            len(memo.lists) - computed, memo.served - served, target)
 
-    def certificate(meet) -> Certificate:
+    def certificate(meet) -> tuple[Certificate, int]:
         steps = [Axiom(name, orient, path, key)
                  for key, (name, orient, path), _ in _links(seen[0], meet)]
         steps.reverse()
-        # a step of p's side, read towards p, flips and ends at its parent
-        for _, (name, orient, path), parent in _links(seen[1], meet):
-            steps.append(Axiom(name, _FLIP[orient], path, parent))
-        return Certificate(steps)
+        # a step of the targets' side, read towards its target, flips and
+        # ends at its parent
+        end = meet
+        for _, (name, orient, path), end in _links(seen[1], meet):
+            steps.append(Axiom(name, _FLIP[orient], path, end))
+        return Certificate(steps), origin[end]
 
     while frontiers[0] or frontiers[1]:
         if depth >= max_depth:
@@ -530,7 +568,7 @@ def equiv(
                 states += 1
                 new_frontier.append(rk)
                 if rk in other:
-                    return stop("found", certificate(rk))
+                    return stop("found", rk)
                 if states >= max_states:
                     return stop("state bound")
         frontiers[side] = new_frontier

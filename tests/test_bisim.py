@@ -1,7 +1,10 @@
 """The bisimulation driver against a reference copy of the driver it
-replaced: each side reduced once and one expansion cache per call, filled
-lazily and holding one name supply and one node memo, must leave every
-report and every search outcome as they were."""
+replaced.  The driver reduces each side once, shares one expansion cache
+per call, filled lazily and holding one name supply and one node memo,
+and runs one search per reduct towards all of the other side's
+candidates at once, searching again per candidate when that one search
+reaches none.  The reference runs one search per (reduct, candidate)
+pair, in order, each on its own."""
 
 import gc
 import random
@@ -19,6 +22,7 @@ from lmtool.equivalence import (
     _NodeMemo,
     _rewrites,
     axiom_instances,
+    check_certificate,
     equiv,
 )
 from lmtool.generators import gen_equiv_pair
@@ -107,46 +111,141 @@ def pairs():
     ] + two_redex_pairs(3)
 
 
-def test_shared_search_matches_the_reference_driver(pairs, monkeypatch):
-    searches: list = []
-    expansions = [0]
-    real_rewrites = equivalence._rewrites
+def probe_pairs(k: int, count: int = 150):
+    """Pairs k axiom steps apart: gen_equiv_pair(seed=s, axiom=AXIOMS[s % 6],
+    size=7) for s < count, then k - 1 more steps, each a random pick from
+    the axiom instances (both orientations, ren left out) of the last
+    object, drawn with random.Random(s).  Each pair is (first, last)."""
+    out = []
+    for s in range(count):
+        o, cur, _ = gen_equiv_pair(seed=s, axiom=AXIOMS[s % 6], size=7)
+        rng = random.Random(s)
+        for _ in range(k - 1):
+            instances = axiom_instances(cur, include_ren=False, expansive=True)
+            if not instances:
+                break
+            cur = rng.choice(instances)[1]
+        out.append((o, cur))
+    return out
 
-    def recording_equiv(*args, **kwargs):
-        res = equiv(*args, **kwargs)
-        searches.append(outcome(res))
+
+@pytest.fixture(scope="module")
+def probe():
+    return {k: probe_pairs(k) for k in (3, 6)}
+
+
+def criterion_1_pairs():
+    """The 504 pairs of acceptance criterion 1."""
+    rng = random.Random(20240811)
+    return [gen_equiv_pair(seed=rng.randrange(10**9), axiom=ax, size=9)
+            for ax in AXIOMS for _ in range(84)]
+
+
+class Recorder:
+    """drivers.equiv that records (input, targets, outcome) of each
+    search."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, o, p, *args, **kwargs):
+        res = equiv(o, p, *args, **kwargs)
+        self.calls.append((o, p, res))
         return res
 
-    def counting_rewrites(*args, **kwargs):
-        expansions[0] += 1
-        return real_rewrites(*args, **kwargs)
+
+def verdict(rep):
+    return rep.ok, rep.axiom, rep.checked, rep.details
+
+
+def test_shared_search_matches_the_reference_driver(pairs, monkeypatch):
+    expanded: list = []
+    real_rewrites = equivalence._rewrites
+
+    def counting_rewrites(o, *args, **kwargs):
+        expanded.append(o)
+        return real_rewrites(o, *args, **kwargs)
 
     # every expansion, cached or not, enumerates the one rewrite generator
     monkeypatch.setattr(equivalence, "_rewrites", counting_rewrites)
-    monkeypatch.setattr(drivers, "equiv", recording_equiv)
-    hits = failed = 0
+    record = Recorder()
+    monkeypatch.setattr(drivers, "equiv", record)
+    got_searches = want_searches = failed = hits = 0
     for o, p, axiom in pairs:
-        searches.clear()
-        expansions[0] = 0
+        record.calls.clear()
+        expanded.clear()
         got = bisim_driver(o, p, axiom)
-        got_searches, got_expansions = list(searches), expansions[0]
+        got_expanded = list(expanded)
+        want = ref_bisim_driver(o, p, axiom)
 
-        searches.clear()
-        expansions[0] = 0
-        want = ref_bisim_driver(o, p, axiom, search=recording_equiv)
-
-        assert (got.ok, got.axiom, got.checked, got.details) == (
-            want.ok, want.axiom, want.checked, want.details
-        )
-        assert (got.searches, got.not_within_bounds) == (want.searches, want.not_within_bounds)
-        assert got_searches == searches
-        assert got.searches == len(searches)
-        assert got.not_within_bounds == sum(s[0] != "equivalent" for s in searches)
-        # every expansion the reference made is made or served from the cache
-        assert got_expansions + got.cache_hits == expansions[0]
-        hits += got.cache_hits
+        # the same reducts are matched: details name each unmatched one
+        assert verdict(got) == verdict(want)
+        assert got.searches == len(record.calls)
+        assert got.not_within_bounds == sum(not res.equivalent for *_, res in record.calls)
+        # the cache serves every repeat expansion: a state is expanded again
+        # only after an alpha-equal state with other binder names replaced
+        # its entry
+        last: dict = {}
+        for state in got_expanded:
+            key = canonical_key(state)
+            assert key not in last or not same_object(state, last[key])
+            last[key] = state
+        got_searches += got.searches
+        want_searches += want.searches
         failed += got.not_within_bounds
-    assert hits > 100 and failed > 20
+        hits += got.cache_hits
+    # no wrong candidate costs a search of its own
+    assert hits > 0 and failed == 0 and got_searches < want_searches
+
+
+# (k, seed) of the probe pairs where the one search reaches a candidate
+# that no per-candidate search reaches within the bounds: the driver leaves
+# fewer steps unmatched than the reference, and neither finds the pair ok
+MORE_MATCHED = {(3, 12), (6, 1)}
+
+
+def test_one_search_per_reduct_keeps_every_verdict(pairs, probe, monkeypatch):
+    record = Recorder()
+    monkeypatch.setattr(drivers, "equiv", record)
+    cases = [(None, i, pair) for i, pair in enumerate(pairs + criterion_1_pairs())]
+    cases += [(k, s, pair) for k, ps in probe.items() for s, pair in enumerate(ps)]
+    retried = set()
+    for k, s, pair in cases:
+        got, want = bisim_driver(*pair), ref_bisim_driver(*pair)
+        if (k, s) in MORE_MATCHED:
+            assert not got.ok and not want.ok and got.checked == want.checked
+            assert set(got.details) < set(want.details)
+        else:
+            assert verdict(got) == verdict(want), (k, s)
+        if got.retries:
+            retried.add((k, s))
+    assert retried and all(k is not None for k, _ in retried)
+    # every search with several targets that reached one replays to it
+    several = [(o, p, res) for o, p, res in record.calls if len(p) > 1 and res.equivalent]
+    assert len(several) > 500
+    for o, p, res in several:
+        assert check_certificate(o, res.certificate, p[res.target]) == (True, "ok")
+
+
+def test_a_reduct_the_one_search_misses_is_searched_per_candidate(probe, monkeypatch):
+    # the wider far side of the one search spends the depth bound that a
+    # single candidate's search spends on the near side; both pairs match
+    # at depth 12
+    record = Recorder()
+    monkeypatch.setattr(drivers, "equiv", record)
+    for s in (62, 114):
+        o, q = probe[6][s]
+        record.calls.clear()
+        rep = bisim_driver(o, q)
+        assert rep.ok and rep.retries >= 1
+        assert verdict(rep) == verdict(ref_bisim_driver(o, q))
+        # a search towards several candidates failed, and then a search
+        # towards one of them succeeded
+        outcomes = [(len(p), res.equivalent) for _, p, res in record.calls]
+        first = next(i for i, (n, found) in enumerate(outcomes) if n > 1 and not found)
+        assert (1, True) in outcomes[first + 1:]
+        assert rep.searches == len(outcomes)
+        assert bisim_driver(o, q, max_depth=12).ok
 
 
 def test_cache_lives_for_one_driver_call(pairs):

@@ -114,6 +114,17 @@ def test_ppn_budget_exhausted(capsys, monkeypatch, nf):
     assert code == 1 and out == "BUDGET-EXHAUSTED\n"
 
 
+def test_simcheck_names_a_step_out_of_budget(capsys, monkeypatch):
+    from lmtool.ppn import rewrite
+
+    monkeypatch.setattr(rewrite, "_BUDGET", 1)
+    code, out = run(capsys, "simcheck", "--cases", "3", "--seed", "-7")
+    lines = out.splitlines()
+    assert code == 1 and lines[-2:] == ["3 steps checked, 0 violations, 3 out of budget",
+                                        "BUDGET-EXHAUSTED"]
+    assert len(lines) == 5 and all(line.startswith("budget exhausted (") for line in lines[:3])
+
+
 def test_sigma_listing(capsys):
     code, out = run(capsys, "sigma", "(mu 'a. ['a]x) y")
     assert code == 0 and "sigma8" in out
@@ -136,13 +147,17 @@ def test_property_drivers_pass(capsys):
     summary = out.strip().splitlines()[-2]
     m = re.fullmatch(
         r"6 pairs, (\d+) redex matches, 0 violations, (\d+) searches"
-        r" \((\d+) not within bounds\), (\d+) expansions from cache,"
+        r" \((\d+) not within bounds\), (\d+) reducts searched again per candidate,"
+        r" (\d+) expansions from cache,"
         r" (\d+) node rewrite lists computed, (\d+) served from memo",
         summary,
     )
     assert m, summary
-    matches, searches, failed, hits, computed, served = map(int, m.groups())
-    assert matches > 0 and 0 < failed < searches and hits > 0
+    matches, searches, failed, retries, hits, computed, served = map(int, m.groups())
+    # a reduct that is not searched again per candidate gets at most one
+    # search, so on a passing run without retries every search succeeded
+    assert matches > 0 and hits > 0 and retries == 0
+    assert failed == 0 and 0 < searches <= matches
     assert computed > 0 and served > 0
     code, out = run(capsys, "confluence-check", "--cases", "8", "--seed", "1")
     assert code == 0 and out.strip().endswith("PASS")
@@ -348,6 +363,6 @@ def test_no_input_ends_in_a_traceback(capsys, monkeypatch, argv):
     # an exit code, never in an exception
     from lmtool.ppn import rewrite
 
-    if "--nf" in argv:
+    if "--nf" in argv or argv[0] == "simcheck":
         monkeypatch.setattr(rewrite, "_BUDGET", 1)
     assert main(argv) in (0, 1, 2)

@@ -13,7 +13,7 @@ from lmtool.equivalence import (
 )
 from lmtool.gen_random import random_object
 from lmtool.reduction import NotCanonicalError, canon, is_canonical
-from lmtool.syntax import ERepl, Named, alpha_eq, make_path, parse, print_object
+from lmtool.syntax import ERepl, Named, alpha_eq, canonical_key, make_path, parse, print_object
 from lmtool.typing import check_object
 from lmtool.generators import gen_typed
 
@@ -1045,3 +1045,38 @@ def test_lin_left_to_right_is_the_r_step(monkeypatch):
         for seed in range(3):
             sigma_correspondence_case(*sigma_pair(seed * 101 + k, f"sigma{k}", size=3))
     assert checked[0] > 80, checked
+
+
+# --- several targets ---------------------------------------------------------
+
+
+def test_equiv_stops_at_the_one_target_it_reaches_and_names_it():
+    o = c(r"['c](\x. mu 'a. ['d](\y. mu 'b. ['e]mu 'f. ['g]x))")
+    # same sort and free identifiers as o, but in another class
+    apart = c(r"['d](\x. mu 'a. ['c](\y. mu 'b. ['e]mu 'f. ['g]x))")
+    swapped = next(r for ax, r in axiom_instances(o, expansive=False) if ax.name == "pp")
+    # a target two steps away: pp, then rho on the inner mu
+    (far,) = [r for ax, r in axiom_instances(swapped, expansive=False) if ax.name == "rho"]
+    assert not equiv(o, apart, expansive=False).equivalent
+    # the search stops at the nearest target: swapped before far
+    for targets, reached in (([apart, swapped], 1), ([swapped, apart], 0),
+                             ([apart, far], 1), ([t("x"), apart, far, swapped], 3)):
+        res = equiv(o, targets, expansive=False)
+        assert res.equivalent and res.target == reached
+        assert check_certificate(o, res.certificate, targets[reached]) == (True, "ok")
+        for i, other in enumerate(targets):
+            if i != reached:
+                assert not check_certificate(o, res.certificate, other)[0]
+        # keys given by the caller, one per target
+        keys = (canonical_key(o), [canonical_key(q) for q in targets])
+        assert equiv(o, targets, expansive=False, keys=keys) == res
+    # one target is the one-target case of the same loop
+    one = equiv(o, far, expansive=False)
+    assert one.target == 0 and one.certificate == equiv(o, [far], expansive=False).certificate
+    assert equiv(o, [apart, o]).target == 1
+    # a target that cannot be joined is not searched for; with none left,
+    # the first target's refusal is the reason
+    assert equiv(o, [t("x"), c("['c]x")]).reason == "sorts differ"
+    assert equiv(o, [c("['c]x"), t("x")]).reason == "free identifiers differ"
+    with pytest.raises(ValueError):
+        equiv(o, [])
