@@ -57,9 +57,16 @@ def random_pure_object(rng: random.Random, size: int) -> Object:
 
 def random_object(rng: random.Random, size: int) -> Object:
     """A random object that may contain explicit operators."""
+    return barendregt(raw_object(rng, size))
+
+
+def raw_object(rng: random.Random, size: int) -> Object:
+    """random_object's draw before its binders are refreshed: the same
+    shape, drawn from rng in the same way, whose binders may repeat one
+    another and its free identifiers."""
     if rng.random() < 0.6:
-        return barendregt(_term(rng, size, _EXPLICIT))
-    return barendregt(_command(rng, size, _EXPLICIT))
+        return _term(rng, size, _EXPLICIT)
+    return _command(rng, size, _EXPLICIT)
 
 
 def _term(rng: random.Random, size: int, shapes: tuple[str, ...]) -> Object:

@@ -7,7 +7,7 @@ import random
 from typing import Optional
 
 from .equivalence import Axiom, _stack_inert, _subtree_rewrites, axiom_instances
-from .gen_random import random_object
+from .gen_random import random_object, raw_object
 from .reduction import canon, is_canonical
 from .syntax import (
     Abs,
@@ -22,6 +22,7 @@ from .syntax import (
     Push,
     Type,
     Var,
+    barendregt,
     canonical_key,
     empty_stack,
     sort_of,
@@ -142,23 +143,31 @@ def gen_typed(seed: int, size: int = 20) -> tuple[Object, dict[str, Type], dict[
 # Canonical one-axiom pairs
 
 
-def _canonical_piece(rng: random.Random, size: int, sort: str) -> Object:
-    # canon keeps the sort and draws nothing from rng, so a draw of the
-    # wrong sort is dropped before it is canonicalized
+def _raw_piece(rng: random.Random, size: int, sort: str) -> Object:
+    # barendregt and canon keep the sort and draw nothing from rng, so a
+    # draw of the wrong sort is dropped before either runs
     while True:
-        o = random_object(rng, size)
+        o = raw_object(rng, size)
         if sort_of(o) == sort:
-            return canon(o)
+            return o
+
+
+def _canonical(piece: Object) -> Object:
+    """A raw piece as random_object and then canon would give it."""
+    return canon(barendregt(piece))
 
 
 def _template(rng: random.Random, axiom: str) -> Object:
+    # every piece is drawn, so that each axiom's draws leave rng as the
+    # others do, and only the pieces that the axiom uses are canonicalized
     i = rng.randrange(10**6)
-    v = _canonical_piece(rng, 6, "term")
-    u = _canonical_piece(rng, 5, "term")
-    cc = _canonical_piece(rng, 6, "command")
-    tt = _canonical_piece(rng, 3, "term")
+    v = _raw_piece(rng, 6, "term")
+    u = _raw_piece(rng, 5, "term")
+    cc = _raw_piece(rng, 6, "command")
+    tt = _raw_piece(rng, 3, "term")
     match axiom:
         case "exs":
+            v, u, tt = _canonical(v), _canonical(u), _canonical(tt)
             # ([q](v zz))-style linear wrap with the substitution outside
             x = f"gx{i}"
             body = rng.choice(
@@ -170,6 +179,7 @@ def _template(rng: random.Random, axiom: str) -> Object:
             )
             return ESub(body, x, u)
         case "exr":
+            u, tt = _canonical(u), _canonical(tt)
             on, nn = f"'go{i}", f"'gn{i}"
             inner = Named(on, tt)
             lcc = rng.choice(
@@ -181,11 +191,13 @@ def _template(rng: random.Random, axiom: str) -> Object:
             stack = rng.choice([empty_stack(), Push(u, empty_stack())])
             return ERepl(lcc, nn, on, None, stack)
         case "lin":
+            u, tt = _canonical(u), _canonical(tt)
             on, nn = f"'go{i}", f"'gn{i}"
             while not _stack_inert(tt):
-                tt = _canonical_piece(rng, 2, "term")
+                tt = _canonical(_raw_piece(rng, 2, "term"))
             return ERepl(Named(on, tt), nn, on, None, Push(u, empty_stack()))
         case "pp":
+            cc = _canonical(cc)
             return Named(
                 f"'pa{i}",
                 Abs(
@@ -202,11 +214,14 @@ def _template(rng: random.Random, axiom: str) -> Object:
                 ),
             )
         case "rho":
+            cc = _canonical(cc)
             return Named(f"'ga{i}", Mu(f"'gb{i}", None, cc))
         case "theta":
+            tt = _canonical(tt)
             a = f"'gt{i}"
             return Mu(a, None, Named(a, tt))
         case "ren":
+            cc = _canonical(cc)
             on, nn = f"'go{i}", f"'gn{i}"
             return ERepl(cc, nn, on, None, empty_stack())
     raise ValueError(axiom)

@@ -18,12 +18,21 @@ weakenings too, after the other rules, changes some net_equiv verdicts.
 The isomorphism is anchored at the labeled conclusions, which the
 translation writes from one map of free variables and names: the
 distinguished conclusion, the variables, the names (each sorted), then a
-stack's result.  Anchors make the colours of the conclusions unique, so the
-test maps them first and propagates forced moves from them, as VF2-style
-matchers do (Cordella et al., IEEE TPAMI 2004); it branches, and
-backtracks, only where propagation stalls.  Colours and labels are
-compared by value, so no verdict depends on hash().  Cut elimination
-(rewrite) reads each cut's rule off the producers of its two wires."""
+stack's result.  The flattening numbers each level's nodes in the order of
+one walk from the level's conclusions, which port order fixes, so two
+isomorphic nets usually flatten to equal lists, and net_equiv accepts
+those at once.  Otherwise (the walk breaks no ties between contraction
+premises, cut sides or door orders) the search decides: anchors make the
+colours of the conclusions unique, so it maps them first and propagates
+forced moves from them, as VF2-style matchers do (Cordella et al., IEEE
+TPAMI 2004); it branches, and backtracks, only where propagation stalls.
+Colours and labels are compared by value, so no verdict depends on hash().
+Cut elimination (rewrite) reads each cut's rule off the producers of its
+two wires.
+
+struct_canon and net_equiv leave their inputs untouched: each copies them
+and calls its in-place core, canonicalize or equiv_owned, which callers
+that own fresh nets call directly."""
 
 from __future__ import annotations
 
@@ -34,13 +43,18 @@ from .net import Net, Node
 
 
 def struct_canon(net: Net) -> Net:
-    out = net.copy()
+    """The structural canonical form of a copy of net."""
+    return canonicalize(net.copy())
+
+
+def canonicalize(net: Net) -> Net:
+    """Rewrite net in place to its structural canonical form; returns it."""
     for _ in range(10000):
         if not (
-            any(rule(level) for level in out.all_nets() for rule in _LEVEL_RULES)
-            or _prune_final_weakenings(out)
+            any(rule(level) for level in net.all_nets() for rule in _LEVEL_RULES)
+            or _prune_final_weakenings(net)
         ):
-            return out
+            return net
     raise RuntimeError("structural canonicalization did not settle")
 
 
@@ -187,11 +201,42 @@ _ORDERED_UPS = ("tensor", "par", "d")
 _ORDERED_DOWNS = _ORDERED_UPS + ("ax",)
 
 
+def _walk(level: Net) -> tuple[list[Node], dict[int, tuple[Node, int]]]:
+    """The level's nodes in the order of one walk from its conclusions (the
+    sealed anchor order at the top, door order inside a box), and the
+    consuming node and port of each wire that a node consumes.  From a
+    node, the walk goes to the producers of its consumed wires in port
+    order, then to the consumers of its produced wires; the nodes it never
+    reaches follow in insertion order."""
+    producer = {w: n for n in level.nodes.values() for w in n.downs}
+    consumer = {w: (m, i) for m in level.nodes.values() for i, w in enumerate(m.ups)}
+    order: list[Node] = []
+    seen: set[int] = set()
+
+    def reach(n: Node) -> None:
+        if n.nid not in seen:
+            seen.add(n.nid)
+            order.append(n)
+
+    for w, _ in level.conclusions:
+        reach(producer[w])
+    for n in order:  # order grows while it is read
+        for w in n.ups:
+            reach(producer[w])
+        for w in n.downs:
+            if w in consumer:
+                reach(consumer[w][0])
+    for n in level.nodes.values():
+        reach(n)
+    return order, consumer
+
+
 def _flatten(net: Net) -> tuple[list[tuple], list[tuple[int, int, tuple]]]:
     """The net as a graph on int ids: each node's colour and the labeled
-    edges (source, target, label).  Boxes contribute door nodes so that the
-    through-the-membrane pairing is part of the graph; a box's doors take
-    the ids right after its own."""
+    edges (source, target, label).  Each level's nodes are numbered in the
+    order of _walk; boxes contribute door nodes so that the
+    through-the-membrane pairing is part of the graph, and a box's doors
+    take the ids right after its own."""
     colours: list[tuple] = []
     edges: list[tuple[int, int, tuple]] = []
 
@@ -199,9 +244,10 @@ def _flatten(net: Net) -> tuple[list[tuple], list[tuple[int, int, tuple]]]:
         """Adds the level's nodes and wires; returns, for each wire that no
         node of the level consumes and that is no top-level conclusion, its
         source id and label."""
+        order, consumer = _walk(level)
         ids: dict[int, int] = {}
-        for nid, n in level.nodes.items():
-            g = ids[nid] = len(colours)
+        for n in order:
+            g = ids[n.nid] = len(colours)
             colours.append(("node", n.kind, depth, len(n.ups)))
             if n.kind == "box":
                 for i in range(len(n.downs)):
@@ -213,11 +259,10 @@ def _flatten(net: Net) -> tuple[list[tuple], list[tuple[int, int, tuple]]]:
                     src, label = loose[iw]
                     edges.append((src, g + 1 + i, label))
         # wires at this level; inner conclusions are box doors, wired above
-        consumer = {w: (m, i) for m in level.nodes.values() for i, w in enumerate(m.ups)}
         anchor = dict(level.conclusions) if depth == 0 else {}
         loose: dict[int, tuple[int, tuple]] = {}
-        for nid, n in level.nodes.items():
-            g = ids[nid]
+        for n in order:
+            g = ids[n.nid]
             for pidx, w in enumerate(n.downs):
                 src = g + 1 + pidx if n.kind == "box" else g
                 down = (n.kind, pidx) if n.kind in _ORDERED_DOWNS else (n.kind + "d",)
@@ -331,5 +376,14 @@ def _isomorphic(colours1, edges1, colours2, edges2) -> bool:
 
 def net_equiv(n1: Net, n2: Net) -> bool:
     """Structural equality: canonical forms compared up to an isomorphism
-    anchored at the labeled conclusions."""
-    return _isomorphic(*_flatten(struct_canon(n1)), *_flatten(struct_canon(n2)))
+    anchored at the labeled conclusions.  The nets are not modified."""
+    return equiv_owned(n1.copy(), n2.copy())
+
+
+def equiv_owned(n1: Net, n2: Net) -> bool:
+    """net_equiv on nets that the caller gives up: both are canonicalized
+    in place.  Equal flattenings are isomorphic through the identity, so
+    the search runs only on the others."""
+    f1 = _flatten(canonicalize(n1))
+    f2 = _flatten(canonicalize(n2))
+    return f1 == f2 or _isomorphic(*f1, *f2)

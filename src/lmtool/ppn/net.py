@@ -21,7 +21,7 @@ from .formulas import Formula, NWhy, OPar, PBang, QTen, dual, is_negative
 Anchor = tuple  # ("var", x) | ("name", a) | ("dist",) | ("result",)
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     nid: int
     kind: str  # ax | cut | w | c | tensor | par | d | box

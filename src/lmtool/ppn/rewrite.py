@@ -233,7 +233,7 @@ def fire(level: Net, cut: Node, rule: str, side: int) -> None:
 def mult_nf(net: Net, rng: Optional[random.Random] = None) -> Net:
     """Fixpoint of the axiom and par/tensor cut rules (confluent and
     terminating); the input net is not modified."""
-    return _normalize(net, rng, MULT, "multiplicative normalization budget exhausted")
+    return normalize(net.copy(), MULT, rng)
 
 
 def exp_step(net: Net, cut_id: int) -> Net:
@@ -254,23 +254,25 @@ def exp_step(net: Net, cut_id: int) -> Net:
 
 def full_nf(net: Net, rng: Optional[random.Random] = None) -> Net:
     """Normal form under all cut-elimination rules (confluent and strongly
-    normalizing on translated nets)."""
-    return _normalize(net, rng, None, "cut elimination budget exhausted")
+    normalizing on translated nets); the input net is not modified."""
+    return normalize(net.copy(), None, rng)
 
 
 _BUDGET = 20000  # a normalization longer than this many cut steps fails
 
 
-def _normalize(net: Net, rng: Optional[random.Random], rules, exhausted: str) -> Net:
-    # without rng the first redex fires, with rng one drawn uniformly
-    out = net.copy()
+def normalize(net: Net, rules=None, rng: Optional[random.Random] = None) -> Net:
+    """Fire cuts of the given rules (all rules when None) in net, in place,
+    until none is left; returns net.  Without rng the first redex fires,
+    with rng one drawn uniformly."""
     for _ in range(_BUDGET):
         if rng is None:
-            found = next(_redexes(out, rules), None)
+            found = next(_redexes(net, rules), None)
         else:
-            all_found = list(_redexes(out, rules))
+            all_found = list(_redexes(net, rules))
             found = all_found[rng.randrange(len(all_found))] if all_found else None
         if found is None:
-            return out
+            return net
         fire(*found)
-    raise NetBudgetExhausted(exhausted)
+    what = "cut elimination" if rules is None else "multiplicative normalization"
+    raise NetBudgetExhausted(f"{what} budget exhausted")

@@ -5,8 +5,8 @@ from __future__ import annotations
 from ..reduction import CANON, RuleTag
 from ..syntax import Object, Type
 from ..typing import check_object
-from .canonical import net_equiv
-from .rewrite import full_nf, mult_nf
+from .canonical import equiv_owned
+from .rewrite import MULT, normalize
 from .translate import translate_derivation
 
 
@@ -23,13 +23,17 @@ def simulation_check(
 ) -> tuple[bool, str]:
     """The reduct's net must have the same cut-elimination normal form; for
     canonical-form steps (B, M, C, W) the multiplicative normal forms must
-    already coincide."""
+    already coincide.  The nets are translated here, so they are
+    normalized and compared in place; only a canonical step, which needs
+    both normal forms of each net, copies them."""
     n1 = nets_of(o, gamma, delta)
     n2 = nets_of(o2, gamma, delta)
-    if not net_equiv(full_nf(n1), full_nf(n2)):
+    canon_step = tag in CANON
+    m1, m2 = (n1.copy(), n2.copy()) if canon_step else (None, None)
+    if not equiv_owned(normalize(n1), normalize(n2)):
         return False, "full normal forms differ"
-    if tag in CANON:
-        if not net_equiv(mult_nf(n1), mult_nf(n2)):
+    if canon_step:
+        if not equiv_owned(normalize(m1, MULT), normalize(m2, MULT)):
             return False, "multiplicative normal forms differ on a canonical step"
     return True, "ok"
 
@@ -42,6 +46,7 @@ def soundness_check(
 ) -> bool:
     """Equivalent canonical forms denote the same net up to multiplicative
     cuts and structural equality."""
-    return net_equiv(
-        mult_nf(nets_of(lhs, gamma, delta)), mult_nf(nets_of(rhs, gamma, delta))
+    return equiv_owned(
+        normalize(nets_of(lhs, gamma, delta), MULT),
+        normalize(nets_of(rhs, gamma, delta), MULT),
     )

@@ -513,18 +513,26 @@ def free_occurrences(o: Object, ident: str) -> Iterator[tuple[tuple[int, ...], O
         if d:
             del steps[d - 1:]
             steps.append(i)
-        t = type(o)
-        at = _FREE_AT.get(t)
+        at = _FREE_AT.get(type(o))
         if at is not None and getattr(o, at) == ident:
             yield tuple(steps), o
-        free = getattr(o, "_fi", None)
-        if free is not None and ident not in free:
+        first = _scope_start(o, ident)
+        if first is None:
             continue
-        bound = _BOUND_BY.get(t)
-        first = 1 if bound is not None and bound(o) == ident else 0
         cs = children(o)
         for k in range(len(cs) - 1, first - 1, -1):
             todo.append((cs[k], d + 1, k))
+
+
+def _scope_start(o: Object, ident: str) -> Optional[int]:
+    """The first child of o where a free occurrence of ident can stand, all
+    later children included: None when o's cached free identifiers lack
+    ident, 1 when o binds ident in its child 0, else 0."""
+    free = getattr(o, "_fi", None)
+    if free is not None and ident not in free:
+        return None
+    bound = _BOUND_BY.get(type(o))
+    return 1 if bound is not None and bound(o) == ident else 0
 
 
 def count_free(ident: str, o: Object) -> int:
@@ -658,15 +666,37 @@ def _rename_at(o: Object, idxs: tuple[int, ...], new: str) -> Object:
 def rename_free(o: Object, old: str, new: str) -> Object:
     """Rename the free occurrences of the variable or name old to new; the
     subtrees that hold none are kept as they are, and no cache is filled.
-    Each occurrence that free_occurrences finds is renamed along its path,
-    the last in pre-order first: a renaming rebuilds only the nodes above
-    its occurrence, so the other paths still lead to theirs.  The cost is
-    the sum of the occurrences' depths."""
+    One post-order walk on an explicit stack, pruned as free_occurrences
+    prunes: a node with a renamed subtree below it is rebuilt once, after
+    its children, and an occurrence once more to rename it, so the cost is
+    linear in the nodes walked."""
     if old == new:
         return o
-    for idxs, _ in reversed(list(free_occurrences(o, old))):
-        o = _rename_at(o, idxs, new)
-    return o
+    done: list[Object] = []  # the walked subtrees, renamed, in walk order
+    # (node, -1) enters node; (node, first) leaves it, its children from
+    # first on walked
+    todo: list[tuple[Object, int]] = [(o, -1)]
+    while todo:
+        node, first = todo.pop()
+        cs = children(node)
+        if first < 0:
+            first = _scope_start(node, old)
+            if first is None:
+                done.append(node)
+            else:
+                todo.append((node, first))
+                todo.extend((cs[k], -1) for k in range(len(cs) - 1, first - 1, -1))
+            continue
+        cut = len(done) - (len(cs) - first)
+        kids = cs[:first] + tuple(done[cut:])
+        del done[cut:]
+        if any(a is not b for a, b in zip(kids, cs)):
+            node = with_children(node, kids)
+        at = _FREE_AT.get(type(node))
+        if at is not None and getattr(node, at) == old:
+            node = _RENAME_AT[type(node)](node, new)
+        done.append(node)
+    return done[0]
 
 
 # older names of the unified functions, which the benchmark scripts use

@@ -1,7 +1,9 @@
 import random
+import sys
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,7 @@ from lmtool.drivers import TypedPairs, typed_step_cases
 from lmtool.equivalence import AXIOMS, REN_AXIOM, _stack_inert
 from lmtool.generators import _TypedGen, gen_typed
 from lmtool.meta import apply_stack, rename, stack_len
-from lmtool.reduction import canon, is_canonical
+from lmtool.reduction import CANON, canon, is_canonical
 from lmtool.ppn import (
     canonical,
     dual,
@@ -836,15 +838,21 @@ def _ref_nf(net, mult_only, rng=None):
 
 
 def test_single_scan_normalization_matches_count_then_find():
+    # the public net functions leave their inputs as they are
+    rewritten = 0
     for o, g, d in _seeded_objects()[::2]:
         n = translate_derivation(check_object(o, g, d))
         before = _dump(n)
-        assert _dump(full_nf(n)) == _dump(_ref_nf(n, False))
+        f = full_nf(n)
+        assert _dump(f) == _dump(_ref_nf(n, False))
         assert _dump(mult_nf(n)) == _dump(_ref_nf(n, True))
-        assert _dump(full_nf(n, rng=random.Random(8))) == _dump(
-            _ref_nf(n, False, random.Random(8))
-        )
-        assert _dump(n) == before
+        f8 = full_nf(n, rng=random.Random(8))
+        assert _dump(f8) == _dump(_ref_nf(n, False, random.Random(8)))
+        nfs = _dump(f), _dump(f8)
+        rewritten += _dump(struct_canon(f)) != nfs[0]
+        assert net_equiv(f, f8) and net_equiv(n, n)
+        assert _dump(n) == before and (_dump(f), _dump(f8)) == nfs
+    assert rewritten >= 10, rewritten
 
 
 def _ref_add_tree(target, net, nodes):
@@ -1110,15 +1118,21 @@ def test_dot_and_wire_lookups_match_the_per_wire_scans():
     assert nets >= 40
 
 
-def _shuffled(net, rng):
-    """The net with the nodes of every level, and its conclusions, listed in
-    a shuffled order: the same net, but its graph numbers the nodes
-    differently."""
+def _reinserted(net, rng):
+    """The net with the nodes of every level inserted in a shuffled order."""
     out = net.copy()
     for level in out.all_nets():
         items = list(level.nodes.items())
         rng.shuffle(items)
         level.nodes = dict(items)
+    return out
+
+
+def _shuffled(net, rng):
+    """The net with the nodes of every level, and its conclusions, listed in
+    a shuffled order: the same net, but its graph numbers the nodes
+    differently."""
+    out = _reinserted(net, rng)
     rng.shuffle(out.conclusions)
     return out
 
@@ -1126,6 +1140,40 @@ def _shuffled(net, rng):
 def _ref_graph(colours, edges):
     """An int graph in the form the string-label reference takes."""
     return dict(enumerate(colours)), edges
+
+
+def _dict_order_graph(net):
+    """The int graph that _flatten built when it numbered the nodes in the
+    order of the node dicts: _ref_flatten's graph, its names numbered in
+    their order."""
+    nodes, edges = _ref_flatten(net)
+    ids = {name: i for i, name in enumerate(nodes)}
+    return list(nodes.values()), [(ids[a], ids[b], lbl) for a, b, lbl in edges]
+
+
+def _walk_ids(net):
+    """The int id of each of _ref_flatten's node names under the numbering
+    that canonical._walk defines: each level's nodes in walk order, a box
+    followed by its doors and then by its contents, and the top-level
+    conclusions last, in the walk order of their producers."""
+    ids = {}
+
+    def visit(level, prefix):
+        order, _ = canonical._walk(level)
+        for n in order:
+            ids[f"{prefix}n{n.nid}"] = len(ids)
+            if n.kind == "box":
+                for i in range(len(n.downs)):
+                    ids[f"{prefix}n{n.nid}door{i}"] = len(ids)
+                visit(n.contents, f"{prefix}n{n.nid}b")
+        return order
+
+    anchored = dict(net.conclusions)
+    for n in visit(net, ""):
+        for w in n.downs:
+            if w in anchored and net.consumer_of(w) is None:
+                ids[f"conc{w}"] = len(ids)
+    return ids
 
 
 def test_isomorphism_matches_the_string_label_reference():
@@ -1149,11 +1197,12 @@ def test_isomorphism_matches_the_string_label_reference():
     for n1, n2 in pairs:
         f1, f2 = canonical._flatten(n1), canonical._flatten(n2)
         ref1, ref2 = _ref_flatten(n1), _ref_flatten(n2)
-        for (colours, edges), (ref_nodes, ref_edges) in ((f1, ref1), (f2, ref2)):
-            # the int ids number the reference's nodes in its order
-            ids = {name: i for i, name in enumerate(ref_nodes)}
+        for n, (colours, edges), (ref_nodes, ref_edges) in ((n1, f1, ref1), (n2, f2, ref2)):
+            # the int ids number the reference's nodes in walk order
+            ids = _walk_ids(n)
+            assert sorted(ids) == sorted(ref_nodes) and list(ids.values()) == list(range(len(ids)))
             assert colours == [ref_nodes[name] for name in ids]
-            assert edges == [(ids[a], ids[b], lbl) for a, b, lbl in ref_edges]
+            assert Counter(edges) == Counter((ids[a], ids[b], lbl) for a, b, lbl in ref_edges)
         got = canonical._isomorphic(*f1, *f2)
         assert got == _ref_isomorphic(*ref1, *ref2)
         verdicts[got] += 1
@@ -1261,3 +1310,121 @@ def test_wide_contraction_into_different_contexts():
             assert canonical._isomorphic(*f1, *f2) == want
             assert _ref_isomorphic(*_ref_graph(*f1), *_ref_graph(*f2)) == want
             assert net_equiv(nets[0], n2) == want
+
+# --- anchored numbering: equal flattenings before the search ------------------
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpora  # noqa: E402  (the perfbench corpus builders)
+
+
+def _normal_form_pairs(seed):
+    """The pairs of normal forms that the perfbench nets corpus of seed
+    compares, each with whether its item is a known fault."""
+    out = []
+    for item in corpora.build_nets(seed):
+        kind, tag, a, b, g, d = item.data
+        n1, n2 = translate_derivation(check_object(a, g, d)), translate_derivation(check_object(b, g, d))
+        fault = item.known_fault is not None
+        if kind == "pair" or tag in CANON:
+            out.append((mult_nf(n1), mult_nf(n2), fault))
+        if kind == "step":
+            out.append((full_nf(n1), full_nf(n2), fault))
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus_pairs():
+    return {seed: _normal_form_pairs(seed) for seed in (1, 7001)}
+
+
+def test_net_equiv_matches_the_search_on_dict_order_flattenings(corpus_pairs):
+    # net_equiv against the search alone on the flattening that numbered the
+    # nodes in dict order: the perfbench nets corpora, typed steps, nets
+    # compared with re-inserted and shuffled copies, and unrelated nets of
+    # one type
+    rng = random.Random(31)
+    pairs = [(n1, n2) for seed in (1, 7001) for n1, n2, _ in corpus_pairs[seed]]
+    faults = [(n1, n2) for seed in (1, 7001) for n1, n2, fault in corpus_pairs[seed] if fault]
+    for _, o, o2, g, d in typed_step_cases(seed=431, count=60):
+        n1, n2 = (translate_derivation(check_object(x, g, d)) for x in (o, o2))
+        pairs.append((full_nf(n1), full_nf(n2)))
+    by_type = {}
+    for n1, n2 in pairs[::5]:
+        pairs += [(n1, _reinserted(n2, rng)), (n1, _shuffled(n1, rng))]
+    for n1, _ in pairs:
+        by_type.setdefault(tuple(str(n1.wires[w]) for w, _ in n1.conclusions), []).append(n1)
+    for nets in by_type.values():
+        pairs += list(zip(nets, nets[1:]))
+    verdicts = Counter()
+    for n1, n2 in pairs:
+        want = canonical._isomorphic(
+            *_dict_order_graph(struct_canon(n1)), *_dict_order_graph(struct_canon(n2))
+        )
+        assert net_equiv(n1, n2) == want
+        verdicts[want] += 1
+    assert len(faults) == 14 and not any(net_equiv(n1, n2) for n1, n2 in faults)
+    assert verdicts[True] > 2000 and verdicts[False] > 200, verdicts
+
+
+def _walk_reaches_every_node(net):
+    """Whether every level's nodes are joined by wires to the level's
+    conclusions, so that the walk from them reaches all of them."""
+    for level in net.all_nets():
+        producer = {w: n for n in level.nodes.values() for w in n.downs}
+        consumer = {w: n for n in level.nodes.values() for w in n.ups}
+        todo = [producer[w] for w, _ in level.conclusions]
+        seen = {n.nid for n in todo}
+        while todo:
+            n = todo.pop()
+            for m in [producer[w] for w in n.ups] + [consumer[w] for w in n.downs if w in consumer]:
+                if m.nid not in seen:
+                    seen.add(m.nid)
+                    todo.append(m)
+        if len(seen) != len(level.nodes):
+            return False
+    return True
+
+
+def _renumbered(net, rng):
+    """The net with the nodes of every level inserted in a shuffled order,
+    and its nodes and wires given other ids, drawn at random."""
+    out = net.copy()
+    for level in out.all_nets():
+        nodes = list(level.nodes.values())
+        rng.shuffle(nodes)
+        ids = rng.sample(range(1, 10 * (len(nodes) + len(level.wires)) + 1), len(nodes) + len(level.wires))
+        wmap = dict(zip(level.wires, ids[len(nodes):]))
+        for n, nid in zip(nodes, ids):
+            n.nid, n.ups, n.downs = nid, [wmap[w] for w in n.ups], [wmap[w] for w in n.downs]
+        level.nodes = {n.nid: n for n in nodes}
+        level.wires = {wmap[w]: f for w, f in level.wires.items()}
+        level.conclusions = [(wmap[w], a) for w, a in level.conclusions]
+        level._next = max(ids, default=0)
+    return out
+
+
+def test_anchored_flattening_ignores_node_insertion_order_and_ids(corpus_pairs):
+    rng = random.Random(32)
+    reached = unreached = 0
+    for n1, n2, _ in corpus_pairs[1]:
+        for net in (struct_canon(n1), struct_canon(n2)):
+            if not _walk_reaches_every_node(net):
+                unreached += 1
+                continue
+            flat = canonical._flatten(net)
+            assert canonical._flatten(_reinserted(net, rng)) == flat
+            other = _renumbered(net, rng)
+            other.validate()
+            assert canonical._flatten(other) == flat
+            reached += 1
+    assert reached > 900 and unreached > 0, (reached, unreached)
+
+
+def test_equal_flattenings_settle_nearly_every_isomorphic_comparison(corpus_pairs):
+    isomorphic = equal = 0
+    for n1, n2, _ in corpus_pairs[7001]:
+        f1, f2 = canonical._flatten(struct_canon(n1)), canonical._flatten(struct_canon(n2))
+        if canonical._isomorphic(*f1, *f2):
+            isomorphic += 1
+            equal += f1 == f2
+    assert isomorphic > 500 and equal >= 0.95 * isomorphic, (equal, isomorphic)

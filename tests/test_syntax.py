@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
@@ -304,6 +305,34 @@ def test_occurrence_walks_five_thousand_deep_need_no_recursion():
     assert next(free_occurrences(cmd, "x")) == ((0,) * 10002, Var("x"))
     assert count_free("x", cmd) == 1
     assert same_object(rename_free(cmd, "x", "y"), chain("'a", "y"))
+
+
+def test_rename_free_builds_each_node_above_an_occurrence_once(monkeypatch):
+    # x y y ... y with 5,000 arguments: renaming y builds each application
+    # and each renamed occurrence once, renaming x the applications and x
+    n = 5000
+
+    def spine(x, y):
+        o = Var(x)
+        for _ in range(n):
+            o = App(o, Var(y))
+        return o
+
+    o = spine("x", "y")
+    built = Counter()
+    for cls in (Var, App, Abs, Mu, ESub, Named, ERepl, EmptyStack, Push):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    renamed_y = rename_free(o, "y", "z")
+    assert built == Counter({"App": n, "Var": n})
+    built.clear()
+    renamed_x = rename_free(o, "x", "z")
+    assert built == Counter({"App": n, "Var": 1})
+    monkeypatch.undo()
+    assert same_object(renamed_y, spine("x", "z")) and same_object(renamed_x, spine("z", "y"))
 
 
 def test_all_idents_covers_binders():
