@@ -18,7 +18,7 @@ from ..meta import stack_len
 from ..syntax import Abs, App, ERepl, ESub, EmptyStack, Mu, Named, Push, Var, is_name
 from ..typing import Derivation
 from ..typing_util import fold_stack_type, split_arrow
-from .formulas import Formula, PBang, dual, input_of, neg_o, trans_type
+from .formulas import Formula, NWhy, PBang, dual, input_of, neg_o, trans_type
 from .net import Net
 
 
@@ -98,17 +98,17 @@ def _go(d: Derivation, net: Net, result_type=None) -> Piece:
     o = d.judgment.subject
     match o:
         case Var(x):
-            a = d.judgment.type
-            ax = net.add("ax", [], [neg_o(trans_type(a)), trans_type(a)])
-            dn = net.add("d", [ax.downs[0]], [input_of(a)])
+            f = trans_type(d.judgment.type)
+            ax = net.add("ax", [], [neg_o(f), f])
+            dn = net.add("d", [ax.downs[0]], [NWhy(neg_o(f))])
             return Piece(net, {x: dn.downs[0]}, ax.downs[1])
 
         case App(_, _):
             df, du = d.children
             pf = _go(df, net)
             principal, doors = _boxed(net, _go(du, Net()))
-            bty = d.judgment.type
-            ax = net.add("ax", [], [neg_o(trans_type(bty)), trans_type(bty)])
+            f = trans_type(d.judgment.type)
+            ax = net.add("ax", [], [neg_o(f), f])
             ten = net.add(
                 "tensor",
                 [principal, ax.downs[0]],
@@ -120,8 +120,9 @@ def _go(d: Derivation, net: Net, result_type=None) -> Piece:
         case Abs(x, ann, _):
             (db,) = d.children
             pb = _go(db, net)
-            xw = _bound_wire(net, pb, x, input_of(ann))
-            par = net.add("par", [xw, pb.dist], [trans_type(d.judgment.type)])
+            f = trans_type(d.judgment.type)  # ?(ann negated) par the body's
+            xw = _bound_wire(net, pb, x, NWhy(f.q))
+            par = net.add("par", [xw, pb.dist], [f])
             pb.dist = par.downs[0]
             return pb
 

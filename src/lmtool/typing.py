@@ -1,10 +1,12 @@
 """Simple types: judgments, syntax-directed checking, relevance, and the
 subject-reduction harness.
 
-Checking consumes caller environments for the free variables and names;
-every judgment of the produced derivation takes as its contexts the
-environments of its clause cut to the free variables and names of its
-subject."""
+Checking consumes caller environments for the free variables and names,
+copied once at entry; every judgment of the produced derivation takes as
+its contexts the environments of its clause cut to the free variables and
+names of its subject.  The cut is made the first time a judgment's gamma
+or delta is read, and kept: translation into nets reads only types and
+subjects, so it pays for no context."""
 
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from .syntax import (
 from .typing_util import StackType, split_arrow
 
 ResultType = Union[Type, StackType, None]
+Context = tuple[tuple[str, Type], ...]
 
 
 class LMTypeError(Exception):
@@ -45,12 +48,66 @@ class AnnotationMissing(LMTypeError):
     pass
 
 
-@dataclass(frozen=True)
 class Judgment:
-    gamma: tuple[tuple[str, Type], ...]  # sorted assoc list, dom = fv(subject)
-    delta: tuple[tuple[str, Type], ...]  # sorted assoc list, dom = fn(subject)
-    subject: Object
-    type: ResultType  # a Type for terms, a StackType for stacks, None for commands
+    """gamma |- subject : type | delta.  gamma and delta are sorted assoc
+    lists whose domains are the free variables and names of the subject.
+    A judgment made by cut() keeps the environments of its clause and
+    computes its contexts from them the first time either is read.
+    Judgments compare by their four components."""
+
+    __slots__ = ("_gamma", "_delta", "_envs", "subject", "type")
+
+    def __init__(self, gamma: Context, delta: Context, subject: Object,
+                 type: ResultType) -> None:
+        self._gamma, self._delta, self._envs = gamma, delta, None
+        self.subject = subject
+        self.type = type  # a Type for terms, a StackType for stacks, None for commands
+
+    @classmethod
+    def cut(cls, genv: dict[str, Type], denv: dict[str, Type], subject: Object,
+            type: ResultType) -> "Judgment":
+        """The judgment whose contexts are genv and denv cut to the free
+        variables and names of subject; neither dict may change after."""
+        j = cls(None, None, subject, type)
+        j._envs = genv, denv
+        return j
+
+    def _cut(self) -> None:
+        genv, denv = self._envs
+        free = sorted(free_idents(self.subject))
+        # the names come first: their apostrophe sorts before "(", and a
+        # variable starts with a letter or an underscore, which sort after it
+        k = bisect_left(free, "(")
+        self._gamma = tuple([(x, genv[x]) for x in free[k:]])
+        self._delta = tuple([(a, denv[a]) for a in free[:k]])
+        self._envs = None
+
+    @property
+    def gamma(self) -> Context:
+        if self._envs is not None:
+            self._cut()
+        return self._gamma
+
+    @property
+    def delta(self) -> Context:
+        if self._envs is not None:
+            self._cut()
+        return self._delta
+
+    def _key(self) -> tuple:
+        return self.gamma, self.delta, self.subject, self.type
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Judgment(gamma={self.gamma!r}, delta={self.delta!r},"
+                f" subject={self.subject!r}, type={self.type!r})")
 
     def render(self) -> str:
         g = ", ".join(f"{x}:{a}" for x, a in self.gamma)
@@ -83,21 +140,17 @@ def check_object(
     gamma: Optional[dict[str, Type]] = None,
     delta: Optional[dict[str, Type]] = None,
 ) -> Derivation:
-    """Check o against environments covering its free variables and names."""
-    return _check(o, gamma or {}, delta or {})
+    """Check o against environments covering its free variables and names.
+    The environments are copied, so a later change to them alters no
+    judgment of the derivation."""
+    return _check(o, dict(gamma or {}), dict(delta or {}))
 
 
 def _derive(rule: str, o: Object, genv: dict[str, Type], denv: dict[str, Type],
             ty: ResultType, *children: Derivation) -> Derivation:
     """The judgment of o at type ty: its contexts are the environments cut to
     the free variables and names of o, so relevance holds by construction."""
-    free = sorted(free_idents(o))
-    # the names come first: their apostrophe sorts before "(", and a
-    # variable starts with a letter or an underscore, which sort after it
-    k = bisect_left(free, "(")
-    gamma = tuple([(x, genv[x]) for x in free[k:]])
-    delta = tuple([(a, denv[a]) for a in free[:k]])
-    return Derivation(rule, Judgment(gamma, delta, o, ty), list(children))
+    return Derivation(rule, Judgment.cut(genv, denv, o, ty), list(children))
 
 
 def _check(o: Object, genv: dict[str, Type], denv: dict[str, Type]) -> Derivation:

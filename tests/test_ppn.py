@@ -25,7 +25,7 @@ from lmtool.ppn import (
     translate_derivation,
     translate_stack_derivation,
 )
-from lmtool.ppn.formulas import OIota, OPar, PBang, QIota, QTen, input_of, neg_o
+from lmtool.ppn.formulas import NWhy, OIota, OPar, PBang, QIota, QTen, input_of, neg_o, neg_q
 from lmtool.ppn.net import Net, Node
 from lmtool.ppn.rewrite import MULT, _cut_rule, _redexes, add_tree, fire, tensor_tree
 from lmtool.syntax import (
@@ -59,17 +59,95 @@ def test_trans_type_nested():
     assert got == OPar(QTen(OIota("o"), QIota("o")), OIota("o"))
 
 
+def _random_type(rng, d):
+    if d == 0 or rng.random() < 0.4:
+        return Base(rng.choice("ab"))
+    return Arrow(_random_type(rng, d - 1), _random_type(rng, d - 1))
+
+
 def test_negation_involutive_random():
     rng = random.Random(4)
-
-    def random_type(d):
-        if d == 0 or rng.random() < 0.4:
-            return Base(rng.choice("ab"))
-        return Arrow(random_type(d - 1), random_type(d - 1))
-
     for _ in range(200):
-        f = trans_type(random_type(3))
+        f = trans_type(_random_type(rng, 3))
         assert dual(dual(f)) == f
+
+
+def _ref_formula(a):
+    """Girard's translation of a, built with the formula classes alone."""
+    match a:
+        case Base(n):
+            return OIota(n)
+        case Arrow(l, r):
+            return OPar(_ref_neg(_ref_formula(l)), _ref_formula(r))
+
+
+def _ref_neg(f):
+    """The dual of f, built with the formula classes alone."""
+    match f:
+        case OIota(n):
+            return QIota(n)
+        case QIota(n):
+            return OIota(n)
+        case OPar(q, o):
+            return QTen(_ref_neg(q), _ref_neg(o))
+        case QTen(o, q):
+            return OPar(_ref_neg(o), _ref_neg(q))
+        case NWhy(q):
+            return PBang(_ref_neg(q))
+        case PBang(o):
+            return NWhy(_ref_neg(o))
+
+
+def _ref_str(f):
+    """The printed form of f, printed recursively."""
+    match f:
+        case OIota(n):
+            return n
+        case QIota(n):
+            return f"{n}^"
+        case OPar(q, o):
+            return f"(?{_ref_str(q)} # {_ref_str(o)})"
+        case QTen(o, q):
+            return f"(!{_ref_str(o)} * {_ref_str(q)})"
+        case NWhy(q):
+            return f"?{_ref_str(q)}"
+        case PBang(o):
+            return f"!{_ref_str(o)}"
+
+
+def _fields(f):
+    return [getattr(f, name) for name in f.__match_args__]
+
+
+def _ref_key(f):
+    """The structure of f as nested tuples."""
+    return (type(f).__name__, *(x if isinstance(x, str) else _ref_key(x) for x in _fields(f)))
+
+
+def _subformulas(f):
+    yield f
+    for x in _fields(f):
+        if not isinstance(x, str):
+            yield from _subformulas(x)
+
+
+def test_one_structure_is_one_formula_however_it_is_built():
+    rng = random.Random(5)
+    by_key = {}
+    for _ in range(300):
+        a = _random_type(rng, 4)
+        f, i = trans_type(a), input_of(a)
+        assert f is _ref_formula(a)
+        assert dual(f) is neg_o(f) is _ref_neg(f) and neg_q(dual(f)) is f
+        assert i is NWhy(_ref_neg(f)) and dual(i) is PBang(f) is _ref_neg(i)
+        for g in (f, i, dual(f), dual(i)):
+            for sub in _subformulas(g):
+                assert by_key.setdefault(_ref_key(sub), sub) is sub
+                assert str(sub) == _ref_str(sub)
+    # distinct structures are distinct objects, compared and hashed by identity
+    assert len({id(f) for f in by_key.values()}) == len(by_key) > 200
+    for cls in (OIota, OPar, QIota, QTen, NWhy, PBang):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
 
 
 def test_stacktype_translation_folds():
@@ -1335,6 +1413,36 @@ def _normal_form_pairs(seed):
 @pytest.fixture(scope="module")
 def corpus_pairs():
     return {seed: _normal_form_pairs(seed) for seed in (1, 7001)}
+
+
+class _Printed:
+    """A wire formula that prints by the recursive reference printer."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __str__(self):
+        return _ref_str(self.f)
+
+
+def _reference_labels(net):
+    """A copy of net whose wire formulas print by the recursive printer."""
+    out = net.copy()
+    for level in out.all_nets():
+        level.wires = {w: _Printed(f) for w, f in level.wires.items()}
+    return out
+
+
+def test_flattening_and_dot_labels_match_the_recursive_printer(corpus_pairs):
+    nets = 0
+    for seed in (1, 7001):
+        for n1, n2, _ in corpus_pairs[seed]:
+            for net in (n1, n2):
+                ref = _reference_labels(net)
+                assert canonical._flatten(net) == canonical._flatten(ref)
+                assert net.to_dot() == ref.to_dot()
+                nets += 1
+    assert nets > 2000
 
 
 def test_net_equiv_matches_the_search_on_dict_order_flattenings(corpus_pairs):

@@ -343,6 +343,67 @@ def test_check_object_matches_the_merging_reference():
     assert errors > 500
 
 
+def _typed_steps_and_pairs():
+    """(object, gamma, delta): the sources and reducts of typed steps, and
+    typed axiom pairs; each of them types."""
+    for _, o, o2, g, d in typed_step_cases(99, 330):
+        yield o, g, d
+        yield o2, g, d
+    pairs = TypedPairs(17)
+    for axiom in ("exs", "exr", "lin", "pp", "rho", "theta", "ren"):
+        for _ in range(10):
+            lhs, rhs, g, d = pairs.build(axiom)
+            yield lhs, g, d
+            yield rhs, g, d
+
+
+def _judgments(der):
+    yield der.judgment
+    for ch in der.children:
+        yield from _judgments(ch)
+
+
+def test_contexts_cut_on_first_read_match_the_eager_reference():
+    # each context is read first in another order: gamma then delta, delta
+    # then gamma, the root only, or through equality
+    nodes = 0
+    for k, (o, g, d) in enumerate(_typed_steps_and_pairs()):
+        der, want = check_object(o, g, d), ref_check_object(o, g, d)
+        got_js, want_js = list(_judgments(der)), list(_judgments(want))
+        match k % 4:
+            case 0:
+                assert [(j.gamma, j.delta) for j in got_js] == [(j.gamma, j.delta) for j in want_js]
+            case 1:
+                assert [(j.delta, j.gamma) for j in got_js] == [(j.delta, j.gamma) for j in want_js]
+            case 2:
+                assert der.judgment.delta == want.judgment.delta
+        assert der == want and got_js == want_js
+        assert der.render() == want.render() and relevance_check(der)
+        assert [hash(j) for j in got_js] == [hash(j) for j in want_js]
+        nodes += len(got_js)
+    assert nodes > 8000
+
+
+def test_a_change_to_the_callers_environments_alters_no_context():
+    # the environments change after checking and before any context is
+    # read: every entry retyped, then every entry dropped
+    changed = 0
+    for o, g, d in _typed_steps_and_pairs():
+        want = ref_check_object(o, g, d)
+        for change in ("retype", "drop"):
+            g2, d2 = dict(g), dict(d)
+            der = check_object(o, g2, d2)
+            if change == "retype":
+                g2.update((x, Arrow(a, a)) for x, a in g.items())
+                d2.update((x, Arrow(a, a)) for x, a in d.items())
+            else:
+                g2.clear()
+                d2.clear()
+            assert der == want, (print_object(o), change)
+        changed += bool(g or d)
+    assert changed > 700
+
+
 def test_a_replacement_takes_its_new_name_from_the_environment():
     # every free name comes from the environment, a replacement's new name
     # too: left out, it fails at the replacement itself and above it
